@@ -22,7 +22,7 @@ from .lamperti import (ImageWindow, LampertiMap, build_lamperti_map, image_windo
                        transform_coefficients)
 from .model import (Affine, CoefficientModel, Constant, HolderPower, LocalWindow,
                     PiecewiseFunction, Polynomial, SigmaStar, Sinusoid, WeakDerivative,
-                    build_sigma_star, drift_functional, evaluate, piecewise_from_dict,
+                    build_sigma_star, drift_functional, piecewise_from_dict,
                     validate_window, weak_derivative)
 from .oracle import (ReferenceModel, as_coefficient_model, brownian_drift, exact_cf,
                      exact_density, geometric_bm, localized_cf, ornstein_uhlenbeck,

@@ -220,19 +220,18 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
 
     n = ens.n_paths
     m_cols = seg.shape[1]
-    empirical = np.empty(y_check.size)
-    se_emp = np.empty(y_check.size)
-    rem_val = np.empty(y_check.size)
-    rem_se = np.empty(y_check.size)
-    for j, y in enumerate(y_check):
-        empirical[j] = abs(cf.value_at(float(y)))
-        se_emp[j] = cf.se_at(float(y))
-        ks = int(k_steps[j])
-        c0 = m_cols - 1 - ks
+    empirical = np.array([abs(cf.value_at(float(y))) for y in y_check])
+    se_emp = np.array([cf.se_at(float(y)) for y in y_check])
+    # frequencies sharing a grid lookback share the remainder estimate
+    lookbacks, row_of = np.unique(k_steps, return_inverse=True)
+    rem_by_lookback = np.empty((lookbacks.size, 2))
+    for u, ks in enumerate(lookbacks):
+        c0 = m_cols - 1 - int(ks)
         integral = h * (gv_prefix[:, -1] - gv_prefix[:, c0] + 0.5 * (gv[:, c0] - gv[:, -1]))
-        vals = np.abs(integral - eps_used[j] * gv[:, c0])
+        vals = np.abs(integral - (int(ks) * h) * gv[:, c0])
         est = mean_se(np.where(stay_suffix[:, c0], vals, 0.0))
-        rem_val[j], rem_se[j] = est.value, est.std_error
+        rem_by_lookback[u] = est.value, est.std_error
+    rem_val, rem_se = rem_by_lookback[row_of].T
 
     ay = np.abs(y_check)
     if rule_name == "matched":

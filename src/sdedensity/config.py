@@ -157,6 +157,9 @@ class Pipeline:
     def __init__(self, cfg: RunConfig, threads: int = 1):
         self.cfg = cfg
         self.threads = threads
+        # per-t results, shared by every command and certify check of a run
+        self._cf: dict[float, charfn.CharFnEstimate] = {}
+        self._density: dict[float, tuple] = {}
 
     @cached_property
     def model(self) -> CoefficientModel:
@@ -200,14 +203,18 @@ class Pipeline:
         return grid
 
     def cf_at(self, t: float) -> charfn.CharFnEstimate:
-        return charfn.estimate_localized(self.ensemble, self.phi, self.transform,
-                                         self.freq_grid, t, threads=self.threads)
+        if t not in self._cf:
+            self._cf[t] = charfn.estimate_localized(self.ensemble, self.phi, self.transform,
+                                                    self.freq_grid, t, threads=self.threads)
+        return self._cf[t]
 
     def density_at(self, t: float):
-        cf = self.cf_at(t)
-        p = invert_cf(cf, self.x_grid())
-        q = pushforward(p, self.transform, self.sigma_star)
-        return cf, p, q
+        if t not in self._density:
+            cf = self.cf_at(t)
+            p = invert_cf(cf, self.x_grid())
+            q = pushforward(p, self.transform, self.sigma_star)
+            self._density[t] = (cf, p, q)
+        return self._density[t]
 
     def bound_report(self, c: float | None = None):
         b = self.cfg.raw["bounds"]

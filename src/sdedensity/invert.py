@@ -46,9 +46,6 @@ class DensityEstimate:
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x_grid))
 
-    def interp(self, x):
-        return np.interp(x, self.x_grid, self.values)
-
     def to_csv(self, path) -> None:
         name = "q" if self.coordinate == "state" else "p"
         with open(path, "w", newline="") as fh:

@@ -227,6 +227,30 @@ class HolderPower(Piece):
 # piecewise functions
 # ---------------------------------------------------------------------------
 
+_POLYNOMIAL_KINDS = (Constant, Affine, Polynomial)
+
+
+def _coefficient_rows(piece: Piece) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending coefficients of a piece and of its derivative; zeros for a
+    piece outside the polynomial family (evaluated separately)."""
+    if isinstance(piece, Constant):
+        return (piece.value,), (0.0,)
+    if isinstance(piece, Affine):
+        return (piece.intercept, piece.slope), (piece.slope,)
+    if isinstance(piece, Polynomial):
+        poly = piece._poly()
+        return tuple(poly.coef), tuple(poly.deriv().coef)
+    return (0.0,), (0.0,)
+
+
+def _pad_columns(rows) -> tuple[np.ndarray, ...]:
+    """Column j holds every piece's degree-j coefficient (zero-padded)."""
+    width = max(len(r) for r in rows)
+    table = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        table[i, :len(r)] = r
+    return tuple(np.ascontiguousarray(table[:, j]) for j in range(width))
+
 
 @dataclass(frozen=True)
 class PiecewiseFunction:
@@ -252,29 +276,46 @@ class PiecewiseFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_bp_arr", np.asarray(bp, dtype=float))
+        values, derivs = zip(*(_coefficient_rows(p) for p in pieces))
+        object.__setattr__(self, "_value_cols", _pad_columns(values))
+        object.__setattr__(self, "_deriv_cols", _pad_columns(derivs))
+        object.__setattr__(self, "_other", tuple(
+            i for i, p in enumerate(pieces) if not isinstance(p, _POLYNOMIAL_KINDS)))
 
     # -- evaluation ---------------------------------------------------------
 
     def _indices(self, arr):
         return np.searchsorted(self._bp_arr, arr, side="right")
 
-    def _apply(self, arr, method):
-        idx = self._indices(arr)
-        out = np.empty_like(arr)
-        for i, piece in enumerate(self.pieces):
+    def _evaluate(self, x, cols, method):
+        """Horner over the compiled coefficient columns, gathered per piece.
+
+        Polynomial-family pieces are evaluated as ``c_0 + x (c_1 + x (...))``
+        with each piece's own coefficients, which is the operation sequence
+        of ``numpy.polynomial`` and of ``Constant``/``Affine``, so for finite
+        x the values equal the per-piece ones bitwise.  Other pieces
+        overwrite their points afterwards.
+        """
+        arr, scalar = _as_array(x)
+        arr1 = np.atleast_1d(arr)
+        idx = self._indices(arr1) if self.breakpoints else 0
+        out = cols[-1][idx] * arr1 if len(cols) > 1 else np.full(arr1.shape, cols[0][idx])
+        for j, col in enumerate(cols[-2::-1]):
+            if j:
+                out *= arr1
+            out += col[idx]
+        for i in self._other:
             mask = idx == i
             if np.any(mask):
-                out[mask] = getattr(piece, method)(arr[mask])
-        return out
+                out[mask] = getattr(self.pieces[i], method)(arr1[mask])
+        return _ret(out.reshape(arr.shape), scalar)
 
     def __call__(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self._apply(np.atleast_1d(arr), "__call__").reshape(arr.shape), scalar)
+        return self._evaluate(x, self._value_cols, "__call__")
 
     def derivative(self, x):
         """Piece-by-piece classical derivative, right piece at breakpoints."""
-        arr, scalar = _as_array(x)
-        return _ret(self._apply(np.atleast_1d(arr), "derivative").reshape(arr.shape), scalar)
+        return self._evaluate(x, self._deriv_cols, "derivative")
 
     def left_limit(self, x: float) -> float:
         """Limit from the left (left piece evaluated at x)."""
@@ -318,20 +359,13 @@ class PiecewiseFunction:
     def sup_abs_on(self, a: float, b: float) -> float:
         return max(p.sup_abs(lo, hi) for lo, hi, p in self.overlapping(a, b))
 
-    def lipschitz_on(self, a: float, b: float, grid: int = 10_000) -> float:
-        """Lipschitz constant on [a, b]: per-piece symbolic bounds where
-        available, grid difference quotients inflated by 10% otherwise."""
-        bounds = [p.sup_abs_derivative(lo, hi) for lo, hi, p in self.overlapping(a, b)]
-        if any(v is None for v in bounds):
-            xs = np.linspace(a, b, grid)
-            vals = self(xs)
-            quot = np.abs(np.diff(vals)) / np.diff(xs)
-            return float(1.1 * np.max(quot))
+    def lipschitz_on(self, a: float, b: float) -> float:
+        """Lipschitz constant on [a, b] from the per-piece symbolic bounds."""
         # a jump at an interior breakpoint makes the function non-Lipschitz
         for bp in self.breakpoints:
             if a < bp <= b and abs(self.left_limit(bp) - self(bp)) > 1e-12 * (1 + abs(self(bp))):
                 return float("inf")
-        return max(bounds)
+        return max(p.sup_abs_derivative(lo, hi) for lo, hi, p in self.overlapping(a, b))
 
     def breakpoints_in(self, a: float, b: float) -> tuple[float, ...]:
         return tuple(bp for bp in self.breakpoints if a < bp < b)
@@ -347,11 +381,6 @@ class PiecewiseFunction:
             ):
                 pts.add(bp)
         return tuple(sorted(pts))
-
-
-def evaluate(f: PiecewiseFunction, x):
-    """Evaluate a piecewise function (right piece applies at breakpoints)."""
-    return f(x)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +543,6 @@ class DriftFunctional:
         pts = set(self.mu.breakpoints) | set(self.sigma_star.base.breakpoints)
         return tuple(sorted(pts))
 
-    def is_constant_on(self, a: float, b: float, n_grid: int = 512) -> bool:
-        xs = np.linspace(a, b, n_grid)
-        vals = self(xs)
-        return bool(np.all(vals == vals[0]))
-
 
 def drift_functional(mu: PiecewiseFunction, s: SigmaStar, d: WeakDerivative) -> DriftFunctional:
     if d.source is not s:
@@ -581,6 +605,8 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
             return sign * math.inf
         return float(v)
 
+    if not entries:
+        raise ConfigError("piecewise spec has no pieces")
     parsed = []
     for e in entries:
         if "interval" not in e:

@@ -111,39 +111,33 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1) -> PathE
     """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}.
 
     Bitwise deterministic for fixed (seed, cfg) at any thread count.
+    A non-finite state stays non-finite under the step, so finiteness is
+    checked once per block, after its loop.
     """
     n_steps = cfg.n_steps
     sqrth = math.sqrt(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
     states = np.empty((cfg.n_paths, n_steps + 1))
-    mu_const = model.mu.constant_value
-    sig_const = model.sigma.constant_value
 
     def run_block(args):
         block, (start, stop) = args
         rows = stop - start
-        inc = sqrth * _noise_block(streams, block, n_steps)[:, :rows]
+        inc = _noise_block(streams, block, n_steps)[:, :rows]
+        inc *= sqrth
         local = np.empty((n_steps + 1, rows))
         x = np.full(rows, float(cfg.x0))
         local[0] = x
-        for k in range(n_steps):
-            if mu_const is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
                 x = x + model.mu(x) * cfg.h
-            elif mu_const != 0.0:
-                x = x + mu_const * cfg.h
-            if sig_const is None:
                 x = x + model.sigma(x) * inc[k]
-            elif sig_const == 1.0:
-                x = x + inc[k]
-            elif sig_const != 0.0:
-                x = x + sig_const * inc[k]
-            if not np.all(np.isfinite(x)):
-                j = int(np.argmin(np.isfinite(x)))
-                raise SimulationError(
-                    f"path {start + j} became non-finite at step {k + 1} "
-                    f"(t={(k + 1) * cfg.h})"
-                )
-            local[k + 1] = x
+                local[k + 1] = x
+        if not np.all(np.isfinite(x)):
+            k = 1 + int(np.argmin(np.all(np.isfinite(local[1:]), axis=1)))
+            j = int(np.argmin(np.isfinite(local[k])))
+            raise SimulationError(
+                f"path {start + j} became non-finite at step {k} (t={k * cfg.h})"
+            )
         states[start:stop] = local.T
 
     tasks = list(enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS)))
@@ -270,12 +264,21 @@ def save_ensemble(path, ens: PathEnsemble) -> None:
 def load_ensemble(path) -> PathEnsemble:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ConfigError(f"{path}: truncated header: expected {_HEADER.size} bytes, "
+                              f"got {len(raw)}")
         magic, version, n_paths, n_steps, h, t_final, x0, seed, block_paths = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ConfigError(f"{path}: not an ensemble file")
         if version != _VERSION:
             raise ConfigError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n_paths, n_steps + 1)
+        body = fh.read()
+        expected = n_paths * (n_steps + 1) * 8
+        if len(body) != expected:
+            raise ConfigError(f"{path}: expected {_HEADER.size + expected} bytes for "
+                              f"{n_paths} paths x {n_steps + 1} grid points, "
+                              f"got {_HEADER.size + len(body)}")
+        data = np.frombuffer(body, dtype="<f8").reshape(n_paths, n_steps + 1)
     cfg = SimConfig(x0=x0, t_final=t_final, h=h, n_paths=n_paths, seed=seed)
     return PathEnsemble(
         time_grid=h * np.arange(n_steps + 1),

@@ -130,6 +130,26 @@ class TestCertify:
         report = json.loads((out / "certify.json").read_text())
         assert report["all_pass"] is False
 
+    def test_one_cf_estimate_per_distinct_t(self, monkeypatch, tmp_path):
+        from sdedensity import charfn
+        from sdedensity.cli import cmd_certify
+        from sdedensity.config import Pipeline
+
+        seen = []
+        original = charfn.estimate_localized
+
+        def counting(ens, phi, transform, grid, t, **kwargs):
+            seen.append(t)
+            return original(ens, phi, transform, grid, t, **kwargs)
+
+        monkeypatch.setattr(charfn, "estimate_localized", counting)
+        cfg = RunConfig.from_dict(tiny_config(certify={
+            "checks": ["cf_sanity", "mass_consistency", "density_vs_oracle", "bound_check"]}))
+        report = cmd_certify(Pipeline(cfg), tmp_path)
+        assert set(report["checks"]) == {"cf_sanity", "mass_consistency",
+                                         "density_vs_oracle", "bound_check"}
+        assert len(seen) == len(set(seen)) == 1
+
 
 class TestByteDeterminism:
     def test_cf_bytes_stable_across_threads(self, config_file, tmp_path):

@@ -14,7 +14,7 @@ def pw(breakpoints, pieces):
 class TestPiecewiseEval:
     def test_affine_piece(self):
         f = pw([], [sd.Affine(intercept=1.0, slope=2.0)])
-        assert sd.evaluate(f, 3.0) == 7.0
+        assert f(3.0) == 7.0
 
     def test_constant_anywhere(self):
         f = pw([], [sd.Constant(5.0)])
@@ -78,6 +78,72 @@ class TestPiecewiseFromDict:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             sd.piecewise_from_dict({"breakpoints": [], "pieces": [{"kind": "spline"}]})
+
+    @pytest.mark.parametrize("spec", [{"pieces": []}, []])
+    def test_empty_interval_form_rejected(self, spec):
+        with pytest.raises(ConfigError, match="no pieces"):
+            sd.piecewise_from_dict(spec)
+
+
+def _owner_reference(f, xs, method):
+    """Per-piece evaluation: each point by the piece that owns it."""
+    idx = np.searchsorted(np.asarray(f.breakpoints), xs, side="right")
+    out = np.empty_like(xs)
+    for i, piece in enumerate(f.pieces):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = getattr(piece, method)(xs[mask])
+    return out
+
+
+def _probe_points(f, rng):
+    pts = [rng.uniform(-8.0, 8.0, 2000)]
+    for bp in f.breakpoints:
+        pts.append([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])
+    return np.concatenate(pts)
+
+
+def _preset_functions():
+    from sdedensity.config import preset
+
+    out = []
+    for name in ("gaussian", "ou", "gbm", "sign_drift"):
+        cfg = preset(name)
+        model = cfg.model()
+        out += [pytest.param(model.mu, id=f"{name}.mu"),
+                pytest.param(model.sigma, id=f"{name}.sigma"),
+                pytest.param(sd.build_sigma_star(model.sigma, cfg.window()).base,
+                             id=f"{name}.sigma_star")]
+    out.append(pytest.param(pw([-2.0, -0.5, 0.0, 1.0, 2.5], [
+        sd.Constant(1.5),
+        sd.Affine(intercept=0.3, slope=-1.7),
+        sd.Polynomial(coeffs=(0.1, -0.4, 2.2, 0.9)),
+        sd.Sinusoid(offset=1.0, amplitude=0.5, frequency=3.0, phase=0.2),
+        sd.HolderPower(scale=2.0, center=1.7, exponent=0.5),
+        sd.Polynomial(coeffs=(1.0, 0.5)),
+    ]), id="mixed"))
+    # no breakpoints: the fix-up alone replaces the (zero) Horner values
+    out.append(pytest.param(pw([], [sd.Sinusoid(offset=2.0, amplitude=1.0,
+                                                 frequency=1.0, phase=0.0)]),
+                            id="lone_sinusoid"))
+    out.append(pytest.param(pw([], [sd.HolderPower(scale=1.0, center=0.3, exponent=0.5)]),
+                            id="lone_power"))
+    return out
+
+
+class TestCompiledEvaluation:
+    """The compiled Horner-gather path must equal the per-piece path bitwise."""
+
+    @pytest.mark.parametrize("f", _preset_functions())
+    @pytest.mark.parametrize("method", ["__call__", "derivative"])
+    def test_bitwise_equal_to_owning_piece(self, f, method, rng):
+        xs = _probe_points(f, rng)
+        got = getattr(f, method)(xs)
+        assert np.array_equal(got, _owner_reference(f, xs, method))
+        # scalars and 2-d slabs go through the same kernel
+        assert getattr(f, method)(float(xs[0])) == got[0]
+        assert np.array_equal(getattr(f, method)(xs[:1000].reshape(20, 50)),
+                              got[:1000].reshape(20, 50))
 
 
 class TestSigmaStar:

@@ -69,7 +69,6 @@ class TestEulerStatistics:
         ks = stats.kstest(ens.states_at(0.5), "norm", args=(mean, math.sqrt(var)))
         assert ks.statistic < 1.628 / math.sqrt(cfg.n_paths)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_is_reported(self):
         model = sd.CoefficientModel(
             mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
@@ -78,6 +77,20 @@ class TestEulerStatistics:
         cfg = sd.SimConfig(x0=1e200, t_final=0.5, h=0.25, n_paths=3, seed=1)
         with pytest.raises(SimulationError, match=r"path \d+ .* step \d+"):
             sd.simulate(model, cfg)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonfinite_report_names_first_step_of_first_failing_block(self, threads):
+        # cubic drift: block 1 first blows up at step 11 (path 5762), block 0
+        # at step 12, where 13 paths do so at once; the report names block 0's
+        # step and the lowest path index in that step
+        model = sd.CoefficientModel(
+            mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
+            sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
+        )
+        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
+        with pytest.raises(SimulationError) as info:
+            sd.simulate(model, cfg, threads=threads)
+        assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
 
 
 class TestDeterminism:
@@ -229,4 +242,22 @@ class TestEnsembleArtifact:
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTAPATH" + b"\x00" * 64)
         with pytest.raises(ConfigError):
+            sd.load_ensemble(p)
+
+    def test_truncated_body_rejected(self, bm_model, tmp_path):
+        cfg = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-5, n_paths=10, seed=9)
+        path = tmp_path / "paths.bin"
+        sd.save_ensemble(path, sd.simulate(bm_model, cfg))
+        full = path.read_bytes()
+        path.write_bytes(full[:-8])
+        with pytest.raises(ConfigError) as info:
+            sd.load_ensemble(path)
+        msg = str(info.value)
+        assert str(path) in msg
+        assert f"expected {len(full)} bytes" in msg and f"got {len(full) - 8}" in msg
+
+    def test_short_header_rejected(self, tmp_path):
+        p = tmp_path / "short.bin"
+        p.write_bytes(b"SDEPATH1" + b"\x00" * 4)
+        with pytest.raises(ConfigError, match="expected 64 bytes, got 12"):
             sd.load_ensemble(p)
