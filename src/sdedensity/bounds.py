@@ -76,7 +76,7 @@ def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
     k0 = ens.time_index(t - eps)
     if g is None:
         g = _drift_functional_for(model, w)
-    seg = ens.states[:, k0:k_end + 1]
+    seg = ens.band(k0, k_end)
     gv = g(seg)
     h = ens.config.h
     integral = h * (np.sum(gv, axis=1) - 0.5 * (gv[:, 0] + gv[:, -1]))
@@ -170,6 +170,33 @@ def _fit_c(empirical, se, bound) -> float:
     return float(np.max(ratios)) * (1.0 + 1e-12)
 
 
+def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
+                   h: float) -> tuple[np.ndarray, str]:
+    """Grid lookback (in steps) of each checked frequency, and the rule's name.
+
+    'matched' rounds eps_y to the path grid, a float is one fixed lookback;
+    either way at least one step and at most the whole path up to t.  The
+    recording plan of ``Pipeline`` sizes the stored band from these steps.
+    """
+    if y_check.size == 0:
+        raise ConfigError("no frequencies to check")
+    if eps_rule == "matched":
+        eps_exact = np.array([epsilon_rule(y) for y in y_check])
+        if np.any(eps_exact >= t):
+            bad = y_check[eps_exact >= t][0]
+            raise ConfigError(
+                f"lookback rule needs log^2|y|/y^2 < t; violated at y={bad} (t={t})"
+            )
+        rule_name = "matched"
+    else:
+        eps_exact = np.full(y_check.size, float(eps_rule))
+        if np.any(eps_exact >= t) or np.any(eps_exact <= 0):
+            raise ConfigError("fixed lookback must lie in (0, t)")
+        rule_name = f"fixed:{eps_rule}"
+    k_steps = np.maximum(np.rint(eps_exact / h).astype(int), 1)
+    return np.minimum(k_steps, round(t / h)), rule_name
+
+
 def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
                  w: LocalWindow, t: float, y_check: np.ndarray | None = None,
                  eps_rule: str | float = "matched", c: float | None = None) -> BoundReport:
@@ -186,33 +213,14 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
         y_check = cf.grid.positive()
         y_check = y_check[y_check > lo]
     y_check = np.asarray(y_check, dtype=float)
-    if y_check.size == 0:
-        raise ConfigError("no frequencies to check")
-
-    if eps_rule == "matched":
-        eps_exact = np.array([epsilon_rule(y) for y in y_check])
-        if np.any(eps_exact >= t):
-            bad = y_check[eps_exact >= t][0]
-            raise ConfigError(
-                f"lookback rule needs log^2|y|/y^2 < t; violated at y={bad} (t={t})"
-            )
-        rule_name = "matched"
-    else:
-        eps_exact = np.full(y_check.size, float(eps_rule))
-        if np.any(eps_exact >= t) or np.any(eps_exact <= 0):
-            raise ConfigError("fixed lookback must lie in (0, t)")
-        rule_name = f"fixed:{eps_rule}"
-
-    # grid-align the lookbacks (at least one step)
+    k_steps, rule_name = lookback_steps(y_check, eps_rule, t, h)
     k_end = ens.time_index(t)
-    k_steps = np.maximum(np.rint(eps_exact / h).astype(int), 1)
-    k_steps = np.minimum(k_steps, k_end)
     eps_used = k_steps * h
 
     # shared window scan: prefix sums of g along time, suffix max of |X - xi|
     g = _drift_functional_for(model, w)
     k_min = k_end - int(np.max(k_steps))
-    seg = ens.states[:, k_min:k_end + 1]
+    seg = ens.band(k_min, k_end)
     gv = g(seg)
     gv_prefix = np.cumsum(gv, axis=1)
     dev = np.abs(seg - w.xi)

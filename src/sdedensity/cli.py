@@ -18,7 +18,7 @@ from .bounds import fit_decay
 from .config import Pipeline, RunConfig, preset
 from .errors import SdeDensityError
 from .invert import holder_norm, invert as invert_cf, pushforward
-from .simulate import save_ensemble
+from .simulate import save_ensemble, simulate
 from .util import fmt_float
 
 
@@ -35,9 +35,11 @@ def _t_tag(t: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(pipe: Pipeline, out: Path) -> dict:
+    # the file holds every grid step, not just the pipeline's recording plan
+    ens = simulate(pipe.model, pipe.cfg.sim_config(), threads=pipe.threads)
     path = out / "ensemble.bin"
-    save_ensemble(path, pipe.ensemble)
-    return {"ensemble": path.name, "n_paths": pipe.ensemble.n_paths}
+    save_ensemble(path, ens)
+    return {"ensemble": path.name, "n_paths": ens.n_paths}
 
 
 def cmd_cf(pipe: Pipeline, out: Path) -> dict:

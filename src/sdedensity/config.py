@@ -34,6 +34,20 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode()).hexdigest()
 
 
+def read_field(raw: dict, section: str, key: str, kind=float):
+    """``kind(raw[section][key])``; a missing or ill-typed field is a ConfigError naming it."""
+    block = raw[section]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{section}: expected an object, got {block!r}")
+    if key not in block:
+        raise ConfigError(f"{section}.{key}: missing")
+    try:
+        return kind(block[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{section}.{key}: expected {kind.__name__}, "
+                          f"got {block[key]!r}") from None
+
+
 _DEFAULTS = {
     "cutoff": {"shoulder_fraction": 0.2},
     "frequency_grid": {"y_max": 256.0, "spacing": 1.0 / 16.0},
@@ -87,21 +101,25 @@ class RunConfig:
     # -- parsed sections ------------------------------------------------------
 
     def model(self) -> CoefficientModel:
-        m = self.raw["model"]
-        return CoefficientModel(
-            mu=piecewise_from_dict(m["mu"]),
-            sigma=piecewise_from_dict(m["sigma"]),
-        )
+        def parse(key):
+            spec = read_field(self.raw, "model", key, kind=lambda v: v)
+            try:
+                return piecewise_from_dict(spec)
+            except ConfigError as exc:
+                raise ConfigError(f"model.{key}: {exc}") from None
+
+        return CoefficientModel(mu=parse("mu"), sigma=parse("sigma"))
 
     def window(self) -> LocalWindow:
-        w = self.raw["window"]
-        return LocalWindow(xi=float(w["xi"]), delta=float(w["delta"]),
-                           delta0=float(w["delta0"]), l_sigma=float(w["l_sigma"]))
+        fields = ("xi", "delta", "delta0", "l_sigma")
+        return LocalWindow(**{k: read_field(self.raw, "window", k) for k in fields})
 
     def sim_config(self) -> SimConfig:
-        s = self.raw["simulation"]
-        return SimConfig(x0=float(s["x0"]), t_final=float(s["t"]), h=float(s["h"]),
-                         n_paths=int(s["n_paths"]), seed=int(s["seed"]))
+        def read(key, kind=float):
+            return read_field(self.raw, "simulation", key, kind)
+
+        return SimConfig(x0=read("x0"), t_final=read("t"), h=read("h"),
+                         n_paths=read("n_paths", int), seed=read("seed", int))
 
     def frequency_grid(self) -> charfn.FrequencyGrid:
         g = self.raw["frequency_grid"]
@@ -135,7 +153,7 @@ class RunConfig:
                     raise ConfigError(f"{section} t={t} is not on the grid or exceeds t_final")
         b = self.raw["bounds"]
         if b["eps_rule"] == "matched":
-            y_lo = float(b["y_lo"])
+            y_lo = read_field(self.raw, "bounds", "y_lo")
             if y_lo <= 1.0:
                 raise ConfigError("matched lookback needs y_lo > 1")
             if bounds_mod.epsilon_rule(y_lo) >= sim.t_final:
@@ -182,8 +200,30 @@ class Pipeline:
         return build_lamperti_map(self.sigma_star)
 
     @cached_property
+    def record_plan(self) -> tuple[int, ...]:
+        """The grid steps any command can read, worked out from the config alone.
+
+        These are t_final, the density/hoelder t_lists and the bound lookback
+        band [k_end - max lookback, k_end], so the plan does not depend on
+        which command runs.
+        """
+        sim = self.cfg.sim_config()
+        steps = {sim.n_steps}
+        for section in ("density", "hoelder"):
+            steps.update(round(t / sim.h) for t in self.cfg.t_list(section))
+        try:
+            k_steps, _ = bounds_mod.lookback_steps(*self._bound_frequencies(),
+                                                   sim.t_final, sim.h)
+        except ConfigError:
+            pass  # bound_report raises the same error, before it reads any state
+        else:
+            steps.update(range(sim.n_steps - int(np.max(k_steps)), sim.n_steps))
+        return tuple(sorted(steps))
+
+    @cached_property
     def ensemble(self) -> PathEnsemble:
-        return simulate(self.model, self.cfg.sim_config(), threads=self.threads)
+        return simulate(self.model, self.cfg.sim_config(), threads=self.threads,
+                        record=self.record_plan)
 
     @cached_property
     def freq_grid(self) -> charfn.FrequencyGrid:
@@ -216,19 +256,24 @@ class Pipeline:
             self._density[t] = (cf, p, q)
         return self._density[t]
 
+    def _bound_frequencies(self) -> tuple[np.ndarray, str | float]:
+        """The frequencies the bound report checks, and its lookback rule."""
+        raw = self.cfg.raw
+        pos = self.freq_grid.positive()
+        mask = pos > read_field(raw, "bounds", "y_lo")
+        if raw["bounds"]["y_hi"] is not None:
+            mask &= pos <= read_field(raw, "bounds", "y_hi")
+        rule = raw["bounds"]["eps_rule"]
+        if rule != "matched":
+            rule = read_field(raw, "bounds", "eps_rule")
+        return pos[mask], rule
+
     def bound_report(self, c: float | None = None):
-        b = self.cfg.raw["bounds"]
         t = self.cfg.sim_config().t_final
         cf = self.cf_at(t)
-        pos = self.freq_grid.positive()
-        y_hi = b["y_hi"]
-        y_lo = float(b["y_lo"])
-        mask = pos > y_lo
-        if y_hi is not None:
-            mask &= pos <= float(y_hi)
-        rule = b["eps_rule"] if b["eps_rule"] == "matched" else float(b["eps_rule"])
+        y_check, rule = self._bound_frequencies()
         return bounds_mod.bound_report(cf, self.ensemble, self.model, self.window,
-                                       t, y_check=pos[mask], eps_rule=rule, c=c)
+                                       t, y_check=y_check, eps_rule=rule, c=c)
 
 
 # ---------------------------------------------------------------------------

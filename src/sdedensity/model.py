@@ -563,16 +563,33 @@ _PIECE_KINDS = {
 }
 
 
+def _number(v, where: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {v!r}") from None
+
+
 def piece_from_dict(spec: dict) -> Piece:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"piece: expected an object, got {spec!r}")
     kind = spec.get("kind")
     if kind not in _PIECE_KINDS:
         raise ConfigError(f"unknown piece kind {kind!r}; one of {sorted(_PIECE_KINDS)}")
     cls, fields = _PIECE_KINDS[kind]
+    unknown = sorted(set(spec) - {"kind", *fields})
+    if unknown:
+        raise ConfigError(f"{kind} piece: unknown field(s) {unknown}; allowed {list(fields)}")
     kwargs = {}
     for name in fields:
         if name in spec:
-            v = spec[name]
-            kwargs[name] = tuple(v) if name == "coeffs" else float(v)
+            v, where = spec[name], f"{kind} piece: {name}"
+            if name == "coeffs":
+                if not isinstance(v, (list, tuple)):
+                    raise ConfigError(f"{where}: expected a list of numbers, got {v!r}")
+                kwargs[name] = tuple(_number(c, where) for c in v)
+            else:
+                kwargs[name] = _number(v, where)
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -586,16 +603,19 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
     len(pieces) == len(breakpoints) + 1, or a list of pieces carrying explicit
     ``"interval": [lo, hi]`` entries that must tile the real line (``null``
     stands for an infinite endpoint).  Gaps or overlaps are configuration
-    errors.
+    errors, and so is a piece field that its kind does not have.
     """
     if isinstance(spec, dict) and "breakpoints" in spec:
+        bps, pieces = spec["breakpoints"], spec.get("pieces")
+        if not (isinstance(bps, (list, tuple)) and isinstance(pieces, (list, tuple))):
+            raise ConfigError("'breakpoints' and 'pieces' must both be lists")
         return PiecewiseFunction(
-            breakpoints=tuple(float(b) for b in spec["breakpoints"]),
-            pieces=tuple(piece_from_dict(p) for p in spec["pieces"]),
+            breakpoints=tuple(_number(b, "breakpoints") for b in bps),
+            pieces=tuple(piece_from_dict(p) for p in pieces),
         )
-    if isinstance(spec, dict) and "pieces" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("pieces"), (list, tuple)):
         entries = spec["pieces"]
-    elif isinstance(spec, list):
+    elif isinstance(spec, (list, tuple)):
         entries = spec
     else:
         raise ConfigError("piecewise spec must carry 'breakpoints'+'pieces' or interval pieces")
@@ -603,16 +623,21 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
     def edge(v, sign):
         if v is None:
             return sign * math.inf
-        return float(v)
+        return _number(v, "interval")
 
     if not entries:
         raise ConfigError("piecewise spec has no pieces")
     parsed = []
-    for e in entries:
-        if "interval" not in e:
-            raise ConfigError("interval form requires an 'interval' on every piece")
-        lo, hi = edge(e["interval"][0], -1), edge(e["interval"][1], +1)
-        parsed.append((lo, hi, piece_from_dict(e)))
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ConfigError(f"pieces[{i}]: expected an object, got {e!r}")
+        interval = e.get("interval")
+        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
+            raise ConfigError(f"pieces[{i}].interval: interval form requires "
+                              f"[lo, hi] on every piece, got {interval!r}")
+        lo, hi = edge(interval[0], -1), edge(interval[1], +1)
+        piece = piece_from_dict({k: v for k, v in e.items() if k != "interval"})
+        parsed.append((lo, hi, piece))
     parsed.sort(key=lambda t: t[0])
     if parsed[0][0] != -math.inf or parsed[-1][1] != math.inf:
         raise ConfigError("piece intervals must cover the whole line")

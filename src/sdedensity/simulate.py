@@ -10,13 +10,16 @@ reproducible at any thread count.
 
 One-step diagnostics (the frozen-coefficient step, stopped increments, exit
 probabilities) reuse exactly the increments that drove the simulation by
-regenerating the blocks.
+regenerating the blocks.  For the same reason an ensemble may store only the
+grid steps its consumers read (a recording plan): any block can be re-run
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +86,18 @@ def _noise_block(streams: RngStreams, block: int, n_steps: int) -> np.ndarray:
 class PathEnsemble:
     """Simulated paths on the uniform grid, plus RNG provenance.
 
-    ``states[i, k]`` is path i at time k*h.  ``window_flags`` caches
-    localization indicators keyed by (xi, delta, k_start, k_end).
+    ``recorded`` lists, ascending, the grid steps that were stored:
+    ``states[i, j]`` is path i at time ``recorded[j] * h``.  Read states
+    through ``band``/``states_at``, which index by grid step.
+    ``window_flags`` caches localization indicators keyed by
+    (xi, delta, k_start, k_end).
     """
 
     time_grid: np.ndarray
     states: np.ndarray
     config: SimConfig
     rng_streams: RngStreams
+    recorded: tuple[int, ...]
     window_flags: dict = field(default_factory=dict)
 
     @property
@@ -103,38 +110,71 @@ class PathEnsemble:
             raise AlignmentError(f"t={t} is not on the simulation grid (h={self.config.h})")
         return k
 
+    def _column(self, k: int) -> int:
+        j = bisect_left(self.recorded, k)
+        if j == len(self.recorded) or self.recorded[j] != k:
+            raise AlignmentError(f"grid step {k} (t={k * self.config.h}) was not recorded")
+        return j
+
+    def band(self, k0: int, k1: int) -> np.ndarray:
+        """States at grid steps k0..k1 inclusive, shape (n_paths, k1 - k0 + 1) (a view)."""
+        j0 = self._column(k0)
+        steps = range(k0, k1 + 1)
+        if self.recorded[j0:j0 + len(steps)] != tuple(steps):
+            self._column(min(set(steps) - set(self.recorded)))  # raises, naming the step
+        return self.states[:, j0:j0 + len(steps)]
+
     def states_at(self, t: float) -> np.ndarray:
-        return self.states[:, self.time_index(t)]
+        k = self.time_index(t)
+        return self.band(k, k)[:, 0]
 
 
-def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1) -> PathEnsemble:
+def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
+             record=None) -> PathEnsemble:
     """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}.
 
-    Bitwise deterministic for fixed (seed, cfg) at any thread count.
+    ``record`` is the grid steps to store (any order, duplicates ignored);
+    None stores every step 0..n_steps.  The paths themselves do not depend
+    on it.  Bitwise deterministic for fixed (seed, cfg) at any thread count.
     A non-finite state stays non-finite under the step, so finiteness is
-    checked once per block, after its loop.
+    checked once per block, after its loop; a block that fails is re-run
+    with every step recorded to name the first non-finite step.
     """
     n_steps = cfg.n_steps
+    recorded = tuple(range(n_steps + 1)) if record is None else \
+        tuple(sorted({int(k) for k in record}))
+    if not recorded or recorded[0] < 0 or recorded[-1] > n_steps:
+        raise ConfigError(f"record must name grid steps in 0..{n_steps}")
     sqrth = math.sqrt(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
-    states = np.empty((cfg.n_paths, n_steps + 1))
+    states = np.empty((cfg.n_paths, len(recorded)))
 
-    def run_block(args):
-        block, (start, stop) = args
-        rows = stop - start
+    def euler_block(block, rows, steps):
+        """Run one block; returns its states at `steps` (one row per step)."""
+        slot = [-1] * (n_steps + 1)
+        for j, k in enumerate(steps):
+            slot[k] = j
         inc = _noise_block(streams, block, n_steps)[:, :rows]
         inc *= sqrth
-        local = np.empty((n_steps + 1, rows))
+        local = np.empty((len(steps), rows))
         x = np.full(rows, float(cfg.x0))
-        local[0] = x
+        if slot[0] >= 0:
+            local[slot[0]] = x
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
                 x = x + model.mu(x) * cfg.h
                 x = x + model.sigma(x) * inc[k]
-                local[k + 1] = x
-        if not np.all(np.isfinite(x)):
-            k = 1 + int(np.argmin(np.all(np.isfinite(local[1:]), axis=1)))
-            j = int(np.argmin(np.isfinite(local[k])))
+                if slot[k + 1] >= 0:
+                    local[slot[k + 1]] = x
+        return local, np.all(np.isfinite(x))
+
+    def run_block(args):
+        block, (start, stop) = args
+        local, finite = euler_block(block, stop - start, recorded)
+        if not finite:
+            full, _ = euler_block(block, stop - start, range(n_steps + 1))
+            k = 1 + int(np.argmin(np.all(np.isfinite(full[1:]), axis=1)))
+            j = int(np.argmin(np.isfinite(full[k])))
             raise SimulationError(
                 f"path {start + j} became non-finite at step {k} (t={k * cfg.h})"
             )
@@ -147,6 +187,7 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1) -> PathE
         states=states,
         config=cfg,
         rng_streams=streams,
+        recorded=recorded,
     )
 
 
@@ -171,13 +212,14 @@ def euler_z(ens: PathEnsemble, model: CoefficientModel, eps: float, t: float,
     k0, k_end = _window_indices(ens, eps, t)
     cfg = ens.config
     sqrth = math.sqrt(cfg.h)
+    anchor = ens.band(k0, k0)[:, 0]
     out = np.empty(ens.n_paths)
 
     def run_block(args):
         block, (start, stop) = args
         rows = stop - start
         inc = sqrth * _noise_block(ens.rng_streams, block, cfg.n_steps)[:, :rows]
-        x0s = ens.states[start:stop, k0]
+        x0s = anchor[start:stop]
         mu0 = model.mu(x0s)
         sig0 = model.sigma(x0s)
         z = x0s + eps * mu0
@@ -197,7 +239,7 @@ def localization_indicator(ens: PathEnsemble, w: LocalWindow, eps: float, t: flo
     cached = ens.window_flags.get(key)
     if cached is not None:
         return cached
-    seg = ens.states[:, k0:k_end + 1]
+    seg = ens.band(k0, k_end)
     flags = np.all(np.abs(seg - w.xi) <= w.delta, axis=1)
     ens.window_flags[key] = flags
     return flags
@@ -220,9 +262,10 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
         raise ConfigError("p must be >= 1")
     k0, k_end = _window_indices(ens, eps, t)
     m = k_end - k0 + 1
+    band = ens.band(k0, k_end)
     vals = np.empty(ens.n_paths)
     for start, stop in path_chunks(ens.n_paths, block):
-        seg = ens.states[start:stop, k0:k_end + 1]
+        seg = band[start:stop]
         fo = np.minimum(_first_exit(seg, w.xi, w.delta), m - 1)
         idx = np.minimum(np.arange(m)[None, :], fo[:, None])
         stopped = np.take_along_axis(seg, idx, axis=1)
@@ -235,7 +278,7 @@ def exit_probability(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) ->
     """MC estimate of P( X_{t-eps} in B_{delta - delta0/2}(xi)  and  exit before t )."""
     k0, k_end = _window_indices(ens, eps, t)
     m = k_end - k0 + 1
-    seg = ens.states[:, k0:k_end + 1]
+    seg = ens.band(k0, k_end)
     start_in = np.abs(seg[:, 0] - w.xi) < w.delta - w.delta0 / 2.0
     fo = _first_exit(seg, w.xi, w.delta)
     exited_before_t = fo <= m - 2
@@ -250,8 +293,15 @@ _HEADER = struct.Struct("<8sIQQdddQI")
 
 
 def save_ensemble(path, ens: PathEnsemble) -> None:
-    """Versioned little-endian dump: header then row-major float64 states."""
+    """Versioned little-endian dump: header then row-major float64 states.
+
+    The format holds every grid step, so only a fully recorded ensemble
+    can be saved.
+    """
     cfg = ens.config
+    if len(ens.recorded) != cfg.n_steps + 1:
+        raise ConfigError(f"{path}: an ensemble file holds every grid step, but this "
+                          f"ensemble recorded {len(ens.recorded)} of {cfg.n_steps + 1}")
     header = _HEADER.pack(
         _MAGIC, _VERSION, ens.n_paths, cfg.n_steps,
         cfg.h, cfg.t_final, cfg.x0, cfg.seed, ens.rng_streams.block_paths,
@@ -285,4 +335,5 @@ def load_ensemble(path) -> PathEnsemble:
         states=data.astype(float),
         config=cfg,
         rng_streams=RngStreams(seed=seed, block_paths=block_paths),
+        recorded=tuple(range(n_steps + 1)),
     )

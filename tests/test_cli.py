@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sdedensity.cli import main
-from sdedensity.config import PRESETS, RunConfig, preset
+from sdedensity.config import PRESETS, Pipeline, RunConfig, preset
+from sdedensity.simulate import simulate
 from sdedensity.errors import ConfigError
 
 
@@ -103,6 +105,22 @@ class TestCommands:
         p.write_text(json.dumps(bad))
         assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("window", "delta0", None, "window.delta0: missing"),
+        ("simulation", "n_paths", "many", "simulation.n_paths: expected int, got 'many'"),
+    ])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
+        bad = tiny_config()
+        if value is None:
+            del bad[section][key]
+        else:
+            bad[section][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_seed_override_changes_output(self, config_file, tmp_path):
         o1, o2 = tmp_path / "a", tmp_path / "b"
         main(["cf", "--config", str(config_file), "--out", str(o1)])
@@ -149,6 +167,27 @@ class TestCertify:
         assert set(report["checks"]) == {"cf_sanity", "mass_consistency",
                                          "density_vs_oracle", "bound_check"}
         assert len(seen) == len(set(seen)) == 1
+
+
+class TestRecordingPlan:
+    def test_gbm_ensemble_stores_only_the_plan(self):
+        raw = json.loads(json.dumps(PRESETS["gbm"]))
+        raw["simulation"]["n_paths"] = 3000
+        pipe = Pipeline(RunConfig.from_dict(raw), threads=2)
+        plan = pipe.record_plan
+        # t_final, hoelder's t = 0.5 and the lookback band of y just above e
+        # (eps_y = 0.1353, i.e. 35 steps of 1/256)
+        assert plan == (128,) + tuple(range(221, 257))
+        assert pipe.ensemble.states.shape == (3000, len(plan))
+        full = simulate(pipe.model, pipe.cfg.sim_config(), threads=2)
+        assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
+
+    def test_plan_skips_the_band_when_bounds_are_invalid(self):
+        # the density command does not read the band; bound fails as before
+        pipe = Pipeline(RunConfig.from_dict(tiny_config(bounds={"y_lo": 9.0})))
+        assert pipe.record_plan == (4, 8)
+        with pytest.raises(ConfigError, match="no frequencies to check"):
+            pipe.bound_report()
 
 
 class TestByteDeterminism:

@@ -84,6 +84,25 @@ class TestPiecewiseFromDict:
         with pytest.raises(ConfigError, match="no pieces"):
             sd.piecewise_from_dict(spec)
 
+    def test_non_numeric_field_rejected(self):
+        with pytest.raises(ConfigError, match="constant piece: value: expected a number, got 'x'"):
+            sd.piecewise_from_dict({"breakpoints": [], "pieces": [{"kind": "constant",
+                                                                   "value": "x"}]})
+
+    def test_scalar_coeffs_rejected(self):
+        with pytest.raises(ConfigError, match="polynomial piece: coeffs: expected a list"):
+            sd.piecewise_from_dict({"breakpoints": [], "pieces": [{"kind": "polynomial",
+                                                                   "coeffs": 5}]})
+
+    def test_non_object_interval_entry_rejected(self):
+        with pytest.raises(ConfigError, match=r"pieces\[0\]: expected an object, got 1"):
+            sd.piecewise_from_dict({"pieces": [1]})
+
+    def test_unknown_piece_field_rejected(self):
+        spec = {"kind": "sinusoid", "offset": 2.0, "amplitude": 1.0, "frequncy": 3.0}
+        with pytest.raises(ConfigError, match=r"sinusoid piece: unknown field\(s\) \['frequncy'\]"):
+            sd.piecewise_from_dict({"breakpoints": [], "pieces": [spec]})
+
 
 def _owner_reference(f, xs, method):
     """Per-piece evaluation: each point by the piece that owns it."""

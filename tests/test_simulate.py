@@ -93,6 +93,50 @@ class TestEulerStatistics:
         assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
 
 
+class TestRecordingPlan:
+    CFG = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-5, n_paths=5_000, seed=12)
+
+    def test_partial_record_stores_the_full_run_columns(self, bm_model):
+        full = sd.simulate(bm_model, self.CFG, threads=2)
+        part = sd.simulate(bm_model, self.CFG, threads=2, record=[8, 3, 4, 5, 8])
+        assert part.recorded == (3, 4, 5, 8)
+        assert np.array_equal(part.states, full.states[:, [3, 4, 5, 8]])
+        assert np.array_equal(part.band(3, 5), full.band(3, 5))
+        assert np.array_equal(part.states_at(0.25), full.states_at(0.25))
+
+    def test_unrecorded_step_is_an_alignment_error(self, bm_model):
+        part = sd.simulate(bm_model, self.CFG, record=[3, 4, 6, 8])
+        with pytest.raises(AlignmentError, match=r"grid step 7 \(t=0.21875\) was not recorded"):
+            part.states_at(0.21875)
+        with pytest.raises(AlignmentError, match="grid step 5 "):
+            part.band(3, 8)
+        with pytest.raises(AlignmentError, match="grid step 2 "):
+            part.band(2, 4)
+
+    def test_record_outside_the_grid_rejected(self, bm_model):
+        with pytest.raises(ConfigError, match="0..8"):
+            sd.simulate(bm_model, self.CFG, record=[0, 9])
+
+    def test_partial_ensemble_cannot_be_saved(self, bm_model, tmp_path):
+        part = sd.simulate(bm_model, self.CFG, record=[8])
+        with pytest.raises(ConfigError, match="recorded 1 of 9"):
+            sd.save_ensemble(tmp_path / "paths.bin", part)
+        assert not (tmp_path / "paths.bin").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonfinite_report_is_the_same_under_a_partial_record(self, threads):
+        # the case of test_nonfinite_report_names_first_step_of_first_failing_block,
+        # recording only t_final: the failing block is re-run in full to name the step
+        model = sd.CoefficientModel(
+            mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
+            sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
+        )
+        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
+        with pytest.raises(SimulationError) as info:
+            sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps])
+        assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
+
+
 class TestDeterminism:
     def test_threads_do_not_change_bits(self, bm_model):
         cfg = sd.SimConfig(x0=0.0, t_final=0.125, h=2.0**-7, n_paths=9_000, seed=77)
