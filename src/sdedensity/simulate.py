@@ -162,8 +162,7 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
             local[slot[0]] = x
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                x = x + model.mu(x) * cfg.h
-                x = x + model.sigma(x) * inc[k]
+                x = x + model.mu(x) * cfg.h + model.sigma(x) * inc[k]
                 if slot[k + 1] >= 0:
                     local[slot[k + 1]] = x
         return local, np.all(np.isfinite(x))

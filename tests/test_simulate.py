@@ -167,6 +167,15 @@ class TestEulerZ:
         z = sd.euler_z(bm_ensemble, bm_model, eps=0.125, t=0.25)
         assert np.array_equal(z, bm_ensemble.states_at(0.25))
 
+    def test_one_step_reproduces_endpoint_with_state_dependent_sigma(self):
+        # gbm: sigma(x) = 0.25 x, so the step must evaluate sigma at X_k, not
+        # at the post-drift state, for euler_z(eps=h) to be the simulated step
+        model = sd.preset("gbm").model()
+        cfg = sd.SimConfig(x0=2.0, t_final=0.25, h=2.0**-6, n_paths=5_000, seed=5)
+        ens = sd.simulate(model, cfg, threads=2)
+        z = sd.euler_z(ens, model, eps=cfg.h, t=0.25, threads=2)
+        assert np.array_equal(z, ens.states_at(0.25))
+
     def test_deterministic_stub(self):
         model = const_model(2.0, 0.0)
         cfg = sd.SimConfig(x0=1.0, t_final=0.25, h=2.0**-6, n_paths=100, seed=3)
