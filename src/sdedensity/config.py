@@ -101,14 +101,11 @@ class RunConfig:
     # -- parsed sections ------------------------------------------------------
 
     def model(self) -> CoefficientModel:
-        def parse(key):
-            spec = read_field(self.raw, "model", key, kind=lambda v: v)
-            try:
-                return piecewise_from_dict(spec)
-            except ConfigError as exc:
-                raise ConfigError(f"model.{key}: {exc}") from None
-
-        return CoefficientModel(mu=parse("mu"), sigma=parse("sigma"))
+        m = self.raw["model"]
+        return CoefficientModel(
+            mu=piecewise_from_dict(m["mu"]),
+            sigma=piecewise_from_dict(m["sigma"]),
+        )
 
     def window(self) -> LocalWindow:
         fields = ("xi", "delta", "delta0", "l_sigma")

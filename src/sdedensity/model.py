@@ -606,16 +606,13 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
     errors, and so is a piece field that its kind does not have.
     """
     if isinstance(spec, dict) and "breakpoints" in spec:
-        bps, pieces = spec["breakpoints"], spec.get("pieces")
-        if not (isinstance(bps, (list, tuple)) and isinstance(pieces, (list, tuple))):
-            raise ConfigError("'breakpoints' and 'pieces' must both be lists")
         return PiecewiseFunction(
-            breakpoints=tuple(_number(b, "breakpoints") for b in bps),
-            pieces=tuple(piece_from_dict(p) for p in pieces),
+            breakpoints=tuple(_number(b, "breakpoints") for b in spec["breakpoints"]),
+            pieces=tuple(piece_from_dict(p) for p in spec["pieces"]),
         )
-    if isinstance(spec, dict) and isinstance(spec.get("pieces"), (list, tuple)):
+    if isinstance(spec, dict) and "pieces" in spec:
         entries = spec["pieces"]
-    elif isinstance(spec, (list, tuple)):
+    elif isinstance(spec, list):
         entries = spec
     else:
         raise ConfigError("piecewise spec must carry 'breakpoints'+'pieces' or interval pieces")
@@ -631,11 +628,9 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
             raise ConfigError(f"pieces[{i}]: expected an object, got {e!r}")
-        interval = e.get("interval")
-        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
-            raise ConfigError(f"pieces[{i}].interval: interval form requires "
-                              f"[lo, hi] on every piece, got {interval!r}")
-        lo, hi = edge(interval[0], -1), edge(interval[1], +1)
+        if "interval" not in e:
+            raise ConfigError("interval form requires an 'interval' on every piece")
+        lo, hi = edge(e["interval"][0], -1), edge(e["interval"][1], +1)
         piece = piece_from_dict({k: v for k, v in e.items() if k != "interval"})
         parsed.append((lo, hi, piece))
     parsed.sort(key=lambda t: t[0])

@@ -150,7 +150,7 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     states = np.empty((cfg.n_paths, len(recorded)))
 
     def euler_block(block, rows, steps):
-        """Run one block; returns its states at `steps` (one row per step)."""
+        """One block's states at `steps` (a row per step), and whether it ended finite."""
         slot = [-1] * (n_steps + 1)
         for j, k in enumerate(steps):
             slot[k] = j

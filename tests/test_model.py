@@ -100,7 +100,8 @@ class TestPiecewiseFromDict:
 
     def test_unknown_piece_field_rejected(self):
         spec = {"kind": "sinusoid", "offset": 2.0, "amplitude": 1.0, "frequncy": 3.0}
-        with pytest.raises(ConfigError, match=r"sinusoid piece: unknown field\(s\) \['frequncy'\]"):
+        with pytest.raises(ConfigError,
+                           match=r"sinusoid piece: unknown field\(s\) \['frequncy'\]"):
             sd.piecewise_from_dict({"breakpoints": [], "pieces": [spec]})
 
 
