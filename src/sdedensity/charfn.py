@@ -94,8 +94,14 @@ class CharFnEstimate:
     @classmethod
     def from_function(cls, f, grid: FrequencyGrid, t: float = 0.0) -> "CharFnEstimate":
         """Wrap an analytic CF (zero standard errors, mirrored for symmetry)."""
-        m = grid.half_count
-        pos = np.array([complex(f(y)) for y in grid.values[m:]])
+        return cls.from_values([complex(f(y)) for y in grid.values[grid.half_count:]], grid, t)
+
+    @classmethod
+    def from_values(cls, pos, grid: FrequencyGrid, t: float = 0.0) -> "CharFnEstimate":
+        """Exact CF values at the grid's non-negative frequencies, mirrored to the rest."""
+        pos = np.asarray(pos, dtype=complex)
+        if pos.shape != (grid.half_count + 1,):
+            raise ConfigError("need one value per non-negative grid frequency")
         vals = np.concatenate([np.conj(pos[1:])[::-1], pos])
         return cls(grid=grid, values=vals, std_errors=np.zeros(grid.values.size),
                    n_paths=0, t=t)
@@ -125,8 +131,8 @@ def cf_from_samples(samples: np.ndarray, weights: np.ndarray, grid: FrequencyGri
         s_a[0] = acc.sum()
         s_b[0] = acc2.sum()
         for j in range(1, m + 1):
-            acc = acc * z
-            acc2 = acc2 * z2
+            np.multiply(acc, z, out=acc)
+            np.multiply(acc2, z2, out=acc2)
             s_a[j] = acc.sum()
             s_b[j] = acc2.sum()
         return np.stack([s_a, s_b])

@@ -34,11 +34,19 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode()).hexdigest()
 
 
-def read_field(raw: dict, section: str, key: str, kind=float):
-    """``kind(raw[section][key])``; a missing or ill-typed field is a ConfigError naming it."""
+def read_section(raw: dict, section: str) -> dict:
+    """``raw[section]``; a missing section or one that is not an object is a ConfigError."""
+    if section not in raw:
+        raise ConfigError(f"config is missing the '{section}' section")
     block = raw[section]
     if not isinstance(block, dict):
         raise ConfigError(f"{section}: expected an object, got {block!r}")
+    return block
+
+
+def read_field(raw: dict, section: str, key: str, kind=float):
+    """``kind(raw[section][key])``; a missing or ill-typed field is a ConfigError naming it."""
+    block = read_section(raw, section)
     if key not in block:
         raise ConfigError(f"{section}.{key}: missing")
     try:
@@ -46,6 +54,18 @@ def read_field(raw: dict, section: str, key: str, kind=float):
     except (TypeError, ValueError):
         raise ConfigError(f"{section}.{key}: expected {kind.__name__}, "
                           f"got {block[key]!r}") from None
+
+
+def read_list(raw: dict, section: str, key: str) -> list[float]:
+    """``raw[section][key]`` as floats; a non-list or non-numeric entry is a ConfigError naming it."""
+    values = read_section(raw, section).get(key)
+    if not isinstance(values, list):
+        raise ConfigError(f"{section}.{key}: expected a list, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{section}.{key}: expected a list of numbers, "
+                          f"got {values!r}") from None
 
 
 _DEFAULTS = {
@@ -66,28 +86,42 @@ _DEFAULTS = {
 }
 
 
+_LATE_FIELDS = (
+    ("cutoff", "shoulder_fraction", float),
+    ("inversion", "n_points", int),
+    ("inversion", "margin", float),
+    ("bounds", "gamma", float),
+    *(("certify", key, float) for key in ("density_tolerance", "analytic_tolerance",
+                                          "analytic_y_max", "bound_pass_fraction",
+                                          "mass_slack")),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config: expected an object, got {raw!r}")
         merged = dict(raw)
         for key, defaults in _DEFAULTS.items():
-            block = dict(defaults)
-            block.update(raw.get(key, {}))
-            merged[key] = block
+            merged[key] = {**defaults, **(read_section(raw, key) if key in raw else {})}
         for required in ("model", "window", "simulation"):
-            if required not in merged:
-                raise ConfigError(f"config is missing the '{required}' section")
+            read_section(merged, required)
         cfg = cls(raw=merged)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        return cls.from_dict(raw)
 
     def with_seed(self, seed: int) -> "RunConfig":
         raw = json.loads(canonical_json(self.raw))
@@ -101,11 +135,17 @@ class RunConfig:
     # -- parsed sections ------------------------------------------------------
 
     def model(self) -> CoefficientModel:
-        m = self.raw["model"]
-        return CoefficientModel(
-            mu=piecewise_from_dict(m["mu"]),
-            sigma=piecewise_from_dict(m["sigma"]),
-        )
+        m = read_section(self.raw, "model")
+
+        def read(key):
+            if key not in m:
+                raise ConfigError(f"model.{key}: missing")
+            try:
+                return piecewise_from_dict(m[key])
+            except ConfigError as exc:
+                raise ConfigError(f"model.{key}: {exc}") from None
+
+        return CoefficientModel(mu=read("mu"), sigma=read("sigma"))
 
     def window(self) -> LocalWindow:
         fields = ("xi", "delta", "delta0", "l_sigma")
@@ -119,22 +159,27 @@ class RunConfig:
                          n_paths=read("n_paths", int), seed=read("seed", int))
 
     def frequency_grid(self) -> charfn.FrequencyGrid:
-        g = self.raw["frequency_grid"]
-        return charfn.FrequencyGrid.uniform(float(g["y_max"]), float(g["spacing"]))
+        return charfn.FrequencyGrid.uniform(read_field(self.raw, "frequency_grid", "y_max"),
+                                            read_field(self.raw, "frequency_grid", "spacing"))
 
     def reference(self):
-        r = self.raw.get("reference")
-        if r is None:
+        if self.raw.get("reference") is None:
             return None
-        x0 = r.get("x0")
+        r = read_section(self.raw, "reference")
+
+        def read(key, default):
+            return default if key not in r else read_field(self.raw, "reference", key)
+
         return oracle.ReferenceModel(
-            kind=r["kind"], mu0=float(r.get("mu0", 0.0)), sigma0=float(r.get("sigma0", 1.0)),
-            theta=float(r.get("theta", 0.0)), x0=None if x0 is None else float(x0),
+            kind=read_field(self.raw, "reference", "kind", str), mu0=read("mu0", 0.0),
+            sigma0=read("sigma0", 1.0), theta=read("theta", 0.0),
+            x0=None if r.get("x0") is None else read("x0", None),
         )
 
     def t_list(self, section: str) -> list[float]:
-        ts = self.raw[section].get("t_list") or [self.raw["simulation"]["t"]]
-        return [float(t) for t in ts]
+        if not read_section(self.raw, section).get("t_list"):
+            return [read_field(self.raw, "simulation", "t")]
+        return read_list(self.raw, section, "t_list")
 
     # -- cross-field validation ----------------------------------------------
 
@@ -164,6 +209,16 @@ class RunConfig:
         # obvious part here so bad configs fail before simulating
         if fg.spacing <= 0:
             raise ConfigError("frequency spacing must be positive")
+        # fields first read after the simulation: parse them now so a bad one fails first
+        for section, key, kind in _LATE_FIELDS:
+            read_field(self.raw, section, key, kind)
+        read_list(self.raw, "hoelder", "gamma_list")
+        rm = self.reference()
+        if rm is not None:
+            try:
+                rm.marginal(sim.t_final)
+            except ConfigError as exc:
+                raise ConfigError(f"reference: {exc}") from None
 
 
 class Pipeline:
@@ -186,7 +241,7 @@ class Pipeline:
 
     @cached_property
     def phi(self) -> CutoffFunction:
-        return make_bump(self.window, float(self.cfg.raw["cutoff"]["shoulder_fraction"]))
+        return make_bump(self.window, read_field(self.cfg.raw, "cutoff", "shoulder_fraction"))
 
     @cached_property
     def sigma_star(self) -> SigmaStar:
@@ -231,9 +286,9 @@ class Pipeline:
         ha = self.transform.forward(self.phi.a)
         hb = self.transform.forward(self.phi.b)
         lo, hi = min(ha, hb), max(ha, hb)
-        inv = self.cfg.raw["inversion"]
-        margin = float(inv["margin"]) * (hi - lo)
-        grid = np.linspace(lo - margin, hi + margin, int(inv["n_points"]))
+        margin = read_field(self.cfg.raw, "inversion", "margin") * (hi - lo)
+        grid = np.linspace(lo - margin, hi + margin,
+                           read_field(self.cfg.raw, "inversion", "n_points", int))
         if (grid[-1] - grid[0]) >= math.pi / self.freq_grid.spacing:
             raise ConfigError("inversion grid violates the aliasing limit; "
                               "reduce the margin or refine the frequency spacing")

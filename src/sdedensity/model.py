@@ -606,6 +606,9 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
     errors, and so is a piece field that its kind does not have.
     """
     if isinstance(spec, dict) and "breakpoints" in spec:
+        for key in ("breakpoints", "pieces"):
+            if not isinstance(spec.get(key), (list, tuple)):
+                raise ConfigError(f"{key}: expected a list, got {spec.get(key)!r}")
         return PiecewiseFunction(
             breakpoints=tuple(_number(b, "breakpoints") for b in spec["breakpoints"]),
             pieces=tuple(piece_from_dict(p) for p in spec["pieces"]),
@@ -622,14 +625,16 @@ def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
             return sign * math.inf
         return _number(v, "interval")
 
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"pieces: expected a list, got {entries!r}")
     if not entries:
         raise ConfigError("piecewise spec has no pieces")
     parsed = []
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
             raise ConfigError(f"pieces[{i}]: expected an object, got {e!r}")
-        if "interval" not in e:
-            raise ConfigError("interval form requires an 'interval' on every piece")
+        if not isinstance(e.get("interval"), (list, tuple)) or len(e["interval"]) != 2:
+            raise ConfigError("interval form requires an 'interval' [lo, hi] on every piece")
         lo, hi = edge(e["interval"][0], -1), edge(e["interval"][1], +1)
         piece = piece_from_dict({k: v for k, v in e.items() if k != "interval"})
         parsed.append((lo, hi, piece))

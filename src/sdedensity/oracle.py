@@ -4,10 +4,16 @@ Three exactly solvable families (Brownian motion with drift, the
 Ornstein-Uhlenbeck process, geometric Brownian motion) plus the canonical
 discontinuous-drift model a*sign(x - xi), whose density has no simple closed
 form and is certified through the bound and smoothness checks instead.
+
+The localized CF oracles take an array of frequencies and evaluate the
+y-independent integrand factor phi(x) p_t(x) once per quadrature node for all
+of them: QUADPACK's nodes repeat across frequencies, so a call costs one
+integrand evaluation per distinct node, not one per node of every integral.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +49,8 @@ class ReferenceModel:
                 raise ConfigError("brownian_drift needs a start value")
             return ("normal", self.x0 + self.mu0 * t, self.sigma0 * math.sqrt(t))
         if self.kind == "ornstein_uhlenbeck":
+            if self.theta <= 0:
+                raise ConfigError("theta must be positive")
             if self.x0 is None:
                 var = self.sigma0**2 / (2.0 * self.theta)
                 return ("normal", 0.0, math.sqrt(var))
@@ -96,42 +104,70 @@ def exact_cf(rm: ReferenceModel, t: float, y) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def localized_cf(rm: ReferenceModel, phi, t: float, y: float,
-                 tol: float = 1e-9) -> complex:
+def _node_weight(rm: ReferenceModel, phi, t: float):
+    """x -> phi(x) p_t(x), memoized by the exact float node for one oracle call.
+
+    QUADPACK's adaptive rules bisect the same interval for every frequency, so
+    the integrals of one call mostly revisit the same nodes and share one memo.
+    """
+    return functools.cache(lambda x: float(phi(x)) * float(exact_density(rm, t, x)))
+
+
+def _each_frequency(one, y):
+    """one(y) for a scalar y; an array of one(y_j) for an array of frequencies."""
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim == 0:
+        return one(y)
+    return np.array([one(v) for v in ys.ravel()], dtype=complex).reshape(ys.shape)
+
+
+def localized_cf(rm: ReferenceModel, phi, t: float, y, tol: float = 1e-9):
     """integral of e^{iyx} phi(x) density(x) dx by adaptive quadrature.
 
     The oscillatory factor is handled with the weighted quadrature rules, so
-    the result is reliable well past y ~ 100.
+    the result is reliable well past y ~ 100.  y is one frequency (a complex
+    result) or an array of them (a complex array); the integrand is evaluated
+    once per node for all frequencies of a call.
     """
     a, b = phi.support
-
-    def f(x):
-        return float(phi(x)) * float(exact_density(rm, t, x))
-
+    f = _node_weight(rm, phi, t)
     kw = dict(epsabs=tol, epsrel=tol, limit=400)
-    if y == 0.0:
-        re, _ = integrate.quad(f, a, b, **kw)
-        return complex(re, 0.0)
-    re, _ = integrate.quad(f, a, b, weight="cos", wvar=y, **kw)
-    im, _ = integrate.quad(f, a, b, weight="sin", wvar=y, **kw)
-    return complex(re, im)
+
+    def one(y):
+        if y == 0.0:
+            re, _ = integrate.quad(f, a, b, **kw)
+            return complex(re, 0.0)
+        re, _ = integrate.quad(f, a, b, weight="cos", wvar=y, **kw)
+        im, _ = integrate.quad(f, a, b, weight="sin", wvar=y, **kw)
+        return complex(re, im)
+
+    return _each_frequency(one, y)
 
 
-def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y: float,
-                             tol: float = 1e-9) -> complex:
-    """CF of the localized law pushed through Y = H(X):  E[e^{iyH(X)} phi(X)]."""
+def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y,
+                             tol: float = 1e-9):
+    """CF of the localized law pushed through Y = H(X):  E[e^{iyH(X)} phi(X)].
+
+    y is a scalar or an array, as in localized_cf; phi(x) p_t(x) and H(x) are
+    evaluated once per node for all frequencies of a call.
+    """
     a, b = phi.support
-
-    def fr(x):
-        return float(phi(x)) * float(exact_density(rm, t, x)) * math.cos(y * transform.forward(x))
-
-    def fi(x):
-        return float(phi(x)) * float(exact_density(rm, t, x)) * math.sin(y * transform.forward(x))
-
+    w = _node_weight(rm, phi, t)
+    h = functools.cache(transform.forward)
     kw = dict(epsabs=tol, epsrel=tol, limit=800)
-    re, _ = integrate.quad(fr, a, b, **kw)
-    im, _ = integrate.quad(fi, a, b, **kw)
-    return complex(re, im)
+
+    def one(y):
+        def fr(x):
+            return w(x) * math.cos(y * h(x))
+
+        def fi(x):
+            return w(x) * math.sin(y * h(x))
+
+        re, _ = integrate.quad(fr, a, b, **kw)
+        im, _ = integrate.quad(fi, a, b, **kw)
+        return complex(re, im)
+
+    return _each_frequency(one, y)
 
 
 def as_coefficient_model(rm: ReferenceModel) -> CoefficientModel:

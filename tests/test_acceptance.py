@@ -54,9 +54,9 @@ class TestCriterion1GaussianEndToEnd:
         # same inverter fed the exact localized CF instead of the MC estimate
         rm = sd.brownian_drift(0.0, 1.0, 0.0)
         grid_a = sd.FrequencyGrid.uniform(96.0, 1.0 / 16.0)
-        cf_exact = sd.CharFnEstimate.from_function(
-            lambda y: np.exp(-1j * y * w.lo) * sd.localized_cf(rm, phi, 1.0, y),
-            grid_a, t=1.0)
+        ys = grid_a.values[grid_a.half_count:]
+        cf_exact = sd.CharFnEstimate.from_values(
+            np.exp(-1j * ys * w.lo) * sd.localized_cf(rm, phi, 1.0, ys), grid_a, t=1.0)
         qa = sd.pushforward(sd.invert(cf_exact, xg), lam, s)
         an_err = float(np.max(np.abs(qa.values - gaussian_target(phi, qa.x_grid))))
 

@@ -121,6 +121,30 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["model"].pop("mu"), "model.mu: missing"),
+        (lambda c: c["model"].update(mu={"breakpoints": [], "pieces": 5}),
+         "model.mu: pieces: expected a list, got 5"),
+        (lambda c: c.update(bounds=[]), "bounds: expected an object, got []"),
+        (lambda c: c["frequency_grid"].update(y_max="big"),
+         "frequency_grid.y_max: expected float, got 'big'"),
+        (lambda c: c["certify"].update(analytic_y_max="x"),
+         "certify.analytic_y_max: expected float, got 'x'"),
+        (lambda c: c["reference"].update(kind="ornstein_uhlenbeck"),
+         "reference: theta must be positive"),
+        (lambda c: c["density"].update(t_list=["x"]),
+         "density.t_list: expected a list of numbers, got ['x']"),
+        (lambda c: c["hoelder"].update(gamma_list=0.5),
+         "hoelder.gamma_list: expected a list, got 0.5"),
+    ])
+    def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, edit, message):
+        bad = tiny_config()
+        edit(bad)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_seed_override_changes_output(self, config_file, tmp_path):
         o1, o2 = tmp_path / "a", tmp_path / "b"
         main(["cf", "--config", str(config_file), "--out", str(o1)])

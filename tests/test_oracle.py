@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import sdedensity as sd
+from sdedensity import oracle
 
 
 class TestExactDensity:
@@ -73,6 +74,51 @@ class TestLocalizedCf:
         phi = sd.make_plateau_sequence(2)
         v = sd.localized_cf(rm, phi, 1.0, 1.3)
         assert abs(v.imag) <= 1e-9
+
+
+def _gbm_setup():
+    rm = sd.geometric_bm(0.05, 0.25, 2.0)
+    model = sd.as_coefficient_model(rm)
+    w = sd.LocalWindow(xi=2.0, delta=1.0, delta0=0.25, l_sigma=0.25)
+    lam = sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w))
+    return rm, sd.make_bump(w, 0.25), lam
+
+
+class TestFrequencyArrays:
+    """One call over an array of frequencies shares one integrand memo."""
+
+    def test_array_equals_scalar_calls_bitwise(self, window6):
+        rm = sd.brownian_drift(0.0, 1.0, 0.0)
+        phi = sd.make_bump(window6, 0.2)
+        ys = np.arange(0, 33) / 4.0
+        got = sd.localized_cf(rm, phi, 1.0, ys)
+        assert got.dtype == complex and got.shape == ys.shape
+        assert np.array_equal(got, np.array([sd.localized_cf(rm, phi, 1.0, y) for y in ys]))
+
+    def test_transformed_array_equals_scalar_calls_bitwise(self):
+        rm, phi, lam = _gbm_setup()
+        ys = np.arange(0, 17) / 2.0  # includes y = 0
+        got = oracle.localized_cf_transformed(rm, phi, lam, 1.0, ys)
+        want = [oracle.localized_cf_transformed(rm, phi, lam, 1.0, y) for y in ys]
+        assert np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_one_integrand_evaluation_per_node(self, monkeypatch, window6, transformed):
+        nodes = []
+        exact = oracle.exact_density
+
+        def spy(rm, t, x):
+            nodes.append(x)
+            return exact(rm, t, x)
+
+        monkeypatch.setattr(oracle, "exact_density", spy)
+        if transformed:
+            rm, phi, lam = _gbm_setup()
+            oracle.localized_cf_transformed(rm, phi, lam, 1.0, np.arange(0, 17) / 2.0)
+        else:
+            rm, phi = sd.brownian_drift(0.0, 1.0, 0.0), sd.make_bump(window6, 0.2)
+            oracle.localized_cf(rm, phi, 1.0, np.arange(0, 33) / 4.0)
+        assert 0 < len(nodes) == len(set(nodes))
 
 
 class TestSignDriftModel:
