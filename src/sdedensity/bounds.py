@@ -30,8 +30,8 @@ from .charfn import CharFnEstimate
 from .errors import AlignmentError, ConfigError, DomainError
 from .model import CoefficientModel, DriftFunctional, LocalWindow, build_sigma_star, \
     drift_functional, weak_derivative
-from .simulate import PathEnsemble, localization_indicator
-from .util import MCEstimate, fmt_float, mean_se
+from .simulate import BLOCK_PATHS, PathEnsemble, stay_suffix
+from .util import MCEstimate, fmt_float, map_ordered, mean_se, path_chunks
 
 
 def epsilon_rule(y: float) -> float:
@@ -64,11 +64,45 @@ def _drift_functional_for(model: CoefficientModel, w: LocalWindow) -> DriftFunct
     return drift_functional(model.mu, s, weak_derivative(s))
 
 
+def _remainder_samples(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow, k_end: int,
+                       lookbacks: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Per-path remainder samples, one row per lookback (distinct steps, ascending).
+
+    Row u, path i: 1_{path i stays in the closed window on its last
+    lookbacks[u] steps} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |, with
+    eps = lookbacks[u] * h and the trapezoid sum taken from prefix sums of g.
+    Paths are processed in blocks of ``BLOCK_PATHS`` spread over ``threads``;
+    each entry depends on its own path only, so the samples are the same
+    bits for any block split and thread count.
+    """
+    h = ens.config.h
+    band = ens.band(k_end - int(lookbacks[-1]), k_end)
+    c0 = band.shape[1] - 1 - lookbacks
+    eps = lookbacks * h
+    samples = np.empty((lookbacks.size, ens.n_paths))
+
+    def run_block(span):
+        start, stop = span
+        seg = band[start:stop]
+        stay = stay_suffix(seg, w)[:, c0]
+        gv = g(seg)
+        g0, g_end = gv[:, c0], gv[:, -1:].copy()
+        prefix = np.cumsum(gv, axis=1, out=gv)  # in place: gv is not read again
+        integral = h * (prefix[:, -1:] - prefix[:, c0] + 0.5 * (g0 - g_end))
+        del gv, prefix
+        vals = np.abs(integral - eps * g0)
+        samples[:, start:stop] = np.where(stay, vals, 0.0).T
+
+    map_ordered(run_block, path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
+    return samples
+
+
 def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
               eps: float, t: float, g: DriftFunctional | None = None) -> MCEstimate:
     """MC estimate of the localized running-increment of the drift functional.
 
     Per path:  1_{stay in window} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |.
+    The single-lookback case of the estimator ``bound_report`` uses.
     """
     if eps < ens.config.h * (1 - 1e-9):
         raise AlignmentError("eps is below the grid resolution")
@@ -76,13 +110,7 @@ def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
     k0 = ens.time_index(t - eps)
     if g is None:
         g = _drift_functional_for(model, w)
-    seg = ens.band(k0, k_end)
-    gv = g(seg)
-    h = ens.config.h
-    integral = h * (np.sum(gv, axis=1) - 0.5 * (gv[:, 0] + gv[:, -1]))
-    vals = np.abs(integral - eps * gv[:, 0])
-    ind = localization_indicator(ens, w, eps, t)
-    return mean_se(np.where(ind, vals, 0.0))
+    return mean_se(_remainder_samples(ens, g, w, k_end, np.array([k_end - k0]))[0])
 
 
 class DecayFit(NamedTuple):
@@ -199,13 +227,16 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
 
 def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
                  w: LocalWindow, t: float, y_check: np.ndarray | None = None,
-                 eps_rule: str | float = "matched", c: float | None = None) -> BoundReport:
+                 eps_rule: str | float = "matched", c: float | None = None,
+                 threads: int = 1) -> BoundReport:
     """Evaluate the bound at each checked frequency against the empirical CF.
 
     eps_rule 'matched' uses the per-frequency lookback eps_y (rounded to the
     path grid); a float uses that fixed lookback everywhere.  The remainder
-    is evaluated with shared prefix sums over the union lookback window, so
-    the cost is one pass over the paths plus O(n_paths) per frequency.
+    is estimated once per distinct grid lookback, streamed over path blocks
+    (on ``threads`` workers) that each evaluate g once on their part of the
+    lookback band; only one sample per path and distinct lookback is kept.
+    The report does not depend on ``threads``.
     """
     h = ens.config.h
     if y_check is None:
@@ -217,28 +248,15 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
     k_end = ens.time_index(t)
     eps_used = k_steps * h
 
-    # shared window scan: prefix sums of g along time, suffix max of |X - xi|
-    g = _drift_functional_for(model, w)
-    k_min = k_end - int(np.max(k_steps))
-    seg = ens.band(k_min, k_end)
-    gv = g(seg)
-    gv_prefix = np.cumsum(gv, axis=1)
-    dev = np.abs(seg - w.xi)
-    stay_suffix = np.minimum.accumulate((dev <= w.delta)[:, ::-1], axis=1)[:, ::-1]
-
     n = ens.n_paths
-    m_cols = seg.shape[1]
     empirical = np.array([abs(cf.value_at(float(y))) for y in y_check])
     se_emp = np.array([cf.se_at(float(y)) for y in y_check])
     # frequencies sharing a grid lookback share the remainder estimate
     lookbacks, row_of = np.unique(k_steps, return_inverse=True)
-    rem_by_lookback = np.empty((lookbacks.size, 2))
-    for u, ks in enumerate(lookbacks):
-        c0 = m_cols - 1 - int(ks)
-        integral = h * (gv_prefix[:, -1] - gv_prefix[:, c0] + 0.5 * (gv[:, c0] - gv[:, -1]))
-        vals = np.abs(integral - (int(ks) * h) * gv[:, c0])
-        est = mean_se(np.where(stay_suffix[:, c0], vals, 0.0))
-        rem_by_lookback[u] = est.value, est.std_error
+    samples = _remainder_samples(ens, _drift_functional_for(model, w), w, k_end, lookbacks,
+                                 threads)
+    ests = [mean_se(row) for row in samples]
+    rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
     rem_val, rem_se = rem_by_lookback[row_of].T
 
     ay = np.abs(y_check)

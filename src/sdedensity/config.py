@@ -86,6 +86,33 @@ _DEFAULTS = {
 }
 
 
+# names a run's certify.checks may list; the CLI maps each to its check
+CERTIFY_CHECKS = ("cf_sanity", "mass_consistency", "density_vs_oracle",
+                  "analytic_roundtrip", "bound_check")
+
+# the keys each section may carry
+_FIELDS = {
+    "model": ("mu", "sigma"),
+    "window": ("xi", "delta", "delta0", "l_sigma"),
+    "simulation": ("x0", "t", "h", "n_paths", "seed"),
+    "reference": ("kind", "mu0", "sigma0", "theta", "x0"),
+    **{section: tuple(defaults) for section, defaults in _DEFAULTS.items()},
+}
+
+
+def _reject_unknown_keys(raw: dict) -> None:
+    unknown = sorted((k for k in raw if k not in _FIELDS), key=str)
+    if unknown:
+        raise ConfigError(f"config: unknown section(s) {unknown}; allowed {list(_FIELDS)}")
+    for section, fields in _FIELDS.items():
+        block = raw.get(section)
+        if isinstance(block, dict):
+            unknown = sorted((k for k in block if k not in fields), key=str)
+            if unknown:
+                raise ConfigError(f"{section}: unknown field(s) {unknown}; "
+                                  f"allowed {list(fields)}")
+
+
 _LATE_FIELDS = (
     ("cutoff", "shoulder_fraction", float),
     ("inversion", "n_points", int),
@@ -105,6 +132,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config: expected an object, got {raw!r}")
+        _reject_unknown_keys(raw)
         merged = dict(raw)
         for key, defaults in _DEFAULTS.items():
             merged[key] = {**defaults, **(read_section(raw, key) if key in raw else {})}
@@ -148,8 +176,7 @@ class RunConfig:
         return CoefficientModel(mu=read("mu"), sigma=read("sigma"))
 
     def window(self) -> LocalWindow:
-        fields = ("xi", "delta", "delta0", "l_sigma")
-        return LocalWindow(**{k: read_field(self.raw, "window", k) for k in fields})
+        return LocalWindow(**{k: read_field(self.raw, "window", k) for k in _FIELDS["window"]})
 
     def sim_config(self) -> SimConfig:
         def read(key, kind=float):
@@ -213,6 +240,13 @@ class RunConfig:
         for section, key, kind in _LATE_FIELDS:
             read_field(self.raw, section, key, kind)
         read_list(self.raw, "hoelder", "gamma_list")
+        checks = self.raw["certify"]["checks"]
+        if not isinstance(checks, list):
+            raise ConfigError(f"certify.checks: expected a list, got {checks!r}")
+        for i, name in enumerate(checks):
+            if name not in CERTIFY_CHECKS:
+                raise ConfigError(f"certify.checks[{i}]: unknown check {name!r}; "
+                                  f"one of {list(CERTIFY_CHECKS)}")
         rm = self.reference()
         if rm is not None:
             try:
@@ -325,7 +359,8 @@ class Pipeline:
         cf = self.cf_at(t)
         y_check, rule = self._bound_frequencies()
         return bounds_mod.bound_report(cf, self.ensemble, self.model, self.window,
-                                       t, y_check=y_check, eps_rule=rule, c=c)
+                                       t, y_check=y_check, eps_rule=rule, c=c,
+                                       threads=self.threads)
 
 
 # ---------------------------------------------------------------------------

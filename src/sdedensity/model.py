@@ -287,19 +287,35 @@ class PiecewiseFunction:
     def _indices(self, arr):
         return np.searchsorted(self._bp_arr, arr, side="right")
 
-    def _evaluate(self, x, cols, method):
+    def piece_table(self, union: np.ndarray) -> np.ndarray | None:
+        """Piece index per interval of ``union``, a sorted superset of the breakpoints.
+
+        ``table[searchsorted(union, x, side="right")]`` is the piece index of
+        x (NaN included, which sorts past every breakpoint); None when there
+        is a single piece.
+        """
+        if not self.breakpoints:
+            return None
+        return np.concatenate(([0], np.searchsorted(self._bp_arr, union, side="right")))
+
+    def _evaluate(self, x, cols, method, idx=None):
         """Horner over the compiled coefficient columns, gathered per piece.
 
         Polynomial-family pieces are evaluated as ``c_0 + x (c_1 + x (...))``
         with each piece's own coefficients, which is the operation sequence
         of ``numpy.polynomial`` and of ``Constant``/``Affine``, so for finite
         x the values equal the per-piece ones bitwise.  Other pieces
-        overwrite their points afterwards.
+        overwrite their points afterwards.  ``idx`` is the piece index of
+        each point when the caller already has it (see ``piece_table``).
         """
         arr, scalar = _as_array(x)
         arr1 = np.atleast_1d(arr)
-        idx = self._indices(arr1) if self.breakpoints else 0
-        out = cols[-1][idx] * arr1 if len(cols) > 1 else np.full(arr1.shape, cols[0][idx])
+        if idx is None:
+            idx = self._indices(arr1) if self.breakpoints else 0
+        if len(cols) > 1:
+            out = cols[-1][idx] * arr1
+        else:  # a gather by an index array is already a fresh array
+            out = cols[0][idx] if np.ndim(idx) else np.full(arr1.shape, cols[0][idx])
         for j, col in enumerate(cols[-2::-1]):
             if j:
                 out *= arr1
@@ -504,12 +520,14 @@ class WeakDerivative:
     source: SigmaStar
     nondifferentiable_points: tuple[float, ...]
 
-    def __call__(self, x):
+    def __call__(self, x, idx=None):
+        """``idx``: piece indices into ``source.base``, if already looked up."""
         arr, scalar = _as_array(x)
         arr1 = np.atleast_1d(arr)
-        out = self.source.base.derivative(arr1)
+        base = self.source.base
+        out = base._evaluate(arr1, base._deriv_cols, "derivative", idx)
         for p in self.nondifferentiable_points:
-            out = np.where(arr1 == p, 0.0, out)
+            out[arr1 == p] = 0.0
         return _ret(out.reshape(arr.shape), scalar)
 
 
@@ -533,10 +551,31 @@ class DriftFunctional:
     sigma_star: SigmaStar
     weak_deriv: WeakDerivative
 
+    def __post_init__(self):
+        union = np.asarray(self.breakpoints, dtype=float)
+        object.__setattr__(self, "_union", union)
+        object.__setattr__(self, "_mu_table", self.mu.piece_table(union))
+        object.__setattr__(self, "_sigma_table", self.sigma_star.base.piece_table(union))
+
     def __call__(self, x):
+        """One breakpoint lookup on the union of mu's and sigma_cont's breakpoints;
+        per-function tables turn it into each function's piece index."""
         arr, scalar = _as_array(x)
-        out = self.mu(arr) / self.sigma_star(arr) - 0.5 * self.weak_deriv(arr)
-        return _ret(out, scalar)
+        arr1 = np.atleast_1d(arr)
+        j = np.searchsorted(self._union, arr1, side="right") if self._union.size else None
+        mu_idx = 0 if self._mu_table is None else self._mu_table[j]
+        sigma_idx = 0 if self._sigma_table is None else self._sigma_table[j]
+        # g runs on slab-sized inputs: free each index array once it is used,
+        # and apply mu/sigma_cont - weak_deriv/2 in that order, in place
+        del j
+        out = self.mu._evaluate(arr1, self.mu._value_cols, "__call__", mu_idx)
+        del mu_idx
+        base = self.sigma_star.base
+        out /= base._evaluate(arr1, base._value_cols, "__call__", sigma_idx)
+        half_deriv = self.weak_deriv(arr1, sigma_idx)
+        half_deriv *= 0.5
+        out -= half_deriv
+        return _ret(out.reshape(arr.shape), scalar)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:

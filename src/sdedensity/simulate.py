@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,6 @@ class PathEnsemble:
     ``recorded`` lists, ascending, the grid steps that were stored:
     ``states[i, j]`` is path i at time ``recorded[j] * h``.  Read states
     through ``band``/``states_at``, which index by grid step.
-    ``window_flags`` caches localization indicators keyed by
-    (xi, delta, k_start, k_end).
     """
 
     time_grid: np.ndarray
@@ -98,7 +96,6 @@ class PathEnsemble:
     config: SimConfig
     rng_streams: RngStreams
     recorded: tuple[int, ...]
-    window_flags: dict = field(default_factory=dict)
 
     @property
     def n_paths(self) -> int:
@@ -231,22 +228,36 @@ def euler_z(ens: PathEnsemble, model: CoefficientModel, eps: float, t: float,
     return out
 
 
+def in_window(seg: np.ndarray, w: LocalWindow, closed: bool = True) -> np.ndarray:
+    """Elementwise membership of the window [xi-delta, xi+delta] (closed) or
+    (xi-delta, xi+delta) (open).  Each caller says why it uses which."""
+    dev = np.abs(seg - w.xi)
+    return dev <= w.delta if closed else dev < w.delta
+
+
+def stay_suffix(seg: np.ndarray, w: LocalWindow) -> np.ndarray:
+    """Per path and column c: True iff the grid states in columns c..last all
+    lie in the closed window.
+
+    Closed, because the remainder's indicator is the event that the path stays
+    in the closed ball on which the coefficients are controlled.
+    """
+    return np.logical_and.accumulate(in_window(seg, w)[:, ::-1], axis=1)[:, ::-1]
+
+
 def localization_indicator(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) -> np.ndarray:
     """Per path: True iff every grid state in [t-eps, t] lies in [xi-delta, xi+delta]."""
     k0, k_end = _window_indices(ens, eps, t)
-    key = (w.xi, w.delta, k0, k_end)
-    cached = ens.window_flags.get(key)
-    if cached is not None:
-        return cached
-    seg = ens.band(k0, k_end)
-    flags = np.all(np.abs(seg - w.xi) <= w.delta, axis=1)
-    ens.window_flags[key] = flags
-    return flags
+    return stay_suffix(ens.band(k0, k_end), w)[:, 0]
 
 
-def _first_exit(seg: np.ndarray, xi: float, delta: float) -> np.ndarray:
-    """Index of the first grid state outside the open window, else n_cols."""
-    out = np.abs(seg - xi) >= delta
+def _first_exit(seg: np.ndarray, w: LocalWindow) -> np.ndarray:
+    """Index of the first grid state outside the open window, else n_cols.
+
+    Open, because the stopped diagnostics stop a path the first time it
+    reaches the window's boundary.
+    """
+    out = ~in_window(seg, w, closed=False)
     has = out.any(axis=1)
     return np.where(has, out.argmax(axis=1), seg.shape[1])
 
@@ -265,7 +276,7 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
     vals = np.empty(ens.n_paths)
     for start, stop in path_chunks(ens.n_paths, block):
         seg = band[start:stop]
-        fo = np.minimum(_first_exit(seg, w.xi, w.delta), m - 1)
+        fo = np.minimum(_first_exit(seg, w), m - 1)
         idx = np.minimum(np.arange(m)[None, :], fo[:, None])
         stopped = np.take_along_axis(seg, idx, axis=1)
         sup = np.max(np.abs(stopped - stopped[:, :1]), axis=1)
@@ -279,7 +290,7 @@ def exit_probability(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) ->
     m = k_end - k0 + 1
     seg = ens.band(k0, k_end)
     start_in = np.abs(seg[:, 0] - w.xi) < w.delta - w.delta0 / 2.0
-    fo = _first_exit(seg, w.xi, w.delta)
+    fo = _first_exit(seg, w)
     exited_before_t = fo <= m - 2
     return mean_se((start_in & exited_before_t).astype(float))
 

@@ -1,11 +1,17 @@
+import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sdedensity as sd
 from sdedensity.bounds import decay_pass_fraction
+from sdedensity.bounds import lookback_steps
+from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import AlignmentError, ConfigError, DomainError
+from sdedensity.util import mean_se
 
 
 class TestClosedFormBounds:
@@ -178,8 +184,7 @@ class TestBoundReport:
             eps = float(report.eps_used[j])
             standalone = sd.remainder(ens, model, w, eps=eps, t=t)
             y = float(report.y[j])
-            np.testing.assert_allclose(report.remainder_term[j], y * standalone.value,
-                                       rtol=1e-9)
+            assert report.remainder_term[j] == y * standalone.value
             assert report.gauss_term[j] == pytest.approx(y ** (-0.5 * math.log(y)))
             assert report.eps_term[j] == pytest.approx(math.log(y) ** 2 / y**2)
 
@@ -217,3 +222,84 @@ class TestBoundReport:
         lines = out.read_text().splitlines()
         assert lines[0] == "y,empirical,se,gauss_term,eps_term,remainder_term,bound,pass"
         assert len(lines) == 1 + report.y.size
+
+
+def whole_slab_remainder_terms(ens, model, w, t, y_check, eps_rule):
+    """Reference: the remainder of every distinct lookback from one pass over the
+    whole lookback band, g evaluated as mu/sigma_cont - weak_deriv/2 piece by piece."""
+    h = ens.config.h
+    k_steps, _ = lookback_steps(y_check, eps_rule, t, h)
+    s = sd.build_sigma_star(model.sigma, w)
+    d = sd.weak_derivative(s)
+    k_end = ens.time_index(t)
+    seg = ens.band(k_end - int(np.max(k_steps)), k_end)
+    gv = model.mu(seg) / s(seg) - 0.5 * d(seg)
+    gv_prefix = np.cumsum(gv, axis=1)
+    dev = np.abs(seg - w.xi)
+    stay_suffix = np.minimum.accumulate((dev <= w.delta)[:, ::-1], axis=1)[:, ::-1]
+    m_cols = seg.shape[1]
+    rem_val, rem_se = np.empty(y_check.size), np.empty(y_check.size)
+    for i, ks in enumerate(k_steps):
+        c0 = m_cols - 1 - int(ks)
+        integral = h * (gv_prefix[:, -1] - gv_prefix[:, c0] + 0.5 * (gv[:, c0] - gv[:, -1]))
+        vals = np.abs(integral - (int(ks) * h) * gv[:, c0])
+        est = mean_se(np.where(stay_suffix[:, c0], vals, 0.0))
+        rem_val[i], rem_se[i] = est.value, est.std_error
+    ay = np.abs(y_check)
+    return (ay if eps_rule == "matched" else 1.0 + ay) * rem_val, np.max(rem_se)
+
+
+@pytest.fixture(scope="module")
+def kinked_run():
+    """Discontinuous drift, sinusoid/power diffusion with a kink; 9001 paths, so
+    the last path block is partial."""
+    model = sd.CoefficientModel(
+        mu=sd.PiecewiseFunction((0.0,), (sd.Constant(1.0), sd.Sinusoid(-1.0, 0.3, 2.0))),
+        sigma=sd.PiecewiseFunction((0.0,), (sd.Sinusoid(2.0, 0.5),
+                                            sd.HolderPower(1.0, -4.0, 0.5))),
+    )
+    w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
+    t = 0.5
+    ens = sd.simulate(model, sd.SimConfig(x0=0.0, t_final=t, h=2.0**-9, n_paths=9001,
+                                          seed=77))
+    cf = sd.estimate_localized(
+        ens, sd.make_bump(w, 0.2),
+        sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)),
+        sd.FrequencyGrid.uniform(64.0, 0.25), t)
+    return model, w, ens, cf, t
+
+
+class TestStreamedRemainder:
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("eps_rule", ["matched", 0.0625])
+    def test_bitwise_equal_to_whole_slab(self, kinked_run, threads, eps_rule):
+        model, w, ens, cf, t = kinked_run
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the block workers as much as possible
+        try:
+            report = sd.bound_report(cf, ens, model, w, t, eps_rule=eps_rule,
+                                     threads=threads)
+        finally:
+            sys.setswitchinterval(switch)
+        terms, se_max = whole_slab_remainder_terms(ens, model, w, t, report.y, eps_rule)
+        if eps_rule == "matched":
+            assert np.unique(report.eps_used).size > 1
+        assert report.remainder_term.tobytes() == terms.tobytes()
+        assert report.metadata["remainder_se_max"] == se_max
+
+    def test_peak_allocation_below_one_band_copy(self):
+        raw = json.loads(json.dumps(PRESETS["sign_drift"]))
+        raw["simulation"]["n_paths"] = 50_000
+        pipe = Pipeline(RunConfig.from_dict(raw), threads=1)
+        t = pipe.cfg.sim_config().t_final
+        cf, ens = pipe.cf_at(t), pipe.ensemble
+        y_check, rule = pipe._bound_frequencies()
+        tracemalloc.start()
+        try:
+            report = sd.bound_report(cf, ens, pipe.model, pipe.window, t, y_check=y_check,
+                                     eps_rule=rule, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band_cols = round(float(np.max(report.eps_used)) / ens.config.h) + 1
+        assert peak < ens.n_paths * band_cols * 8

@@ -136,6 +136,20 @@ class TestCommands:
          "density.t_list: expected a list of numbers, got ['x']"),
         (lambda c: c["hoelder"].update(gamma_list=0.5),
          "hoelder.gamma_list: expected a list, got 0.5"),
+        (lambda c: c["bounds"].update(gama=0.5),
+         "bounds: unknown field(s) ['gama']; allowed ['gamma', 'eps_rule', 'y_lo', 'y_hi']"),
+        (lambda c: c["window"].update(radius=1.0, center=0.0),
+         "window: unknown field(s) ['center', 'radius']; "
+         "allowed ['xi', 'delta', 'delta0', 'l_sigma']"),
+        (lambda c: c.update(bound={}),
+         "config: unknown section(s) ['bound']; allowed ['model', 'window', 'simulation', "
+         "'reference', 'cutoff', 'frequency_grid', 'inversion', 'bounds', 'density', "
+         "'hoelder', 'certify']"),
+        (lambda c: c["certify"].update(checks=["cf_sanity", "nope"]),
+         "certify.checks[1]: unknown check 'nope'; one of ['cf_sanity', 'mass_consistency', "
+         "'density_vs_oracle', 'analytic_roundtrip', 'bound_check']"),
+        (lambda c: c["certify"].update(checks="cf_sanity"),
+         "certify.checks: expected a list, got 'cf_sanity'"),
     ])
     def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, edit, message):
         bad = tiny_config()
@@ -144,6 +158,25 @@ class TestCommands:
         p.write_text(json.dumps(bad))
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_check_name_fails_before_simulating(self, tmp_path, monkeypatch):
+        from sdedensity import config
+
+        calls = []
+        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        bad = tiny_config(certify={"checks": ["cf_sanity", "nope"]})
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert calls == []
+
+    def test_check_names_kept_in_one_place(self):
+        from sdedensity import cli, config
+
+        assert sorted(cli._CHECKS) == sorted(config.CERTIFY_CHECKS)
+
+    def test_null_reference_allowed(self):
+        assert RunConfig.from_dict(tiny_config(reference=None)).reference() is None
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         o1, o2 = tmp_path / "a", tmp_path / "b"

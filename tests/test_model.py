@@ -271,6 +271,29 @@ class TestDriftFunctional:
         expect = mu(xs) / sin_sigma_star(xs) - 0.5 * d(xs)
         np.testing.assert_allclose(g(xs), expect, rtol=0, atol=0)
 
+    def test_union_lookup_bitwise_at_every_breakpoint(self, rng):
+        # mu's end pieces are constants, so a point sent to the wrong end piece
+        # (NaN sorts past every breakpoint) changes the value
+        mu = pw([-0.5, 0.0, 0.7], [sd.Constant(1.0), sd.Sinusoid(0.2, 0.5, 3.0, 0.1),
+                                   sd.HolderPower(-0.8, 0.0, 0.5), sd.Constant(-2.0)])
+        sigma = pw([0.0], [sd.Sinusoid(2.0, 0.5),
+                           sd.HolderPower(1.0, -4.0, 0.5)])  # continuous kink at 0
+        s = sd.build_sigma_star(sigma, sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5,
+                                                      l_sigma=1.0))
+        d = sd.weak_derivative(s)
+        g = sd.drift_functional(mu, s, d)
+        bps = np.array(g.breakpoints)
+        assert set(bps) == {-1.0, -0.5, 0.0, 0.7, 1.0}
+        xs = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),
+                             [-np.inf, np.inf, np.nan], rng.uniform(-3, 3, 200)])
+        with np.errstate(invalid="ignore"):
+            expect = mu(xs) / s(xs) - 0.5 * d(xs)
+            got = g(xs)
+        assert got.tobytes() == expect.tobytes()
+        assert np.isfinite(got[-201]) and got[-201] == -2.0 / s.right_value
+        assert g(float(xs[3])) == got[3]
+        assert g(xs[-200:].reshape(10, 20)).tobytes() == expect[-200:].tobytes()
+
     def test_mismatched_continuation_rejected(self, window6, sin_sigma_star):
         s2 = sd.build_sigma_star(pw([], [sd.Constant(1.0)]), window6)
         with pytest.raises(ValidationError):
