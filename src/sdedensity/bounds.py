@@ -34,29 +34,28 @@ from .simulate import BLOCK_PATHS, PathEnsemble, stay_suffix
 from .util import MCEstimate, fmt_float, map_ordered, mean_se, path_chunks
 
 
-def epsilon_rule(y: float) -> float:
-    """The frequency-matched lookback eps_y = log^2(|y|) / y^2, |y| > 1."""
-    ay = abs(y)
-    if ay <= 1.0:
+def epsilon_rule(y):
+    """The frequency-matched lookback eps_y = log^2(|y|) / y^2, |y| > 1, elementwise."""
+    ay = np.abs(np.asarray(y, dtype=float))
+    if np.any(ay <= 1.0):
         raise DomainError("epsilon rule requires |y| > 1")
-    return math.log(ay) ** 2 / (ay * ay)
+    return np.log(ay) ** 2 / ay**2
 
 
-def fixed_lookback_bound(y: float, eps: float, remainder: float) -> float:
-    """Unscaled fixed-lookback bound (constant c = 1)."""
-    if eps <= 0:
+def fixed_lookback_bound(y, eps, remainder) -> tuple:
+    """(gauss, eps, remainder) terms of the fixed-lookback bound at c = 1, elementwise."""
+    y, eps = np.asarray(y, dtype=float), np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise DomainError("eps must be positive")
-    ay = abs(y)
-    return (1.0 + eps * ay) * math.exp(-0.5 * eps * y * y) + eps + (1.0 + ay) * remainder
+    ay = np.abs(y)
+    return (1.0 + eps * ay) * np.exp(-0.5 * eps * y**2), eps, (1.0 + ay) * remainder
 
 
-def matched_lookback_bound(y: float, remainder_at_eps_y: float) -> float:
-    """Unscaled matched-lookback bound (constant c = 1)."""
-    ay = abs(y)
-    if ay <= 1.0:
-        raise DomainError("matched-lookback bound requires |y| > 1")
-    ly = math.log(ay)
-    return ay ** (-0.5 * ly) + ly * ly / (ay * ay) + ay * remainder_at_eps_y
+def matched_lookback_bound(y, remainder_at_eps_y) -> tuple:
+    """(gauss, eps, remainder) terms of the matched-lookback bound at c = 1, elementwise."""
+    ay = np.abs(np.asarray(y, dtype=float))
+    eps = epsilon_rule(ay)  # the matched lookback is the eps term; raises for |y| <= 1
+    return ay ** (-0.5 * np.log(ay)), eps, ay * remainder_at_eps_y
 
 
 def _drift_functional_for(model: CoefficientModel, w: LocalWindow) -> DriftFunctional:
@@ -113,34 +112,48 @@ def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
     return mean_se(_remainder_samples(ens, g, w, k_end, np.array([k_end - k0]))[0])
 
 
+def least_constant(empirical, se, bound) -> float:
+    """Least c with empirical <= c * bound + 3 SE at every point where bound > 0.
+
+    Subtracting the 3-SE noise allowance before taking the sup makes this the
+    smallest constant consistent with MC noise.
+    """
+    slack = np.maximum(empirical - 3.0 * se, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, slack / bound, 0.0)
+    # nudge up so the binding point passes under float rounding
+    return float(np.max(ratios)) * (1.0 + 1e-12)
+
+
+def within_bound(empirical, se, bound, c: float) -> np.ndarray:
+    """The pass rule: empirical <= c * bound + 3 SE, elementwise."""
+    return empirical <= c * bound + 3.0 * se
+
+
 class DecayFit(NamedTuple):
     c_fit: float
     pass_fraction: float
 
 
+def _decay_shape(cf: CharFnEstimate, gamma: float) -> np.ndarray:
+    return (1.0 + np.abs(cf.grid.values)) ** (-(1.0 + gamma))
+
+
 def fit_decay(cf: CharFnEstimate, gamma: float) -> DecayFit:
     """Least constant c with |cf(y)| <= c (1+|y|)^{-(1+gamma)} + 3 SE on the grid.
 
-    Subtracting the 3-SE noise allowance before taking the sup makes the fit
-    the smallest constant consistent with MC noise; by construction the whole
-    grid then passes at that constant.
+    By construction the whole grid passes at that constant.
     """
     if not (0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1)")
-    y = cf.grid.values
-    shape = (1.0 + np.abs(y)) ** (1.0 + gamma)
-    slack = np.maximum(np.abs(cf.values) - 3.0 * cf.std_errors, 0.0)
-    # nudge up so the binding frequency passes under float rounding
-    c = float(np.max(slack * shape)) * (1.0 + 1e-12)
+    c = least_constant(np.abs(cf.values), cf.std_errors, _decay_shape(cf, gamma))
     return DecayFit(c_fit=c, pass_fraction=decay_pass_fraction(cf, gamma, c))
 
 
 def decay_pass_fraction(cf: CharFnEstimate, gamma: float, c: float) -> float:
     """Fraction of grid frequencies with |cf| <= c (1+|y|)^{-(1+gamma)} + 3 SE."""
-    y = cf.grid.values
-    cap = c * (1.0 + np.abs(y)) ** (-(1.0 + gamma))
-    ok = np.abs(cf.values) <= cap + 3.0 * cf.std_errors
-    return float(np.mean(ok))
+    return float(np.mean(within_bound(np.abs(cf.values), cf.std_errors,
+                                      _decay_shape(cf, gamma), c)))
 
 
 @dataclass(eq=False)
@@ -190,14 +203,6 @@ class BoundReport:
         }
 
 
-def _fit_c(empirical, se, bound) -> float:
-    slack = np.maximum(empirical - 3.0 * se, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, slack / bound, 0.0)
-    # nudge up so the binding frequency passes under float rounding
-    return float(np.max(ratios)) * (1.0 + 1e-12)
-
-
 def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
                    h: float) -> tuple[np.ndarray, str]:
     """Grid lookback (in steps) of each checked frequency, and the rule's name.
@@ -209,7 +214,7 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
     if y_check.size == 0:
         raise ConfigError("no frequencies to check")
     if eps_rule == "matched":
-        eps_exact = np.array([epsilon_rule(y) for y in y_check])
+        eps_exact = epsilon_rule(y_check)
         if np.any(eps_exact >= t):
             bad = y_check[eps_exact >= t][0]
             raise ConfigError(
@@ -259,22 +264,16 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
     rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
     rem_val, rem_se = rem_by_lookback[row_of].T
 
-    ay = np.abs(y_check)
     if rule_name == "matched":
-        gauss = ay ** (-0.5 * np.log(ay))
-        eps_term = np.log(ay) ** 2 / ay**2
-        rem_term = ay * rem_val
+        gauss, eps_term, rem_term = matched_lookback_bound(y_check, rem_val)
     else:
-        gauss = (1.0 + eps_used * ay) * np.exp(-0.5 * eps_used * y_check**2)
-        eps_term = eps_used
-        rem_term = (1.0 + ay) * rem_val
-
+        gauss, eps_term, rem_term = fixed_lookback_bound(y_check, eps_used, rem_val)
     total = gauss + eps_term + rem_term
-    c_fit = _fit_c(empirical, se_emp, total) if c is None else float(c)
-    passed = empirical <= c_fit * total + 3.0 * se_emp
+    c_fit = least_constant(empirical, se_emp, total) if c is None else float(c)
     return BoundReport(
         y=y_check, empirical=empirical, se=se_emp, gauss_term=gauss,
         eps_term=eps_term, remainder_term=rem_term, eps_used=eps_used,
-        c_fit=c_fit, passed=passed, t=t, eps_rule=rule_name, n_paths=n,
+        c_fit=c_fit, passed=within_bound(empirical, se_emp, total, c_fit), t=t,
+        eps_rule=rule_name, n_paths=n,
         metadata={"remainder_se_max": float(np.max(rem_se))},
     )

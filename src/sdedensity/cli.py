@@ -15,7 +15,7 @@ import numpy as np
 
 from . import oracle
 from .bounds import fit_decay
-from .config import Pipeline, RunConfig, preset, read_field, read_list
+from .config import Pipeline, RunConfig, preset
 from .errors import SdeDensityError
 from .invert import holder_norm, invert as invert_cf, pushforward
 from .simulate import save_ensemble, simulate
@@ -36,14 +36,14 @@ def _t_tag(t: float) -> str:
 
 def cmd_simulate(pipe: Pipeline, out: Path) -> dict:
     # the file holds every grid step, not just the pipeline's recording plan
-    ens = simulate(pipe.model, pipe.cfg.sim_config(), threads=pipe.threads)
+    ens = simulate(pipe.model, pipe.cfg.simulation, threads=pipe.threads)
     path = out / "ensemble.bin"
     save_ensemble(path, ens)
     return {"ensemble": path.name, "n_paths": ens.n_paths}
 
 
 def cmd_cf(pipe: Pipeline, out: Path) -> dict:
-    t = pipe.cfg.sim_config().t_final
+    t = pipe.cfg.simulation.t_final
     cf = pipe.cf_at(t)
     cf.to_csv(out / "cf.csv")
     return {"cf": "cf.csv", "t": t, "y_max": cf.grid.y_max}
@@ -61,7 +61,7 @@ def cmd_bound(pipe: Pipeline, out: Path) -> dict:
 
 def cmd_density(pipe: Pipeline, out: Path) -> dict:
     files = []
-    for t in pipe.cfg.t_list("density"):
+    for t in pipe.cfg.density.t_list:
         _, _, q = pipe.density_at(t)
         name = f"density_t{_t_tag(t)}.csv"
         q.to_csv(out / name)
@@ -71,9 +71,9 @@ def cmd_density(pipe: Pipeline, out: Path) -> dict:
 
 def cmd_hoelder(pipe: Pipeline, out: Path) -> dict:
     rows = []
-    for t in pipe.cfg.t_list("hoelder"):
+    for t in pipe.cfg.hoelder.t_list:
         _, _, q = pipe.density_at(t)
-        for gamma in read_list(pipe.cfg.raw, "hoelder", "gamma_list"):
+        for gamma in pipe.cfg.hoelder.gamma_list:
             rows.append((t, gamma, holder_norm(q, gamma)))
     with open(out / "hoelder.csv", "w", newline="") as fh:
         fh.write("t,gamma,c_gamma_norm\n")
@@ -83,7 +83,7 @@ def cmd_hoelder(pipe: Pipeline, out: Path) -> dict:
 
 
 def _check_cf_sanity(pipe: Pipeline) -> dict:
-    t = pipe.cfg.sim_config().t_final
+    t = pipe.cfg.simulation.t_final
     cf = pipe.cf_at(t)
     excess = float(np.max(np.abs(cf.values) - 3.0 * cf.std_errors)) - pipe.phi.sup_norm
     m = cf.grid.half_count
@@ -92,27 +92,26 @@ def _check_cf_sanity(pipe: Pipeline) -> dict:
 
 
 def _check_mass(pipe: Pipeline) -> dict:
-    t = pipe.cfg.sim_config().t_final
+    t = pipe.cfg.simulation.t_final
     cf, p, _ = pipe.density_at(t)
-    gamma = read_field(pipe.cfg.raw, "bounds", "gamma")
+    gamma = pipe.cfg.bounds.gamma
     c_fit, _ = fit_decay(cf, gamma)
     truncation = c_fit / (np.pi * gamma * (1.0 + cf.grid.y_max) ** gamma)
-    tol = (2.0 * truncation + 3.0 * cf.se_at(0.0)
-           + read_field(pipe.cfg.raw, "certify", "mass_slack"))
+    tol = 2.0 * truncation + 3.0 * cf.se_at(0.0) + pipe.cfg.certify.mass_slack
     gap = abs(p.mass() - cf.value_at(0.0).real)
     return {"value": gap, "tolerance": tol, "pass": bool(gap <= tol)}
 
 
 def _check_density_vs_oracle(pipe: Pipeline) -> dict:
-    rm = pipe.cfg.reference()
+    rm = pipe.cfg.reference_model
     if rm is None:
         return {"value": None, "tolerance": None, "pass": False,
                 "note": "no reference model configured"}
-    t = pipe.cfg.sim_config().t_final
+    t = pipe.cfg.simulation.t_final
     _, _, q = pipe.density_at(t)
     target = pipe.phi(q.x_grid) * oracle.exact_density(rm, t, q.x_grid)
     err = float(np.max(np.abs(q.values - target)))
-    tol = read_field(pipe.cfg.raw, "certify", "density_tolerance")
+    tol = pipe.cfg.certify.density_tolerance
     return {"value": err, "tolerance": tol, "pass": bool(err <= tol)}
 
 
@@ -120,13 +119,12 @@ def _check_analytic_roundtrip(pipe: Pipeline) -> dict:
     """Feed the exact localized CF to the inverter and compare densities."""
     from .charfn import CharFnEstimate, FrequencyGrid
 
-    rm = pipe.cfg.reference()
+    rm = pipe.cfg.reference_model
     if rm is None:
         return {"value": None, "tolerance": None, "pass": False,
                 "note": "no reference model configured"}
-    t = pipe.cfg.sim_config().t_final
-    grid = FrequencyGrid.uniform(read_field(pipe.cfg.raw, "certify", "analytic_y_max"),
-                                 pipe.freq_grid.spacing)
+    t = pipe.cfg.simulation.t_final
+    grid = FrequencyGrid.uniform(pipe.cfg.certify.analytic_y_max, pipe.freq_grid.spacing)
     ys = grid.values[grid.half_count:]
     sstar = pipe.sigma_star
     const = sstar.base.constant_value
@@ -147,14 +145,14 @@ def _check_analytic_roundtrip(pipe: Pipeline) -> dict:
     q = pushforward(p, pipe.transform, sstar)
     target = pipe.phi(q.x_grid) * oracle.exact_density(rm, t, q.x_grid)
     err = float(np.max(np.abs(q.values - target)))
-    tol = read_field(pipe.cfg.raw, "certify", "analytic_tolerance")
+    tol = pipe.cfg.certify.analytic_tolerance
     return {"value": err, "tolerance": tol, "pass": bool(err <= tol)}
 
 
 def _check_bound(pipe: Pipeline) -> dict:
     report = pipe.bound_report()
     frac = report.pass_fraction
-    need = read_field(pipe.cfg.raw, "certify", "bound_pass_fraction")
+    need = pipe.cfg.certify.bound_pass_fraction
     return {"value": frac, "tolerance": need, "pass": bool(frac >= need),
             "c_fit": report.c_fit}
 
@@ -169,11 +167,11 @@ _CHECKS = {
 
 
 def cmd_certify(pipe: Pipeline, out: Path) -> dict:
-    # RunConfig.validate has checked every name against config.CERTIFY_CHECKS
-    results = {name: _CHECKS[name](pipe) for name in pipe.cfg.raw["certify"]["checks"]}
+    # the config parser has checked every name against config.CERTIFY_CHECKS
+    results = {name: _CHECKS[name](pipe) for name in pipe.cfg.certify.checks}
     report = {
         "config_hash": pipe.cfg.hash,
-        "seed": pipe.cfg.sim_config().seed,
+        "seed": pipe.cfg.simulation.seed,
         "checks": results,
         "all_pass": bool(all(r["pass"] for r in results.values())),
     }

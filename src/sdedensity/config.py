@@ -1,8 +1,10 @@
-"""Run configuration: JSON schema, presets, and the assembled pipeline.
+"""Run configuration: one field table, presets, and the assembled pipeline.
 
 A run config is one human-editable JSON document; every piece of randomness
-in a run flows from its single seed.  The SHA-256 hash of the canonical JSON
-is carried into every report for provenance.
+in a run flows from its single seed.  ``RunConfig.from_dict`` parses it once,
+against the field table ``FIELDS``, into typed sections; the SHA-256 hash of
+the canonical JSON (defaults filled in) is carried into every report for
+provenance.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import charfn, oracle
 from .cutoff import CutoffFunction, make_bump
-from .errors import ConfigError
+from .errors import ConfigError, SdeDensityError
 from .invert import invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (CoefficientModel, LocalWindow, SigmaStar, build_sigma_star,
@@ -34,111 +37,192 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode()).hexdigest()
 
 
-def read_section(raw: dict, section: str) -> dict:
-    """``raw[section]``; a missing section or one that is not an object is a ConfigError."""
-    if section not in raw:
-        raise ConfigError(f"config is missing the '{section}' section")
-    block = raw[section]
-    if not isinstance(block, dict):
-        raise ConfigError(f"{section}: expected an object, got {block!r}")
-    return block
+# ---------------------------------------------------------------------------
+# field readers: (value, "section.key") -> typed value, or a ConfigError naming the field
+# ---------------------------------------------------------------------------
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def read_field(raw: dict, section: str, key: str, kind=float):
-    """``kind(raw[section][key])``; a missing or ill-typed field is a ConfigError naming it."""
-    block = read_section(raw, section)
-    if key not in block:
-        raise ConfigError(f"{section}.{key}: missing")
-    try:
-        return kind(block[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected {kind.__name__}, "
-                          f"got {block[key]!r}") from None
+def _scalar(expected: str, ok, cast):
+    def read(v, where):
+        try:
+            if ok(v):
+                return cast(v)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        raise ConfigError(f"{where}: expected {expected}, got {v!r}")
+    return read
 
 
-def read_list(raw: dict, section: str, key: str) -> list[float]:
-    """``raw[section][key]`` as floats; a non-list or non-numeric entry is a ConfigError naming it."""
-    values = read_section(raw, section).get(key)
-    if not isinstance(values, list):
-        raise ConfigError(f"{section}.{key}: expected a list, got {values!r}")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected a list of numbers, "
-                          f"got {values!r}") from None
+_real = _scalar("float", _is_number, float)
+_int = _scalar("int", lambda v: isinstance(v, int) and not isinstance(v, bool)
+               or isinstance(v, float) and v.is_integer(), int)
+_str = _scalar("str", lambda v: isinstance(v, str), str)
+_eps_rule = _scalar("'matched' or a number", lambda v: v == "matched" or _is_number(v),
+                    lambda v: v if v == "matched" else float(v))
 
 
-_DEFAULTS = {
-    "cutoff": {"shoulder_fraction": 0.2},
-    "frequency_grid": {"y_max": 256.0, "spacing": 1.0 / 16.0},
-    "inversion": {"n_points": 513, "margin": 0.05},
-    "bounds": {"gamma": 0.5, "eps_rule": "matched", "y_lo": math.e, "y_hi": None},
-    "density": {"t_list": None},
-    "hoelder": {"gamma_list": [0.5], "t_list": None},
-    "certify": {
-        "checks": ["cf_sanity", "mass_consistency"],
-        "density_tolerance": 5e-3,
-        "analytic_tolerance": 1e-5,
-        "analytic_y_max": 96.0,
-        "bound_pass_fraction": 0.95,
-        "mass_slack": 1e-3,
-    },
-}
+def _reals(v, where: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where}: expected a list, got {v!r}")
+    if not all(_is_number(x) for x in v):
+        raise ConfigError(f"{where}: expected a list of numbers, got {v!r}")
+    return tuple(float(x) for x in v)
+
+
+def _optional(read):
+    return lambda v, where: None if v is None else read(v, where)
+
+
+def _rule(read, ok, text: str):
+    """``read``, then reject a value failing ``ok`` with "<where>: <text>, got <value>"."""
+    def checked(v, where):
+        x = read(v, where)
+        if not ok(x):
+            raise ConfigError(f"{where}: {text}, got {v!r}")
+        return x
+    return checked
 
 
 # names a run's certify.checks may list; the CLI maps each to its check
 CERTIFY_CHECKS = ("cf_sanity", "mass_consistency", "density_vs_oracle",
                   "analytic_roundtrip", "bound_check")
 
-# the keys each section may carry
-_FIELDS = {
-    "model": ("mu", "sigma"),
-    "window": ("xi", "delta", "delta0", "l_sigma"),
-    "simulation": ("x0", "t", "h", "n_paths", "seed"),
-    "reference": ("kind", "mu0", "sigma0", "theta", "x0"),
-    **{section: tuple(defaults) for section, defaults in _DEFAULTS.items()},
+
+def _checks(v, where: str) -> tuple[str, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where}: expected a list, got {v!r}")
+    for i, name in enumerate(v):
+        if name not in CERTIFY_CHECKS:
+            raise ConfigError(f"{where}[{i}]: unknown check {name!r}; "
+                              f"one of {list(CERTIFY_CHECKS)}")
+    return tuple(v)
+
+
+def _built(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a rule it enforces fails under the field's name."""
+    try:
+        return make(*args, **kwargs)
+    except SdeDensityError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _piecewise(v, where: str):
+    return _built(where, piecewise_from_dict, v)
+
+
+_REQUIRED = object()  # the default of a field that has none
+
+# section -> key -> (reader, default).  The reader carries the field's type and
+# its own rule; rules that tie sections together are in RunConfig.validate.  A
+# section whose fields all have defaults may be left out, and its defaults are
+# filled into RunConfig.raw; "reference" may be left out or null (no oracle).
+FIELDS = {
+    "model": {"mu": (_piecewise, _REQUIRED), "sigma": (_piecewise, _REQUIRED)},
+    "window": {key: (_real, _REQUIRED) for key in ("xi", "delta", "delta0", "l_sigma")},
+    "simulation": {"x0": (_real, _REQUIRED), "t": (_real, _REQUIRED), "h": (_real, _REQUIRED),
+                   "n_paths": (_int, _REQUIRED), "seed": (_int, _REQUIRED)},
+    "reference": {"kind": (_str, _REQUIRED), "mu0": (_real, 0.0), "sigma0": (_real, 1.0),
+                  "theta": (_real, 0.0), "x0": (_optional(_real), None)},
+    "cutoff": {"shoulder_fraction": (_real, 0.2)},
+    "frequency_grid": {"y_max": (_real, 256.0), "spacing": (_real, 1.0 / 16.0)},
+    "inversion": {"n_points": (_rule(_int, lambda n: n >= 2, "must be at least 2"), 513),
+                  "margin": (_real, 0.05)},
+    "bounds": {"gamma": (_rule(_real, lambda g: 0.0 < g < 1.0, "must lie in (0, 1)"), 0.5),
+               "eps_rule": (_eps_rule, "matched"), "y_lo": (_real, math.e),
+               "y_hi": (_optional(_real), None)},
+    "density": {"t_list": (_optional(_reals), None)},
+    "hoelder": {"gamma_list": (_rule(_reals, lambda gs: all(0.0 < g <= 1.0 for g in gs),
+                                     "entries must lie in (0, 1]"), [0.5]),
+                "t_list": (_optional(_reals), None)},
+    "certify": {"checks": (_checks, ["cf_sanity", "mass_consistency"]),
+                "density_tolerance": (_real, 5e-3), "analytic_tolerance": (_real, 1e-5),
+                "analytic_y_max": (_real, 96.0), "bound_pass_fraction": (_real, 0.95),
+                "mass_slack": (_real, 1e-3)},
 }
 
+# typed sections for the fields that no other class holds; density/hoelder
+# t_list default to (simulation.t,)
+Inversion, Bounds, Density, Hoelder, Certify = (
+    namedtuple(name, FIELDS[name.lower()]) for name in
+    ("Inversion", "Bounds", "Density", "Hoelder", "Certify"))
 
-def _reject_unknown_keys(raw: dict) -> None:
-    unknown = sorted((k for k in raw if k not in _FIELDS), key=str)
+
+def _parse_fields(raw) -> tuple[dict, dict]:
+    """``raw`` with section defaults filled in, and every field read, per section."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected an object, got {raw!r}")
+    unknown = sorted((k for k in raw if k not in FIELDS), key=str)
     if unknown:
-        raise ConfigError(f"config: unknown section(s) {unknown}; allowed {list(_FIELDS)}")
-    for section, fields in _FIELDS.items():
-        block = raw.get(section)
-        if isinstance(block, dict):
-            unknown = sorted((k for k in block if k not in fields), key=str)
-            if unknown:
-                raise ConfigError(f"{section}: unknown field(s) {unknown}; "
-                                  f"allowed {list(fields)}")
-
-
-_LATE_FIELDS = (
-    ("cutoff", "shoulder_fraction", float),
-    ("inversion", "n_points", int),
-    ("inversion", "margin", float),
-    ("bounds", "gamma", float),
-    *(("certify", key, float) for key in ("density_tolerance", "analytic_tolerance",
-                                          "analytic_y_max", "bound_pass_fraction",
-                                          "mass_slack")),
-)
+        raise ConfigError(f"config: unknown section(s) {unknown}; allowed {list(FIELDS)}")
+    merged, parsed = dict(raw), {}
+    for section, rows in FIELDS.items():
+        defaults = {key: d for key, (_, d) in rows.items() if d is not _REQUIRED}
+        all_defaulted = len(defaults) == len(rows)
+        block = raw.get(section, {} if all_defaulted else None)
+        if block is None and section == "reference":
+            parsed[section] = None
+            continue
+        if section not in raw and not all_defaulted:
+            raise ConfigError(f"config is missing the '{section}' section")
+        if not isinstance(block, dict):
+            raise ConfigError(f"{section}: expected an object, got {block!r}")
+        unknown = sorted((k for k in block if k not in rows), key=str)
+        if unknown:
+            raise ConfigError(f"{section}: unknown field(s) {unknown}; allowed {list(rows)}")
+        values = {**defaults, **block}
+        if all_defaulted:
+            merged[section] = values
+        parsed[section] = {}
+        for key, (read, _) in rows.items():
+            if key not in values:
+                raise ConfigError(f"{section}.{key}: missing")
+            parsed[section][key] = read(values[key], f"{section}.{key}")
+    return merged, parsed
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run config.  ``raw`` is the merged JSON, kept for the hash."""
+
     raw: dict
+    model: CoefficientModel
+    window: LocalWindow
+    simulation: SimConfig
+    reference_model: oracle.ReferenceModel | None
+    phi: CutoffFunction
+    freq_grid: charfn.FrequencyGrid
+    inversion: Inversion
+    bounds: Bounds
+    density: Density
+    hoelder: Hoelder
+    certify: Certify
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config: expected an object, got {raw!r}")
-        _reject_unknown_keys(raw)
-        merged = dict(raw)
-        for key, defaults in _DEFAULTS.items():
-            merged[key] = {**defaults, **(read_section(raw, key) if key in raw else {})}
-        for required in ("model", "window", "simulation"):
-            read_section(merged, required)
-        cfg = cls(raw=merged)
+        merged, p = _parse_fields(raw)
+        sim = p["simulation"]
+        for section in ("density", "hoelder"):
+            p[section]["t_list"] = p[section]["t_list"] or (sim["t"],)
+        window = _built("window", LocalWindow, **p["window"])
+        cfg = cls(
+            raw=merged,
+            model=CoefficientModel(**p["model"]),
+            window=window,
+            simulation=_built("simulation", SimConfig, x0=sim["x0"], t_final=sim["t"],
+                              h=sim["h"], n_paths=sim["n_paths"], seed=sim["seed"]),
+            reference_model=None if p["reference"] is None else oracle.ReferenceModel(
+                **p["reference"]),
+            phi=_built("cutoff.shoulder_fraction", make_bump, window,
+                       p["cutoff"]["shoulder_fraction"]),
+            freq_grid=_built("frequency_grid", charfn.FrequencyGrid.uniform,
+                             **p["frequency_grid"]),
+            inversion=Inversion(**p["inversion"]), bounds=Bounds(**p["bounds"]),
+            density=Density(**p["density"]), hoelder=Hoelder(**p["hoelder"]),
+            certify=Certify(**p["certify"]),
+        )
         cfg.validate()
         return cfg
 
@@ -154,75 +238,29 @@ class RunConfig:
     def with_seed(self, seed: int) -> "RunConfig":
         raw = json.loads(canonical_json(self.raw))
         raw["simulation"]["seed"] = int(seed)
-        return RunConfig(raw=raw)
+        return RunConfig.from_dict(raw)
 
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    # -- parsed sections ------------------------------------------------------
-
-    def model(self) -> CoefficientModel:
-        m = read_section(self.raw, "model")
-
-        def read(key):
-            if key not in m:
-                raise ConfigError(f"model.{key}: missing")
-            try:
-                return piecewise_from_dict(m[key])
-            except ConfigError as exc:
-                raise ConfigError(f"model.{key}: {exc}") from None
-
-        return CoefficientModel(mu=read("mu"), sigma=read("sigma"))
-
-    def window(self) -> LocalWindow:
-        return LocalWindow(**{k: read_field(self.raw, "window", k) for k in _FIELDS["window"]})
-
     def sim_config(self) -> SimConfig:
-        def read(key, kind=float):
-            return read_field(self.raw, "simulation", key, kind)
+        return self.simulation
 
-        return SimConfig(x0=read("x0"), t_final=read("t"), h=read("h"),
-                         n_paths=read("n_paths", int), seed=read("seed", int))
-
-    def frequency_grid(self) -> charfn.FrequencyGrid:
-        return charfn.FrequencyGrid.uniform(read_field(self.raw, "frequency_grid", "y_max"),
-                                            read_field(self.raw, "frequency_grid", "spacing"))
-
-    def reference(self):
-        if self.raw.get("reference") is None:
-            return None
-        r = read_section(self.raw, "reference")
-
-        def read(key, default):
-            return default if key not in r else read_field(self.raw, "reference", key)
-
-        return oracle.ReferenceModel(
-            kind=read_field(self.raw, "reference", "kind", str), mu0=read("mu0", 0.0),
-            sigma0=read("sigma0", 1.0), theta=read("theta", 0.0),
-            x0=None if r.get("x0") is None else read("x0", None),
-        )
-
-    def t_list(self, section: str) -> list[float]:
-        if not read_section(self.raw, section).get("t_list"):
-            return [read_field(self.raw, "simulation", "t")]
-        return read_list(self.raw, section, "t_list")
-
-    # -- cross-field validation ----------------------------------------------
+    def reference(self) -> oracle.ReferenceModel | None:
+        return self.reference_model
 
     def validate(self) -> None:
-        sim = self.sim_config()
-        w = self.window()
-        model = self.model()
-        validate_window(model, w)
+        """The rules that tie fields of different sections together."""
+        sim = self.simulation
+        validate_window(self.model, self.window)
         for section in ("density", "hoelder"):
-            for t in self.t_list(section):
+            for t in getattr(self, section).t_list:
                 k = round(t / sim.h)
                 if not (0 < t <= sim.t_final) or abs(k * sim.h - t) > 1e-9:
                     raise ConfigError(f"{section} t={t} is not on the grid or exceeds t_final")
-        b = self.raw["bounds"]
-        if b["eps_rule"] == "matched":
-            y_lo = read_field(self.raw, "bounds", "y_lo")
+        if self.bounds.eps_rule == "matched":
+            y_lo = self.bounds.y_lo
             if y_lo <= 1.0:
                 raise ConfigError("matched lookback needs y_lo > 1")
             if bounds_mod.epsilon_rule(y_lo) >= sim.t_final:
@@ -230,29 +268,10 @@ class RunConfig:
                     f"lookback at y_lo={y_lo} is {bounds_mod.epsilon_rule(y_lo):.4g} "
                     f">= t={sim.t_final}; raise t or y_lo"
                 )
-        fg = self.frequency_grid()
-        # the aliasing constraint on the inversion grid is checked when the
-        # grid is materialized (it depends on the transform); pre-check the
-        # obvious part here so bad configs fail before simulating
-        if fg.spacing <= 0:
-            raise ConfigError("frequency spacing must be positive")
-        # fields first read after the simulation: parse them now so a bad one fails first
-        for section, key, kind in _LATE_FIELDS:
-            read_field(self.raw, section, key, kind)
-        read_list(self.raw, "hoelder", "gamma_list")
-        checks = self.raw["certify"]["checks"]
-        if not isinstance(checks, list):
-            raise ConfigError(f"certify.checks: expected a list, got {checks!r}")
-        for i, name in enumerate(checks):
-            if name not in CERTIFY_CHECKS:
-                raise ConfigError(f"certify.checks[{i}]: unknown check {name!r}; "
-                                  f"one of {list(CERTIFY_CHECKS)}")
-        rm = self.reference()
-        if rm is not None:
-            try:
-                rm.marginal(sim.t_final)
-            except ConfigError as exc:
-                raise ConfigError(f"reference: {exc}") from None
+        _built("certify.analytic_y_max", charfn.FrequencyGrid.uniform,
+               self.certify.analytic_y_max, self.freq_grid.spacing)
+        if self.reference_model is not None:
+            _built("reference", self.reference_model.marginal, sim.t_final)
 
 
 class Pipeline:
@@ -265,17 +284,21 @@ class Pipeline:
         self._cf: dict[float, charfn.CharFnEstimate] = {}
         self._density: dict[float, tuple] = {}
 
-    @cached_property
+    @property
     def model(self) -> CoefficientModel:
-        return self.cfg.model()
+        return self.cfg.model
 
-    @cached_property
+    @property
     def window(self) -> LocalWindow:
-        return self.cfg.window()
+        return self.cfg.window
 
-    @cached_property
+    @property
     def phi(self) -> CutoffFunction:
-        return make_bump(self.window, read_field(self.cfg.raw, "cutoff", "shoulder_fraction"))
+        return self.cfg.phi
+
+    @property
+    def freq_grid(self) -> charfn.FrequencyGrid:
+        return self.cfg.freq_grid
 
     @cached_property
     def sigma_star(self) -> SigmaStar:
@@ -293,10 +316,10 @@ class Pipeline:
         band [k_end - max lookback, k_end], so the plan does not depend on
         which command runs.
         """
-        sim = self.cfg.sim_config()
+        sim = self.cfg.simulation
         steps = {sim.n_steps}
-        for section in ("density", "hoelder"):
-            steps.update(round(t / sim.h) for t in self.cfg.t_list(section))
+        for ts in (self.cfg.density.t_list, self.cfg.hoelder.t_list):
+            steps.update(round(t / sim.h) for t in ts)
         try:
             k_steps, _ = bounds_mod.lookback_steps(*self._bound_frequencies(),
                                                    sim.t_final, sim.h)
@@ -308,21 +331,16 @@ class Pipeline:
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
-        return simulate(self.model, self.cfg.sim_config(), threads=self.threads,
+        return simulate(self.model, self.cfg.simulation, threads=self.threads,
                         record=self.record_plan)
-
-    @cached_property
-    def freq_grid(self) -> charfn.FrequencyGrid:
-        return self.cfg.frequency_grid()
 
     def x_grid(self) -> np.ndarray:
         """Inversion grid in the transformed coordinate, covering H(supp phi)."""
         ha = self.transform.forward(self.phi.a)
         hb = self.transform.forward(self.phi.b)
         lo, hi = min(ha, hb), max(ha, hb)
-        margin = read_field(self.cfg.raw, "inversion", "margin") * (hi - lo)
-        grid = np.linspace(lo - margin, hi + margin,
-                           read_field(self.cfg.raw, "inversion", "n_points", int))
+        margin = self.cfg.inversion.margin * (hi - lo)
+        grid = np.linspace(lo - margin, hi + margin, self.cfg.inversion.n_points)
         if (grid[-1] - grid[0]) >= math.pi / self.freq_grid.spacing:
             raise ConfigError("inversion grid violates the aliasing limit; "
                               "reduce the margin or refine the frequency spacing")
@@ -344,18 +362,15 @@ class Pipeline:
 
     def _bound_frequencies(self) -> tuple[np.ndarray, str | float]:
         """The frequencies the bound report checks, and its lookback rule."""
-        raw = self.cfg.raw
+        b = self.cfg.bounds
         pos = self.freq_grid.positive()
-        mask = pos > read_field(raw, "bounds", "y_lo")
-        if raw["bounds"]["y_hi"] is not None:
-            mask &= pos <= read_field(raw, "bounds", "y_hi")
-        rule = raw["bounds"]["eps_rule"]
-        if rule != "matched":
-            rule = read_field(raw, "bounds", "eps_rule")
-        return pos[mask], rule
+        mask = pos > b.y_lo
+        if b.y_hi is not None:
+            mask &= pos <= b.y_hi
+        return pos[mask], b.eps_rule
 
     def bound_report(self, c: float | None = None):
-        t = self.cfg.sim_config().t_final
+        t = self.cfg.simulation.t_final
         cf = self.cf_at(t)
         y_check, rule = self._bound_frequencies()
         return bounds_mod.bound_report(cf, self.ensemble, self.model, self.window,

@@ -11,7 +11,6 @@ is bounded away from zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,34 +21,28 @@ from .model import Affine, Constant, LocalWindow, PiecewiseFunction, SigmaStar, 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _cell_integral(piece, a, b):
-    """Integral of 1/piece over [a, b]; exact for constant/affine."""
-    if isinstance(piece, Constant):
-        return (b - a) / piece.value
-    if isinstance(piece, Affine):
-        if piece.slope == 0.0:
-            return (b - a) / piece.intercept
-        va = piece.intercept + piece.slope * a
-        vb = piece.intercept + piece.slope * b
-        return math.log(vb / va) / piece.slope
-    nodes = a + (b - a) * 0.5 * (_GL_NODES + 1.0)
-    vals = piece(nodes)
-    return float((b - a) * 0.5 * np.sum(_GL_WEIGHTS / vals))
-
-
-def _cell_integral_many(piece, a, x):
-    """Vectorized integral of 1/piece from a (array) to x (array), same cell."""
-    if isinstance(piece, Constant):
-        return (x - a) / piece.value
-    if isinstance(piece, Affine):
-        if piece.slope == 0.0:
-            return (x - a) / piece.intercept
-        va = piece.intercept + piece.slope * a
-        vx = piece.intercept + piece.slope * x
-        return np.log(vx / va) / piece.slope
-    half = (x - a) * 0.5
-    nodes = a[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
-    return half * np.sum(_GL_WEIGHTS[None, :] / piece(nodes), axis=1)
+def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
+    """Integral of 1/sigma_cont from knots[cell[i]] to x[i], x[i] inside that cell,
+    where pieces[cell_piece[c]] applies; exact for constant/affine pieces,
+    Gauss-Legendre for the others."""
+    out = np.empty_like(x)
+    which = cell_piece[cell]
+    for pi in np.unique(which):
+        m, piece = which == pi, pieces[pi]
+        am, xm = knots[cell[m]], x[m]
+        if isinstance(piece, Constant):
+            out[m] = (xm - am) / piece.value
+        elif isinstance(piece, Affine) and piece.slope == 0.0:
+            out[m] = (xm - am) / piece.intercept
+        elif isinstance(piece, Affine):
+            va = piece.intercept + piece.slope * am
+            vx = piece.intercept + piece.slope * xm
+            out[m] = np.log(vx / va) / piece.slope
+        else:
+            half = (xm - am) * 0.5
+            nodes = am[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
+            out[m] = half * np.sum(_GL_WEIGHTS[None, :] / piece(nodes), axis=1)
+    return out
 
 
 @dataclass(eq=False)
@@ -85,12 +78,8 @@ class LampertiMap:
             xm = flat[mid]
             idx = np.searchsorted(self.knots_x, xm, side="right") - 1
             idx = np.clip(idx, 0, len(self.knots_x) - 2)
-            res = np.empty_like(xm)
-            pieces = self.sigma_star.base.pieces
-            cp = self.cell_piece[idx]
-            for pi in np.unique(cp):
-                m = cp == pi
-                res[m] = _cell_integral_many(pieces[pi], self.knots_x[idx[m]], xm[m])
+            res = _integrals_of_inverse(self.sigma_star.base.pieces, self.cell_piece,
+                                        self.knots_x, idx, xm)
             out[mid] = self.knots_h[idx] + res
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
@@ -188,9 +177,8 @@ def build_lamperti_map(
     mids = 0.5 * (knots[:-1] + knots[1:])
     cell_piece = base._indices(mids).astype(np.int64)
 
-    cell_vals = np.empty(len(knots) - 1)
-    for i in range(len(knots) - 1):
-        cell_vals[i] = _cell_integral(base.pieces[cell_piece[i]], knots[i], knots[i + 1])
+    cell_vals = _integrals_of_inverse(base.pieces, cell_piece, knots,
+                                      np.arange(len(knots) - 1), knots[1:])
     if not np.all(np.isfinite(cell_vals)):
         j = int(np.argwhere(~np.isfinite(cell_vals))[0])
         raise NumericsError(

@@ -436,25 +436,32 @@ class LocalWindow:
         return self.xi + self.delta
 
 
-def validate_window(model: CoefficientModel, w: LocalWindow, n_grid: int = 10_000) -> None:
-    """Grid-check the window hypotheses: |sigma| >= l_sigma and mu bounded on it.
-
-    Exact verification of arbitrary pieces is not decidable, so the checks
-    combine a dense grid with per-piece metadata.
-    """
-    xs = np.linspace(w.lo, w.hi, n_grid)
-    sig = model.sigma(xs)
+def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow,
+                           n_grid: int = 10_000) -> float:
+    """Grid-check sigma on the window (finite, |sigma| >= l_sigma, Lipschitz);
+    return its Lipschitz constant there."""
+    sig = sigma(np.linspace(w.lo, w.hi, n_grid))
     if not np.all(np.isfinite(sig)):
         raise ValidationError("sigma is not finite on the window")
     if float(np.min(np.abs(sig))) < w.l_sigma * (1 - 1e-12):
         raise ValidationError(
             f"inf |sigma| on the window is {np.min(np.abs(sig)):.6g} < l_sigma={w.l_sigma}"
         )
-    mu = model.mu(xs)
-    if not np.all(np.isfinite(mu)):
-        raise ValidationError("mu is not finite (bounded) on the window")
-    if not math.isfinite(model.sigma.lipschitz_on(w.lo, w.hi)):
+    lip = sigma.lipschitz_on(w.lo, w.hi)
+    if not math.isfinite(lip):
         raise ValidationError("sigma is not Lipschitz on the window")
+    return lip
+
+
+def validate_window(model: CoefficientModel, w: LocalWindow, n_grid: int = 10_000) -> None:
+    """Grid-check the window hypotheses: the sigma checks above, and mu bounded on it.
+
+    Exact verification of arbitrary pieces is not decidable, so the checks
+    combine a dense grid with per-piece metadata.
+    """
+    _check_sigma_on_window(model.sigma, w, n_grid)
+    if not np.all(np.isfinite(model.mu(np.linspace(w.lo, w.hi, n_grid)))):
+        raise ValidationError("mu is not finite (bounded) on the window")
 
 
 @dataclass(frozen=True)
@@ -488,16 +495,7 @@ class SigmaStar:
 
 def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow, n_grid: int = 10_000) -> SigmaStar:
     """Constant continuation of sigma outside the window [xi - delta, xi + delta]."""
-    xs = np.linspace(w.lo, w.hi, n_grid)
-    vals = sigma(xs)
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("sigma is not finite on the window")
-    if float(np.min(np.abs(vals))) < w.l_sigma * (1 - 1e-12):
-        raise ValidationError("sigma violates the ellipticity floor on the window")
-    lip = sigma.lipschitz_on(w.lo, w.hi)
-    if not math.isfinite(lip):
-        raise ValidationError("sigma is not Lipschitz on the window")
-
+    lip = _check_sigma_on_window(sigma, w, n_grid)
     left_value = float(sigma(w.lo))
     right_value = float(sigma.left_limit(w.hi))
 
@@ -533,14 +531,8 @@ class WeakDerivative:
 
 def weak_derivative(s: SigmaStar) -> WeakDerivative:
     """Detect kink points of the continuation and zero the derivative there."""
-    base = s.base
-    pts = set(base.kinks_in(-math.inf, math.inf))
-    for bp in base.breakpoints:
-        dl = base.left_derivative(bp)
-        dr = base.right_derivative(bp)
-        if abs(dl - dr) > _DERIV_MATCH_TOL * (1.0 + abs(dr)):
-            pts.add(bp)
-    return WeakDerivative(source=s, nondifferentiable_points=tuple(sorted(pts)))
+    return WeakDerivative(source=s,
+                          nondifferentiable_points=s.base.kinks_in(-math.inf, math.inf))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class SimConfig:
     h: float
     n_paths: int
     seed: int
-    scheme: str = "euler"
 
     def __post_init__(self):
         if not (0.0 < self.t_final <= 1.0):
@@ -52,8 +51,6 @@ class SimConfig:
             raise ConfigError("h must divide t_final (within 1e-12)")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
-        if self.scheme != "euler":
-            raise ConfigError(f"unsupported scheme {self.scheme!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
 

@@ -16,23 +16,25 @@ from sdedensity.util import mean_se
 
 class TestClosedFormBounds:
     def test_fixed_lookback_at_zero(self):
-        assert sd.fixed_lookback_bound(0.0, 0.1, 0.0) == pytest.approx(1.1, rel=1e-15)
+        assert sum(sd.fixed_lookback_bound(0.0, 0.1, 0.0)) == pytest.approx(1.1, rel=1e-15)
 
     def test_fixed_lookback_high_frequency_limit(self):
-        assert sd.fixed_lookback_bound(1e8, 0.25, 0.0) == pytest.approx(0.25, rel=1e-12)
+        assert sum(sd.fixed_lookback_bound(1e8, 0.25, 0.0)) == pytest.approx(0.25, rel=1e-12)
 
     def test_fixed_lookback_arithmetic(self):
         expect = 2 * math.exp(-0.5) + 1.0 + 1.0
-        assert sd.fixed_lookback_bound(1.0, 1.0, 0.5) == pytest.approx(expect, rel=1e-15)
+        assert sum(sd.fixed_lookback_bound(1.0, 1.0, 0.5)) == pytest.approx(expect, rel=1e-15)
 
     def test_monotone_in_remainder_and_eps_term(self, rng):
         for _ in range(100):
             y = rng.uniform(-50, 50)
             eps = rng.uniform(1e-4, 0.9)
             r1, r2 = sorted(rng.uniform(0, 1, 2))
-            assert sd.fixed_lookback_bound(y, eps, r1) <= sd.fixed_lookback_bound(y, eps, r2)
+            assert (sum(sd.fixed_lookback_bound(y, eps, r1))
+                    <= sum(sd.fixed_lookback_bound(y, eps, r2)))
         # the additive lookback term is monotone at fixed Gaussian factor
-        assert sd.fixed_lookback_bound(0.0, 0.2, 0.0) >= sd.fixed_lookback_bound(0.0, 0.1, 0.0)
+        assert (sum(sd.fixed_lookback_bound(0.0, 0.2, 0.0))
+                >= sum(sd.fixed_lookback_bound(0.0, 0.1, 0.0)))
 
     def test_lookback_rule_values(self):
         assert sd.epsilon_rule(math.e) == pytest.approx(math.exp(-2.0), rel=1e-14)
@@ -46,7 +48,7 @@ class TestClosedFormBounds:
             sd.epsilon_rule(-0.5)
 
     def test_matched_bound_values(self):
-        v = sd.matched_lookback_bound(math.e, 0.0)
+        v = sum(sd.matched_lookback_bound(math.e, 0.0))
         assert v == pytest.approx(math.exp(-0.5) + math.exp(-2.0), rel=1e-14)
         y = math.e**4
         assert y ** (-math.log(y) / 2) == pytest.approx(math.exp(-8.0), rel=1e-12)
@@ -147,7 +149,7 @@ class TestGaussianModelBound:
         for y, v, se in zip(grid.values, cf.values, cf.std_errors):
             if abs(y) <= 1.0 or sd.epsilon_rule(float(y)) >= t:
                 continue
-            bound = sd.fixed_lookback_bound(float(y), sd.epsilon_rule(float(y)), 0.0)
+            bound = sum(sd.fixed_lookback_bound(float(y), sd.epsilon_rule(float(y)), 0.0))
             assert abs(v) <= 3.0 * bound + 3.0 * se
 
     def test_sign_drift_remainder_slope_range(self, sign_run):

@@ -72,6 +72,17 @@ class TestConfigLoading:
         assert c1.hash == c2.hash
         assert c1.with_seed(123).hash != c1.hash
 
+    @pytest.mark.parametrize("name, digest", [
+        ("gaussian", "2ce73861c5706b353b29cb22960c06f623309f2fd516b3b1eb296bb15a2292a9"),
+        ("ou", "f97543149e9c48c165e1e06fc92c560d52b5629b93a57775b012b56faad2ef79"),
+        ("gbm", "556def8805a473f5926048fff96622c7dc649b83a8d78681ff0500dcf91507ce"),
+        ("sign_drift", "07867326afad752d0aebb7fc5289d35aef2047b2eafac40d380c24ea940d1657"),
+    ])
+    def test_preset_hash_pinned(self, name, digest):
+        # the hash covers the merged config, so a changed default, or y_hi/t_list
+        # no longer filled in as null, changes it
+        assert RunConfig.from_dict(PRESETS[name]).hash == digest
+
 
 class TestCommands:
     def test_simulate_writes_ensemble(self, config_file, tmp_path):
@@ -108,6 +119,11 @@ class TestCommands:
     @pytest.mark.parametrize("section, key, value, message", [
         ("window", "delta0", None, "window.delta0: missing"),
         ("simulation", "n_paths", "many", "simulation.n_paths: expected int, got 'many'"),
+        ("simulation", "n_paths", 2.7, "simulation.n_paths: expected int, got 2.7"),
+        ("simulation", "n_paths", True, "simulation.n_paths: expected int, got True"),
+        ("simulation", "seed", 99.5, "simulation.seed: expected int, got 99.5"),
+        ("inversion", "n_points", 101.5, "inversion.n_points: expected int, got 101.5"),
+        ("inversion", "n_points", False, "inversion.n_points: expected int, got False"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
         bad = tiny_config()
@@ -130,6 +146,8 @@ class TestCommands:
          "frequency_grid.y_max: expected float, got 'big'"),
         (lambda c: c["certify"].update(analytic_y_max="x"),
          "certify.analytic_y_max: expected float, got 'x'"),
+        (lambda c: c["certify"].update(analytic_y_max=-1.0),
+         "certify.analytic_y_max: y_max and spacing must be positive"),
         (lambda c: c["reference"].update(kind="ornstein_uhlenbeck"),
          "reference: theta must be positive"),
         (lambda c: c["density"].update(t_list=["x"]),
@@ -150,14 +168,28 @@ class TestCommands:
          "'density_vs_oracle', 'analytic_roundtrip', 'bound_check']"),
         (lambda c: c["certify"].update(checks="cf_sanity"),
          "certify.checks: expected a list, got 'cf_sanity'"),
+        (lambda c: c["hoelder"].update(gamma_list=[0.5, 1.5]),
+         "hoelder.gamma_list: entries must lie in (0, 1], got [0.5, 1.5]"),
+        (lambda c: c["bounds"].update(gamma=1.5), "bounds.gamma: must lie in (0, 1), got 1.5"),
+        (lambda c: c["inversion"].update(n_points=1),
+         "inversion.n_points: must be at least 2, got 1"),
+        (lambda c: c["cutoff"].update(shoulder_fraction=0.9),
+         "cutoff.shoulder_fraction: shoulder_fraction must lie in (0, 1/2)"),
+        (lambda c: c["bounds"].update(eps_rule="bogus"),
+         "bounds.eps_rule: expected 'matched' or a number, got 'bogus'"),
     ])
-    def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, edit, message):
+    def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, edit, message):
+        from sdedensity import config
+
+        calls = []
+        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
         bad = tiny_config()
         edit(bad)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []  # every one of these fails before simulating
 
     def test_bad_check_name_fails_before_simulating(self, tmp_path, monkeypatch):
         from sdedensity import config

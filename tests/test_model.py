@@ -129,10 +129,10 @@ def _preset_functions():
     out = []
     for name in ("gaussian", "ou", "gbm", "sign_drift"):
         cfg = preset(name)
-        model = cfg.model()
+        model = cfg.model
         out += [pytest.param(model.mu, id=f"{name}.mu"),
                 pytest.param(model.sigma, id=f"{name}.sigma"),
-                pytest.param(sd.build_sigma_star(model.sigma, cfg.window()).base,
+                pytest.param(sd.build_sigma_star(model.sigma, cfg.window).base,
                              id=f"{name}.sigma_star")]
     out.append(pytest.param(pw([-2.0, -0.5, 0.0, 1.0, 2.5], [
         sd.Constant(1.5),

@@ -62,7 +62,7 @@ def test_forward_map_monotone(offset, amp):
        r2=st.floats(min_value=0.0, max_value=5.0))
 def test_fixed_bound_monotone_in_remainder(y, eps, r1, r2):
     lo, hi = sorted((r1, r2))
-    assert sd.fixed_lookback_bound(y, eps, lo) <= sd.fixed_lookback_bound(y, eps, hi)
+    assert sum(sd.fixed_lookback_bound(y, eps, lo)) <= sum(sd.fixed_lookback_bound(y, eps, hi))
 
 
 @given(y=st.floats(min_value=1.0 + 1e-6, max_value=1e6))

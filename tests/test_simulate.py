@@ -24,10 +24,6 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             sd.SimConfig(x0=0.0, t_final=1.5, h=0.25, n_paths=10, seed=1)
 
-    def test_scheme_checked(self):
-        with pytest.raises(ConfigError):
-            sd.SimConfig(x0=0.0, t_final=1.0, h=0.25, n_paths=10, seed=1, scheme="milstein")
-
 
 class TestEulerStatistics:
     def test_martingale_mean(self, bm_ensemble):
@@ -170,7 +166,7 @@ class TestEulerZ:
     def test_one_step_reproduces_endpoint_with_state_dependent_sigma(self):
         # gbm: sigma(x) = 0.25 x, so the step must evaluate sigma at X_k, not
         # at the post-drift state, for euler_z(eps=h) to be the simulated step
-        model = sd.preset("gbm").model()
+        model = sd.preset("gbm").model
         cfg = sd.SimConfig(x0=2.0, t_final=0.25, h=2.0**-6, n_paths=5_000, seed=5)
         ens = sd.simulate(model, cfg, threads=2)
         z = sd.euler_z(ens, model, eps=cfg.h, t=0.25, threads=2)
