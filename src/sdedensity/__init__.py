@@ -13,13 +13,12 @@ from .charfn import (CharFnEstimate, FrequencyGrid, analytic_conditional_cf,
                      analytic_weighted_gaussian, cf_from_samples, estimate,
                      estimate_localized)
 from .config import PRESETS, Pipeline, RunConfig, preset
-from .cutoff import CutoffFunction, compose_with_inverse, make_bump, make_plateau_sequence
+from .cutoff import CutoffFunction, make_bump, make_plateau_sequence
 from .errors import (AlignmentError, ConfigError, DomainError, NumericsError,
                      RangeError, SdeDensityError, SimulationError, ValidationError)
 from .invert import (DensityEstimate, JointScan, decay_smoothness_constant, holder_norm, invert,
                      joint_continuity_scan, pushforward)
-from .lamperti import (ImageWindow, LampertiMap, build_lamperti_map, image_window,
-                       transform_coefficients)
+from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, HolderPower, LocalWindow,
                     PiecewiseFunction, Polynomial, SigmaStar, Sinusoid, WeakDerivative,
                     build_sigma_star, drift_functional, piecewise_from_dict,

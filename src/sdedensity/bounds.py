@@ -20,7 +20,6 @@ stability under changes of sample size is part of the acceptance story.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,7 +28,7 @@ import numpy as np
 from .charfn import CharFnEstimate
 from .errors import AlignmentError, ConfigError, DomainError
 from .model import CoefficientModel, DriftFunctional, LocalWindow, build_sigma_star, \
-    drift_functional, weak_derivative
+    drift_functional
 from .simulate import BLOCK_PATHS, PathEnsemble, stay_suffix
 from .util import MCEstimate, fmt_float, map_ordered, mean_se, path_chunks
 
@@ -59,8 +58,7 @@ def matched_lookback_bound(y, remainder_at_eps_y) -> tuple:
 
 
 def _drift_functional_for(model: CoefficientModel, w: LocalWindow) -> DriftFunctional:
-    s = build_sigma_star(model.sigma, w)
-    return drift_functional(model.mu, s, weak_derivative(s))
+    return drift_functional(model.mu, build_sigma_star(model.sigma, w))
 
 
 def _remainder_samples(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow, k_end: int,
@@ -97,18 +95,18 @@ def _remainder_samples(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow, k_
 
 
 def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
-              eps: float, t: float, g: DriftFunctional | None = None) -> MCEstimate:
+              eps: float, t: float) -> MCEstimate:
     """MC estimate of the localized running-increment of the drift functional.
 
     Per path:  1_{stay in window} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |.
-    The single-lookback case of the estimator ``bound_report`` uses.
+    The single-lookback case of the estimator ``bound_report`` uses; kept for
+    the remainder's scaling exponent (``test_acceptance.py::TestCriterion4RemainderScaling``).
     """
     if eps < ens.config.h * (1 - 1e-9):
         raise AlignmentError("eps is below the grid resolution")
     k_end = ens.time_index(t)
     k0 = ens.time_index(t - eps)
-    if g is None:
-        g = _drift_functional_for(model, w)
+    g = _drift_functional_for(model, w)
     return mean_se(_remainder_samples(ens, g, w, k_end, np.array([k_end - k0]))[0])
 
 
@@ -231,23 +229,20 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
 
 
 def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
-                 w: LocalWindow, t: float, y_check: np.ndarray | None = None,
+                 w: LocalWindow, t: float, y_check: np.ndarray,
                  eps_rule: str | float = "matched", c: float | None = None,
                  threads: int = 1) -> BoundReport:
     """Evaluate the bound at each checked frequency against the empirical CF.
 
-    eps_rule 'matched' uses the per-frequency lookback eps_y (rounded to the
-    path grid); a float uses that fixed lookback everywhere.  The remainder
-    is estimated once per distinct grid lookback, streamed over path blocks
+    ``y_check`` are grid frequencies (``RunConfig.bound_frequencies`` picks
+    them for a run).  eps_rule 'matched' uses the per-frequency lookback eps_y
+    (rounded to the path grid); a float uses that fixed lookback everywhere.
+    The remainder is estimated once per distinct grid lookback, streamed over path blocks
     (on ``threads`` workers) that each evaluate g once on their part of the
     lookback band; only one sample per path and distinct lookback is kept.
     The report does not depend on ``threads``.
     """
     h = ens.config.h
-    if y_check is None:
-        lo = math.e if eps_rule == "matched" else 0.0
-        y_check = cf.grid.positive()
-        y_check = y_check[y_check > lo]
     y_check = np.asarray(y_check, dtype=float)
     k_steps, rule_name = lookback_steps(y_check, eps_rule, t, h)
     k_end = ens.time_index(t)

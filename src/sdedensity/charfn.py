@@ -82,9 +82,6 @@ class CharFnEstimate:
         j = int(round((y - self.grid.values[0]) / self.grid.spacing))
         return float(self.std_errors[j])
 
-    def modulus(self) -> np.ndarray:
-        return np.abs(self.values)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("y,re,im,se\n")
@@ -188,7 +185,8 @@ def analytic_conditional_cf(x: float, y: float, eps: float, model: CoefficientMo
 
 
 def analytic_weighted_gaussian(yhat: float, eps: float) -> complex:
-    """E[N e^{i yhat N}] for N ~ Normal(0, eps):  i eps yhat e^{-yhat^2 eps / 2}."""
+    """E[N e^{i yhat N}] for N ~ Normal(0, eps):  i eps yhat e^{-yhat^2 eps / 2};
+    the noise term of the frozen-coefficient step (``test_charfn.py::TestAnalyticOracles``)."""
     if eps <= 0:
         raise ConfigError("eps must be positive")
     return 1j * eps * yhat * cmath.exp(-0.5 * yhat * yhat * eps)

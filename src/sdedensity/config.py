@@ -199,6 +199,8 @@ class RunConfig:
     density: Density
     hoelder: Hoelder
     certify: Certify
+    sigma_star: SigmaStar
+    transform: LampertiMap
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -207,9 +209,11 @@ class RunConfig:
         for section in ("density", "hoelder"):
             p[section]["t_list"] = p[section]["t_list"] or (sim["t"],)
         window = _built("window", LocalWindow, **p["window"])
+        model = CoefficientModel(**p["model"])
+        sigma_star = build_sigma_star(model.sigma, window)
         cfg = cls(
             raw=merged,
-            model=CoefficientModel(**p["model"]),
+            model=model,
             window=window,
             simulation=_built("simulation", SimConfig, x0=sim["x0"], t_final=sim["t"],
                               h=sim["h"], n_paths=sim["n_paths"], seed=sim["seed"]),
@@ -222,6 +226,8 @@ class RunConfig:
             inversion=Inversion(**p["inversion"]), bounds=Bounds(**p["bounds"]),
             density=Density(**p["density"]), hoelder=Hoelder(**p["hoelder"]),
             certify=Certify(**p["certify"]),
+            sigma_star=sigma_star,
+            transform=build_lamperti_map(sigma_star),
         )
         cfg.validate()
         return cfg
@@ -250,6 +256,22 @@ class RunConfig:
     def reference(self) -> oracle.ReferenceModel | None:
         return self.reference_model
 
+    def bound_frequencies(self) -> tuple[np.ndarray, str | float]:
+        """The frequencies the bound report checks, and its lookback rule."""
+        b = self.bounds
+        pos = self.freq_grid.positive()
+        mask = pos > b.y_lo
+        if b.y_hi is not None:
+            mask &= pos <= b.y_hi
+        return pos[mask], b.eps_rule
+
+    @property
+    def x_range(self) -> tuple[float, float]:
+        """Ends of the inversion grid: H(supp phi) widened by inversion.margin per side."""
+        lo, hi = self.transform.image(self.phi.a, self.phi.b)
+        margin = self.inversion.margin * (hi - lo)
+        return lo - margin, hi + margin
+
     def validate(self) -> None:
         """The rules that tie fields of different sections together."""
         sim = self.simulation
@@ -259,15 +281,19 @@ class RunConfig:
                 k = round(t / sim.h)
                 if not (0 < t <= sim.t_final) or abs(k * sim.h - t) > 1e-9:
                     raise ConfigError(f"{section} t={t} is not on the grid or exceeds t_final")
-        if self.bounds.eps_rule == "matched":
-            y_lo = self.bounds.y_lo
-            if y_lo <= 1.0:
-                raise ConfigError("matched lookback needs y_lo > 1")
-            if bounds_mod.epsilon_rule(y_lo) >= sim.t_final:
-                raise ConfigError(
-                    f"lookback at y_lo={y_lo} is {bounds_mod.epsilon_rule(y_lo):.4g} "
-                    f">= t={sim.t_final}; raise t or y_lo"
-                )
+        y_check, rule = self.bound_frequencies()
+        if y_check.size == 0:
+            raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "
+                              f"in ({self.bounds.y_lo}, {self.bounds.y_hi}]")
+        # every checked frequency has a lookback in (0, t); record_plan relies on it
+        _built("bounds.eps_rule", bounds_mod.lookback_steps, y_check, rule, sim.t_final, sim.h)
+        lo, hi = self.x_range
+        limit = math.pi / self.freq_grid.spacing
+        if hi - lo >= limit:
+            raise ConfigError(
+                f"inversion.margin: the inversion grid spans {hi - lo:.4g}, not below the "
+                f"aliasing limit pi/frequency_grid.spacing = {limit:.4g}; reduce the margin "
+                f"or refine the frequency spacing")
         _built("certify.analytic_y_max", charfn.FrequencyGrid.uniform,
                self.certify.analytic_y_max, self.freq_grid.spacing)
         if self.reference_model is not None:
@@ -300,13 +326,13 @@ class Pipeline:
     def freq_grid(self) -> charfn.FrequencyGrid:
         return self.cfg.freq_grid
 
-    @cached_property
+    @property
     def sigma_star(self) -> SigmaStar:
-        return build_sigma_star(self.model.sigma, self.window)
+        return self.cfg.sigma_star
 
-    @cached_property
+    @property
     def transform(self) -> LampertiMap:
-        return build_lamperti_map(self.sigma_star)
+        return self.cfg.transform
 
     @cached_property
     def record_plan(self) -> tuple[int, ...]:
@@ -320,13 +346,9 @@ class Pipeline:
         steps = {sim.n_steps}
         for ts in (self.cfg.density.t_list, self.cfg.hoelder.t_list):
             steps.update(round(t / sim.h) for t in ts)
-        try:
-            k_steps, _ = bounds_mod.lookback_steps(*self._bound_frequencies(),
-                                                   sim.t_final, sim.h)
-        except ConfigError:
-            pass  # bound_report raises the same error, before it reads any state
-        else:
-            steps.update(range(sim.n_steps - int(np.max(k_steps)), sim.n_steps))
+        k_steps, _ = bounds_mod.lookback_steps(*self.cfg.bound_frequencies(),
+                                               sim.t_final, sim.h)
+        steps.update(range(sim.n_steps - int(np.max(k_steps)), sim.n_steps))
         return tuple(sorted(steps))
 
     @cached_property
@@ -336,15 +358,7 @@ class Pipeline:
 
     def x_grid(self) -> np.ndarray:
         """Inversion grid in the transformed coordinate, covering H(supp phi)."""
-        ha = self.transform.forward(self.phi.a)
-        hb = self.transform.forward(self.phi.b)
-        lo, hi = min(ha, hb), max(ha, hb)
-        margin = self.cfg.inversion.margin * (hi - lo)
-        grid = np.linspace(lo - margin, hi + margin, self.cfg.inversion.n_points)
-        if (grid[-1] - grid[0]) >= math.pi / self.freq_grid.spacing:
-            raise ConfigError("inversion grid violates the aliasing limit; "
-                              "reduce the margin or refine the frequency spacing")
-        return grid
+        return np.linspace(*self.cfg.x_range, self.cfg.inversion.n_points)
 
     def cf_at(self, t: float) -> charfn.CharFnEstimate:
         if t not in self._cf:
@@ -360,21 +374,12 @@ class Pipeline:
             self._density[t] = (cf, p, q)
         return self._density[t]
 
-    def _bound_frequencies(self) -> tuple[np.ndarray, str | float]:
-        """The frequencies the bound report checks, and its lookback rule."""
-        b = self.cfg.bounds
-        pos = self.freq_grid.positive()
-        mask = pos > b.y_lo
-        if b.y_hi is not None:
-            mask &= pos <= b.y_hi
-        return pos[mask], b.eps_rule
-
-    def bound_report(self, c: float | None = None):
+    def bound_report(self):
         t = self.cfg.simulation.t_final
         cf = self.cf_at(t)
-        y_check, rule = self._bound_frequencies()
+        y_check, rule = self.cfg.bound_frequencies()
         return bounds_mod.bound_report(cf, self.ensemble, self.model, self.window,
-                                       t, y_check=y_check, eps_rule=rule, c=c,
+                                       t, y_check=y_check, eps_rule=rule,
                                        threads=self.threads)
 
 

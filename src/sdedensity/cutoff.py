@@ -7,8 +7,9 @@ give closed-form derivative norms:
     sup|phi'|  = 1.875 / w            (at the shoulder midpoint)
     sup|phi''| = (10/sqrt(3)) / w^2   (Lipschitz constant of phi')
 
-for shoulder width w.  These constants feed the bound bookkeeping, so they
-are stored on the object rather than re-estimated numerically.
+for shoulder width w.  They are exposed as ``c1``, ``lip1`` and ``c2_norm``
+so that the tests can check them against finite differences; no command
+reads them.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class CutoffFunction:
 
     # analytically known C^2 data
     @property
-    def c0(self) -> float:
-        return 1.0
-
-    @property
     def c1(self) -> float:
         return 1.875 / self.shoulder_width
 
@@ -76,7 +73,7 @@ class CutoffFunction:
     @property
     def c2_norm(self) -> float:
         """sup|phi| + sup|phi'| + Lipschitz constant of phi'."""
-        return self.c0 + self.c1 + self.lip1
+        return self.sup_norm + self.c1 + self.lip1
 
     @property
     def support(self) -> tuple[float, float]:
@@ -140,7 +137,8 @@ def make_bump(w: LocalWindow, shoulder_fraction: float) -> CutoffFunction:
 
 def make_plateau_sequence(k: int) -> CutoffFunction:
     """The k-th member of the global plateau family: 1 on [-k, k], support
-    inside (-(k+1), k+1), C^2 norm independent of k (fixed shoulder width)."""
+    inside (-(k+1), k+1), C^2 norm independent of k (fixed shoulder width).
+    Kept for the plateau-family claim (``test_cutoff.py::TestPlateauSequence``)."""
     if k < 1:
         raise ConfigError("k must be a positive integer")
     width = 1.0 - _SUPPORT_MARGIN
@@ -148,31 +146,3 @@ def make_plateau_sequence(k: int) -> CutoffFunction:
                           shoulder_width=width,
                           plateau_lo=-float(k), plateau_hi=float(k))
 
-
-@dataclass(frozen=True)
-class ComposedCutoff:
-    """phi composed with the inverse coordinate change, supported on its image."""
-
-    phi: CutoffFunction
-    transform: object  # LampertiMap; kept loose to avoid an import cycle
-
-    def __call__(self, y):
-        return self.phi(self.transform.inverse_many(y))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        ha = self.transform.forward(self.phi.a)
-        hb = self.transform.forward(self.phi.b)
-        return (min(ha, hb), max(ha, hb))
-
-    @property
-    def sup_norm(self) -> float:
-        return self.phi.sup_norm
-
-
-def compose_with_inverse(phi: CutoffFunction, transform) -> ComposedCutoff:
-    """phi o H^{-1}; requires supp(phi) inside the transform's invertible box."""
-    lo, hi = transform.box
-    if not (lo <= phi.a and phi.b <= hi):
-        raise ConfigError("cutoff support exceeds the invertible box of the transform")
-    return ComposedCutoff(phi=phi, transform=transform)

@@ -29,6 +29,8 @@ from .model import SigmaStar
 from .simulate import PathEnsemble
 from .util import fmt_float
 
+_INVERT_BLOCK, _HOLDER_BLOCK = 256, 512  # rows per block: invert's phases, holder_norm's pairs
+
 
 @dataclass(eq=False)
 class DensityEstimate:
@@ -54,7 +56,7 @@ class DensityEstimate:
                 fh.write(f"{fmt_float(x)},{fmt_float(v)}\n")
 
 
-def invert(cf: CharFnEstimate, x_grid: np.ndarray, block: int = 256) -> DensityEstimate:
+def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
     """Trapezoid Fourier inversion of the CF estimate onto x_grid."""
     x_grid = np.asarray(x_grid, dtype=float)
     y = cf.grid.values
@@ -69,10 +71,10 @@ def invert(cf: CharFnEstimate, x_grid: np.ndarray, block: int = 256) -> DensityE
     wts[0] = wts[-1] = 0.5
     wv = wts * cf.values
     out = np.empty(x_grid.size, dtype=complex)
-    for s in range(0, x_grid.size, block):
-        xb = x_grid[s:s + block]
+    for s in range(0, x_grid.size, _INVERT_BLOCK):
+        xb = x_grid[s:s + _INVERT_BLOCK]
         phases = np.exp(-1j * xb[:, None] * y[None, :])
-        out[s:s + block] = (phases * wv[None, :]).sum(axis=1)
+        out[s:s + _INVERT_BLOCK] = (phases * wv[None, :]).sum(axis=1)
     out *= dy / (2.0 * math.pi)
 
     # propagated-noise allowance for the imaginary residue, with a floor that
@@ -113,7 +115,7 @@ def pushforward(p: DensityEstimate, m: LampertiMap, s: SigmaStar) -> DensityEsti
 
 
 def holder_norm(d: DensityEstimate | np.ndarray, gamma: float,
-                x_grid: np.ndarray | None = None, block: int = 512) -> float:
+                x_grid: np.ndarray | None = None) -> float:
     """Discrete C^gamma norm: max(sup |f|, sup over grid pairs |df| / |dx|^gamma)."""
     if not (0.0 < gamma <= 1.0):
         raise DomainError("gamma must lie in (0, 1]")
@@ -128,9 +130,9 @@ def holder_norm(d: DensityEstimate | np.ndarray, gamma: float,
     best = float(np.max(np.abs(vs)))
     semi = 0.0
     n = xs.size
-    for s in range(0, n, block):
-        xd = np.abs(xs[s:s + block, None] - xs[None, :])
-        vd = np.abs(vs[s:s + block, None] - vs[None, :])
+    for s in range(0, n, _HOLDER_BLOCK):
+        xd = np.abs(xs[s:s + _HOLDER_BLOCK, None] - xs[None, :])
+        vd = np.abs(vs[s:s + _HOLDER_BLOCK, None] - vs[None, :])
         mask = xd > 0
         if np.any(mask):
             semi = max(semi, float(np.max(vd[mask] / xd[mask] ** gamma)))
@@ -149,7 +151,8 @@ def decay_smoothness_constant(gamma: float) -> float:
     computed as a singular head (regularized by u = z^{1-gamma}), one-lobe
     Gauss panels out to Z = 2pi*(PANELS+1), plus the explicit envelope tail
     bound integral_{|z|>Z} 2 |z|^{-1-gamma} dz, which is added so that the
-    returned constant is a certified upper value.
+    returned constant is a certified upper value.  Kept for the decay-to-
+    smoothness claim (``test_acceptance.py::TestCriterion7DecaySmoothnessContract``).
     """
     if not (0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1): the integral diverges otherwise")
@@ -217,6 +220,7 @@ def joint_continuity_scan(ens: PathEnsemble, phi, transform: LampertiMap, s: Sig
     sup of |q_{t+dt} - q_t| per step is compared with the same quantity at
     half the step, the discrete surrogate for joint continuity.  What ratio
     counts as "shrinking" is the caller's choice; the scan only reports.
+    Kept for the joint (t, x) continuity claim (``test_invert.py::TestJointScan``).
     """
     t_coarse = np.asarray(sorted(t_list), dtype=float)
     if t_coarse.size < 2:

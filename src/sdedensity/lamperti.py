@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, RangeError, ValidationError
-from .model import Affine, Constant, LocalWindow, PiecewiseFunction, SigmaStar, weak_derivative
+from .model import Affine, Constant, SigmaStar
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_INVERSE_TOLERANCE = 1e-10  # Newton stopping tolerance of the inverse, in H units
+_N_KNOTS = 4096  # uniform knots of the H table on the window (breakpoints added)
+_BOX_RADII = 3.0  # the inverse is defined on H([xi - 3 delta, xi + 3 delta])
 
 
 def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
@@ -51,8 +54,6 @@ class LampertiMap:
 
     sigma_star: SigmaStar
     anchor: float
-    quad_tolerance: float
-    box: tuple[float, float]
     knots_x: np.ndarray = field(repr=False)
     knots_h: np.ndarray = field(repr=False)
     cell_piece: np.ndarray = field(repr=False)  # piece index per knot cell
@@ -86,9 +87,15 @@ class LampertiMap:
     def forward(self, x: float) -> float:
         return float(self.forward_many(float(x)))
 
-    def derivative(self, x):
-        """H'(x) = 1/sigma_cont(x)."""
-        return 1.0 / self.sigma_star(x)
+    def image(self, a: float, b: float) -> tuple[float, float]:
+        """H([a, b]) as (lo, hi).
+
+        One scalar ``forward`` per endpoint: a batched call need not round
+        the same (numpy's vector and scalar log loops differ), and the
+        inversion grid is built from these two numbers.
+        """
+        ha, hb = self.forward(a), self.forward(b)
+        return (min(ha, hb), max(ha, hb))
 
     # -- inverse -------------------------------------------------------------
 
@@ -98,16 +105,15 @@ class LampertiMap:
 
     @property
     def h_range(self) -> tuple[float, float]:
-        lo, hi = self.box
-        a, b = self.forward(lo), self.forward(hi)
-        return (min(a, b), max(a, b))
+        """The invertible range: the image of the box [xi - 3 delta, xi + 3 delta]."""
+        w = self.sigma_star.window
+        return self.image(w.xi - _BOX_RADII * w.delta, w.xi + _BOX_RADII * w.delta)
 
     def inverse_many(self, y) -> np.ndarray:
-        """x with H(x) = y, for y inside the image of the configured box."""
+        """x with H(x) = y, for y inside ``h_range``."""
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel().copy()
         r_lo, r_hi = self.h_range
-        tol = self.quad_tolerance
         span = max(abs(r_lo), abs(r_hi), 1.0)
         if np.any(flat < r_lo - 1e-12 * span) or np.any(flat > r_hi + 1e-12 * span):
             bad = flat[(flat < r_lo - 1e-12 * span) | (flat > r_hi + 1e-12 * span)][0]
@@ -138,7 +144,7 @@ class LampertiMap:
             x = 0.5 * (lo_b + hi_b)
             for _ in range(80):
                 res = self.forward_many(x) - ym
-                if np.all(np.abs(res) <= tol):
+                if np.all(np.abs(res) <= _INVERSE_TOLERANCE):
                     break
                 pos = res * sgn > 0
                 hi_b = np.where(pos, x, hi_b)
@@ -155,22 +161,12 @@ class LampertiMap:
         return float(self.inverse_many(float(y)))
 
 
-def build_lamperti_map(
-    s: SigmaStar,
-    quad_tolerance: float = 1e-10,
-    n_knots: int = 4096,
-    box: tuple[float, float] | None = None,
-) -> LampertiMap:
+def build_lamperti_map(s: SigmaStar) -> LampertiMap:
     """Tabulate H on the window and wire up the closed-form continuations."""
     w = s.window
-    if box is None:
-        box = (w.xi - 3.0 * w.delta, w.xi + 3.0 * w.delta)
-    if not (box[0] <= w.lo and w.hi <= box[1]):
-        raise ValidationError("invertible box must contain the window")
-
     base = s.base
     knots = np.unique(np.concatenate([
-        np.linspace(w.lo, w.hi, n_knots),
+        np.linspace(w.lo, w.hi, _N_KNOTS),
         np.asarray([bp for bp in base.breakpoints if w.lo <= bp <= w.hi]),
         np.asarray(sorted(k for p in base.pieces for k in p.kinks(w.lo, w.hi))),
     ]))
@@ -189,8 +185,6 @@ def build_lamperti_map(
     m = LampertiMap(
         sigma_star=s,
         anchor=w.lo,
-        quad_tolerance=quad_tolerance,
-        box=(float(box[0]), float(box[1])),
         knots_x=knots,
         knots_h=knots_h,
         cell_piece=cell_piece,
@@ -201,48 +195,3 @@ def build_lamperti_map(
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValidationError("transform is not strictly monotone; check sigma's sign")
     return m
-
-
-@dataclass(frozen=True)
-class ImageWindow:
-    """The window seen in transformed coordinates: H(B_delta(xi)) = B_{delta_h}(xi_h)."""
-
-    xi_h: float
-    delta_h: float
-
-    @property
-    def lo(self) -> float:
-        return self.xi_h - self.delta_h
-
-    @property
-    def hi(self) -> float:
-        return self.xi_h + self.delta_h
-
-
-def image_window(m: LampertiMap, w: LocalWindow) -> ImageWindow:
-    a = m.forward(w.lo)
-    b = m.forward(w.hi)
-    return ImageWindow(xi_h=0.5 * (a + b), delta_h=0.5 * abs(b - a))
-
-
-def transform_coefficients(mu: PiecewiseFunction, s: SigmaStar, m: LampertiMap,
-                           sigma: PiecewiseFunction | None = None):
-    """Drift and diffusion of the transformed process Y = H(X).
-
-    Returns (mu_h, sigma_h) as vectorized callables of the new coordinate.
-    When the original diffusion is omitted it is taken equal to its
-    continuation, which is exact on the window (where sigma_h is 1).
-    """
-    sig = sigma if sigma is not None else s.base
-    dstar = weak_derivative(s)
-
-    def mu_h(y):
-        x = m.inverse_many(y)
-        sx = s(x)
-        return mu(x) / sx - (sig(x) ** 2) * dstar(x) / (2.0 * sx * sx)
-
-    def sigma_h(y):
-        x = m.inverse_many(y)
-        return sig(x) / s(x)
-
-    return mu_h, sigma_h

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 
 _DERIV_MATCH_TOL = 1e-9
+_N_GRID = 10_000  # grid points of the window checks on sigma and mu
 
 
 def _as_array(x):
@@ -124,8 +125,6 @@ class Polynomial(Piece):
         if der.degree() >= 1:
             roots = der.roots()
             pts.extend(float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b)
-        elif der.degree() == 0 and der.coef[0] == 0.0:
-            pass
         return max(abs(float(poly(p))) for p in pts)
 
     def sup_abs(self, a, b):
@@ -436,11 +435,10 @@ class LocalWindow:
         return self.xi + self.delta
 
 
-def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow,
-                           n_grid: int = 10_000) -> float:
+def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
     """Grid-check sigma on the window (finite, |sigma| >= l_sigma, Lipschitz);
     return its Lipschitz constant there."""
-    sig = sigma(np.linspace(w.lo, w.hi, n_grid))
+    sig = sigma(np.linspace(w.lo, w.hi, _N_GRID))
     if not np.all(np.isfinite(sig)):
         raise ValidationError("sigma is not finite on the window")
     if float(np.min(np.abs(sig))) < w.l_sigma * (1 - 1e-12):
@@ -453,14 +451,14 @@ def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow,
     return lip
 
 
-def validate_window(model: CoefficientModel, w: LocalWindow, n_grid: int = 10_000) -> None:
+def validate_window(model: CoefficientModel, w: LocalWindow) -> None:
     """Grid-check the window hypotheses: the sigma checks above, and mu bounded on it.
 
     Exact verification of arbitrary pieces is not decidable, so the checks
     combine a dense grid with per-piece metadata.
     """
-    _check_sigma_on_window(model.sigma, w, n_grid)
-    if not np.all(np.isfinite(model.mu(np.linspace(w.lo, w.hi, n_grid)))):
+    _check_sigma_on_window(model.sigma, w)
+    if not np.all(np.isfinite(model.mu(np.linspace(w.lo, w.hi, _N_GRID)))):
         raise ValidationError("mu is not finite (bounded) on the window")
 
 
@@ -493,9 +491,9 @@ class SigmaStar:
         return self.window.l_sigma
 
 
-def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow, n_grid: int = 10_000) -> SigmaStar:
+def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:
     """Constant continuation of sigma outside the window [xi - delta, xi + delta]."""
-    lip = _check_sigma_on_window(sigma, w, n_grid)
+    lip = _check_sigma_on_window(sigma, w)
     left_value = float(sigma(w.lo))
     right_value = float(sigma.left_limit(w.hi))
 
@@ -575,10 +573,9 @@ class DriftFunctional:
         return tuple(sorted(pts))
 
 
-def drift_functional(mu: PiecewiseFunction, s: SigmaStar, d: WeakDerivative) -> DriftFunctional:
-    if d.source is not s:
-        raise ValidationError("weak derivative belongs to a different continuation")
-    return DriftFunctional(mu=mu, sigma_star=s, weak_deriv=d)
+def drift_functional(mu: PiecewiseFunction, s: SigmaStar) -> DriftFunctional:
+    """g = mu/sigma_cont - weak_derivative(sigma_cont)/2 for this continuation."""
+    return DriftFunctional(mu=mu, sigma_star=s, weak_deriv=weak_derivative(s))
 
 
 # ---------------------------------------------------------------------------

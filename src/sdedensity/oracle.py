@@ -24,6 +24,8 @@ from .model import Affine, CoefficientModel, Constant, PiecewiseFunction
 
 import numpy as np
 
+_QUAD_TOLERANCE = 1e-9  # absolute and relative tolerance of every QUADPACK call
+
 
 @dataclass(frozen=True)
 class ReferenceModel:
@@ -65,16 +67,17 @@ class ReferenceModel:
 
 
 def brownian_drift(mu0: float, sigma0: float, x0: float = 0.0) -> ReferenceModel:
+    """Brownian motion with drift, the reference law of the oracle tests (``test_oracle.py``)."""
     return ReferenceModel(kind="brownian_drift", mu0=mu0, sigma0=sigma0, x0=x0)
 
 
 def ornstein_uhlenbeck(theta: float, sigma0: float, x0: float | None = None) -> ReferenceModel:
-    if theta <= 0:
-        raise ConfigError("theta must be positive")
+    """The OU process, the reference law of the oracle tests (``test_oracle.py``)."""
     return ReferenceModel(kind="ornstein_uhlenbeck", theta=theta, sigma0=sigma0, x0=x0)
 
 
 def geometric_bm(mu0: float, sigma0: float, x0: float) -> ReferenceModel:
+    """Geometric Brownian motion, the reference law of the oracle tests (``test_oracle.py``)."""
     return ReferenceModel(kind="geometric_bm", mu0=mu0, sigma0=sigma0, x0=x0)
 
 
@@ -121,7 +124,7 @@ def _each_frequency(one, y):
     return np.array([one(v) for v in ys.ravel()], dtype=complex).reshape(ys.shape)
 
 
-def localized_cf(rm: ReferenceModel, phi, t: float, y, tol: float = 1e-9):
+def localized_cf(rm: ReferenceModel, phi, t: float, y):
     """integral of e^{iyx} phi(x) density(x) dx by adaptive quadrature.
 
     The oscillatory factor is handled with the weighted quadrature rules, so
@@ -131,7 +134,7 @@ def localized_cf(rm: ReferenceModel, phi, t: float, y, tol: float = 1e-9):
     """
     a, b = phi.support
     f = _node_weight(rm, phi, t)
-    kw = dict(epsabs=tol, epsrel=tol, limit=400)
+    kw = dict(epsabs=_QUAD_TOLERANCE, epsrel=_QUAD_TOLERANCE, limit=400)
 
     def one(y):
         if y == 0.0:
@@ -144,8 +147,7 @@ def localized_cf(rm: ReferenceModel, phi, t: float, y, tol: float = 1e-9):
     return _each_frequency(one, y)
 
 
-def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y,
-                             tol: float = 1e-9):
+def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y):
     """CF of the localized law pushed through Y = H(X):  E[e^{iyH(X)} phi(X)].
 
     y is a scalar or an array, as in localized_cf; phi(x) p_t(x) and H(x) are
@@ -154,7 +156,7 @@ def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y,
     a, b = phi.support
     w = _node_weight(rm, phi, t)
     h = functools.cache(transform.forward)
-    kw = dict(epsabs=tol, epsrel=tol, limit=800)
+    kw = dict(epsabs=_QUAD_TOLERANCE, epsrel=_QUAD_TOLERANCE, limit=800)
 
     def one(y):
         def fr(x):
@@ -171,7 +173,7 @@ def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y,
 
 
 def as_coefficient_model(rm: ReferenceModel) -> CoefficientModel:
-    """The piecewise drift/diffusion of a reference family, for the simulator."""
+    """The piecewise drift/diffusion of a reference family, to simulate it in the tests."""
     if rm.kind == "brownian_drift":
         return CoefficientModel(
             mu=PiecewiseFunction((), (Constant(rm.mu0),)),

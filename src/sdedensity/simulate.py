@@ -29,6 +29,7 @@ from .model import CoefficientModel, LocalWindow
 from .util import MCEstimate, map_ordered, mean_se, path_chunks
 
 BLOCK_PATHS = 4096
+_MOMENT_BLOCK = 16384  # paths per block in stopped_increment_moment
 _MAGIC = b"SDEPATH1"
 _VERSION = 1
 
@@ -141,7 +142,11 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         raise ConfigError(f"record must name grid steps in 0..{n_steps}")
     sqrth = math.sqrt(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
-    states = np.empty((cfg.n_paths, len(recorded)))
+    try:
+        states = np.empty((cfg.n_paths, len(recorded)))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
+                          f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
 
     def euler_block(block, rows, steps):
         """One block's states at `steps` (a row per step), and whether it ended finite."""
@@ -260,10 +265,11 @@ def _first_exit(seg: np.ndarray, w: LocalWindow) -> np.ndarray:
 
 
 def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: float,
-                             p: float, block: int = 16384) -> MCEstimate:
+                             p: float) -> MCEstimate:
     """MC estimate of E[ sup_{s in [t-eps, t]} |X^tau_s - X^tau_{t-eps}|^p ]
 
-    where tau is the first grid exit of the open window after t-eps.
+    where tau is the first grid exit of the open window after t-eps.  Kept
+    for the stopped-moment scaling (``test_acceptance.py::TestCriterion3MomentScaling``).
     """
     if p < 1.0:
         raise ConfigError("p must be >= 1")
@@ -271,7 +277,7 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
     m = k_end - k0 + 1
     band = ens.band(k0, k_end)
     vals = np.empty(ens.n_paths)
-    for start, stop in path_chunks(ens.n_paths, block):
+    for start, stop in path_chunks(ens.n_paths, _MOMENT_BLOCK):
         seg = band[start:stop]
         fo = np.minimum(_first_exit(seg, w), m - 1)
         idx = np.minimum(np.arange(m)[None, :], fo[:, None])
@@ -282,7 +288,8 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
 
 
 def exit_probability(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) -> MCEstimate:
-    """MC estimate of P( X_{t-eps} in B_{delta - delta0/2}(xi)  and  exit before t )."""
+    """MC estimate of P( X_{t-eps} in B_{delta - delta0/2}(xi)  and  exit before t );
+    kept for the exit-probability bound (``test_simulate.py::TestExitProbability``)."""
     k0, k_end = _window_indices(ens, eps, t)
     m = k_end - k0 + 1
     seg = ens.band(k0, k_end)
@@ -319,6 +326,7 @@ def save_ensemble(path, ens: PathEnsemble) -> None:
 
 
 def load_ensemble(path) -> PathEnsemble:
+    """Read a file written by ``save_ensemble``; no command reads one back."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:

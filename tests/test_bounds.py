@@ -173,6 +173,12 @@ class TestGaussianModelBound:
         assert fits[1] / fits[0] <= 1.25
 
 
+def band_above(cf, lo=math.e):
+    """The positive grid frequencies above lo: the band these reports check."""
+    pos = cf.grid.positive()
+    return pos[pos > lo]
+
+
 class TestBoundReport:
     def test_rows_match_standalone_remainder(self, sign_run):
         model, w, ens = sign_run
@@ -181,7 +187,7 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, t)
-        report = sd.bound_report(cf, ens, model, w, t)
+        report = sd.bound_report(cf, ens, model, w, t, band_above(cf))
         for j in (0, len(report.y) // 2, len(report.y) - 1):
             eps = float(report.eps_used[j])
             standalone = sd.remainder(ens, model, w, eps=eps, t=t)
@@ -196,9 +202,9 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
-        report = sd.bound_report(cf, ens, model, w, 0.5)
+        report = sd.bound_report(cf, ens, model, w, 0.5, band_above(cf))
         assert report.pass_fraction == 1.0
-        tight = sd.bound_report(cf, ens, model, w, 0.5, c=report.c_fit / 20.0)
+        tight = sd.bound_report(cf, ens, model, w, 0.5, band_above(cf), c=report.c_fit / 20.0)
         assert tight.pass_fraction < 1.0
 
     def test_lookback_precondition_rejected(self, sign_run):
@@ -210,7 +216,7 @@ class TestBoundReport:
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.0625)
         with pytest.raises(ConfigError, match="log"):
-            sd.bound_report(cf, ens, model, w, 0.0625)
+            sd.bound_report(cf, ens, model, w, 0.0625, band_above(cf))
 
     def test_csv_schema(self, sign_run, tmp_path):
         model, w, ens = sign_run
@@ -218,7 +224,7 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
-        report = sd.bound_report(cf, ens, model, w, 0.5)
+        report = sd.bound_report(cf, ens, model, w, 0.5, band_above(cf))
         out = tmp_path / "bound.csv"
         report.to_csv(out)
         lines = out.read_text().splitlines()
@@ -279,7 +285,8 @@ class TestStreamedRemainder:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the block workers as much as possible
         try:
-            report = sd.bound_report(cf, ens, model, w, t, eps_rule=eps_rule,
+            y_check = band_above(cf, math.e if eps_rule == "matched" else 0.0)
+            report = sd.bound_report(cf, ens, model, w, t, y_check, eps_rule=eps_rule,
                                      threads=threads)
         finally:
             sys.setswitchinterval(switch)
@@ -295,7 +302,7 @@ class TestStreamedRemainder:
         pipe = Pipeline(RunConfig.from_dict(raw), threads=1)
         t = pipe.cfg.sim_config().t_final
         cf, ens = pipe.cf_at(t), pipe.ensemble
-        y_check, rule = pipe._bound_frequencies()
+        y_check, rule = pipe.cfg.bound_frequencies()
         tracemalloc.start()
         try:
             report = sd.bound_report(cf, ens, pipe.model, pipe.window, t, y_check=y_check,

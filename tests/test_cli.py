@@ -177,6 +177,13 @@ class TestCommands:
          "cutoff.shoulder_fraction: shoulder_fraction must lie in (0, 1/2)"),
         (lambda c: c["bounds"].update(eps_rule="bogus"),
          "bounds.eps_rule: expected 'matched' or a number, got 'bogus'"),
+        (lambda c: c["inversion"].update(margin=3.0),
+         "inversion.margin: the inversion grid spans 70, not below the aliasing limit "
+         "pi/frequency_grid.spacing = 12.57; reduce the margin or refine the frequency spacing"),
+        (lambda c: c["bounds"].update(y_lo=9.0),
+         "bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies in (9.0, 8.0]"),
+        (lambda c: c["bounds"].update(eps_rule=0.5),
+         "bounds.eps_rule: fixed lookback must lie in (0, t)"),
     ])
     def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, edit, message):
         from sdedensity import config
@@ -190,6 +197,15 @@ class TestCommands:
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []  # every one of these fails before simulating
+
+    @pytest.mark.parametrize("n_paths", [10**400, 2**62], ids=["10**400", "2**62"])
+    def test_unallocatable_n_paths_exits_2(self, tmp_path, capsys, n_paths):
+        # numpy rejects both sizes before it allocates anything
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(tiny_config(simulation={"n_paths": n_paths})))
+        assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: simulation.n_paths: cannot hold {n_paths} paths x 5 ")
 
     def test_bad_check_name_fails_before_simulating(self, tmp_path, monkeypatch):
         from sdedensity import config
@@ -271,12 +287,6 @@ class TestRecordingPlan:
         full = simulate(pipe.model, pipe.cfg.sim_config(), threads=2)
         assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
 
-    def test_plan_skips_the_band_when_bounds_are_invalid(self):
-        # the density command does not read the band; bound fails as before
-        pipe = Pipeline(RunConfig.from_dict(tiny_config(bounds={"y_lo": 9.0})))
-        assert pipe.record_plan == (4, 8)
-        with pytest.raises(ConfigError, match="no frequencies to check"):
-            pipe.bound_report()
 
 
 class TestByteDeterminism:

@@ -91,34 +91,3 @@ class TestPlateauSequence:
         with pytest.raises(ConfigError):
             sd.make_plateau_sequence(0)
 
-
-class TestComposedCutoff:
-    def test_unit_sigma_is_shift(self, window6, bump):
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
-        lam = sd.build_lamperti_map(s)
-        comp = sd.compose_with_inverse(bump, lam)
-        ys = np.linspace(-2, 14, 301)
-        # H(x) = x - (xi - delta), so phi o H^{-1}(y) = phi(y + xi - delta)
-        np.testing.assert_allclose(comp(ys), bump(ys + window6.lo), atol=1e-10)
-
-    def test_value_one_at_center_image(self, window6, bump):
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
-        lam = sd.build_lamperti_map(s)
-        comp = sd.compose_with_inverse(bump, lam)
-        assert comp(lam.forward(window6.xi)) == 1.0
-
-    def test_support_is_image(self, sin_sigma_star):
-        w = sin_sigma_star.window
-        phi = sd.make_bump(w, 0.25)
-        lam = sd.build_lamperti_map(sin_sigma_star)
-        comp = sd.compose_with_inverse(phi, lam)
-        lo, hi = comp.support
-        assert lo == pytest.approx(lam.forward(phi.a), abs=1e-12)
-        assert hi == pytest.approx(lam.forward(phi.b), abs=1e-12)
-
-    def test_support_outside_box_rejected(self, window6):
-        small = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), small)
-        lam = sd.build_lamperti_map(s)  # box is [-3, 3]
-        with pytest.raises(ConfigError):
-            sd.compose_with_inverse(sd.make_bump(window6, 0.2), lam)  # support ~ (-5, 5)

@@ -91,11 +91,11 @@ class TestPushforward:
     def test_mass_conserved_under_nonlinear_map(self, sin_sigma_star):
         lam = sd.build_lamperti_map(sin_sigma_star)
         # a density living inside the image window
-        iw = sd.image_window(lam, sin_sigma_star.window)
-        center, width = iw.xi_h, 0.25 * iw.delta_h
+        lo, hi = lam.image(sin_sigma_star.window.lo, sin_sigma_star.window.hi)
+        center, width = 0.5 * (lo + hi), 0.25 * 0.5 * (hi - lo)
         cf = analytic_cf(
             lambda y: np.exp(1j * y * center - (width * y) ** 2 / 2), 64.0, 1 / 16)
-        xs_l = np.linspace(iw.lo, iw.hi, 501)
+        xs_l = np.linspace(lo, hi, 501)
         p = sd.invert(cf, xs_l)
         q = sd.pushforward(p, lam, sin_sigma_star)
         assert q.mass() == pytest.approx(p.mass(), abs=1e-6)

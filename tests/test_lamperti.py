@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.errors import RangeError, ValidationError
+from sdedensity.errors import RangeError
 
 
 def unit_map(window):
@@ -107,56 +107,56 @@ class TestInverse:
         np.testing.assert_allclose(m.inverse_many(m.forward_many(xs)), xs, atol=1e-9)
 
 
-class TestImageWindow:
+class TestImage:
     def test_unit_sigma(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
         m = unit_map(w)
-        iw = sd.image_window(m, w)
-        assert iw.xi_h == pytest.approx(1.0, abs=1e-12)
-        assert iw.delta_h == pytest.approx(1.0, abs=1e-12)
+        lo, hi = m.image(w.lo, w.hi)
+        assert 0.5 * (lo + hi) == pytest.approx(1.0, abs=1e-12)
+        assert 0.5 * (hi - lo) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_two(self):
         w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=2.0)
         s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
-        iw = sd.image_window(sd.build_lamperti_map(s), w)
-        assert iw.delta_h == pytest.approx(1.0, abs=1e-12)
+        lo, hi = sd.build_lamperti_map(s).image(w.lo, w.hi)
+        assert 0.5 * (hi - lo) == pytest.approx(1.0, abs=1e-12)
 
     def test_endpoints_match_forward(self, sin_sigma_star):
         w = sin_sigma_star.window
         m = sd.build_lamperti_map(sin_sigma_star)
-        iw = sd.image_window(m, w)
-        assert iw.lo == pytest.approx(min(m.forward(w.lo), m.forward(w.hi)), abs=1e-12)
-        assert iw.hi == pytest.approx(max(m.forward(w.lo), m.forward(w.hi)), abs=1e-12)
+        lo, hi = m.image(w.lo, w.hi)
+        assert lo == pytest.approx(min(m.forward(w.lo), m.forward(w.hi)), abs=1e-12)
+        assert hi == pytest.approx(max(m.forward(w.lo), m.forward(w.hi)), abs=1e-12)
 
 
 class TestTransformedCoefficients:
-    def test_unit_diffusion_on_image(self, sin_sigma_star):
+    # Y = H(X) has drift g(H^{-1}(y)) and diffusion sigma/sigma_cont at H^{-1}(y)
+
+    def test_unit_diffusion_on_image(self, sin_sigma, sin_sigma_star):
         w = sin_sigma_star.window
         m = sd.build_lamperti_map(sin_sigma_star)
-        mu = sd.PiecewiseFunction((), (sd.Constant(0.0),))
-        _, sigma_h = sd.transform_coefficients(mu, sin_sigma_star, m)
-        iw = sd.image_window(m, w)
-        ys = np.linspace(iw.lo + 1e-9, iw.hi - 1e-9, 201)
-        np.testing.assert_allclose(sigma_h(ys), 1.0, atol=1e-8)
+        lo, hi = m.image(w.lo, w.hi)
+        ys = np.linspace(lo + 1e-9, hi - 1e-9, 201)
+        xs = m.inverse_many(ys)
+        np.testing.assert_allclose(sin_sigma(xs) / sin_sigma_star(xs), 1.0, atol=1e-8)
 
     def test_zero_drift_stays_zero(self, window6):
         m = unit_map(window6)
         s = m.sigma_star
-        mu_h, _ = sd.transform_coefficients(
-            sd.PiecewiseFunction((), (sd.Constant(0.0),)), s, m)
+        g = sd.drift_functional(sd.PiecewiseFunction((), (sd.Constant(0.0),)), s)
         ys = np.linspace(0.5, 11.5, 7)
-        np.testing.assert_allclose(mu_h(ys), 0.0, atol=1e-14)
+        np.testing.assert_allclose(g(m.inverse_many(ys)), 0.0, atol=1e-14)
 
     def test_constant_coefficients(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=2.0)
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
+        sigma = sd.PiecewiseFunction((), (sd.Constant(2.0),))
+        s = sd.build_sigma_star(sigma, w)
         m = sd.build_lamperti_map(s)
-        mu_h, sigma_h = sd.transform_coefficients(
-            sd.PiecewiseFunction((), (sd.Constant(1.0),)), s, m)
-        iw = sd.image_window(m, w)
-        ys = np.linspace(iw.lo + 1e-9, iw.hi - 1e-9, 11)
-        np.testing.assert_allclose(mu_h(ys), 0.5, atol=1e-12)
-        np.testing.assert_allclose(sigma_h(ys), 1.0, atol=1e-12)
+        g = sd.drift_functional(sd.PiecewiseFunction((), (sd.Constant(1.0),)), s)
+        lo, hi = m.image(w.lo, w.hi)
+        xs = m.inverse_many(np.linspace(lo + 1e-9, hi - 1e-9, 11))
+        np.testing.assert_allclose(g(xs), 0.5, atol=1e-12)
+        np.testing.assert_allclose(sigma(xs) / s(xs), 1.0, atol=1e-12)
 
 
 class TestPushforwardConsistency:
@@ -177,7 +177,3 @@ class TestPushforwardConsistency:
 
         rhs = riemann_integral(g, ya, yb)
         assert lhs == pytest.approx(rhs, abs=1e-7)
-
-    def test_box_must_contain_window(self, sin_sigma_star):
-        with pytest.raises(ValidationError):
-            sd.build_lamperti_map(sin_sigma_star, box=(0.0, 0.5))

@@ -247,26 +247,26 @@ class TestWeakDerivative:
 class TestDriftFunctional:
     def test_zero_drift(self, window6):
         s = sd.build_sigma_star(pw([], [sd.Constant(1.0)]), window6)
-        g = sd.drift_functional(pw([], [sd.Constant(0.0)]), s, sd.weak_derivative(s))
+        g = sd.drift_functional(pw([], [sd.Constant(0.0)]), s)
         xs = np.linspace(-6, 6, 101)
         assert np.all(g(xs) == 0.0)
 
     def test_constant_drift(self, window6):
         s = sd.build_sigma_star(pw([], [sd.Constant(1.0)]), window6)
-        g = sd.drift_functional(pw([], [sd.Constant(2.5)]), s, sd.weak_derivative(s))
+        g = sd.drift_functional(pw([], [sd.Constant(2.5)]), s)
         assert g(0.3) == 2.5
 
     def test_sign_drift_over_two(self, window6):
         mu = pw([0.0], [sd.Constant(-1.0), sd.Constant(1.0)])
         s = sd.build_sigma_star(pw([], [sd.Constant(2.0)]), window6)
-        g = sd.drift_functional(mu, s, sd.weak_derivative(s))
+        g = sd.drift_functional(mu, s)
         assert g(1.0) == 0.5
         assert g(-1.0) == -0.5
 
     def test_matches_pointwise_formula(self, sin_sigma_star, rng):
         mu = pw([], [sd.Sinusoid(offset=0.5, amplitude=0.3, frequency=2.0)])
         d = sd.weak_derivative(sin_sigma_star)
-        g = sd.drift_functional(mu, sin_sigma_star, d)
+        g = sd.drift_functional(mu, sin_sigma_star)
         xs = rng.uniform(-1, 1, size=300)
         expect = mu(xs) / sin_sigma_star(xs) - 0.5 * d(xs)
         np.testing.assert_allclose(g(xs), expect, rtol=0, atol=0)
@@ -281,7 +281,7 @@ class TestDriftFunctional:
         s = sd.build_sigma_star(sigma, sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5,
                                                       l_sigma=1.0))
         d = sd.weak_derivative(s)
-        g = sd.drift_functional(mu, s, d)
+        g = sd.drift_functional(mu, s)
         bps = np.array(g.breakpoints)
         assert set(bps) == {-1.0, -0.5, 0.0, 0.7, 1.0}
         xs = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),
@@ -293,12 +293,6 @@ class TestDriftFunctional:
         assert np.isfinite(got[-201]) and got[-201] == -2.0 / s.right_value
         assert g(float(xs[3])) == got[3]
         assert g(xs[-200:].reshape(10, 20)).tobytes() == expect[-200:].tobytes()
-
-    def test_mismatched_continuation_rejected(self, window6, sin_sigma_star):
-        s2 = sd.build_sigma_star(pw([], [sd.Constant(1.0)]), window6)
-        with pytest.raises(ValidationError):
-            sd.drift_functional(pw([], [sd.Constant(0.0)]), s2,
-                                sd.weak_derivative(sin_sigma_star))
 
 
 class TestWindowValidation:
