@@ -27,8 +27,7 @@ import numpy as np
 
 from .charfn import CharFnEstimate
 from .errors import AlignmentError, ConfigError, DomainError
-from .model import CoefficientModel, DriftFunctional, LocalWindow, build_sigma_star, \
-    drift_functional
+from .model import DriftFunctional, LocalWindow
 from .simulate import BLOCK_PATHS, PathEnsemble, stay_suffix
 from .util import MCEstimate, fmt_float, map_ordered, mean_se, path_chunks
 
@@ -57,46 +56,71 @@ def matched_lookback_bound(y, remainder_at_eps_y) -> tuple:
     return ay ** (-0.5 * np.log(ay)), eps, ay * remainder_at_eps_y
 
 
-def _drift_functional_for(model: CoefficientModel, w: LocalWindow) -> DriftFunctional:
-    return drift_functional(model.mu, build_sigma_star(model.sigma, w))
+@dataclass(frozen=True)
+class RemainderPass:
+    """The remainder kernel: per path block, the remainder samples of every lookback.
 
-
-def _remainder_samples(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow, k_end: int,
-                       lookbacks: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Per-path remainder samples, one row per lookback (distinct steps, ascending).
-
-    Row u, path i: 1_{path i stays in the closed window on its last
+    ``lookbacks`` are distinct grid steps, ascending; the block's states at
+    grid steps ``steps`` = [k_end - max lookback, k_end] are all it reads.
+    Sample u of path i is 1_{path i stays in the closed window on its last
     lookbacks[u] steps} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |, with
     eps = lookbacks[u] * h and the trapezoid sum taken from prefix sums of g.
-    Paths are processed in blocks of ``BLOCK_PATHS`` spread over ``threads``;
-    each entry depends on its own path only, so the samples are the same
-    bits for any block split and thread count.
+    ``simulate`` runs it on each block's band as the block is simulated;
+    ``over`` runs it on an ensemble that recorded the band.  Each entry
+    depends on its own path only, so the samples are the same bits for any
+    block split and thread count.
     """
-    h = ens.config.h
-    band = ens.band(k_end - int(lookbacks[-1]), k_end)
-    c0 = band.shape[1] - 1 - lookbacks
-    eps = lookbacks * h
-    samples = np.empty((lookbacks.size, ens.n_paths))
 
-    def run_block(span):
-        start, stop = span
-        seg = band[start:stop]
-        stay = stay_suffix(seg, w)[:, c0]
-        gv = g(seg)
-        g0, g_end = gv[:, c0], gv[:, -1:].copy()
-        prefix = np.cumsum(gv, axis=1, out=gv)  # in place: gv is not read again
-        integral = h * (prefix[:, -1:] - prefix[:, c0] + 0.5 * (g0 - g_end))
+    g: DriftFunctional
+    window: LocalWindow
+    h: float
+    k_end: int
+    lookbacks: tuple[int, ...]
+
+    @classmethod
+    def of(cls, g: DriftFunctional, w: LocalWindow, h: float, k_end: int,
+           k_steps) -> "RemainderPass":
+        """The kernel for the distinct lookbacks among ``k_steps``."""
+        return cls(g, w, h, k_end, tuple(int(k) for k in np.unique(k_steps)))
+
+    @property
+    def steps(self) -> range:
+        return range(self.k_end - self.lookbacks[-1], self.k_end + 1)
+
+    def __call__(self, band: np.ndarray) -> np.ndarray:
+        """Samples (one row per lookback) of a block's band, one row per step."""
+        band = np.ascontiguousarray(band)
+        lookbacks = np.asarray(self.lookbacks)
+        c0 = band.shape[0] - 1 - lookbacks
+        stay = stay_suffix(band.T, self.window)[:, c0].T
+        gv = self.g(band)
+        g0, g_end = gv[c0], gv[-1].copy()
+        prefix = np.cumsum(gv, axis=0, out=gv)  # in place: gv is not read again
+        integral = self.h * (prefix[-1] - prefix[c0] + 0.5 * (g0 - g_end))
         del gv, prefix
-        vals = np.abs(integral - eps * g0)
-        samples[:, start:stop] = np.where(stay, vals, 0.0).T
+        vals = np.abs(integral - (lookbacks * self.h)[:, None] * g0)
+        return np.where(stay, vals, 0.0)
 
-    map_ordered(run_block, path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
-    return samples
+    def over(self, ens: PathEnsemble, threads: int = 1) -> list:
+        """The kernel's results on each ``BLOCK_PATHS`` block of ``ens``, in block order."""
+        band = ens.band(self.steps[0], self.steps[-1])
+        return map_ordered(lambda span: self(band[span[0]:span[1]].T),
+                           path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
+
+    @staticmethod
+    def estimates(parts: list) -> list[MCEstimate]:
+        """Per lookback, the remainder's mean and standard error over all blocks."""
+        return [mean_se(np.concatenate([p[u] for p in parts])) for u in range(len(parts[0]))]
+
+    def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
+        """The kernel's block results: the ones ``simulate`` made, if it ran this
+        kernel, else a pass over the recorded band."""
+        return ens.band_parts if ens.band_pass == self else self.over(ens, threads)
 
 
-def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
+def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,
               eps: float, t: float) -> MCEstimate:
-    """MC estimate of the localized running-increment of the drift functional.
+    """MC estimate of the localized running-increment of the drift functional g.
 
     Per path:  1_{stay in window} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |.
     The single-lookback case of the estimator ``bound_report`` uses; kept for
@@ -106,8 +130,8 @@ def remainder(ens: PathEnsemble, model: CoefficientModel, w: LocalWindow,
         raise AlignmentError("eps is below the grid resolution")
     k_end = ens.time_index(t)
     k0 = ens.time_index(t - eps)
-    g = _drift_functional_for(model, w)
-    return mean_se(_remainder_samples(ens, g, w, k_end, np.array([k_end - k0]))[0])
+    kernel = RemainderPass(g, w, ens.config.h, k_end, (k_end - k0,))
+    return kernel.estimates(kernel.block_results(ens))[0]
 
 
 def least_constant(empirical, se, bound) -> float:
@@ -228,7 +252,7 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
     return np.minimum(k_steps, round(t / h)), rule_name
 
 
-def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
+def bound_report(cf: CharFnEstimate, ens: PathEnsemble, g: DriftFunctional,
                  w: LocalWindow, t: float, y_check: np.ndarray,
                  eps_rule: str | float = "matched", c: float | None = None,
                  threads: int = 1) -> BoundReport:
@@ -237,27 +261,23 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
     ``y_check`` are grid frequencies (``RunConfig.bound_frequencies`` picks
     them for a run).  eps_rule 'matched' uses the per-frequency lookback eps_y
     (rounded to the path grid); a float uses that fixed lookback everywhere.
-    The remainder is estimated once per distinct grid lookback, streamed over path blocks
-    (on ``threads`` workers) that each evaluate g once on their part of the
-    lookback band; only one sample per path and distinct lookback is kept.
-    The report does not depend on ``threads``.
+    The remainder is estimated once per distinct grid lookback by one
+    ``RemainderPass``: inside ``simulate``, if the ensemble was simulated with
+    it, else over the ensemble's recorded band, in path blocks on ``threads``
+    workers.  The report does not depend on ``threads``.
     """
     h = ens.config.h
     y_check = np.asarray(y_check, dtype=float)
     k_steps, rule_name = lookback_steps(y_check, eps_rule, t, h)
-    k_end = ens.time_index(t)
     eps_used = k_steps * h
 
-    n = ens.n_paths
     empirical = np.array([abs(cf.value_at(float(y))) for y in y_check])
     se_emp = np.array([cf.se_at(float(y)) for y in y_check])
     # frequencies sharing a grid lookback share the remainder estimate
-    lookbacks, row_of = np.unique(k_steps, return_inverse=True)
-    samples = _remainder_samples(ens, _drift_functional_for(model, w), w, k_end, lookbacks,
-                                 threads)
-    ests = [mean_se(row) for row in samples]
+    kernel = RemainderPass.of(g, w, h, ens.time_index(t), k_steps)
+    ests = kernel.estimates(kernel.block_results(ens, threads))
     rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
-    rem_val, rem_se = rem_by_lookback[row_of].T
+    rem_val, rem_se = rem_by_lookback[np.searchsorted(kernel.lookbacks, k_steps)].T
 
     if rule_name == "matched":
         gauss, eps_term, rem_term = matched_lookback_bound(y_check, rem_val)
@@ -269,6 +289,6 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, model: CoefficientModel,
         y=y_check, empirical=empirical, se=se_emp, gauss_term=gauss,
         eps_term=eps_term, remainder_term=rem_term, eps_used=eps_used,
         c_fit=c_fit, passed=within_bound(empirical, se_emp, total, c_fit), t=t,
-        eps_rule=rule_name, n_paths=n,
+        eps_rule=rule_name, n_paths=ens.n_paths,
         metadata={"remainder_se_max": float(np.max(rem_se))},
     )

@@ -104,22 +104,26 @@ class CharFnEstimate:
                    n_paths=0, t=t)
 
 
-def cf_from_samples(samples: np.ndarray, weights: np.ndarray, grid: FrequencyGrid,
-                    t: float = 0.0, threads: int = 1) -> CharFnEstimate:
-    """Weighted empirical CF (1/N) sum_i w_i e^{i y x_i} on the grid, with SEs."""
-    samples = np.asarray(samples, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if samples.shape != weights.shape or samples.ndim != 1:
-        raise ConfigError("samples and weights must be 1-d arrays of equal length")
-    n = samples.size
+def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
+                    threads: int = 1, transform=None) -> CharFnEstimate:
+    """Weighted empirical CF (1/N) sum_i phi(x_i) e^{i y H(x_i)} on the grid, with SEs.
+
+    H is ``transform.forward_many``, or the identity if ``transform`` is None.
+    phi and H are applied per ``_CF_CHUNK`` samples inside the workers, so no
+    full-length weight or phase array is made.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ConfigError("samples must be a 1-d array")
+    n = x.size
     m = grid.half_count
     dy = grid.spacing
 
     def block_sums(bounds):
         start, stop = bounds
-        x = samples[start:stop]
-        w = weights[start:stop]
-        z = np.exp(1j * dy * x)
+        xs = x[start:stop]
+        w = phi(xs)
+        z = np.exp(1j * dy * (xs if transform is None else transform.forward_many(xs)))
         z2 = z * z
         acc = w.astype(complex)
         acc2 = (w * w).astype(complex)
@@ -156,8 +160,7 @@ def cf_from_samples(samples: np.ndarray, weights: np.ndarray, grid: FrequencyGri
 def estimate(ens: PathEnsemble, phi, grid: FrequencyGrid, t: float,
              threads: int = 1) -> CharFnEstimate:
     """Empirical CF of the phi-weighted law of X_t, in the state coordinate."""
-    x = ens.states_at(t)
-    return cf_from_samples(x, phi(x), grid, t=t, threads=threads)
+    return cf_from_samples(ens.states_at(t), phi, grid, t=t, threads=threads)
 
 
 def estimate_localized(ens: PathEnsemble, phi, transform, grid: FrequencyGrid, t: float,
@@ -168,8 +171,8 @@ def estimate_localized(ens: PathEnsemble, phi, transform, grid: FrequencyGrid, t
     evaluated in the original coordinate while the phase uses Y = H(X), i.e.
     E[e^{iyH(X_t)} phi(X_t)] = E[e^{iyY_t} (phi o H^{-1})(Y_t)].
     """
-    x = ens.states_at(t)
-    return cf_from_samples(transform.forward_many(x), phi(x), grid, t=t, threads=threads)
+    return cf_from_samples(ens.states_at(t), phi, grid, t=t, threads=threads,
+                           transform=transform)
 
 
 def analytic_conditional_cf(x: float, y: float, eps: float, model: CoefficientModel) -> complex:

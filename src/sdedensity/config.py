@@ -24,8 +24,9 @@ from .cutoff import CutoffFunction, make_bump
 from .errors import ConfigError, SdeDensityError
 from .invert import invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
-from .model import (CoefficientModel, LocalWindow, SigmaStar, build_sigma_star,
-                    piecewise_from_dict, validate_window)
+from .model import (CoefficientModel, DriftFunctional, LocalWindow, SigmaStar,
+                    build_sigma_star, check_mu_on_window, drift_functional,
+                    piecewise_from_dict)
 from .simulate import PathEnsemble, SimConfig, simulate
 
 
@@ -201,6 +202,7 @@ class RunConfig:
     certify: Certify
     sigma_star: SigmaStar
     transform: LampertiMap
+    g: DriftFunctional
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -228,6 +230,7 @@ class RunConfig:
             certify=Certify(**p["certify"]),
             sigma_star=sigma_star,
             transform=build_lamperti_map(sigma_star),
+            g=drift_functional(model.mu, sigma_star),
         )
         cfg.validate()
         return cfg
@@ -275,7 +278,7 @@ class RunConfig:
     def validate(self) -> None:
         """The rules that tie fields of different sections together."""
         sim = self.simulation
-        validate_window(self.model, self.window)
+        check_mu_on_window(self.model.mu, self.window)  # sigma: checked by build_sigma_star
         for section in ("density", "hoelder"):
             for t in getattr(self, section).t_list:
                 k = round(t / sim.h)
@@ -285,7 +288,7 @@ class RunConfig:
         if y_check.size == 0:
             raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "
                               f"in ({self.bounds.y_lo}, {self.bounds.y_hi}]")
-        # every checked frequency has a lookback in (0, t); record_plan relies on it
+        # every checked frequency has a lookback in (0, t); Pipeline.ensemble relies on it
         _built("bounds.eps_rule", bounds_mod.lookback_steps, y_check, rule, sim.t_final, sim.h)
         lo, hi = self.x_range
         limit = math.pi / self.freq_grid.spacing
@@ -309,6 +312,8 @@ class Pipeline:
         # per-t results, shared by every command and certify check of a run
         self._cf: dict[float, charfn.CharFnEstimate] = {}
         self._density: dict[float, tuple] = {}
+        sim = cfg.simulation
+        self._reads = ((sim.t_final, *cfg.density.t_list, *cfg.hoelder.t_list), True)
 
     @property
     def model(self) -> CoefficientModel:
@@ -334,27 +339,37 @@ class Pipeline:
     def transform(self) -> LampertiMap:
         return self.cfg.transform
 
-    @cached_property
-    def record_plan(self) -> tuple[int, ...]:
-        """The grid steps any command can read, worked out from the config alone.
+    def reads(self, times, bound: bool = False) -> None:
+        """Declare, before the ensemble is simulated, what the command reads:
+        the states at ``times`` and, if ``bound``, the bound report.
 
-        These are t_final, the density/hoelder t_lists and the bound lookback
-        band [k_end - max lookback, k_end], so the plan does not depend on
-        which command runs.
+        Undeclared, a pipeline reads every time the config names (t_final and
+        the density/hoelder t_lists) and runs the bound.
         """
+        if "ensemble" in self.__dict__:
+            raise RuntimeError("reads() must come before the ensemble is simulated")
+        self._reads = (tuple(times), bound)
+
+    @property
+    def record(self) -> tuple[int, ...]:
+        """The grid steps the ensemble stores: one per time read."""
+        h = self.cfg.simulation.h
+        return tuple(sorted({round(t / h) for t in self._reads[0]}))
+
+    def _remainder_pass(self) -> bounds_mod.RemainderPass:
         sim = self.cfg.simulation
-        steps = {sim.n_steps}
-        for ts in (self.cfg.density.t_list, self.cfg.hoelder.t_list):
-            steps.update(round(t / sim.h) for t in ts)
-        k_steps, _ = bounds_mod.lookback_steps(*self.cfg.bound_frequencies(),
-                                               sim.t_final, sim.h)
-        steps.update(range(sim.n_steps - int(np.max(k_steps)), sim.n_steps))
-        return tuple(sorted(steps))
+        y_check, rule = self.cfg.bound_frequencies()
+        k_steps, _ = bounds_mod.lookback_steps(y_check, rule, sim.t_final, sim.h)
+        return bounds_mod.RemainderPass.of(self.cfg.g, self.window, sim.h, sim.n_steps,
+                                           k_steps)
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
+        """The paths at the declared times; the bound's lookback band is reduced
+        to remainder samples block by block while simulating, and not stored."""
         return simulate(self.model, self.cfg.simulation, threads=self.threads,
-                        record=self.record_plan)
+                        record=self.record,
+                        band_pass=self._remainder_pass() if self._reads[1] else None)
 
     def x_grid(self) -> np.ndarray:
         """Inversion grid in the transformed coordinate, covering H(supp phi)."""
@@ -378,7 +393,7 @@ class Pipeline:
         t = self.cfg.simulation.t_final
         cf = self.cf_at(t)
         y_check, rule = self.cfg.bound_frequencies()
-        return bounds_mod.bound_report(cf, self.ensemble, self.model, self.window,
+        return bounds_mod.bound_report(cf, self.ensemble, self.cfg.g, self.window,
                                        t, y_check=y_check, eps_rule=rule,
                                        threads=self.threads)
 

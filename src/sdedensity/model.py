@@ -451,6 +451,12 @@ def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
     return lip
 
 
+def check_mu_on_window(mu: PiecewiseFunction, w: LocalWindow) -> None:
+    """Grid-check that mu is finite (bounded) on the window."""
+    if not np.all(np.isfinite(mu(np.linspace(w.lo, w.hi, _N_GRID)))):
+        raise ValidationError("mu is not finite (bounded) on the window")
+
+
 def validate_window(model: CoefficientModel, w: LocalWindow) -> None:
     """Grid-check the window hypotheses: the sigma checks above, and mu bounded on it.
 
@@ -458,8 +464,7 @@ def validate_window(model: CoefficientModel, w: LocalWindow) -> None:
     combine a dense grid with per-piece metadata.
     """
     _check_sigma_on_window(model.sigma, w)
-    if not np.all(np.isfinite(model.mu(np.linspace(w.lo, w.hi, _N_GRID)))):
-        raise ValidationError("mu is not finite (bounded) on the window")
+    check_mu_on_window(model.mu, w)
 
 
 @dataclass(frozen=True)

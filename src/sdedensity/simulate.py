@@ -29,6 +29,7 @@ from .model import CoefficientModel, LocalWindow
 from .util import MCEstimate, map_ordered, mean_se, path_chunks
 
 BLOCK_PATHS = 4096
+_NOISE_STEPS = 64  # Euler steps per Philox draw
 _MOMENT_BLOCK = 16384  # paths per block in stopped_increment_moment
 _MAGIC = b"SDEPATH1"
 _VERSION = 1
@@ -74,10 +75,20 @@ class RngStreams:
         return np.array([self.seed, block], dtype=np.uint64)
 
 
-def _noise_block(streams: RngStreams, block: int, n_steps: int) -> np.ndarray:
-    """The (n_steps, BLOCK_PATHS) standard-normal block that drives `block`."""
+def _noise(streams: RngStreams, block: int, n_steps: int):
+    """The standard normals that drive `block` up to step n_steps, as pairs
+    (first step, (steps, BLOCK_PATHS) slice) of at most ``_NOISE_STEPS`` steps.
+
+    One generator per block fills one reused buffer in step order, so the
+    values are those of a single (n_steps, BLOCK_PATHS) draw; a slice is
+    overwritten by the next one.
+    """
     gen = np.random.Generator(np.random.Philox(key=streams.philox_key(block)))
-    return gen.standard_normal((n_steps, streams.block_paths))
+    buf = np.empty((min(_NOISE_STEPS, n_steps), streams.block_paths))
+    for k0 in range(0, n_steps, _NOISE_STEPS):
+        out = buf[:min(_NOISE_STEPS, n_steps - k0)]
+        gen.standard_normal(out=out)
+        yield k0, out
 
 
 @dataclass(eq=False)
@@ -86,7 +97,9 @@ class PathEnsemble:
 
     ``recorded`` lists, ascending, the grid steps that were stored:
     ``states[i, j]`` is path i at time ``recorded[j] * h``.  Read states
-    through ``band``/``states_at``, which index by grid step.
+    through ``band``/``states_at``, which index by grid step.  ``band_pass``
+    is the reduction ``simulate`` applied to each block's band, if any, and
+    ``band_parts`` its results in block order.
     """
 
     time_grid: np.ndarray
@@ -94,6 +107,8 @@ class PathEnsemble:
     config: SimConfig
     rng_streams: RngStreams
     recorded: tuple[int, ...]
+    band_pass: object = None
+    band_parts: list | None = None
 
     @property
     def n_paths(self) -> int:
@@ -125,21 +140,31 @@ class PathEnsemble:
 
 
 def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
-             record=None) -> PathEnsemble:
+             record=None, band_pass=None) -> PathEnsemble:
     """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}.
 
     ``record`` is the grid steps to store (any order, duplicates ignored);
     None stores every step 0..n_steps.  The paths themselves do not depend
-    on it.  Bitwise deterministic for fixed (seed, cfg) at any thread count.
-    A non-finite state stays non-finite under the step, so finiteness is
-    checked once per block, after its loop; a block that fails is re-run
-    with every step recorded to name the first non-finite step.
+    on it.  ``band_pass``, if given, has a ``steps`` range of grid steps and
+    is called on each block's states at those steps, shape (len(steps),
+    rows), on the block's worker thread; its results land in ``band_parts``
+    in block order, and the band itself is not kept.  Bitwise deterministic
+    for fixed (seed, cfg) at any thread count.  A non-finite state stays
+    non-finite under the step, so finiteness is checked once per block,
+    after its loop; a block that fails is re-run with every step recorded to
+    name the first non-finite step.
     """
     n_steps = cfg.n_steps
     recorded = tuple(range(n_steps + 1)) if record is None else \
         tuple(sorted({int(k) for k in record}))
-    if not recorded or recorded[0] < 0 or recorded[-1] > n_steps:
+    band = range(0) if band_pass is None else band_pass.steps
+    # a block keeps its states at `kept`: the recorded steps and the band
+    kept = tuple(sorted(set(recorded) | set(band)))
+    if not recorded or kept[0] < 0 or kept[-1] > n_steps:
         raise ConfigError(f"record must name grid steps in 0..{n_steps}")
+    row = {k: j for j, k in enumerate(kept)}
+    rec_rows = None if len(kept) == len(recorded) else [row[k] for k in recorded]
+    band_rows = slice(row[band[0]], row[band[-1]] + 1) if band else None
     sqrth = math.sqrt(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
     try:
@@ -153,22 +178,23 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         slot = [-1] * (n_steps + 1)
         for j, k in enumerate(steps):
             slot[k] = j
-        inc = _noise_block(streams, block, n_steps)[:, :rows]
-        inc *= sqrth
         local = np.empty((len(steps), rows))
         x = np.full(rows, float(cfg.x0))
         if slot[0] >= 0:
             local[slot[0]] = x
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                x = x + model.mu(x) * cfg.h + model.sigma(x) * inc[k]
-                if slot[k + 1] >= 0:
-                    local[slot[k + 1]] = x
+            for k0, inc in _noise(streams, block, n_steps):
+                inc = inc[:, :rows]
+                inc *= sqrth
+                for k, dw in enumerate(inc, k0 + 1):
+                    x = x + model.mu(x) * cfg.h + model.sigma(x) * dw
+                    if slot[k] >= 0:
+                        local[slot[k]] = x
         return local, np.all(np.isfinite(x))
 
     def run_block(args):
         block, (start, stop) = args
-        local, finite = euler_block(block, stop - start, recorded)
+        local, finite = euler_block(block, stop - start, kept)
         if not finite:
             full, _ = euler_block(block, stop - start, range(n_steps + 1))
             k = 1 + int(np.argmin(np.all(np.isfinite(full[1:]), axis=1)))
@@ -176,16 +202,19 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
             raise SimulationError(
                 f"path {start + j} became non-finite at step {k} (t={k * cfg.h})"
             )
-        states[start:stop] = local.T
+        states[start:stop] = (local if rec_rows is None else local[rec_rows]).T
+        return None if band_rows is None else band_pass(local[band_rows])
 
     tasks = list(enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS)))
-    map_ordered(run_block, tasks, threads=threads)
+    parts = map_ordered(run_block, tasks, threads=threads)
     return PathEnsemble(
         time_grid=cfg.h * np.arange(n_steps + 1),
         states=states,
         config=cfg,
         rng_streams=streams,
         recorded=recorded,
+        band_pass=band_pass,
+        band_parts=None if band_pass is None else parts,
     )
 
 
@@ -216,13 +245,15 @@ def euler_z(ens: PathEnsemble, model: CoefficientModel, eps: float, t: float,
     def run_block(args):
         block, (start, stop) = args
         rows = stop - start
-        inc = sqrth * _noise_block(ens.rng_streams, block, cfg.n_steps)[:, :rows]
         x0s = anchor[start:stop]
         mu0 = model.mu(x0s)
         sig0 = model.sigma(x0s)
         z = x0s + eps * mu0
-        for k in range(k0, k_end):
-            z = z + sig0 * inc[k]
+        for k_first, inc in _noise(ens.rng_streams, block, k_end):
+            inc = inc[:, :rows]
+            inc *= sqrth
+            for k in range(max(k0, k_first), k_first + len(inc)):
+                z = z + sig0 * inc[k - k_first]
         out[start:stop] = z
 
     tasks = list(enumerate(path_chunks(ens.n_paths, BLOCK_PATHS)))

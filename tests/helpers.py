@@ -4,6 +4,13 @@ import math
 
 import numpy as np
 
+import sdedensity as sd
+
+
+def drift_g(model, w):
+    """The drift functional g of a model on a window, built as ``RunConfig`` builds it."""
+    return sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
+
 
 def decay_constant_refinement_oracle(gamma: float, z_cut: float = 2 * math.pi * 2048) -> float:
     """Richardson-style refinement value of the decay-to-smoothness constant.

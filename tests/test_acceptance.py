@@ -17,7 +17,7 @@ import sdedensity as sd
 from sdedensity.cli import main as cli_main
 from sdedensity.config import PRESETS, RunConfig
 
-from helpers import decay_constant_refinement_oracle, loglog_slope
+from helpers import decay_constant_refinement_oracle, drift_g, loglog_slope
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -120,7 +120,8 @@ class TestCriterion4RemainderScaling:
                            seed=20240806)
         ens = sd.simulate(model, cfg, threads=2)
         eps_list = [2.0**-k for k in range(4, 10)]
-        vals = [sd.remainder(ens, model, w, eps, 0.125).value for eps in eps_list]
+        g = drift_g(model, w)
+        vals = [sd.remainder(ens, g, w, eps, 0.125).value for eps in eps_list]
         slope = loglog_slope(eps_list, vals)
 
         const = sd.CoefficientModel(
@@ -129,7 +130,7 @@ class TestCriterion4RemainderScaling:
         )
         ens_c = sd.simulate(const, sd.SimConfig(x0=0.0, t_final=0.125, h=2.0**-8,
                                                 n_paths=5_000, seed=1))
-        zero = sd.remainder(ens_c, const, w, 2.0**-4, 0.125).value
+        zero = sd.remainder(ens_c, drift_g(const, w), w, 2.0**-4, 0.125).value
         ok = abs(slope - 1.5) <= 0.2 and zero == 0.0
         report(4, "remainder_scaling", ok,
                f"lipschitz slope={slope:.3f} (target 1.5+-0.2); "
@@ -157,11 +158,12 @@ class TestCriterion5BoundSatisfaction:
             reports[n_paths] = (ens, cf)
 
         ens1, cf1 = reports[200_000]
-        rep1 = sd.bound_report(cf1, ens1, model, w, t, y_check=y_check)
+        g = drift_g(model, w)
+        rep1 = sd.bound_report(cf1, ens1, g, w, t, y_check=y_check)
         c1 = rep1.c_fit
         ens2, cf2 = reports[400_000]
-        rep2_cross = sd.bound_report(cf2, ens2, model, w, t, y_check=y_check, c=c1)
-        rep2 = sd.bound_report(cf2, ens2, model, w, t, y_check=y_check)
+        rep2_cross = sd.bound_report(cf2, ens2, g, w, t, y_check=y_check, c=c1)
+        rep2 = sd.bound_report(cf2, ens2, g, w, t, y_check=y_check)
         ratio = rep2.c_fit / c1
         ok = (rep2_cross.pass_fraction >= 0.95
               and rep1.pass_fraction >= 0.95

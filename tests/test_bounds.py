@@ -13,6 +13,8 @@ from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import AlignmentError, ConfigError, DomainError
 from sdedensity.util import mean_se
 
+from helpers import drift_g
+
 
 class TestClosedFormBounds:
     def test_fixed_lookback_at_zero(self):
@@ -77,7 +79,7 @@ def sign_run():
 class TestRemainder:
     def test_constant_drift_functional_is_exactly_zero(self, bm_model, bm_ensemble):
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
-        est = sd.remainder(bm_ensemble, bm_model, w, eps=0.125, t=0.25)
+        est = sd.remainder(bm_ensemble, drift_g(bm_model, w), w, eps=0.125, t=0.25)
         assert est.value == 0.0
         const = sd.CoefficientModel(
             mu=sd.PiecewiseFunction((), (sd.Constant(3.0),)),
@@ -85,17 +87,17 @@ class TestRemainder:
         )
         ens = sd.simulate(const, sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-6,
                                               n_paths=500, seed=4))
-        assert sd.remainder(ens, const, w, eps=0.125, t=0.25).value == 0.0
+        assert sd.remainder(ens, drift_g(const, w), w, eps=0.125, t=0.25).value == 0.0
 
     def test_positive_for_sign_drift(self, sign_run):
         model, w, ens = sign_run
-        est = sd.remainder(ens, model, w, eps=2.0**-4, t=0.5)
+        est = sd.remainder(ens, drift_g(model, w), w, eps=2.0**-4, t=0.5)
         assert est.value > 3 * est.std_error > 0.0
 
     def test_sub_resolution_eps_rejected(self, bm_model, bm_ensemble):
+        w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
         with pytest.raises(AlignmentError):
-            sd.remainder(bm_ensemble, bm_model,
-                         sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0),
+            sd.remainder(bm_ensemble, drift_g(bm_model, w), w,
                          eps=bm_ensemble.config.h / 4, t=0.25)
 
 
@@ -157,7 +159,7 @@ class TestGaussianModelBound:
         # the running increment scale between eps and eps^{3/2}
         model, w, ens = sign_run
         eps_list = [2.0**-k for k in range(3, 8)]
-        vals = [sd.remainder(ens, model, w, eps, 0.5).value for eps in eps_list]
+        vals = [sd.remainder(ens, drift_g(model, w), w, eps, 0.5).value for eps in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
         assert 1.0 - 0.1 <= slope <= 1.5 + 0.1
 
@@ -187,10 +189,10 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, t)
-        report = sd.bound_report(cf, ens, model, w, t, band_above(cf))
+        report = sd.bound_report(cf, ens, drift_g(model, w), w, t, band_above(cf))
         for j in (0, len(report.y) // 2, len(report.y) - 1):
             eps = float(report.eps_used[j])
-            standalone = sd.remainder(ens, model, w, eps=eps, t=t)
+            standalone = sd.remainder(ens, drift_g(model, w), w, eps=eps, t=t)
             y = float(report.y[j])
             assert report.remainder_term[j] == y * standalone.value
             assert report.gauss_term[j] == pytest.approx(y ** (-0.5 * math.log(y)))
@@ -202,9 +204,10 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
-        report = sd.bound_report(cf, ens, model, w, 0.5, band_above(cf))
+        report = sd.bound_report(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
         assert report.pass_fraction == 1.0
-        tight = sd.bound_report(cf, ens, model, w, 0.5, band_above(cf), c=report.c_fit / 20.0)
+        tight = sd.bound_report(cf, ens, drift_g(model, w), w, 0.5, band_above(cf),
+                                c=report.c_fit / 20.0)
         assert tight.pass_fraction < 1.0
 
     def test_lookback_precondition_rejected(self, sign_run):
@@ -216,7 +219,7 @@ class TestBoundReport:
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.0625)
         with pytest.raises(ConfigError, match="log"):
-            sd.bound_report(cf, ens, model, w, 0.0625, band_above(cf))
+            sd.bound_report(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
 
     def test_csv_schema(self, sign_run, tmp_path):
         model, w, ens = sign_run
@@ -224,7 +227,7 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
-        report = sd.bound_report(cf, ens, model, w, 0.5, band_above(cf))
+        report = sd.bound_report(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
         out = tmp_path / "bound.csv"
         report.to_csv(out)
         lines = out.read_text().splitlines()
@@ -286,7 +289,7 @@ class TestStreamedRemainder:
         sys.setswitchinterval(1e-6)  # interleave the block workers as much as possible
         try:
             y_check = band_above(cf, math.e if eps_rule == "matched" else 0.0)
-            report = sd.bound_report(cf, ens, model, w, t, y_check, eps_rule=eps_rule,
+            report = sd.bound_report(cf, ens, drift_g(model, w), w, t, y_check, eps_rule=eps_rule,
                                      threads=threads)
         finally:
             sys.setswitchinterval(switch)
@@ -296,19 +299,22 @@ class TestStreamedRemainder:
         assert report.remainder_term.tobytes() == terms.tobytes()
         assert report.metadata["remainder_se_max"] == se_max
 
-    def test_peak_allocation_below_one_band_copy(self):
+    def test_peak_allocation_below_one_band_copy(self, tmp_path):
+        # a whole certify: the lookback band of all paths is never held, only
+        # one block's band at a time inside simulate
+        from sdedensity.cli import cmd_certify
+
         raw = json.loads(json.dumps(PRESETS["sign_drift"]))
         raw["simulation"]["n_paths"] = 50_000
         pipe = Pipeline(RunConfig.from_dict(raw), threads=1)
-        t = pipe.cfg.sim_config().t_final
-        cf, ens = pipe.cf_at(t), pipe.ensemble
-        y_check, rule = pipe.cfg.bound_frequencies()
+        sim = pipe.cfg.sim_config()
         tracemalloc.start()
         try:
-            report = sd.bound_report(cf, ens, pipe.model, pipe.window, t, y_check=y_check,
-                                     eps_rule=rule, threads=1)
+            report = cmd_certify(pipe, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        band_cols = round(float(np.max(report.eps_used)) / ens.config.h) + 1
-        assert peak < ens.n_paths * band_cols * 8
+        assert report["checks"]["bound_check"]["pass"]
+        k_steps, _ = lookback_steps(*pipe.cfg.bound_frequencies(), sim.t_final, sim.h)
+        band_cols = int(np.max(k_steps)) + 1
+        assert peak < sim.n_paths * band_cols * 8

@@ -205,7 +205,7 @@ class TestCommands:
         p.write_text(json.dumps(tiny_config(simulation={"n_paths": n_paths})))
         assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: simulation.n_paths: cannot hold {n_paths} paths x 5 ")
+        assert err.startswith(f"error: simulation.n_paths: cannot hold {n_paths} paths x 1 ")
 
     def test_bad_check_name_fails_before_simulating(self, tmp_path, monkeypatch):
         from sdedensity import config
@@ -275,18 +275,93 @@ class TestCertify:
 
 
 class TestRecordingPlan:
-    def test_gbm_ensemble_stores_only_the_plan(self):
+    def test_gbm_ensemble_stores_only_the_plan(self, tmp_path):
+        from sdedensity import cli
+
         raw = json.loads(json.dumps(PRESETS["gbm"]))
         raw["simulation"]["n_paths"] = 3000
-        pipe = Pipeline(RunConfig.from_dict(raw), threads=2)
-        plan = pipe.record_plan
-        # t_final, hoelder's t = 0.5 and the lookback band of y just above e
-        # (eps_y = 0.1353, i.e. 35 steps of 1/256)
-        assert plan == (128,) + tuple(range(221, 257))
-        assert pipe.ensemble.states.shape == (3000, len(plan))
-        full = simulate(pipe.model, pipe.cfg.sim_config(), threads=2)
-        assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
+        cfg = RunConfig.from_dict(raw)
+        full = simulate(cfg.model, cfg.sim_config(), threads=2)
+        # each command stores one column per time it reads: t_final (step 256),
+        # and for hoelder also t = 0.5; only bound runs the remainder pass
+        for command, plan, bound in [("cf", (256,), False), ("bound", (256,), True),
+                                     ("density", (256,), False),
+                                     ("hoelder", (128, 256), False),
+                                     ("certify", (256,), False)]:
+            pipe = Pipeline(cfg, threads=2)
+            cli._COMMANDS[command](pipe, tmp_path)
+            assert pipe.record == plan, command
+            assert pipe.ensemble.states.shape == (3000, len(plan))
+            assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
+            assert (pipe.ensemble.band_pass is not None) == bound, command
 
+    def test_certify_runs_the_remainder_pass_only_for_bound_check(self, tmp_path):
+        from sdedensity.cli import cmd_certify
+
+        for checks, bound in [(["cf_sanity"], False), (["cf_sanity", "bound_check"], True)]:
+            pipe = Pipeline(RunConfig.from_dict(tiny_config(certify={"checks": checks})))
+            cmd_certify(pipe, tmp_path)
+            assert pipe.record == (8,)
+            assert (pipe.ensemble.band_pass is not None) == bound
+
+    def test_reads_after_simulating_is_refused(self):
+        pipe = Pipeline(RunConfig.from_dict(tiny_config()))
+        pipe.ensemble
+        with pytest.raises(RuntimeError, match="before the ensemble"):
+            pipe.reads([0.25])
+
+
+def _sigma(*pieces, breakpoints=()):
+    return {"model": {"sigma": {"breakpoints": list(breakpoints), "pieces": list(pieces)}}}
+
+
+class TestSigmaStarOnce:
+    def test_sigma_star_built_once_per_bound_command(self, config_file, tmp_path,
+                                                      monkeypatch):
+        import sys
+
+        from sdedensity import model
+
+        calls = []
+        original = model.build_sigma_star
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):  # every alias of the function
+            if name.split(".")[0] == "sdedensity":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        assert main(["bound", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_sigma_grid_checked_once_per_parse(self, monkeypatch):
+        from sdedensity import model
+
+        calls = []
+        original = model._check_sigma_on_window
+        monkeypatch.setattr(model, "_check_sigma_on_window",
+                            lambda *args: calls.append(args) or original(*args))
+        RunConfig.from_dict(tiny_config())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (_sigma({"kind": "constant", "value": 0.5}),
+         "inf |sigma| on the window is 0.5 < l_sigma=1.0"),
+        ({**_sigma({"kind": "power", "scale": 1.0, "center": 0.0, "exponent": 0.5}),
+          "window": {"l_sigma": 0.01}},
+         "sigma is not Lipschitz on the window"),
+        (_sigma({"kind": "constant", "value": 1.0}, {"kind": "constant", "value": -1.0},
+                breakpoints=[0.0]),
+         "sigma is not Lipschitz on the window"),
+    ])
+    def test_bad_sigma_messages(self, tmp_path, capsys, edit, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(tiny_config(**edit)))
+        assert main(["bound", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestByteDeterminism:
