@@ -29,7 +29,7 @@ from .charfn import CharFnEstimate
 from .errors import AlignmentError, ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
 from .simulate import BLOCK_PATHS, PathEnsemble, stay_suffix
-from .util import MCEstimate, fmt_float, map_ordered, mean_se, path_chunks
+from .util import MCEstimate, fmt_float, map_ordered, merge_moments, path_chunks, row_moments
 
 
 def epsilon_rule(y):
@@ -58,17 +58,18 @@ def matched_lookback_bound(y, remainder_at_eps_y) -> tuple:
 
 @dataclass(frozen=True)
 class RemainderPass:
-    """The remainder kernel: per path block, the remainder samples of every lookback.
+    """The remainder kernel: per path block, the moments of every lookback's samples.
 
     ``lookbacks`` are distinct grid steps, ascending; the block's states at
     grid steps ``steps`` = [k_end - max lookback, k_end] are all it reads.
     Sample u of path i is 1_{path i stays in the closed window on its last
     lookbacks[u] steps} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |, with
     eps = lookbacks[u] * h and the trapezoid sum taken from prefix sums of g.
-    ``simulate`` runs it on each block's band as the block is simulated;
-    ``over`` runs it on an ensemble that recorded the band.  Each entry
-    depends on its own path only, so the samples are the same bits for any
-    block split and thread count.
+    A block's result is the (count, mean, M2) of its samples per lookback;
+    ``merge_moments`` merges the blocks in block order.  ``simulate`` runs the
+    kernel on each block's band as the block is simulated; ``over`` runs it on
+    an ensemble that recorded the band.  Blocks are ``BLOCK_PATHS`` paths
+    either way, so the estimates are the same bits for any thread count.
     """
 
     g: DriftFunctional
@@ -87,8 +88,9 @@ class RemainderPass:
     def steps(self) -> range:
         return range(self.k_end - self.lookbacks[-1], self.k_end + 1)
 
-    def __call__(self, band: np.ndarray) -> np.ndarray:
-        """Samples (one row per lookback) of a block's band, one row per step."""
+    def __call__(self, band: np.ndarray) -> tuple:
+        """``row_moments`` of the samples (a row per lookback) of a block's band,
+        which has a row per step."""
         band = np.ascontiguousarray(band)
         lookbacks = np.asarray(self.lookbacks)
         c0 = band.shape[0] - 1 - lookbacks
@@ -99,18 +101,13 @@ class RemainderPass:
         integral = self.h * (prefix[-1] - prefix[c0] + 0.5 * (g0 - g_end))
         del gv, prefix
         vals = np.abs(integral - (lookbacks * self.h)[:, None] * g0)
-        return np.where(stay, vals, 0.0)
+        return row_moments(np.where(stay, vals, 0.0))
 
     def over(self, ens: PathEnsemble, threads: int = 1) -> list:
         """The kernel's results on each ``BLOCK_PATHS`` block of ``ens``, in block order."""
         band = ens.band(self.steps[0], self.steps[-1])
         return map_ordered(lambda span: self(band[span[0]:span[1]].T),
                            path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
-
-    @staticmethod
-    def estimates(parts: list) -> list[MCEstimate]:
-        """Per lookback, the remainder's mean and standard error over all blocks."""
-        return [mean_se(np.concatenate([p[u] for p in parts])) for u in range(len(parts[0]))]
 
     def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
         """The kernel's block results: the ones ``simulate`` made, if it ran this
@@ -131,7 +128,7 @@ def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,
     k_end = ens.time_index(t)
     k0 = ens.time_index(t - eps)
     kernel = RemainderPass(g, w, ens.config.h, k_end, (k_end - k0,))
-    return kernel.estimates(kernel.block_results(ens))[0]
+    return merge_moments(kernel.block_results(ens))[0]
 
 
 def least_constant(empirical, se, bound) -> float:
@@ -275,7 +272,7 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, g: DriftFunctional,
     se_emp = np.array([cf.se_at(float(y)) for y in y_check])
     # frequencies sharing a grid lookback share the remainder estimate
     kernel = RemainderPass.of(g, w, h, ens.time_index(t), k_steps)
-    ests = kernel.estimates(kernel.block_results(ens, threads))
+    ests = merge_moments(kernel.block_results(ens, threads))
     rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
     rem_val, rem_se = rem_by_lookback[np.searchsorted(kernel.lookbacks, k_steps)].T
 

@@ -32,6 +32,33 @@ def mean_se(samples: np.ndarray) -> MCEstimate:
     return MCEstimate(m, se, n)
 
 
+def row_moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M2) of each row of a 2-d array; M2 is the sum of squared
+    deviations from the row's mean."""
+    mean = rows.mean(axis=1)
+    dev = rows - mean[:, None]
+    return rows.shape[1], mean, np.square(dev, out=dev).sum(axis=1)
+
+
+def merge_moments(parts: Sequence[tuple]) -> list[MCEstimate]:
+    """One mean and standard error per row from per-block ``row_moments``.
+
+    The blocks are merged pairwise in the given order by the updating
+    formulae of Chan, Golub & LeVeque (1979), so the result is bitwise
+    reproducible for a fixed partition; the standard error is that of
+    ``mean_se`` on the concatenated rows.
+    """
+    n, mean, m2 = parts[0]
+    for nb, mb, m2b in parts[1:]:
+        total = n + nb
+        delta = mb - mean
+        mean = mean + delta * (nb / total)
+        m2 = m2 + m2b + delta * delta * (n * nb / total)
+        n = total
+    se = np.sqrt(m2 / (n - 1)) / np.sqrt(n) if n > 1 else np.full_like(mean, np.inf)
+    return [MCEstimate(float(m), float(s), n) for m, s in zip(mean, se)]
+
+
 def map_ordered(fn: Callable, args: Sequence, threads: int = 1) -> list:
     """Apply `fn` over `args`, returning results in argument order.
 

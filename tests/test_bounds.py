@@ -8,9 +8,10 @@ import pytest
 
 import sdedensity as sd
 from sdedensity.bounds import decay_pass_fraction
-from sdedensity.bounds import lookback_steps
+from sdedensity.bounds import RemainderPass, lookback_steps
 from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import AlignmentError, ConfigError, DomainError
+from sdedensity.simulate import BLOCK_PATHS
 from sdedensity.util import mean_se
 
 from helpers import drift_g
@@ -235,9 +236,10 @@ class TestBoundReport:
         assert len(lines) == 1 + report.y.size
 
 
-def whole_slab_remainder_terms(ens, model, w, t, y_check, eps_rule):
-    """Reference: the remainder of every distinct lookback from one pass over the
-    whole lookback band, g evaluated as mu/sigma_cont - weak_deriv/2 piece by piece."""
+def whole_slab_samples(ens, model, w, t, y_check, eps_rule):
+    """Reference: the remainder samples of every checked frequency (a row each) from
+    one pass over the whole lookback band, g evaluated as mu/sigma_cont - weak_deriv/2
+    piece by piece."""
     h = ens.config.h
     k_steps, _ = lookback_steps(y_check, eps_rule, t, h)
     s = sd.build_sigma_star(model.sigma, w)
@@ -249,15 +251,32 @@ def whole_slab_remainder_terms(ens, model, w, t, y_check, eps_rule):
     dev = np.abs(seg - w.xi)
     stay_suffix = np.minimum.accumulate((dev <= w.delta)[:, ::-1], axis=1)[:, ::-1]
     m_cols = seg.shape[1]
-    rem_val, rem_se = np.empty(y_check.size), np.empty(y_check.size)
+    rows = np.empty((y_check.size, ens.n_paths))
     for i, ks in enumerate(k_steps):
         c0 = m_cols - 1 - int(ks)
         integral = h * (gv_prefix[:, -1] - gv_prefix[:, c0] + 0.5 * (gv[:, c0] - gv[:, -1]))
         vals = np.abs(integral - (int(ks) * h) * gv[:, c0])
-        est = mean_se(np.where(stay_suffix[:, c0], vals, 0.0))
-        rem_val[i], rem_se[i] = est.value, est.std_error
-    ay = np.abs(y_check)
-    return (ay if eps_rule == "matched" else 1.0 + ay) * rem_val, np.max(rem_se)
+        rows[i] = np.where(stay_suffix[:, c0], vals, 0.0)
+    return rows
+
+
+def block_order_chan(row, block):
+    """Mean and standard error of `row` from per-block (count, mean, M2), merged
+    block after block by the Chan-Golub-LeVeque updating formulae."""
+    n = mean = m2 = None
+    for start in range(0, row.size, block):
+        x = row[start:start + block]
+        nb, mb = x.size, np.mean(x)
+        m2b = np.sum((x - mb) ** 2)
+        if n is None:
+            n, mean, m2 = nb, mb, m2b
+            continue
+        total = n + nb
+        delta = mb - mean
+        mean = mean + delta * (nb / total)
+        m2 = m2 + m2b + delta * delta * (n * nb / total)
+        n = total
+    return mean, np.sqrt(m2 / (n - 1)) / np.sqrt(n)
 
 
 @pytest.fixture(scope="module")
@@ -281,23 +300,50 @@ def kinked_run():
 
 
 class TestStreamedRemainder:
+    # measured on kinked_run: at most 2.3e-16 (means) and 3.4e-16 (SEs) relative
+    WHOLE_ROW_RTOL = 1e-14
+
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("eps_rule", ["matched", 0.0625])
     def test_bitwise_equal_to_whole_slab(self, kinked_run, threads, eps_rule):
         model, w, ens, cf, t = kinked_run
+        g = drift_g(model, w)
+        y_check = band_above(cf, math.e if eps_rule == "matched" else 0.0)
+        one = sd.bound_report(cf, ens, g, w, t, y_check, eps_rule=eps_rule, threads=1)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the block workers as much as possible
         try:
-            y_check = band_above(cf, math.e if eps_rule == "matched" else 0.0)
-            report = sd.bound_report(cf, ens, drift_g(model, w), w, t, y_check, eps_rule=eps_rule,
+            report = sd.bound_report(cf, ens, g, w, t, y_check, eps_rule=eps_rule,
                                      threads=threads)
         finally:
             sys.setswitchinterval(switch)
-        terms, se_max = whole_slab_remainder_terms(ens, model, w, t, report.y, eps_rule)
         if eps_rule == "matched":
             assert np.unique(report.eps_used).size > 1
-        assert report.remainder_term.tobytes() == terms.tobytes()
-        assert report.metadata["remainder_se_max"] == se_max
+        # 1. the merge does not depend on the thread count
+        assert report.remainder_term.tobytes() == one.remainder_term.tobytes()
+        assert report.metadata == one.metadata
+        # 2. it is the block-order Chan merge of the whole-slab samples
+        rows = whole_slab_samples(ens, model, w, t, report.y, eps_rule)
+        chan = np.array([block_order_chan(row, BLOCK_PATHS) for row in rows])
+        scale = np.abs(report.y) if eps_rule == "matched" else 1.0 + np.abs(report.y)
+        assert report.remainder_term.tobytes() == (scale * chan[:, 0]).tobytes()
+        assert report.metadata["remainder_se_max"] == np.max(chan[:, 1])
+        # 3. and it agrees with the whole-row mean and SE to rounding
+        whole = np.array([(e.value, e.std_error) for e in map(mean_se, rows)])
+        np.testing.assert_allclose(chan, whole, rtol=self.WHOLE_ROW_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pass_inside_simulate_equals_pass_over_recorded_band(self, kinked_run, threads):
+        model, w, ens, cf, t = kinked_run
+        kernel = RemainderPass.of(drift_g(model, w), w, ens.config.h, ens.time_index(t),
+                                  [40, 1, 7, 7])
+        inside = sd.simulate(model, ens.config, threads=threads,
+                             record=[ens.time_index(t)], band_pass=kernel)
+        assert inside.recorded == (ens.time_index(t),)
+        for a, b in zip(inside.band_parts, kernel.over(ens, threads=threads), strict=True):
+            assert a[0] == b[0]
+            assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
+        assert kernel.block_results(inside) is inside.band_parts
 
     def test_peak_allocation_below_one_band_copy(self, tmp_path):
         # a whole certify: the lookback band of all paths is never held, only
