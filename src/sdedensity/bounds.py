@@ -67,9 +67,9 @@ class RemainderPass:
     eps = lookbacks[u] * h and the trapezoid sum taken from prefix sums of g.
     A block's result is the (count, mean, M2) of its samples per lookback;
     ``merge_moments`` merges the blocks in block order.  ``simulate`` runs the
-    kernel on each block's band as the block is simulated; ``over`` runs it on
-    an ensemble that recorded the band.  Blocks are ``BLOCK_PATHS`` paths
-    either way, so the estimates are the same bits for any thread count.
+    kernel on each block's band as the block is simulated; ``block_results``
+    runs it on an ensemble that recorded the band.  Blocks are ``BLOCK_PATHS``
+    paths either way, so the estimates are the same bits for any thread count.
     """
 
     g: DriftFunctional
@@ -103,16 +103,15 @@ class RemainderPass:
         vals = np.abs(integral - (lookbacks * self.h)[:, None] * g0)
         return row_moments(np.where(stay, vals, 0.0))
 
-    def over(self, ens: PathEnsemble, threads: int = 1) -> list:
-        """The kernel's results on each ``BLOCK_PATHS`` block of ``ens``, in block order."""
+    def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
+        """The kernel's results per ``BLOCK_PATHS`` block of ``ens``, in block order:
+        the ones ``simulate`` made if it ran this kernel, else a pass over the
+        recorded band on ``threads`` workers."""
+        if ens.band_pass == self:
+            return ens.band_parts
         band = ens.band(self.steps[0], self.steps[-1])
         return map_ordered(lambda span: self(band[span[0]:span[1]].T),
                            path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
-
-    def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
-        """The kernel's block results: the ones ``simulate`` made, if it ran this
-        kernel, else a pass over the recorded band."""
-        return ens.band_parts if ens.band_pass == self else self.over(ens, threads)
 
 
 def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,
@@ -227,8 +226,8 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
     """Grid lookback (in steps) of each checked frequency, and the rule's name.
 
     'matched' rounds eps_y to the path grid, a float is one fixed lookback;
-    either way at least one step and at most the whole path up to t.  The
-    recording plan of ``Pipeline`` sizes the stored band from these steps.
+    either way at least one step and at most the whole path up to t.
+    ``Pipeline`` builds its ``RemainderPass`` from these steps.
     """
     if y_check.size == 0:
         raise ConfigError("no frequencies to check")

@@ -35,7 +35,7 @@ def _t_tag(t: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(pipe: Pipeline, out: Path) -> dict:
-    # the file holds every grid step, not just the pipeline's recording plan
+    # the file holds every grid step, not just the times the other commands read
     ens = simulate(pipe.model, pipe.cfg.simulation, threads=pipe.threads)
     path = out / "ensemble.bin"
     save_ensemble(path, ens)

@@ -350,26 +350,21 @@ class Pipeline:
             raise RuntimeError("reads() must come before the ensemble is simulated")
         self._reads = (tuple(times), bound)
 
-    @property
-    def record(self) -> tuple[int, ...]:
-        """The grid steps the ensemble stores: one per time read."""
-        h = self.cfg.simulation.h
-        return tuple(sorted({round(t / h) for t in self._reads[0]}))
-
-    def _remainder_pass(self) -> bounds_mod.RemainderPass:
-        sim = self.cfg.simulation
-        y_check, rule = self.cfg.bound_frequencies()
-        k_steps, _ = bounds_mod.lookback_steps(y_check, rule, sim.t_final, sim.h)
-        return bounds_mod.RemainderPass.of(self.cfg.g, self.window, sim.h, sim.n_steps,
-                                           k_steps)
-
     @cached_property
     def ensemble(self) -> PathEnsemble:
-        """The paths at the declared times; the bound's lookback band is reduced
-        to remainder samples block by block while simulating, and not stored."""
-        return simulate(self.model, self.cfg.simulation, threads=self.threads,
-                        record=self.record,
-                        band_pass=self._remainder_pass() if self._reads[1] else None)
+        """The paths at the declared times.  If the bound runs, its lookback band
+        is reduced to remainder moments block by block while simulating, and
+        not stored."""
+        sim = self.cfg.simulation
+        times, bound = self._reads
+        band_pass = None
+        if bound:
+            k_steps, _ = bounds_mod.lookback_steps(*self.cfg.bound_frequencies(),
+                                                   sim.t_final, sim.h)
+            band_pass = bounds_mod.RemainderPass.of(self.cfg.g, self.window, sim.h,
+                                                    sim.n_steps, k_steps)
+        return simulate(self.model, sim, threads=self.threads,
+                        record=[round(t / sim.h) for t in times], band_pass=band_pass)
 
     def x_grid(self) -> np.ndarray:
         """Inversion grid in the transformed coordinate, covering H(supp phi)."""

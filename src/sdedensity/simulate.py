@@ -76,13 +76,9 @@ class RngStreams:
 
 
 def _noise(streams: RngStreams, block: int, n_steps: int):
-    """The standard normals that drive `block` up to step n_steps, as pairs
-    (first step, (steps, BLOCK_PATHS) slice) of at most ``_NOISE_STEPS`` steps.
-
-    One generator per block fills one reused buffer in step order, so the
-    values are those of a single (n_steps, BLOCK_PATHS) draw; a slice is
-    overwritten by the next one.
-    """
+    """The normals that drive `block`'s first n_steps steps, as (first step,
+    slice of at most ``_NOISE_STEPS`` rows) pairs.  The slices reuse one buffer
+    and hold the values of a single (n_steps, BLOCK_PATHS) draw."""
     gen = np.random.Generator(np.random.Philox(key=streams.philox_key(block)))
     buf = np.empty((min(_NOISE_STEPS, n_steps), streams.block_paths))
     for k0 in range(0, n_steps, _NOISE_STEPS):

@@ -43,10 +43,10 @@ def row_moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 def merge_moments(parts: Sequence[tuple]) -> list[MCEstimate]:
     """One mean and standard error per row from per-block ``row_moments``.
 
-    The blocks are merged pairwise in the given order by the updating
-    formulae of Chan, Golub & LeVeque (1979), so the result is bitwise
-    reproducible for a fixed partition; the standard error is that of
-    ``mean_se`` on the concatenated rows.
+    The blocks are folded in one after another, in the given order, by the
+    updating formulae of Chan, Golub & LeVeque (1979), so the result is
+    bitwise reproducible for a fixed partition; the standard error is that of
+    ``mean_se`` on the concatenated rows, up to rounding.
     """
     n, mean, m2 = parts[0]
     for nb, mb, m2b in parts[1:]:

@@ -290,7 +290,7 @@ class TestRecordingPlan:
                                      ("certify", (256,), False)]:
             pipe = Pipeline(cfg, threads=2)
             cli._COMMANDS[command](pipe, tmp_path)
-            assert pipe.record == plan, command
+            assert pipe.ensemble.recorded == plan, command
             assert pipe.ensemble.states.shape == (3000, len(plan))
             assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
             assert (pipe.ensemble.band_pass is not None) == bound, command
@@ -301,7 +301,7 @@ class TestRecordingPlan:
         for checks, bound in [(["cf_sanity"], False), (["cf_sanity", "bound_check"], True)]:
             pipe = Pipeline(RunConfig.from_dict(tiny_config(certify={"checks": checks})))
             cmd_certify(pipe, tmp_path)
-            assert pipe.record == (8,)
+            assert pipe.ensemble.recorded == (8,)
             assert (pipe.ensemble.band_pass is not None) == bound
 
     def test_reads_after_simulating_is_refused(self):
