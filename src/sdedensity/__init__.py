@@ -12,7 +12,7 @@ from .bounds import (BoundReport, bound_report, matched_lookback_bound, epsilon_
 from .charfn import (CharFnEstimate, FrequencyGrid, analytic_conditional_cf,
                      analytic_weighted_gaussian, cf_from_samples, estimate,
                      estimate_localized)
-from .config import PRESETS, Pipeline, RunConfig, preset
+from .config import PRESETS, Pipeline, RunConfig, piecewise_from_dict, preset
 from .cutoff import CutoffFunction, make_bump, make_plateau_sequence
 from .errors import (AlignmentError, ConfigError, DomainError, NumericsError,
                      RangeError, SdeDensityError, SimulationError, ValidationError)
@@ -21,8 +21,7 @@ from .invert import (DensityEstimate, JointScan, decay_smoothness_constant, hold
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, HolderPower, LocalWindow,
                     PiecewiseFunction, Polynomial, SigmaStar, Sinusoid, WeakDerivative,
-                    build_sigma_star, drift_functional, piecewise_from_dict,
-                    validate_window, weak_derivative)
+                    build_sigma_star, drift_functional, validate_window, weak_derivative)
 from .oracle import (ReferenceModel, as_coefficient_model, brownian_drift, exact_cf,
                      exact_density, geometric_bm, localized_cf, ornstein_uhlenbeck,
                      sign_drift_model)

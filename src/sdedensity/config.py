@@ -24,9 +24,9 @@ from .cutoff import CutoffFunction, make_bump
 from .errors import ConfigError, SdeDensityError
 from .invert import invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
-from .model import (CoefficientModel, DriftFunctional, LocalWindow, SigmaStar,
-                    build_sigma_star, check_mu_on_window, drift_functional,
-                    piecewise_from_dict)
+from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
+                    LocalWindow, Piece, PiecewiseFunction, Polynomial, SigmaStar, Sinusoid,
+                    build_sigma_star, check_mu_on_window, drift_functional)
 from .simulate import PathEnsemble, SimConfig, simulate
 
 
@@ -43,25 +43,26 @@ def config_hash(raw: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: not a bool, a string, NaN or +-Infinity."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _scalar(expected: str, ok, cast):
     def read(v, where):
-        try:
-            if ok(v):
-                return cast(v)
-        except OverflowError:  # an integer beyond the float range
-            pass
+        if ok(v):
+            return cast(v)
         raise ConfigError(f"{where}: expected {expected}, got {v!r}")
     return read
 
 
-_real = _scalar("float", _is_number, float)
+_real = _scalar("a finite number", _is_number, float)
 _int = _scalar("int", lambda v: isinstance(v, int) and not isinstance(v, bool)
                or isinstance(v, float) and v.is_integer(), int)
 _str = _scalar("str", lambda v: isinstance(v, str), str)
-_eps_rule = _scalar("'matched' or a number", lambda v: v == "matched" or _is_number(v),
+_eps_rule = _scalar("'matched' or a finite number", lambda v: v == "matched" or _is_number(v),
                     lambda v: v if v == "matched" else float(v))
 
 
@@ -69,7 +70,7 @@ def _reals(v, where: str) -> tuple[float, ...]:
     if not isinstance(v, list):
         raise ConfigError(f"{where}: expected a list, got {v!r}")
     if not all(_is_number(x) for x in v):
-        raise ConfigError(f"{where}: expected a list of numbers, got {v!r}")
+        raise ConfigError(f"{where}: expected a list of finite numbers, got {v!r}")
     return tuple(float(x) for x in v)
 
 
@@ -108,6 +109,86 @@ def _built(where: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except SdeDensityError as exc:
         raise type(exc)(f"{where}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# pieces: model.mu and model.sigma
+# ---------------------------------------------------------------------------
+
+# kind -> (constructor, fields); constant and affine are spellings of polynomial
+_PIECE_KINDS = {
+    "constant": (Constant, ("value",)),
+    "affine": (Affine, ("intercept", "slope")),
+    "polynomial": (Polynomial, ("coeffs",)),
+    "sinusoid": (Sinusoid, ("offset", "amplitude", "frequency", "phase")),
+    "power": (HolderPower, ("scale", "center", "exponent")),
+}
+_coeffs = _rule(_reals, bool, "expected at least one coefficient")
+
+
+def piece_from_dict(spec) -> Piece:
+    """One piece from its config object; ``coeffs`` is a list of numbers, every
+    other field one number."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"piece: expected an object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _PIECE_KINDS:
+        raise ConfigError(f"unknown piece kind {kind!r}; one of {sorted(_PIECE_KINDS)}")
+    make, fields = _PIECE_KINDS[kind]
+    unknown = sorted(set(spec) - {"kind", *fields})
+    if unknown:
+        raise ConfigError(f"{kind} piece: unknown field(s) {unknown}; allowed {list(fields)}")
+    kwargs = {name: (_coeffs if name == "coeffs" else _real)(spec[name], f"{kind} piece: {name}")
+              for name in fields if name in spec}
+    try:
+        return make(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"bad {kind} piece: {exc}") from exc
+
+
+def piecewise_from_dict(spec) -> PiecewiseFunction:
+    """Build a piecewise function from config data.
+
+    Two forms are accepted: ``{"breakpoints": [...], "pieces": [...]}`` with
+    len(pieces) == len(breakpoints) + 1, or a list of pieces carrying explicit
+    ``"interval": [lo, hi]`` entries that must tile the real line (``null``
+    stands for an infinite endpoint).  Gaps or overlaps are configuration
+    errors, and so is a piece field that its kind does not have.
+    """
+    if isinstance(spec, dict) and "breakpoints" in spec:
+        if not isinstance(spec.get("pieces"), list):
+            raise ConfigError(f"pieces: expected a list, got {spec.get('pieces')!r}")
+        return PiecewiseFunction(breakpoints=_reals(spec["breakpoints"], "breakpoints"),
+                                 pieces=tuple(piece_from_dict(p) for p in spec["pieces"]))
+    if isinstance(spec, dict) and "pieces" in spec:
+        entries = spec["pieces"]
+    elif isinstance(spec, list):
+        entries = spec
+    else:
+        raise ConfigError("piecewise spec must carry 'breakpoints'+'pieces' or interval pieces")
+    if not isinstance(entries, list):
+        raise ConfigError(f"pieces: expected a list, got {entries!r}")
+    if not entries:
+        raise ConfigError("piecewise spec has no pieces")
+    parsed = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ConfigError(f"pieces[{i}]: expected an object, got {e!r}")
+        if not isinstance(e.get("interval"), list) or len(e["interval"]) != 2:
+            raise ConfigError("interval form requires an 'interval' [lo, hi] on every piece")
+        lo, hi = (_optional(_real)(v, "interval") for v in e["interval"])
+        piece = piece_from_dict({k: v for k, v in e.items() if k != "interval"})
+        parsed.append((-math.inf if lo is None else lo, math.inf if hi is None else hi, piece))
+    parsed.sort(key=lambda t: t[0])
+    if parsed[0][0] != -math.inf or parsed[-1][1] != math.inf:
+        raise ConfigError("piece intervals must cover the whole line")
+    for (_, hi1, _), (lo2, _, _) in zip(parsed, parsed[1:]):
+        if hi1 != lo2:
+            raise ConfigError(f"gap or overlap between pieces at {hi1} vs {lo2}")
+    return PiecewiseFunction(
+        breakpoints=tuple(lo for lo, _, _ in parsed[1:]),
+        pieces=tuple(p for _, _, p in parsed),
+    )
 
 
 def _piecewise(v, where: str):

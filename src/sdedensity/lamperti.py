@@ -4,9 +4,9 @@ H(x) is the antiderivative of 1/sigma_cont anchored at the left window edge.
 Outside the window sigma_cont is constant, so H continues linearly in closed
 form; inside, cumulative integrals are tabulated on a dense knot grid aligned
 with the piece breakpoints, and the residual sub-cell integral is evaluated
-with a fixed Gauss-Legendre rule (closed forms for constant and affine
-pieces).  The map is strictly monotone and bi-Lipschitz because the diffusion
-is bounded away from zero.
+with a fixed Gauss-Legendre rule (closed forms for polynomial pieces of
+degree at most one).  The map is strictly monotone and bi-Lipschitz because
+the diffusion is bounded away from zero.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, RangeError, ValidationError
-from .model import Affine, Constant, SigmaStar
+from .model import Polynomial, SigmaStar
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _INVERSE_TOLERANCE = 1e-10  # Newton stopping tolerance of the inverse, in H units
@@ -26,21 +26,19 @@ _BOX_RADII = 3.0  # the inverse is defined on H([xi - 3 delta, xi + 3 delta])
 
 def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
     """Integral of 1/sigma_cont from knots[cell[i]] to x[i], x[i] inside that cell,
-    where pieces[cell_piece[c]] applies; exact for constant/affine pieces,
-    Gauss-Legendre for the others."""
+    where pieces[cell_piece[c]] applies; exact for polynomials of at most two
+    coefficients, Gauss-Legendre for the others."""
     out = np.empty_like(x)
     which = cell_piece[cell]
     for pi in np.unique(which):
         m, piece = which == pi, pieces[pi]
         am, xm = knots[cell[m]], x[m]
-        if isinstance(piece, Constant):
-            out[m] = (xm - am) / piece.value
-        elif isinstance(piece, Affine) and piece.slope == 0.0:
-            out[m] = (xm - am) / piece.intercept
-        elif isinstance(piece, Affine):
-            va = piece.intercept + piece.slope * am
-            vx = piece.intercept + piece.slope * xm
-            out[m] = np.log(vx / va) / piece.slope
+        if isinstance(piece, Polynomial) and len(piece.coeffs) <= 2:
+            c0, c1 = (*piece.coeffs, 0.0)[:2]  # sigma = c0 + c1 x; c1 = 0 for a constant
+            if c1 == 0.0:
+                out[m] = (xm - am) / c0
+            else:
+                out[m] = np.log((c0 + c1 * xm) / (c0 + c1 * am)) / c1
         else:
             half = (xm - am) * 0.5
             nodes = am[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)

@@ -1,7 +1,7 @@
 """Piecewise coefficient models for scalar SDEs.
 
 The drift and the diffusion are declared as piecewise closed-form functions
-(constant, affine, polynomial, sinusoid, power of a distance).  On top of
+(polynomial, sinusoid, power of a distance).  On top of
 those this module builds the localization window, the constant continuation
 of the diffusion outside the window, its almost-everywhere derivative (zero
 at kinks), and the drift functional
@@ -63,78 +63,52 @@ class Piece:
         return ()
 
 
-@dataclass(frozen=True)
-class Constant(Piece):
-    value: float
-
-    def __call__(self, x):
-        arr, scalar = _as_array(x)
-        out = np.full_like(arr, self.value)
-        return _ret(out, scalar)
-
-    def derivative(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(np.zeros_like(arr), scalar)
-
-    def sup_abs(self, a, b):
-        return abs(self.value)
-
-    def sup_abs_derivative(self, a, b):
-        return 0.0
-
-
-@dataclass(frozen=True)
-class Affine(Piece):
-    intercept: float
-    slope: float
-
-    def __call__(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self.intercept + self.slope * arr, scalar)
-
-    def derivative(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(np.full_like(arr, self.slope), scalar)
-
-    def sup_abs(self, a, b):
-        return max(abs(self.intercept + self.slope * a), abs(self.intercept + self.slope * b))
-
-    def sup_abs_derivative(self, a, b):
-        return abs(self.slope)
+def _polyval(coeffs: tuple[float, ...], x):
+    arr, scalar = _as_array(x)
+    return _ret(np.polynomial.polynomial.polyval(arr, coeffs), scalar)
 
 
 @dataclass(frozen=True)
 class Polynomial(Piece):
+    """sum_j coeffs[j] x**j, the one polynomial-family piece: the config kinds
+    constant, affine and polynomial all build one."""
+
     coeffs: tuple[float, ...]  # ascending degree
 
-    def _poly(self):
-        return np.polynomial.Polynomial(self.coeffs)
+    @property
+    def deriv_coeffs(self) -> tuple[float, ...]:
+        # (0.0,) for a constant: numpy's derivative of a negative constant is -0.0
+        return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)
 
     def __call__(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self._poly()(arr), scalar)
+        return _polyval(self.coeffs, x)
 
     def derivative(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self._poly().deriv()(arr), scalar)
+        return _polyval(self.deriv_coeffs, x)
 
     @staticmethod
-    def _sup_on(poly, a, b):
+    def _sup_on(coeffs, a, b):
         pts = [a, b]
-        der = poly.deriv()
-        if der.degree() >= 1:
-            roots = der.roots()
+        if len(coeffs) > 2:
+            roots = np.polynomial.Polynomial(coeffs).deriv().roots()
             pts.extend(float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b)
-        return max(abs(float(poly(p))) for p in pts)
+        return max(abs(_polyval(coeffs, p)) for p in pts)
 
     def sup_abs(self, a, b):
-        return self._sup_on(self._poly(), a, b)
+        return self._sup_on(self.coeffs, a, b)
 
     def sup_abs_derivative(self, a, b):
-        der = self._poly().deriv()
-        if der.degree() == 0:
-            return abs(float(der.coef[0]))
-        return self._sup_on(der, a, b)
+        return self._sup_on(self.deriv_coeffs, a, b)
+
+
+def Constant(value: float) -> Polynomial:
+    """The constant piece ``value``."""
+    return Polynomial((value,))
+
+
+def Affine(intercept: float, slope: float) -> Polynomial:
+    """The piece ``intercept + slope * x``."""
+    return Polynomial((intercept, slope))
 
 
 @dataclass(frozen=True)
@@ -226,19 +200,11 @@ class HolderPower(Piece):
 # piecewise functions
 # ---------------------------------------------------------------------------
 
-_POLYNOMIAL_KINDS = (Constant, Affine, Polynomial)
-
-
 def _coefficient_rows(piece: Piece) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Ascending coefficients of a piece and of its derivative; zeros for a
     piece outside the polynomial family (evaluated separately)."""
-    if isinstance(piece, Constant):
-        return (piece.value,), (0.0,)
-    if isinstance(piece, Affine):
-        return (piece.intercept, piece.slope), (piece.slope,)
     if isinstance(piece, Polynomial):
-        poly = piece._poly()
-        return tuple(poly.coef), tuple(poly.deriv().coef)
+        return piece.coeffs, piece.deriv_coeffs
     return (0.0,), (0.0,)
 
 
@@ -279,7 +245,7 @@ class PiecewiseFunction:
         object.__setattr__(self, "_value_cols", _pad_columns(values))
         object.__setattr__(self, "_deriv_cols", _pad_columns(derivs))
         object.__setattr__(self, "_other", tuple(
-            i for i, p in enumerate(pieces) if not isinstance(p, _POLYNOMIAL_KINDS)))
+            i for i, p in enumerate(pieces) if not isinstance(p, Polynomial)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -302,9 +268,9 @@ class PiecewiseFunction:
 
         Polynomial-family pieces are evaluated as ``c_0 + x (c_1 + x (...))``
         with each piece's own coefficients, which is the operation sequence
-        of ``numpy.polynomial`` and of ``Constant``/``Affine``, so for finite
-        x the values equal the per-piece ones bitwise.  Other pieces
-        overwrite their points afterwards.  ``idx`` is the piece index of
+        of ``numpy.polynomial`` and so of ``Polynomial``: for finite x the
+        values equal the per-piece ones bitwise.  Other pieces overwrite
+        their points afterwards.  ``idx`` is the piece index of
         each point when the caller already has it (see ``piece_table``).
         """
         arr, scalar = _as_array(x)
@@ -347,11 +313,10 @@ class PiecewiseFunction:
 
     @property
     def constant_value(self):
-        """The global value if the function is a single constant, else None."""
-        vals = {p.value for p in self.pieces if isinstance(p, Constant)}
-        if len(vals) == 1 and all(isinstance(p, Constant) for p in self.pieces):
-            return vals.pop()
-        return None
+        """The global value if every piece is the same one-coefficient polynomial, else None."""
+        rows = {tuple(p.coeffs) if isinstance(p, Polynomial) else None for p in self.pieces}
+        row = rows.pop() if len(rows) == 1 else None
+        return row[0] if row is not None and len(row) == 1 else None
 
     # -- piece bookkeeping ---------------------------------------------------
 
@@ -581,103 +546,3 @@ class DriftFunctional:
 def drift_functional(mu: PiecewiseFunction, s: SigmaStar) -> DriftFunctional:
     """g = mu/sigma_cont - weak_derivative(sigma_cont)/2 for this continuation."""
     return DriftFunctional(mu=mu, sigma_star=s, weak_deriv=weak_derivative(s))
-
-
-# ---------------------------------------------------------------------------
-# config-file parsing
-# ---------------------------------------------------------------------------
-
-_PIECE_KINDS = {
-    "constant": (Constant, ("value",)),
-    "affine": (Affine, ("intercept", "slope")),
-    "polynomial": (Polynomial, ("coeffs",)),
-    "sinusoid": (Sinusoid, ("offset", "amplitude", "frequency", "phase")),
-    "power": (HolderPower, ("scale", "center", "exponent")),
-}
-
-
-def _number(v, where: str) -> float:
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {v!r}") from None
-
-
-def piece_from_dict(spec: dict) -> Piece:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"piece: expected an object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in _PIECE_KINDS:
-        raise ConfigError(f"unknown piece kind {kind!r}; one of {sorted(_PIECE_KINDS)}")
-    cls, fields = _PIECE_KINDS[kind]
-    unknown = sorted(set(spec) - {"kind", *fields})
-    if unknown:
-        raise ConfigError(f"{kind} piece: unknown field(s) {unknown}; allowed {list(fields)}")
-    kwargs = {}
-    for name in fields:
-        if name in spec:
-            v, where = spec[name], f"{kind} piece: {name}"
-            if name == "coeffs":
-                if not isinstance(v, (list, tuple)):
-                    raise ConfigError(f"{where}: expected a list of numbers, got {v!r}")
-                kwargs[name] = tuple(_number(c, where) for c in v)
-            else:
-                kwargs[name] = _number(v, where)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {kind} piece: {exc}") from exc
-
-
-def piecewise_from_dict(spec: dict) -> PiecewiseFunction:
-    """Build a piecewise function from config data.
-
-    Two forms are accepted: ``{"breakpoints": [...], "pieces": [...]}`` with
-    len(pieces) == len(breakpoints) + 1, or a list of pieces carrying explicit
-    ``"interval": [lo, hi]`` entries that must tile the real line (``null``
-    stands for an infinite endpoint).  Gaps or overlaps are configuration
-    errors, and so is a piece field that its kind does not have.
-    """
-    if isinstance(spec, dict) and "breakpoints" in spec:
-        for key in ("breakpoints", "pieces"):
-            if not isinstance(spec.get(key), (list, tuple)):
-                raise ConfigError(f"{key}: expected a list, got {spec.get(key)!r}")
-        return PiecewiseFunction(
-            breakpoints=tuple(_number(b, "breakpoints") for b in spec["breakpoints"]),
-            pieces=tuple(piece_from_dict(p) for p in spec["pieces"]),
-        )
-    if isinstance(spec, dict) and "pieces" in spec:
-        entries = spec["pieces"]
-    elif isinstance(spec, list):
-        entries = spec
-    else:
-        raise ConfigError("piecewise spec must carry 'breakpoints'+'pieces' or interval pieces")
-
-    def edge(v, sign):
-        if v is None:
-            return sign * math.inf
-        return _number(v, "interval")
-
-    if not isinstance(entries, (list, tuple)):
-        raise ConfigError(f"pieces: expected a list, got {entries!r}")
-    if not entries:
-        raise ConfigError("piecewise spec has no pieces")
-    parsed = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise ConfigError(f"pieces[{i}]: expected an object, got {e!r}")
-        if not isinstance(e.get("interval"), (list, tuple)) or len(e["interval"]) != 2:
-            raise ConfigError("interval form requires an 'interval' [lo, hi] on every piece")
-        lo, hi = edge(e["interval"][0], -1), edge(e["interval"][1], +1)
-        piece = piece_from_dict({k: v for k, v in e.items() if k != "interval"})
-        parsed.append((lo, hi, piece))
-    parsed.sort(key=lambda t: t[0])
-    if parsed[0][0] != -math.inf or parsed[-1][1] != math.inf:
-        raise ConfigError("piece intervals must cover the whole line")
-    for (_, hi1, _), (lo2, _, _) in zip(parsed, parsed[1:]):
-        if hi1 != lo2:
-            raise ConfigError(f"gap or overlap between pieces at {hi1} vs {lo2}")
-    return PiecewiseFunction(
-        breakpoints=tuple(lo for lo, _, _ in parsed[1:]),
-        pieces=tuple(p for _, _, p in parsed),
-    )

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import sdedensity as sd
+
+# CI runs with --hypothesis-profile=ci; local runs keep Hypothesis' default
+# profile, and the config fuzz test is derandomized in both
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,10 @@ from sdedensity.simulate import simulate
 from sdedensity.errors import ConfigError
 
 
+def _pieces(*pieces, breakpoints=()):
+    return {"breakpoints": list(breakpoints), "pieces": list(pieces)}
+
+
 def tiny_config(**overrides):
     cfg = {
         "model": {
@@ -124,6 +128,20 @@ class TestCommands:
         ("simulation", "seed", 99.5, "simulation.seed: expected int, got 99.5"),
         ("inversion", "n_points", 101.5, "inversion.n_points: expected int, got 101.5"),
         ("inversion", "n_points", False, "inversion.n_points: expected int, got False"),
+        # json.load reads NaN and +-Infinity; no number field accepts them
+        ("simulation", "h", math.nan, "simulation.h: expected a finite number, got nan"),
+        ("simulation", "x0", math.nan, "simulation.x0: expected a finite number, got nan"),
+        ("window", "xi", math.nan, "window.xi: expected a finite number, got nan"),
+        ("frequency_grid", "y_max", math.inf,
+         "frequency_grid.y_max: expected a finite number, got inf"),
+        ("frequency_grid", "spacing", math.nan,
+         "frequency_grid.spacing: expected a finite number, got nan"),
+        ("inversion", "margin", math.nan, "inversion.margin: expected a finite number, got nan"),
+        ("bounds", "eps_rule", math.nan,
+         "bounds.eps_rule: expected 'matched' or a finite number, got nan"),
+        ("bounds", "y_lo", -math.inf, "bounds.y_lo: expected a finite number, got -inf"),
+        ("certify", "analytic_y_max", math.inf,
+         "certify.analytic_y_max: expected a finite number, got inf"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
         bad = tiny_config()
@@ -143,15 +161,15 @@ class TestCommands:
          "model.mu: pieces: expected a list, got 5"),
         (lambda c: c.update(bounds=[]), "bounds: expected an object, got []"),
         (lambda c: c["frequency_grid"].update(y_max="big"),
-         "frequency_grid.y_max: expected float, got 'big'"),
+         "frequency_grid.y_max: expected a finite number, got 'big'"),
         (lambda c: c["certify"].update(analytic_y_max="x"),
-         "certify.analytic_y_max: expected float, got 'x'"),
+         "certify.analytic_y_max: expected a finite number, got 'x'"),
         (lambda c: c["certify"].update(analytic_y_max=-1.0),
          "certify.analytic_y_max: y_max and spacing must be positive"),
         (lambda c: c["reference"].update(kind="ornstein_uhlenbeck"),
          "reference: theta must be positive"),
         (lambda c: c["density"].update(t_list=["x"]),
-         "density.t_list: expected a list of numbers, got ['x']"),
+         "density.t_list: expected a list of finite numbers, got ['x']"),
         (lambda c: c["hoelder"].update(gamma_list=0.5),
          "hoelder.gamma_list: expected a list, got 0.5"),
         (lambda c: c["bounds"].update(gama=0.5),
@@ -176,7 +194,7 @@ class TestCommands:
         (lambda c: c["cutoff"].update(shoulder_fraction=0.9),
          "cutoff.shoulder_fraction: shoulder_fraction must lie in (0, 1/2)"),
         (lambda c: c["bounds"].update(eps_rule="bogus"),
-         "bounds.eps_rule: expected 'matched' or a number, got 'bogus'"),
+         "bounds.eps_rule: expected 'matched' or a finite number, got 'bogus'"),
         (lambda c: c["inversion"].update(margin=3.0),
          "inversion.margin: the inversion grid spans 70, not below the aliasing limit "
          "pi/frequency_grid.spacing = 12.57; reduce the margin or refine the frequency spacing"),
@@ -184,6 +202,28 @@ class TestCommands:
          "bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies in (9.0, 8.0]"),
         (lambda c: c["bounds"].update(eps_rule=0.5),
          "bounds.eps_rule: fixed lookback must lie in (0, t)"),
+        # piece fields go through the same number reader as every other field
+        (lambda c: c["model"].update(mu=_pieces({"kind": "polynomial", "coeffs": []})),
+         "model.mu: polynomial piece: coeffs: expected at least one coefficient, got []"),
+        (lambda c: c["model"].update(mu=_pieces({"kind": "polynomial",
+                                                 "coeffs": [0.0, math.nan]})),
+         "model.mu: polynomial piece: coeffs: expected a list of finite numbers, "
+         "got [0.0, nan]"),
+        (lambda c: c["model"].update(mu=_pieces({"kind": "constant", "value": 1.0},
+                                                {"kind": "constant", "value": -1.0},
+                                                breakpoints=[math.nan])),
+         "model.mu: breakpoints: expected a list of finite numbers, got [nan]"),
+        (lambda c: c["model"].update(sigma=_pieces({"kind": "constant", "value": "0.5"})),
+         "model.sigma: constant piece: value: expected a finite number, got '0.5'"),
+        (lambda c: c["model"].update(sigma=_pieces({"kind": "constant", "value": True})),
+         "model.sigma: constant piece: value: expected a finite number, got True"),
+        (lambda c: c["model"].update(mu=_pieces({"kind": ["constant"], "value": 0.0})),
+         "model.mu: unknown piece kind ['constant']; one of ['affine', 'constant', "
+         "'polynomial', 'power', 'sinusoid']"),
+        (lambda c: c["model"].update(mu=[
+            {"kind": "constant", "value": 0.0, "interval": [None, "0"]},
+            {"kind": "constant", "value": 0.0, "interval": ["0", None]}]),
+         "model.mu: interval: expected a finite number, got '0'"),
     ])
     def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, edit, message):
         from sdedensity import config
@@ -312,7 +352,7 @@ class TestRecordingPlan:
 
 
 def _sigma(*pieces, breakpoints=()):
-    return {"model": {"sigma": {"breakpoints": list(breakpoints), "pieces": list(pieces)}}}
+    return {"model": {"sigma": _pieces(*pieces, breakpoints=breakpoints)}}
 
 
 class TestSigmaStarOnce:
@@ -381,3 +421,45 @@ class TestByteDeterminism:
             main(["density", "--config", str(config_file), "--out", str(out)])
             outs.append((out / "density_t0p25.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def _as_polynomial(piece):
+    """A constant or affine piece spelt as the polynomial it is."""
+    coeffs = {"constant": ("value",), "affine": ("intercept", "slope")}[piece["kind"]]
+    return {"kind": "polynomial", "coeffs": [piece[k] for k in coeffs]}
+
+
+def _without_hash(obj):
+    if isinstance(obj, dict):
+        return {k: _without_hash(v) for k, v in obj.items() if k != "config_hash"}
+    return obj
+
+
+class TestPieceSpellings:
+    """constant and affine are spellings of polynomial: same outputs, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["gbm", "sign_drift"])
+    def test_polynomial_spelling_gives_the_same_bytes(self, tmp_path, name):
+        raw = json.loads(json.dumps(PRESETS[name]))
+        raw["simulation"]["n_paths"] = 5000
+        respelt = json.loads(json.dumps(raw))
+        for key in ("mu", "sigma"):
+            respelt["model"][key]["pieces"] = [_as_polynomial(p)
+                                               for p in raw["model"][key]["pieces"]]
+        assert respelt != raw
+        trees = []
+        for tag, cfg in (("given", raw), ("polynomial", respelt)):
+            config = tmp_path / f"{tag}.json"
+            config.write_text(json.dumps(cfg))
+            tree = {}
+            for command in ("density", "bound", "certify"):
+                out = tmp_path / tag / command
+                tree[command] = main([command, "--config", str(config), "--out", str(out)])
+                for f in sorted(out.iterdir()):
+                    if f.suffix == ".json":  # all but config_hash, re-dumped
+                        data = _without_hash(json.loads(f.read_text()))
+                        tree[f"{command}/{f.name}"] = json.dumps(data, sort_keys=True)
+                    else:
+                        tree[f"{command}/{f.name}"] = f.read_bytes()
+            trees.append(tree)
+        assert trees[0] == trees[1]

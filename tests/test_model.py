@@ -85,7 +85,7 @@ class TestPiecewiseFromDict:
             sd.piecewise_from_dict(spec)
 
     def test_non_numeric_field_rejected(self):
-        with pytest.raises(ConfigError, match="constant piece: value: expected a number, got 'x'"):
+        with pytest.raises(ConfigError, match="constant piece: value: expected a finite number, got 'x'"):
             sd.piecewise_from_dict({"breakpoints": [], "pieces": [{"kind": "constant",
                                                                    "value": "x"}]})
 
