@@ -28,7 +28,7 @@ import numpy as np
 from .charfn import CharFnEstimate
 from .errors import AlignmentError, ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
-from .simulate import BLOCK_PATHS, PathEnsemble, stay_suffix
+from .simulate import BLOCK_PATHS, PathEnsemble, in_window
 from .util import MCEstimate, fmt_float, map_ordered, merge_moments, path_chunks, row_moments
 
 
@@ -66,10 +66,11 @@ class RemainderPass:
     lookbacks[u] steps} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |, with
     eps = lookbacks[u] * h and the trapezoid sum taken from prefix sums of g.
     A block's result is the (count, mean, M2) of its samples per lookback;
-    ``merge_moments`` merges the blocks in block order.  ``simulate`` runs the
-    kernel on each block's band as the block is simulated; ``block_results``
-    runs it on an ensemble that recorded the band.  Blocks are ``BLOCK_PATHS``
-    paths either way, so the estimates are the same bits for any thread count.
+    ``merge_moments`` merges the blocks in block order.  ``start`` opens one
+    block's ``BlockRemainder``, which takes the block's states one step at a
+    time: ``simulate`` feeds it inside the Euler loop, and ``block_results``
+    feeds it an ensemble's recorded band.  Blocks are ``BLOCK_PATHS`` paths
+    either way, so the estimates are the same bits for any thread count.
     """
 
     g: DriftFunctional
@@ -88,20 +89,8 @@ class RemainderPass:
     def steps(self) -> range:
         return range(self.k_end - self.lookbacks[-1], self.k_end + 1)
 
-    def __call__(self, band: np.ndarray) -> tuple:
-        """``row_moments`` of the samples (a row per lookback) of a block's band,
-        which has a row per step."""
-        band = np.ascontiguousarray(band)
-        lookbacks = np.asarray(self.lookbacks)
-        c0 = band.shape[0] - 1 - lookbacks
-        stay = stay_suffix(band.T, self.window)[:, c0].T
-        gv = self.g(band)
-        g0, g_end = gv[c0], gv[-1].copy()
-        prefix = np.cumsum(gv, axis=0, out=gv)  # in place: gv is not read again
-        integral = self.h * (prefix[-1] - prefix[c0] + 0.5 * (g0 - g_end))
-        del gv, prefix
-        vals = np.abs(integral - (lookbacks * self.h)[:, None] * g0)
-        return row_moments(np.where(stay, vals, 0.0))
+    def start(self, rows: int) -> "BlockRemainder":
+        return BlockRemainder(self, rows)
 
     def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
         """The kernel's results per ``BLOCK_PATHS`` block of ``ens``, in block order:
@@ -110,8 +99,64 @@ class RemainderPass:
         if ens.band_pass == self:
             return ens.band_parts
         band = ens.band(self.steps[0], self.steps[-1])
-        return map_ordered(lambda span: self(band[span[0]:span[1]].T),
-                           path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
+
+        def run(span):
+            block = self.start(span[1] - span[0])
+            for x in band[span[0]:span[1]].T:
+                block.push(x)
+            return block.result()
+
+        return map_ordered(run, path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
+
+
+class BlockRemainder:
+    """One block's remainder moments, reduced as its states arrive, a step at a time.
+
+    Per path it keeps the running prefix sum of g, g and the prefix at each
+    lookback's first step, and the last step spent outside the closed window
+    (the path stays on lookback u iff that step is before u's first), so no
+    band of states is held.  ``result`` applies the trapezoid rule to these in
+    the operation order of a cumulative sum over the band, so the samples are
+    the same bits as from the band itself.
+    """
+
+    def __init__(self, kernel: RemainderPass, rows: int):
+        self.kernel = kernel
+        lookbacks = np.asarray(kernel.lookbacks)
+        self.first = len(kernel.steps) - 1 - lookbacks  # band row of each lookback's start
+        self.slot = {int(r): u for u, r in enumerate(self.first)}
+        self.g_first = np.empty((lookbacks.size, rows))
+        self.prefix_first = np.empty((lookbacks.size, rows))
+        self.last_out = np.full(rows, -1)
+        self.row = 0
+        self.prefix = self.g_last = None
+
+    def push(self, x: np.ndarray) -> None:
+        """The block's states at the next band step."""
+        gx = self.kernel.g(x)
+        self.prefix = gx if self.prefix is None else self.prefix + gx
+        u = self.slot.get(self.row)
+        if u is not None:
+            self.g_first[u] = gx
+            self.prefix_first[u] = self.prefix
+        self.last_out[~in_window(x, self.kernel.window)] = self.row
+        self.g_last = gx
+        self.row += 1
+
+    def result(self) -> tuple:
+        """``row_moments`` of the samples, a row per lookback, once every band step is in."""
+        k = self.kernel
+        # |h (P_end - P_first + 0.5 (g_first - g_end)) - eps g_first| in this
+        # operation order, in place
+        integral = np.subtract(self.prefix, self.prefix_first, out=self.prefix_first)
+        half = self.g_first - self.g_last
+        half *= 0.5
+        integral += half
+        integral *= k.h
+        self.g_first *= (np.asarray(k.lookbacks) * k.h)[:, None]
+        integral -= self.g_first
+        np.abs(integral, out=integral)
+        return row_moments(np.where(self.last_out < self.first[:, None], integral, 0.0))
 
 
 def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,

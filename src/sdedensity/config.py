@@ -153,8 +153,12 @@ def piecewise_from_dict(spec) -> PiecewiseFunction:
     len(pieces) == len(breakpoints) + 1, or a list of pieces carrying explicit
     ``"interval": [lo, hi]`` entries that must tile the real line (``null``
     stands for an infinite endpoint).  Gaps or overlaps are configuration
-    errors, and so is a piece field that its kind does not have.
+    errors, and so is a key or piece field that its form or kind does not have.
     """
+    if isinstance(spec, dict):
+        unknown = sorted((k for k in spec if k not in ("breakpoints", "pieces")), key=str)
+        if unknown:
+            raise ConfigError(f"unknown field(s) {unknown}; allowed ['breakpoints', 'pieces']")
     if isinstance(spec, dict) and "breakpoints" in spec:
         if not isinstance(spec.get("pieces"), list):
             raise ConfigError(f"pieces: expected a list, got {spec.get('pieces')!r}")
@@ -433,9 +437,9 @@ class Pipeline:
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
-        """The paths at the declared times.  If the bound runs, its lookback band
-        is reduced to remainder moments block by block while simulating, and
-        not stored."""
+        """The paths at the declared times.  If the bound runs, each block's
+        states in its lookback band are reduced to remainder moments step by
+        step while simulating, and never stored."""
         sim = self.cfg.simulation
         times, bound = self._reads
         band_pass = None

@@ -169,7 +169,7 @@ def build_lamperti_map(s: SigmaStar) -> LampertiMap:
         np.asarray(sorted(k for p in base.pieces for k in p.kinks(w.lo, w.hi))),
     ]))
     mids = 0.5 * (knots[:-1] + knots[1:])
-    cell_piece = base._indices(mids).astype(np.int64)
+    cell_piece = np.searchsorted(np.asarray(base.breakpoints), mids, side="right")
 
     cell_vals = _integrals_of_inverse(base.pieces, cell_piece, knots,
                                       np.arange(len(knots) - 1), knots[1:])

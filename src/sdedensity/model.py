@@ -16,6 +16,7 @@ Evaluation convention at a breakpoint: the piece to the *right* applies.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,10 @@ class Polynomial(Piece):
     constant, affine and polynomial all build one."""
 
     coeffs: tuple[float, ...]  # ascending degree
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ConfigError("polynomial piece requires at least one coefficient")
 
     @property
     def deriv_coeffs(self) -> tuple[float, ...]:
@@ -197,24 +202,135 @@ class HolderPower(Piece):
 
 
 # ---------------------------------------------------------------------------
-# piecewise functions
+# compiled evaluation
 # ---------------------------------------------------------------------------
 
-def _coefficient_rows(piece: Piece) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Ascending coefficients of a piece and of its derivative; zeros for a
-    piece outside the polynomial family (evaluated separately)."""
-    if isinstance(piece, Polynomial):
-        return piece.coeffs, piece.deriv_coeffs
-    return (0.0,), (0.0,)
+def _identity(v):
+    return v
 
 
-def _pad_columns(rows) -> tuple[np.ndarray, ...]:
-    """Column j holds every piece's degree-j coefficient (zero-padded)."""
-    width = max(len(r) for r in rows)
-    table = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        table[i, :len(r)] = r
-    return tuple(np.ascontiguousarray(table[:, j]) for j in range(width))
+def _rows_on(f, method: str, zero_at: frozenset, lefts: list) -> tuple[np.ndarray, list]:
+    """``f.method`` on the intervals with left edges ``lefts``: a row of ascending
+    coefficients per interval, zero-padded to f's widest piece, and per interval
+    the bound method of a piece outside the polynomial family (else None), whose
+    row is zero.  An interval starting at a point of ``zero_at`` holds that point
+    alone and gets a zero row."""
+    rows = [(p.coeffs if method == "__call__" else p.deriv_coeffs)
+            if isinstance(p, Polynomial) else (0.0,) for p in f.pieces]
+    table = np.zeros((len(lefts), max(map(len, rows))))
+    other = [None] * len(lefts)
+    owners = np.searchsorted(np.asarray(f.breakpoints, dtype=float), lefts, side="right")
+    for i, (left, j) in enumerate(zip(lefts, owners)):
+        if left not in zero_at:
+            table[i, :len(rows[j])] = rows[j]
+            if not isinstance(f.pieces[j], Polynomial):
+                other[i] = getattr(f.pieces[j], method)
+    return table, other
+
+
+def _term(table: np.ndarray, other: list) -> tuple:
+    """(coefficient columns, [(interval, method)], scalar or None), intervals
+    counted by the number of breakpoints above x: n - (interval index)."""
+    n = len(table) - 1
+    others = tuple((n - i, fn) for i, fn in enumerate(other) if fn is not None)
+    bits = table.view(np.int64)
+    scalar = table[0, 0] if table.shape[1] == 1 and not others and np.all(bits == bits[0]) \
+        else None
+    return tuple(np.ascontiguousarray(table[::-1, d]) for d in range(table.shape[1])), \
+        others, scalar
+
+
+def _term_at(term: tuple, x: np.ndarray, m):
+    """A term's values at x, whose intervals are ``m`` (None: a single interval)."""
+    cols, others, scalar = term
+    if scalar is not None:
+        return scalar
+    if m is None:
+        if others:
+            return others[0][1](x)
+        m = 0
+    # Horner c_0 + x (c_1 + x (...)), numpy.polynomial's operation sequence
+    out = cols[-1][m] * x if len(cols) > 1 else cols[0][m]
+    for d in range(len(cols) - 2, -1, -1):
+        if d < len(cols) - 2:
+            out *= x
+        out += cols[d][m]
+    for i, fn in others:
+        mask = m == i
+        if np.any(mask):
+            out[mask] = fn(x[mask])
+    return out
+
+
+class _Compiled:
+    """Functions of x built from piecewise functions, evaluated with one piece lookup.
+
+    ``outputs`` is a sequence of ``(combine, terms)``; a term ``(f, method,
+    zero_at)`` is ``f.method`` (``"__call__"`` or ``"derivative"`` of a
+    ``PiecewiseFunction``) set to 0 at the points ``zero_at``, and the output
+    is ``combine(*term values)``.  Compiling puts every term on the intervals
+    of the union of all breakpoints, where a point of ``zero_at`` is the
+    one-point interval [p, nextafter(p, inf)).  Then an output whose terms are
+    all piecewise constant becomes one table of ``combine`` of the piece
+    values; a breakpoint across which no term changes is dropped; and a term
+    that is one constant everywhere is a scalar.
+
+    Each x finds its interval by one comparison per remaining breakpoint
+    (NaN, as in ``np.searchsorted``, goes to the last interval).  Polynomial
+    pieces are evaluated by Horner in ``numpy.polynomial``'s operation order
+    on each function's zero-padded coefficient rows, and other pieces
+    overwrite their points, so every value has the bits of evaluating the
+    owning piece and applying ``combine`` at each point (for finite x; at
+    +-inf the zero padding of a lower-degree piece gives NaN).
+    """
+
+    def __init__(self, outputs):
+        pts = set()
+        for _, terms in outputs:
+            for f, _, zero_at in terms:
+                pts.update(f.breakpoints, zero_at, (math.nextafter(p, math.inf) for p in zero_at))
+        lefts = [-math.inf, *sorted(pts)]
+        compiled = []
+        for combine, terms in outputs:
+            tables = [_rows_on(f, method, frozenset(zero_at), lefts)
+                      for f, method, zero_at in terms]
+            if all(t.shape[1] == 1 and not any(o) for t, o in tables):
+                with np.errstate(all="ignore"):
+                    folded = combine(*(t[:, 0] for t, _ in tables))
+                combine, tables = _identity, [(folded[:, None], [None] * len(lefts))]
+            compiled.append((combine, tables))
+        # an interval that no term tells apart from the one on its left joins it
+        keep = [0] + [i for i in range(1, len(lefts)) if any(
+            t[i].tobytes() != t[i - 1].tobytes() or o[i] != o[i - 1]
+            for _, tables in compiled for t, o in tables)]
+        self.breakpoints = np.array([lefts[i] for i in keep[1:]])
+        self.outputs = tuple(
+            (combine, tuple(_term(t[keep], [o[i] for i in keep]) for t, o in tables))
+            for combine, tables in compiled)
+
+    def __call__(self, x: np.ndarray) -> list:
+        """Each output at the array x: an array, or a scalar for a constant output."""
+        m = None  # breakpoints above x: interval n - m, and NaN (above none) the last
+        if self.breakpoints.size:
+            m = (x < self.breakpoints[0]).astype(np.intp)
+            for b in self.breakpoints[1:]:
+                m += x < b
+        return [combine(*(_term_at(t, x, m) for t in terms)) for combine, terms in self.outputs]
+
+
+def _evaluate(compiled: _Compiled, x):
+    """The single output of ``compiled`` at x, shaped like x (a float for a scalar)."""
+    arr, scalar = _as_array(x)
+    arr1 = np.atleast_1d(arr)
+    (out,) = compiled(arr1)
+    if np.ndim(out) == 0:
+        out = np.full(arr1.shape, out)
+    return _ret(out.reshape(arr.shape), scalar)
+
+
+# ---------------------------------------------------------------------------
+# piecewise functions
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -223,7 +339,8 @@ class PiecewiseFunction:
 
     ``pieces[i]`` applies on ``[breakpoints[i-1], breakpoints[i])`` (with the
     obvious unbounded first and last intervals), so evaluation at a
-    breakpoint uses the piece on the right.
+    breakpoint uses the piece on the right.  Breakpoints are finite and
+    strictly increasing.
     """
 
     breakpoints: tuple[float, ...]
@@ -236,80 +353,33 @@ class PiecewiseFunction:
             raise ConfigError(
                 f"need {len(bp) + 1} pieces for {len(bp)} breakpoints, got {len(pieces)}"
             )
+        if not all(math.isfinite(b) for b in bp):
+            raise ConfigError(f"breakpoints must be finite, got {list(bp)}")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ConfigError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_bp_arr", np.asarray(bp, dtype=float))
-        values, derivs = zip(*(_coefficient_rows(p) for p in pieces))
-        object.__setattr__(self, "_value_cols", _pad_columns(values))
-        object.__setattr__(self, "_deriv_cols", _pad_columns(derivs))
-        object.__setattr__(self, "_other", tuple(
-            i for i, p in enumerate(pieces) if not isinstance(p, Polynomial)))
+        object.__setattr__(self, "_value", _Compiled([(_identity, ((self, "__call__", ()),))]))
+        object.__setattr__(self, "_deriv", _Compiled([(_identity, ((self, "derivative", ()),))]))
 
     # -- evaluation ---------------------------------------------------------
 
-    def _indices(self, arr):
-        return np.searchsorted(self._bp_arr, arr, side="right")
-
-    def piece_table(self, union: np.ndarray) -> np.ndarray | None:
-        """Piece index per interval of ``union``, a sorted superset of the breakpoints.
-
-        ``table[searchsorted(union, x, side="right")]`` is the piece index of
-        x (NaN included, which sorts past every breakpoint); None when there
-        is a single piece.
-        """
-        if not self.breakpoints:
-            return None
-        return np.concatenate(([0], np.searchsorted(self._bp_arr, union, side="right")))
-
-    def _evaluate(self, x, cols, method, idx=None):
-        """Horner over the compiled coefficient columns, gathered per piece.
-
-        Polynomial-family pieces are evaluated as ``c_0 + x (c_1 + x (...))``
-        with each piece's own coefficients, which is the operation sequence
-        of ``numpy.polynomial`` and so of ``Polynomial``: for finite x the
-        values equal the per-piece ones bitwise.  Other pieces overwrite
-        their points afterwards.  ``idx`` is the piece index of
-        each point when the caller already has it (see ``piece_table``).
-        """
-        arr, scalar = _as_array(x)
-        arr1 = np.atleast_1d(arr)
-        if idx is None:
-            idx = self._indices(arr1) if self.breakpoints else 0
-        if len(cols) > 1:
-            out = cols[-1][idx] * arr1
-        else:  # a gather by an index array is already a fresh array
-            out = cols[0][idx] if np.ndim(idx) else np.full(arr1.shape, cols[0][idx])
-        for j, col in enumerate(cols[-2::-1]):
-            if j:
-                out *= arr1
-            out += col[idx]
-        for i in self._other:
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = getattr(self.pieces[i], method)(arr1[mask])
-        return _ret(out.reshape(arr.shape), scalar)
-
     def __call__(self, x):
-        return self._evaluate(x, self._value_cols, "__call__")
+        return _evaluate(self._value, x)
 
     def derivative(self, x):
         """Piece-by-piece classical derivative, right piece at breakpoints."""
-        return self._evaluate(x, self._deriv_cols, "derivative")
+        return _evaluate(self._deriv, x)
 
     def left_limit(self, x: float) -> float:
         """Limit from the left (left piece evaluated at x)."""
-        i = int(np.searchsorted(self._bp_arr, x, side="left"))
-        return float(self.pieces[i](x))
+        return float(self.pieces[bisect_left(self.breakpoints, x)](x))
 
     def left_derivative(self, x: float) -> float:
-        i = int(np.searchsorted(self._bp_arr, x, side="left"))
-        return float(self.pieces[i].derivative(x))
+        return float(self.pieces[bisect_left(self.breakpoints, x)].derivative(x))
 
     def right_derivative(self, x: float) -> float:
-        i = int(np.searchsorted(self._bp_arr, x, side="right"))
-        return float(self.pieces[i].derivative(x))
+        return float(self.pieces[bisect_right(self.breakpoints, x)].derivative(x))
 
     @property
     def constant_value(self):
@@ -332,8 +402,7 @@ class PiecewiseFunction:
             if lo2 < hi2:
                 segs.append((lo2, hi2, piece))
         if not segs:  # degenerate interval: single point
-            i = int(self._indices(np.asarray(a)))
-            segs.append((a, b, self.pieces[i]))
+            segs.append((a, b, self.pieces[bisect_right(self.breakpoints, a)]))
         return segs
 
     def sup_abs_on(self, a: float, b: float) -> float:
@@ -374,6 +443,25 @@ class CoefficientModel:
 
     mu: PiecewiseFunction
     sigma: PiecewiseFunction
+
+    def euler_step(self, h: float):
+        """The Euler step x <- x + mu(x) h + sigma(x) dw, compiled once for this h.
+
+        ``step(x, dw)`` updates the array x in place and overwrites dw with
+        sigma(x) dw.  mu and sigma share one piece lookup, and a piecewise
+        constant mu is a table of c_i h; each value has the bits of the
+        expression evaluated point by point in its operation order.
+        """
+        compiled = _Compiled([(lambda mu: mu * h, ((self.mu, "__call__", ()),)),
+                             (_identity, ((self.sigma, "__call__", ()),))])
+
+        def step(x, dw):
+            mu_h, sigma = compiled(x)
+            np.multiply(dw, sigma, out=dw)
+            x += mu_h
+            x += dw
+
+        return step
 
 
 @dataclass(frozen=True)
@@ -486,21 +574,22 @@ class WeakDerivative:
     source: SigmaStar
     nondifferentiable_points: tuple[float, ...]
 
-    def __call__(self, x, idx=None):
-        """``idx``: piece indices into ``source.base``, if already looked up."""
-        arr, scalar = _as_array(x)
-        arr1 = np.atleast_1d(arr)
-        base = self.source.base
-        out = base._evaluate(arr1, base._deriv_cols, "derivative", idx)
-        for p in self.nondifferentiable_points:
-            out[arr1 == p] = 0.0
-        return _ret(out.reshape(arr.shape), scalar)
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", _Compiled([
+            (_identity, ((self.source.base, "derivative", self.nondifferentiable_points),))]))
+
+    def __call__(self, x):
+        return _evaluate(self._compiled, x)
 
 
 def weak_derivative(s: SigmaStar) -> WeakDerivative:
     """Detect kink points of the continuation and zero the derivative there."""
     return WeakDerivative(source=s,
                           nondifferentiable_points=s.base.kinks_in(-math.inf, math.inf))
+
+
+def _drift(mu, sigma, d):
+    return mu / sigma - d * 0.5
 
 
 @dataclass(frozen=True)
@@ -512,30 +601,15 @@ class DriftFunctional:
     weak_deriv: WeakDerivative
 
     def __post_init__(self):
-        union = np.asarray(self.breakpoints, dtype=float)
-        object.__setattr__(self, "_union", union)
-        object.__setattr__(self, "_mu_table", self.mu.piece_table(union))
-        object.__setattr__(self, "_sigma_table", self.sigma_star.base.piece_table(union))
+        # one lookup on the union of mu's and sigma_cont's breakpoints; a
+        # piecewise constant g (discontinuous drift, constant diffusion) is a table
+        base = self.sigma_star.base
+        object.__setattr__(self, "_compiled", _Compiled([(_drift, (
+            (self.mu, "__call__", ()), (base, "__call__", ()),
+            (base, "derivative", self.weak_deriv.nondifferentiable_points)))]))
 
     def __call__(self, x):
-        """One breakpoint lookup on the union of mu's and sigma_cont's breakpoints;
-        per-function tables turn it into each function's piece index."""
-        arr, scalar = _as_array(x)
-        arr1 = np.atleast_1d(arr)
-        j = np.searchsorted(self._union, arr1, side="right") if self._union.size else None
-        mu_idx = 0 if self._mu_table is None else self._mu_table[j]
-        sigma_idx = 0 if self._sigma_table is None else self._sigma_table[j]
-        # g runs on slab-sized inputs: free each index array once it is used,
-        # and apply mu/sigma_cont - weak_deriv/2 in that order, in place
-        del j
-        out = self.mu._evaluate(arr1, self.mu._value_cols, "__call__", mu_idx)
-        del mu_idx
-        base = self.sigma_star.base
-        out /= base._evaluate(arr1, base._value_cols, "__call__", sigma_idx)
-        half_deriv = self.weak_deriv(arr1, sigma_idx)
-        half_deriv *= 0.5
-        out -= half_deriv
-        return _ret(out.reshape(arr.shape), scalar)
+        return _evaluate(self._compiled, x)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:

@@ -94,8 +94,8 @@ class PathEnsemble:
     ``recorded`` lists, ascending, the grid steps that were stored:
     ``states[i, j]`` is path i at time ``recorded[j] * h``.  Read states
     through ``band``/``states_at``, which index by grid step.  ``band_pass``
-    is the reduction ``simulate`` applied to each block's band, if any, and
-    ``band_parts`` its results in block order.
+    is the reduction ``simulate`` ran on each block's states at the band's
+    steps, if any, and ``band_parts`` its results in block order.
     """
 
     time_grid: np.ndarray
@@ -139,29 +139,30 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
              record=None, band_pass=None) -> PathEnsemble:
     """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}.
 
+    The step is compiled once per call (``CoefficientModel.euler_step``).
     ``record`` is the grid steps to store (any order, duplicates ignored);
     None stores every step 0..n_steps.  The paths themselves do not depend
     on it.  ``band_pass``, if given, has a ``steps`` range of grid steps and
-    is called on each block's states at those steps, shape (len(steps),
-    rows), on the block's worker thread; its results land in ``band_parts``
-    in block order, and the band itself is not kept.  Bitwise deterministic
-    for fixed (seed, cfg) at any thread count.  A non-finite state stays
-    non-finite under the step, so finiteness is checked once per block,
-    after its loop; a block that fails is re-run with every step recorded to
-    name the first non-finite step.
+    a ``start(rows)`` that opens one block's reduction: on the block's worker
+    thread, its ``push`` gets the block's states at each of those steps, in
+    step order, as they are simulated, and its ``result()`` lands in
+    ``band_parts`` in block order.  No band of states is kept, not even per
+    block.  Bitwise deterministic for fixed (seed, cfg) at any thread count.
+    A non-finite state stays non-finite under the step, so finiteness is
+    checked once per block, after its loop; floating-point warnings are off
+    inside it, so the reduction sees non-finite states silently, and its
+    result is not taken.  A block that fails is re-run with every step
+    recorded to name the first non-finite step.
     """
     n_steps = cfg.n_steps
     recorded = tuple(range(n_steps + 1)) if record is None else \
         tuple(sorted({int(k) for k in record}))
     band = range(0) if band_pass is None else band_pass.steps
-    # a block keeps its states at `kept`: the recorded steps and the band
-    kept = tuple(sorted(set(recorded) | set(band)))
-    if not recorded or kept[0] < 0 or kept[-1] > n_steps:
+    read = recorded + tuple(band)
+    if not recorded or min(read) < 0 or max(read) > n_steps:
         raise ConfigError(f"record must name grid steps in 0..{n_steps}")
-    row = {k: j for j, k in enumerate(kept)}
-    rec_rows = None if len(kept) == len(recorded) else [row[k] for k in recorded]
-    band_rows = slice(row[band[0]], row[band[-1]] + 1) if band else None
     sqrth = math.sqrt(cfg.h)
+    step = model.euler_step(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
     try:
         states = np.empty((cfg.n_paths, len(recorded)))
@@ -169,28 +170,35 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
                           f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
 
-    def euler_block(block, rows, steps):
-        """One block's states at `steps` (a row per step), and whether it ended finite."""
+    def euler_block(block, rows, steps, reduction=None):
+        """One block's states at `steps` (a row per step), and whether it ended
+        finite; ``reduction`` gets the states at the band's steps."""
         slot = [-1] * (n_steps + 1)
         for j, k in enumerate(steps):
             slot[k] = j
         local = np.empty((len(steps), rows))
         x = np.full(rows, float(cfg.x0))
-        if slot[0] >= 0:
-            local[slot[0]] = x
-        with np.errstate(over="ignore", invalid="ignore"):
+
+        def reached(k):
+            if slot[k] >= 0:
+                local[slot[k]] = x
+            if reduction is not None and k in band:
+                reduction.push(x)
+
+        with np.errstate(all="ignore"):
+            reached(0)
             for k0, inc in _noise(streams, block, n_steps):
                 inc = inc[:, :rows]
                 inc *= sqrth
                 for k, dw in enumerate(inc, k0 + 1):
-                    x = x + model.mu(x) * cfg.h + model.sigma(x) * dw
-                    if slot[k] >= 0:
-                        local[slot[k]] = x
+                    step(x, dw)
+                    reached(k)
         return local, np.all(np.isfinite(x))
 
     def run_block(args):
         block, (start, stop) = args
-        local, finite = euler_block(block, stop - start, kept)
+        reduction = None if band_pass is None else band_pass.start(stop - start)
+        local, finite = euler_block(block, stop - start, recorded, reduction)
         if not finite:
             full, _ = euler_block(block, stop - start, range(n_steps + 1))
             k = 1 + int(np.argmin(np.all(np.isfinite(full[1:]), axis=1)))
@@ -198,8 +206,8 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
             raise SimulationError(
                 f"path {start + j} became non-finite at step {k} (t={k * cfg.h})"
             )
-        states[start:stop] = (local if rec_rows is None else local[rec_rows]).T
-        return None if band_rows is None else band_pass(local[band_rows])
+        states[start:stop] = local.T
+        return None if reduction is None else reduction.result()
 
     tasks = list(enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS)))
     parts = map_ordered(run_block, tasks, threads=threads)
@@ -264,20 +272,15 @@ def in_window(seg: np.ndarray, w: LocalWindow, closed: bool = True) -> np.ndarra
     return dev <= w.delta if closed else dev < w.delta
 
 
-def stay_suffix(seg: np.ndarray, w: LocalWindow) -> np.ndarray:
-    """Per path and column c: True iff the grid states in columns c..last all
-    lie in the closed window.
-
-    Closed, because the remainder's indicator is the event that the path stays
-    in the closed ball on which the coefficients are controlled.
-    """
-    return np.logical_and.accumulate(in_window(seg, w)[:, ::-1], axis=1)[:, ::-1]
-
-
 def localization_indicator(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) -> np.ndarray:
-    """Per path: True iff every grid state in [t-eps, t] lies in [xi-delta, xi+delta]."""
+    """Per path: True iff every grid state in [t-eps, t] lies in [xi-delta, xi+delta].
+
+    Closed, because the remainder's indicator (``bounds.BlockRemainder``) is
+    the event that the path stays in the closed ball on which the
+    coefficients are controlled.
+    """
     k0, k_end = _window_indices(ens, eps, t)
-    return stay_suffix(ens.band(k0, k_end), w)[:, 0]
+    return np.all(in_window(ens.band(k0, k_end), w), axis=1)
 
 
 def _first_exit(seg: np.ndarray, w: LocalWindow) -> np.ndarray:

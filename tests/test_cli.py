@@ -224,6 +224,14 @@ class TestCommands:
             {"kind": "constant", "value": 0.0, "interval": [None, "0"]},
             {"kind": "constant", "value": 0.0, "interval": ["0", None]}]),
          "model.mu: interval: expected a finite number, got '0'"),
+        # and so are the keys of the piecewise object itself, in either form
+        (lambda c: c["model"].update(mu={**_pieces({"kind": "constant", "value": 1.0}),
+                                         "breakpiont": [0.0]}),
+         "model.mu: unknown field(s) ['breakpiont']; allowed ['breakpoints', 'pieces']"),
+        (lambda c: c["model"].update(mu={"pieces": [
+            {"kind": "constant", "value": 0.0, "interval": [None, None]}],
+            "breakpoints_": [0.0]}),
+         "model.mu: unknown field(s) ['breakpoints_']; allowed ['breakpoints', 'pieces']"),
     ])
     def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, edit, message):
         from sdedensity import config

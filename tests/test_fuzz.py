@@ -98,6 +98,12 @@ def _case(name, path, value):
          threads=2)
 @example(case=_case("sign_drift", ("model", "mu", "pieces", 0, "kind"), []), command="bound",
          threads=2)
+@example(case=_case("sign_drift", ("model", "mu"), {
+    "breakpoints": [], "pieces": [{"kind": "constant", "value": 1.0}], "breakpiont": [0.0]}),
+    command="bound", threads=1)
+@example(case=_case("gaussian", ("model", "mu"), {
+    "pieces": [{"kind": "constant", "value": 0.0, "interval": [None, None]}],
+    "breakpoints_": [0.0]}), command="cf", threads=1)
 def test_mutated_preset_exits_cleanly(case, command, threads):
     name, mutations = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -41,6 +41,16 @@ class TestPiecewiseEval:
         with pytest.raises(ConfigError):
             pw([1.0, 1.0], [sd.Constant(0.0)] * 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_breakpoint_rejected(self, bad):
+        # a NaN passes the b2 <= b1 test, and would send every point to one piece
+        with pytest.raises(ConfigError, match="breakpoints must be finite"):
+            pw([bad], [sd.Constant(1.0), sd.Constant(-1.0)])
+
+    def test_empty_polynomial_rejected(self):
+        with pytest.raises(ConfigError, match="at least one coefficient"):
+            pw([], [sd.Polynomial(())])
+
     def test_piece_count_checked(self):
         with pytest.raises(ConfigError):
             pw([0.0], [sd.Constant(0.0)])
@@ -164,6 +174,65 @@ class TestCompiledEvaluation:
         assert getattr(f, method)(float(xs[0])) == got[0]
         assert np.array_equal(getattr(f, method)(xs[:1000].reshape(20, 50)),
                               got[:1000].reshape(20, 50))
+
+
+def _models_with_windows():
+    from sdedensity.config import PRESETS, preset
+
+    out = [pytest.param(preset(name).model, preset(name).window, id=name)
+           for name in sorted(PRESETS)]
+    out.append(pytest.param(sd.CoefficientModel(
+        mu=pw([-0.5, 0.0, 0.7], [sd.Constant(1.0), sd.Sinusoid(0.2, 0.5, 3.0, 0.1),
+                                 sd.HolderPower(-0.8, 0.0, 0.5),
+                                 sd.Polynomial((0.3, -1.0, 0.5))]),
+        sigma=pw([0.0], [sd.Sinusoid(2.0, 0.5), sd.HolderPower(1.0, -4.0, 0.5)]),
+    ), sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0), id="sinusoid_power"))
+    return out
+
+
+class TestCompiledStepAndDrift:
+    """The compiled Euler step and g have the bits of the expressions they compile."""
+
+    H = 2.0**-10
+
+    @staticmethod
+    def points(g, rng):
+        """Every breakpoint and kink of mu, sigma and sigma_cont, their neighbours,
+        +-0, +-inf, NaN and random points."""
+        pts = np.array(sorted({*g.breakpoints, *g.weak_deriv.nondifferentiable_points}))
+        return np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
+                               [0.0, -0.0, np.inf, -np.inf, np.nan],
+                               rng.uniform(-6.0, 6.0, 500)])
+
+    @staticmethod
+    def assert_same_bits(got, expect):
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expect[~nan].tobytes()
+
+    @pytest.mark.parametrize("model, window", _models_with_windows())
+    def test_step(self, model, window, rng):
+        g = sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, window))
+        xs = self.points(g, rng)
+        assert set(model.mu.breakpoints) | set(model.sigma.breakpoints) <= set(xs)
+        dw = math.sqrt(self.H) * rng.standard_normal(xs.size)
+        with np.errstate(all="ignore"):
+            expect = xs + model.mu(xs) * self.H + model.sigma(xs) * dw
+            got = xs.copy()
+            model.euler_step(self.H)(got, dw.copy())
+        self.assert_same_bits(got, expect)
+
+    @pytest.mark.parametrize("model, window", _models_with_windows())
+    def test_drift_functional(self, model, window, rng):
+        s = sd.build_sigma_star(model.sigma, window)
+        g = sd.drift_functional(model.mu, s)
+        xs = self.points(g, rng)
+        with np.errstate(all="ignore"):
+            expect = model.mu(xs) / s(xs) - 0.5 * sd.weak_derivative(s)(xs)
+            got = g(xs)
+            scalars = np.array([g(float(x)) for x in xs])
+        self.assert_same_bits(got, expect)
+        self.assert_same_bits(scalars, expect)
 
 
 class TestSigmaStar:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import sdedensity as sd
+from sdedensity.bounds import RemainderPass
 from sdedensity.errors import AlignmentError, ConfigError, SimulationError
 
 
@@ -130,6 +132,26 @@ class TestRecordingPlan:
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
         with pytest.raises(SimulationError) as info:
             sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps])
+        assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonfinite_report_is_the_same_with_the_band_pass_on(self, threads):
+        # the same case, with a remainder pass whose band (steps 6..16) holds the
+        # blow-up: the pass sees the non-finite states without raising or warning
+        model = sd.CoefficientModel(
+            mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
+            sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
+        )
+        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
+        g = sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
+        kernel = RemainderPass.of(g, w, cfg.h, cfg.n_steps, [1, 4, 10])
+        assert kernel.steps == range(6, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as info:
+                sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps],
+                            band_pass=kernel)
         assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
 
 
