@@ -139,6 +139,7 @@ class BlockRemainder:
         if u is not None:
             self.g_first[u] = gx
             self.prefix_first[u] = self.prefix
+        # closed: the ball on which the coefficients are controlled
         self.last_out[~in_window(x, self.kernel.window)] = self.row
         self.g_last = gx
         self.row += 1

@@ -12,13 +12,11 @@ samples, so conjugate symmetry of the estimate holds bitwise.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import CoefficientModel
 from .simulate import PathEnsemble
 from .util import fmt_float, kahan_merge, map_ordered, path_chunks
 
@@ -72,15 +70,17 @@ class CharFnEstimate:
     n_paths: int
     t: float
 
-    def value_at(self, y: float) -> complex:
+    def _index(self, y: float) -> int:
         j = int(round((y - self.grid.values[0]) / self.grid.spacing))
         if not (0 <= j < self.grid.values.size) or abs(self.grid.values[j] - y) > 1e-9:
             raise ConfigError(f"frequency {y} is not on the grid")
-        return complex(self.values[j])
+        return j
+
+    def value_at(self, y: float) -> complex:
+        return complex(self.values[self._index(y)])
 
     def se_at(self, y: float) -> float:
-        j = int(round((y - self.grid.values[0]) / self.grid.spacing))
-        return float(self.std_errors[j])
+        return float(self.std_errors[self._index(y)])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -157,12 +157,6 @@ def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
     return CharFnEstimate(grid=grid, values=values, std_errors=ses, n_paths=n, t=t)
 
 
-def estimate(ens: PathEnsemble, phi, grid: FrequencyGrid, t: float,
-             threads: int = 1) -> CharFnEstimate:
-    """Empirical CF of the phi-weighted law of X_t, in the state coordinate."""
-    return cf_from_samples(ens.states_at(t), phi, grid, t=t, threads=threads)
-
-
 def estimate_localized(ens: PathEnsemble, phi, transform, grid: FrequencyGrid, t: float,
                        threads: int = 1) -> CharFnEstimate:
     """Empirical CF of the localized law in transformed coordinates.
@@ -173,23 +167,3 @@ def estimate_localized(ens: PathEnsemble, phi, transform, grid: FrequencyGrid, t
     """
     return cf_from_samples(ens.states_at(t), phi, grid, t=t, threads=threads,
                            transform=transform)
-
-
-def analytic_conditional_cf(x: float, y: float, eps: float, model: CoefficientModel) -> complex:
-    """Conditional CF of the frozen-coefficient step given the anchor value x:
-
-        E[e^{iyZ} | X_{t-eps} = x] = e^{iyx} e^{iy eps mu(x)} e^{-y^2 sigma^2(x) eps / 2}
-    """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    mu = float(model.mu(x))
-    sig = float(model.sigma(x))
-    return cmath.exp(1j * y * x + 1j * y * eps * mu - 0.5 * y * y * sig * sig * eps)
-
-
-def analytic_weighted_gaussian(yhat: float, eps: float) -> complex:
-    """E[N e^{i yhat N}] for N ~ Normal(0, eps):  i eps yhat e^{-yhat^2 eps / 2};
-    the noise term of the frozen-coefficient step (``test_charfn.py::TestAnalyticOracles``)."""
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    return 1j * eps * yhat * cmath.exp(-0.5 * yhat * yhat * eps)

@@ -195,6 +195,16 @@ _COMMANDS = {
 }
 
 
+def _threads(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdedensity",
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--config", type=Path, help="path to a JSON run config")
         src.add_argument("--preset", type=str, help="built-in config name")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_threads, default=1,
                        help="worker threads (never affects the output bytes)")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the config seed")
@@ -223,7 +233,7 @@ def main(argv=None) -> int:
             cfg = cfg.with_seed(args.seed_override)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        pipe = Pipeline(cfg, threads=max(1, args.threads))
+        pipe = Pipeline(cfg, threads=args.threads)
         result = _COMMANDS[args.command](pipe, out)
         _json_dump(out / "run_info.json",
                    {"command": args.command, "config_hash": cfg.hash, "result": result})

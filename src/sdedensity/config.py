@@ -365,10 +365,15 @@ class RunConfig:
         sim = self.simulation
         check_mu_on_window(self.model.mu, self.window)  # sigma: checked by build_sigma_star
         for section in ("density", "hoelder"):
+            steps = set()
             for t in getattr(self, section).t_list:
                 k = round(t / sim.h)
                 if not (0 < t <= sim.t_final) or abs(k * sim.h - t) > 1e-9:
                     raise ConfigError(f"{section} t={t} is not on the grid or exceeds t_final")
+                if k in steps:  # one output file and one set of rows per grid step
+                    raise ConfigError(f"{section}.t_list: t={t} is on the grid step of an "
+                                      f"earlier entry")
+                steps.add(k)
         y_check, rule = self.bound_frequencies()
         if y_check.size == 0:
             raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "

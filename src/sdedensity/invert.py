@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .charfn import CharFnEstimate, FrequencyGrid, estimate_localized
+from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError, NumericsError
 from .lamperti import LampertiMap
 from .model import SigmaStar
-from .simulate import PathEnsemble
 from .util import fmt_float
 
 _INVERT_BLOCK, _HOLDER_BLOCK = 256, 512  # rows per block: invert's phases, holder_norm's pairs
@@ -178,84 +177,3 @@ def decay_smoothness_constant(gamma: float) -> float:
     z_cut = 2.0 * math.pi * (_TAIL_PANELS + 1)
     tail = 2.0 * z_cut ** (-gamma) / gamma
     return (head + panels + tail) / math.pi  # x2 for the two half-lines, /(2 pi)
-
-
-@dataclass(eq=False)
-class JointScan:
-    """Density surface over (t, x) with the lookahead-halving continuity report."""
-
-    t_coarse: np.ndarray
-    t_refined: np.ndarray
-    x_state: np.ndarray
-    q: np.ndarray  # len(t_refined) x len(x_state)
-    coarse_sup_diffs: np.ndarray
-    fine_sup_diffs: np.ndarray
-    halving_ratios: np.ndarray
-
-    @property
-    def mean_halving_ratio(self) -> float:
-        return float(np.mean(self.halving_ratios))
-
-    def row(self, t: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.t_refined - t)))
-        if abs(self.t_refined[j] - t) > 1e-12:
-            raise ConfigError(f"t={t} not in the scan")
-        return self.q[j]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,q\n")
-            for j, t in enumerate(self.t_refined):
-                for x, v in zip(self.x_state, self.q[j]):
-                    fh.write(f"{fmt_float(t)},{fmt_float(x)},{fmt_float(v)}\n")
-
-
-def joint_continuity_scan(ens: PathEnsemble, phi, transform: LampertiMap, s: SigmaStar,
-                          t_list, freq_grid: FrequencyGrid, x_grid: np.ndarray,
-                          threads: int = 1) -> JointScan:
-    """Density rows q_t on a shared state grid for t in t_list plus midpoints.
-
-    All rows come from one ensemble (one seed), so differences across t
-    reflect the path evolution rather than independent sampling noise; the
-    sup of |q_{t+dt} - q_t| per step is compared with the same quantity at
-    half the step, the discrete surrogate for joint continuity.  What ratio
-    counts as "shrinking" is the caller's choice; the scan only reports.
-    Kept for the joint (t, x) continuity claim (``test_invert.py::TestJointScan``).
-    """
-    t_coarse = np.asarray(sorted(t_list), dtype=float)
-    if t_coarse.size < 2:
-        raise ConfigError("need at least two times")
-    mids = 0.5 * (t_coarse[:-1] + t_coarse[1:])
-    t_ref = np.unique(np.concatenate([t_coarse, mids]))
-
-    rows = []
-    x_state = None
-    for t in t_ref:
-        cf = estimate_localized(ens, phi, transform, freq_grid, float(t), threads=threads)
-        p = invert(cf, x_grid)
-        q = pushforward(p, transform, s)
-        if x_state is None:
-            x_state = q.x_grid
-        rows.append(q.values)
-    q_mat = np.vstack(rows)
-
-    def sup_diffs(ts):
-        idx = [int(np.argmin(np.abs(t_ref - t))) for t in ts]
-        return np.array([
-            float(np.max(np.abs(q_mat[a] - q_mat[b])))
-            for a, b in zip(idx, idx[1:])
-        ])
-
-    coarse = sup_diffs(t_coarse)
-    fine = sup_diffs(t_ref)
-    # per coarse step: the larger of its two half-step sups against the full sup
-    ratios = []
-    for k in range(t_coarse.size - 1):
-        i0 = int(np.argmin(np.abs(t_ref - t_coarse[k])))
-        d1, d2 = fine[i0], fine[i0 + 1]
-        ratios.append(max(d1, d2) / coarse[k] if coarse[k] > 0 else 0.0)
-    return JointScan(
-        t_coarse=t_coarse, t_refined=t_ref, x_state=x_state, q=q_mat,
-        coarse_sup_diffs=coarse, fine_sup_diffs=fine,
-        halving_ratios=np.asarray(ratios),
-    )

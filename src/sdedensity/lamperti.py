@@ -51,12 +51,10 @@ class LampertiMap:
     """Strictly monotone antiderivative of 1/sigma_cont with a fast inverse."""
 
     sigma_star: SigmaStar
-    anchor: float
     knots_x: np.ndarray = field(repr=False)
     knots_h: np.ndarray = field(repr=False)
     cell_piece: np.ndarray = field(repr=False)  # piece index per knot cell
-    h_lo: float = 0.0  # H at window left edge (= 0 by anchoring)
-    h_hi: float = 0.0  # H at window right edge
+    h_hi: float = 0.0  # H at window right edge; H is 0 at the left edge by anchoring
 
     # -- forward -------------------------------------------------------------
 
@@ -121,7 +119,7 @@ class LampertiMap:
         out = np.empty_like(flat)
 
         # linear closed forms outside the window (exact inverses)
-        hw_lo, hw_hi = sorted((self.h_lo, self.h_hi))
+        hw_lo, hw_hi = sorted((0.0, self.h_hi))
         left = flat < hw_lo
         right = flat > hw_hi
         mid = ~(left | right)
@@ -182,11 +180,9 @@ def build_lamperti_map(s: SigmaStar) -> LampertiMap:
 
     m = LampertiMap(
         sigma_star=s,
-        anchor=w.lo,
         knots_x=knots,
         knots_h=knots_h,
         cell_piece=cell_piece,
-        h_lo=0.0,
         h_hi=float(knots_h[-1]),
     )
     diffs = np.diff(knots_h)

@@ -51,10 +51,6 @@ class Piece:
     def derivative(self, x):
         raise NotImplementedError
 
-    def sup_abs(self, a: float, b: float) -> float:
-        """Exact sup of |f| over [a, b]."""
-        raise NotImplementedError
-
     def sup_abs_derivative(self, a: float, b: float) -> float:
         """Upper bound for sup |f'| over [a, b]; may be inf."""
         raise NotImplementedError
@@ -99,9 +95,6 @@ class Polynomial(Piece):
             pts.extend(float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b)
         return max(abs(_polyval(coeffs, p)) for p in pts)
 
-    def sup_abs(self, a, b):
-        return self._sup_on(self.coeffs, a, b)
-
     def sup_abs_derivative(self, a, b):
         return self._sup_on(self.deriv_coeffs, a, b)
 
@@ -133,24 +126,6 @@ class Sinusoid(Piece):
         arr, scalar = _as_array(x)
         return _ret(self.amplitude * self.frequency * np.cos(self.frequency * arr + self.phase), scalar)
 
-    def _critical(self, a, b):
-        # sin' = 0 at frequency*x + phase = pi/2 + k*pi
-        if self.frequency == 0.0:
-            return []
-        k_lo = math.floor((self.frequency * a + self.phase - math.pi / 2) / math.pi)
-        k_hi = math.ceil((self.frequency * b + self.phase - math.pi / 2) / math.pi)
-        lo, hi = (a, b) if a <= b else (b, a)
-        pts = []
-        for k in range(k_lo - 1, k_hi + 2):
-            x = (math.pi / 2 + k * math.pi - self.phase) / self.frequency
-            if lo < x < hi:
-                pts.append(x)
-        return pts
-
-    def sup_abs(self, a, b):
-        pts = [a, b] + self._critical(a, b)
-        return max(abs(float(self(p))) for p in pts)
-
     def sup_abs_derivative(self, a, b):
         return abs(self.amplitude * self.frequency)
 
@@ -178,10 +153,6 @@ class HolderPower(Piece):
             out = self.scale * self.exponent * np.sign(d) * np.abs(d) ** (self.exponent - 1.0)
         out = np.where(d == 0.0, 0.0, out)
         return _ret(out, scalar)
-
-    def sup_abs(self, a, b):
-        m = max(abs(a - self.center), abs(b - self.center))
-        return abs(self.scale) * m ** self.exponent
 
     def sup_abs_derivative(self, a, b):
         dmax = max(abs(a - self.center), abs(b - self.center))
@@ -405,9 +376,6 @@ class PiecewiseFunction:
             segs.append((a, b, self.pieces[bisect_right(self.breakpoints, a)]))
         return segs
 
-    def sup_abs_on(self, a: float, b: float) -> float:
-        return max(p.sup_abs(lo, hi) for lo, hi, p in self.overlapping(a, b))
-
     def lipschitz_on(self, a: float, b: float) -> float:
         """Lipschitz constant on [a, b] from the per-piece symbolic bounds."""
         # a jump at an interior breakpoint makes the function non-Lipschitz
@@ -490,7 +458,9 @@ class LocalWindow:
 
 def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
     """Grid-check sigma on the window (finite, |sigma| >= l_sigma, Lipschitz);
-    return its Lipschitz constant there."""
+    return its Lipschitz constant there.  Exact verification of arbitrary
+    pieces is not decidable, so the checks combine a dense grid with
+    per-piece metadata."""
     sig = sigma(np.linspace(w.lo, w.hi, _N_GRID))
     if not np.all(np.isfinite(sig)):
         raise ValidationError("sigma is not finite on the window")
@@ -508,16 +478,6 @@ def check_mu_on_window(mu: PiecewiseFunction, w: LocalWindow) -> None:
     """Grid-check that mu is finite (bounded) on the window."""
     if not np.all(np.isfinite(mu(np.linspace(w.lo, w.hi, _N_GRID)))):
         raise ValidationError("mu is not finite (bounded) on the window")
-
-
-def validate_window(model: CoefficientModel, w: LocalWindow) -> None:
-    """Grid-check the window hypotheses: the sigma checks above, and mu bounded on it.
-
-    Exact verification of arbitrary pieces is not decidable, so the checks
-    combine a dense grid with per-piece metadata.
-    """
-    _check_sigma_on_window(model.sigma, w)
-    check_mu_on_window(model.mu, w)
 
 
 @dataclass(frozen=True)
@@ -539,14 +499,6 @@ class SigmaStar:
 
     def derivative(self, x):
         return self.base.derivative(x)
-
-    def sup_abs(self) -> float:
-        return max(self.base.sup_abs_on(self.window.lo, self.window.hi),
-                   abs(self.left_value), abs(self.right_value))
-
-    @property
-    def floor(self) -> float:
-        return self.window.l_sigma
 
 
 def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:

@@ -8,11 +8,9 @@ does not depend on the number of workers, on scheduling, or on how many other
 paths are simulated.  Runs with identical (seed, config) are bitwise
 reproducible at any thread count.
 
-One-step diagnostics (the frozen-coefficient step, stopped increments, exit
-probabilities) reuse exactly the increments that drove the simulation by
-regenerating the blocks.  For the same reason an ensemble may store only the
-grid steps its consumers read (a recording plan): any block can be re-run
-bit for bit.
+Because any block can be re-run bit for bit, an ensemble may store only the
+grid steps its consumers read (a recording plan): a block whose states turn
+non-finite is re-run with every step recorded to name the first bad step.
 """
 
 from __future__ import annotations
@@ -63,13 +61,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RngStreams:
-    """Per-path stream identifiers: path i -> (seed, block, row)."""
+    """Per-block Philox keys: path i is row i % block_paths of block i // block_paths."""
 
     seed: int
     block_paths: int
-
-    def stream_id(self, i: int) -> tuple[int, int, int]:
-        return (self.seed, i // self.block_paths, i % self.block_paths)
 
     def philox_key(self, block: int) -> np.ndarray:
         return np.array([self.seed, block], dtype=np.uint64)
@@ -98,7 +93,6 @@ class PathEnsemble:
     steps, if any, and ``band_parts`` its results in block order.
     """
 
-    time_grid: np.ndarray
     states: np.ndarray
     config: SimConfig
     rng_streams: RngStreams
@@ -212,7 +206,6 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     tasks = list(enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS)))
     parts = map_ordered(run_block, tasks, threads=threads)
     return PathEnsemble(
-        time_grid=cfg.h * np.arange(n_steps + 1),
         states=states,
         config=cfg,
         rng_streams=streams,
@@ -230,41 +223,6 @@ def _window_indices(ens: PathEnsemble, eps: float, t: float) -> tuple[int, int]:
     return k_start, k_end
 
 
-def euler_z(ens: PathEnsemble, model: CoefficientModel, eps: float, t: float,
-            threads: int = 1) -> np.ndarray:
-    """Frozen-coefficient one-step value from t-eps to t, per path:
-
-        Z = X_{t-eps} + eps*mu(X_{t-eps}) + sigma(X_{t-eps}) (W_t - W_{t-eps})
-
-    The Brownian increments are the exact ones that drove the simulation
-    (regenerated from the per-block streams), accumulated in simulation
-    order so the driftless unit-diffusion case reproduces X_t bitwise.
-    """
-    k0, k_end = _window_indices(ens, eps, t)
-    cfg = ens.config
-    sqrth = math.sqrt(cfg.h)
-    anchor = ens.band(k0, k0)[:, 0]
-    out = np.empty(ens.n_paths)
-
-    def run_block(args):
-        block, (start, stop) = args
-        rows = stop - start
-        x0s = anchor[start:stop]
-        mu0 = model.mu(x0s)
-        sig0 = model.sigma(x0s)
-        z = x0s + eps * mu0
-        for k_first, inc in _noise(ens.rng_streams, block, k_end):
-            inc = inc[:, :rows]
-            inc *= sqrth
-            for k in range(max(k0, k_first), k_first + len(inc)):
-                z = z + sig0 * inc[k - k_first]
-        out[start:stop] = z
-
-    tasks = list(enumerate(path_chunks(ens.n_paths, BLOCK_PATHS)))
-    map_ordered(run_block, tasks, threads=threads)
-    return out
-
-
 def in_window(seg: np.ndarray, w: LocalWindow, closed: bool = True) -> np.ndarray:
     """Elementwise membership of the window [xi-delta, xi+delta] (closed) or
     (xi-delta, xi+delta) (open).  Each caller says why it uses which."""
@@ -272,22 +230,11 @@ def in_window(seg: np.ndarray, w: LocalWindow, closed: bool = True) -> np.ndarra
     return dev <= w.delta if closed else dev < w.delta
 
 
-def localization_indicator(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) -> np.ndarray:
-    """Per path: True iff every grid state in [t-eps, t] lies in [xi-delta, xi+delta].
-
-    Closed, because the remainder's indicator (``bounds.BlockRemainder``) is
-    the event that the path stays in the closed ball on which the
-    coefficients are controlled.
-    """
-    k0, k_end = _window_indices(ens, eps, t)
-    return np.all(in_window(ens.band(k0, k_end), w), axis=1)
-
-
 def _first_exit(seg: np.ndarray, w: LocalWindow) -> np.ndarray:
     """Index of the first grid state outside the open window, else n_cols.
 
-    Open, because the stopped diagnostics stop a path the first time it
-    reaches the window's boundary.
+    Open, because the stopped moment stops a path the first time it reaches
+    the window's boundary.
     """
     out = ~in_window(seg, w, closed=False)
     has = out.any(axis=1)
@@ -315,18 +262,6 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
         sup = np.max(np.abs(stopped - stopped[:, :1]), axis=1)
         vals[start:stop] = sup**p
     return mean_se(vals)
-
-
-def exit_probability(ens: PathEnsemble, w: LocalWindow, eps: float, t: float) -> MCEstimate:
-    """MC estimate of P( X_{t-eps} in B_{delta - delta0/2}(xi)  and  exit before t );
-    kept for the exit-probability bound (``test_simulate.py::TestExitProbability``)."""
-    k0, k_end = _window_indices(ens, eps, t)
-    m = k_end - k0 + 1
-    seg = ens.band(k0, k_end)
-    start_in = np.abs(seg[:, 0] - w.xi) < w.delta - w.delta0 / 2.0
-    fo = _first_exit(seg, w)
-    exited_before_t = fo <= m - 2
-    return mean_se((start_in & exited_before_t).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +311,6 @@ def load_ensemble(path) -> PathEnsemble:
         data = np.frombuffer(body, dtype="<f8").reshape(n_paths, n_steps + 1)
     cfg = SimConfig(x0=x0, t_final=t_final, h=h, n_paths=n_paths, seed=seed)
     return PathEnsemble(
-        time_grid=h * np.arange(n_steps + 1),
         states=data.astype(float),
         config=cfg,
         rng_streams=RngStreams(seed=seed, block_paths=block_paths),

@@ -1,5 +1,4 @@
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -35,13 +34,13 @@ class TestEstimate:
         ens = sd.simulate(const_model(0.0, 0.0),
                           sd.SimConfig(x0=1.3, t_final=0.25, h=0.25, n_paths=64, seed=1))
         phi = sd.make_plateau_sequence(3)
-        cf = sd.estimate(ens, phi, grid, 0.25)
+        cf = sd.cf_from_samples(ens.states_at(0.25), phi, grid, 0.25)
         for y in (-3.0, 0.5, 7.0):
             assert cf.value_at(y) == pytest.approx(cmath.exp(1j * y * 1.3), abs=1e-10)
 
     def test_zero_frequency_is_weight_mean(self, bm_ensemble, grid):
         phi = sd.make_plateau_sequence(1)
-        cf = sd.estimate(bm_ensemble, phi, grid, 0.25)
+        cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
         v = cf.value_at(0.0)
         assert v.imag == 0.0
         assert 0.0 <= v.real <= 1.0
@@ -50,7 +49,7 @@ class TestEstimate:
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=40_000, seed=12)
         ens = sd.simulate(bm_model, cfg)
         phi = sd.make_plateau_sequence(4)
-        cf = sd.estimate(ens, phi, grid, 1.0)
+        cf = sd.cf_from_samples(ens.states_at(1.0), phi, grid, 1.0)
         rm = sd.brownian_drift(0.0, 1.0, 0.0)
         # e^{-1/2} up to the plateau truncation (< 1e-3) plus MC noise
         assert abs(cf.value_at(1.0) - cmath.exp(-0.5)) <= 1e-3 + 3 * cf.se_at(1.0)
@@ -63,21 +62,21 @@ class TestEstimate:
 
     def test_conjugate_symmetry_exact(self, bm_ensemble, grid):
         phi = sd.make_plateau_sequence(1)
-        cf = sd.estimate(bm_ensemble, phi, grid, 0.25)
+        cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
         m = grid.half_count
         assert np.array_equal(cf.values[:m], np.conj(cf.values[m + 1:][::-1]))
         assert np.array_equal(cf.std_errors[:m], cf.std_errors[m + 1:][::-1])
 
     def test_modulus_bounded_by_center_value(self, bm_ensemble, grid):
         phi = sd.make_plateau_sequence(1)
-        cf = sd.estimate(bm_ensemble, phi, grid, 0.25)
+        cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
         v0 = cf.value_at(0.0).real
         assert np.all(np.abs(cf.values) <= v0 + 3 * cf.std_errors + 1e-12)
 
     def test_threads_do_not_change_bits(self, bm_ensemble, grid):
         phi = sd.make_plateau_sequence(1)
-        a = sd.estimate(bm_ensemble, phi, grid, 0.25, threads=1)
-        b = sd.estimate(bm_ensemble, phi, grid, 0.25, threads=4)
+        a = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25, threads=1)
+        b = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25, threads=4)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.std_errors, b.std_errors)
 
@@ -87,50 +86,17 @@ class TestEstimate:
         s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
         lam = sd.build_lamperti_map(s)
         phi = sd.make_bump(window6, 0.2)
-        raw = sd.estimate(bm_ensemble, phi, grid, 0.25)
+        raw = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
         loc = sd.estimate_localized(bm_ensemble, phi, lam, grid, 0.25)
         for y in (0.5, 2.0):
             rot = cmath.exp(1j * y * 6.0)
             assert loc.value_at(y) == pytest.approx(raw.value_at(y) * rot, abs=1e-9)
 
 
-class TestAnalyticOracles:
-    def test_conditional_cf_at_zero_frequency(self):
-        assert sd.analytic_conditional_cf(0.3, 0.0, 0.5, const_model(1.0, 2.0)) == 1.0
-
-    def test_conditional_cf_modulus(self):
-        v = sd.analytic_conditional_cf(0.0, 1.0, 1.0, const_model(0.0, 1.0))
-        assert abs(v) == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_conditional_cf_against_mc(self, rng):
-        model = const_model(0.7, 1.3)
-        x, y, eps = 0.4, 1.1, 0.25
-        draws = x + eps * 0.7 + 1.3 * rng.normal(0.0, math.sqrt(eps), size=1_000_000)
-        samples = np.exp(1j * y * draws)
-        mc = samples.mean()
-        se = max(samples.real.std(), samples.imag.std()) / 1000.0
-        assert abs(mc - sd.analytic_conditional_cf(x, y, eps, model)) <= 3 * se
-
-    def test_weighted_gaussian_zero(self):
-        assert sd.analytic_weighted_gaussian(0.0, 1.0) == 0.0
-
-    def test_weighted_gaussian_unit(self):
-        assert sd.analytic_weighted_gaussian(1.0, 1.0) == pytest.approx(
-            1j * math.exp(-0.5), abs=1e-15)
-
-    def test_weighted_gaussian_against_mc(self, rng):
-        eps, yhat = 0.25, 1.7
-        n = rng.normal(0.0, math.sqrt(eps), size=1_000_000)
-        samples = n * np.exp(1j * yhat * n)
-        mc = samples.mean()
-        se = max(samples.real.std(), samples.imag.std()) / 1000.0
-        assert abs(mc - sd.analytic_weighted_gaussian(yhat, eps)) <= 3 * se
-
-
 class TestExport:
     def test_csv_round_trip_stable(self, bm_ensemble, grid, tmp_path):
         phi = sd.make_plateau_sequence(1)
-        cf = sd.estimate(bm_ensemble, phi, grid, 0.25)
+        cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cf.to_csv(p1)
         cf.to_csv(p2)
@@ -139,6 +105,18 @@ class TestExport:
         assert header == "y,re,im,se"
         y, re, im, se = first.split(",")
         assert float(y) == cf.grid.values[0]
+
+    @pytest.mark.parametrize("y", [0.5, -5.0, -9.0, 5.0])
+    def test_off_grid_frequency_rejected(self, y):
+        # between two frequencies, or beyond either end of the grid; an index
+        # that wrapped around would read another frequency's entry
+        grid = sd.FrequencyGrid.uniform(4.0, 1.0)
+        cf = sd.CharFnEstimate(grid=grid, values=grid.values.astype(complex),
+                               std_errors=np.arange(9.0), n_paths=2, t=0.0)
+        assert [cf.se_at(v) for v in (-4.0, 0.0, 4.0)] == [0.0, 4.0, 8.0]
+        for lookup in (cf.value_at, cf.se_at):
+            with pytest.raises(sd.ConfigError, match=f"frequency {y} is not on the grid"):
+                lookup(y)
 
     def test_from_function_has_zero_errors(self, grid):
         cf = sd.CharFnEstimate.from_function(lambda y: cmath.exp(-y * y / 2), grid)

@@ -232,6 +232,12 @@ class TestCommands:
             {"kind": "constant", "value": 0.0, "interval": [None, None]}],
             "breakpoints_": [0.0]}),
          "model.mu: unknown field(s) ['breakpoints_']; allowed ['breakpoints', 'pieces']"),
+        # two entries on one grid step would write the same density file twice
+        # and repeat the hoelder rows
+        (lambda c: c["density"].update(t_list=[0.125, 0.25, 0.125]),
+         "density.t_list: t=0.125 is on the grid step of an earlier entry"),
+        (lambda c: c["hoelder"].update(t_list=[0.125, 0.125 + 1e-12]),
+         "hoelder.t_list: t=0.125000000001 is on the grid step of an earlier entry"),
     ])
     def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, edit, message):
         from sdedensity import config
@@ -254,6 +260,16 @@ class TestCommands:
         assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: simulation.n_paths: cannot hold {n_paths} paths x 1 ")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2_naming_the_flag(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["cf", "--preset", "gaussian", "--out", str(tmp_path / "o"),
+                  "--threads", threads])
+        assert info.value.code == 2
+        assert (f"argument --threads: expected an integer of at least 1, got '{threads}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_check_name_fails_before_simulating(self, tmp_path, monkeypatch):
         from sdedensity import config

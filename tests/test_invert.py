@@ -180,49 +180,3 @@ class TestDecayConstant:
         xs = np.linspace(-12, 12, 801)
         p = sd.invert(cf, xs)
         assert sd.holder_norm(p, gamma) <= sd.decay_smoothness_constant(gamma) * c * 1.05
-
-
-@pytest.fixture(scope="module")
-def gaussian_scan():
-    model = sd.CoefficientModel(
-        mu=sd.PiecewiseFunction((), (sd.Constant(0.0),)),
-        sigma=sd.PiecewiseFunction((), (sd.Constant(1.0),)),
-    )
-    w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
-    s = sd.build_sigma_star(model.sigma, w)
-    lam = sd.build_lamperti_map(s)
-    phi = sd.make_bump(w, 0.2)
-    cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-6, n_paths=50_000, seed=91)
-    ens = sd.simulate(model, cfg)
-    grid = sd.FrequencyGrid.uniform(16.0, 1 / 16)
-    xg = np.linspace(1.2, 10.8, 241)
-    scan = sd.joint_continuity_scan(ens, phi, lam, s, [0.25, 0.5, 0.75, 1.0],
-                                    grid, xg)
-    return model, w, s, lam, phi, ens, grid, xg, scan
-
-
-class TestJointScan:
-    def test_rows_match_closed_form(self, gaussian_scan):
-        *_, phi, ens, grid, xg, scan = gaussian_scan
-        for j, t in enumerate(scan.t_refined):
-            target = phi(scan.x_state) * np.exp(-scan.x_state**2 / (2 * t)) / math.sqrt(
-                2 * math.pi * t)
-            assert np.max(np.abs(scan.q[j] - target)) < 0.02
-
-    def test_row_equals_pipeline(self, gaussian_scan):
-        model, w, s, lam, phi, ens, grid, xg, scan = gaussian_scan
-        cf = sd.estimate_localized(ens, phi, lam, grid, 0.5)
-        q = sd.pushforward(sd.invert(cf, xg), lam, s)
-        np.testing.assert_array_equal(scan.row(0.5), q.values)
-
-    def test_time_increments_shrink_under_halving(self, gaussian_scan):
-        *_, scan = gaussian_scan
-        assert scan.mean_halving_ratio <= 0.75
-
-    def test_long_format_export(self, gaussian_scan, tmp_path):
-        *_, scan = gaussian_scan
-        out = tmp_path / "scan.csv"
-        scan.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,x,q"
-        assert len(lines) == 1 + scan.t_refined.size * scan.x_state.size

@@ -43,7 +43,7 @@ class TestForward:
 
     def test_anchor_is_zero(self, sin_sigma_star):
         m = sd.build_lamperti_map(sin_sigma_star)
-        assert m.forward(m.anchor) == 0.0
+        assert m.forward(sin_sigma_star.window.lo) == 0.0
 
     def test_strictly_monotone_on_grid(self, sin_sigma_star):
         m = sd.build_lamperti_map(sin_sigma_star)
@@ -60,8 +60,9 @@ class TestForward:
 
     def test_bilipschitz_sandwich(self, sin_sigma_star, rng):
         m = sd.build_lamperti_map(sin_sigma_star)
-        sup = sin_sigma_star.sup_abs()
-        floor = sin_sigma_star.floor
+        wave = sin_sigma_star.base.pieces[1]  # the fixture's sinusoid, on the window
+        sup = wave.offset + abs(wave.amplitude)  # bounds |sigma_cont|, its edge values too
+        floor = sin_sigma_star.window.l_sigma
         xs = rng.uniform(-3, 3, 300)
         ys = rng.uniform(-3, 3, 300)
         gap = np.abs(m.forward_many(xs) - m.forward_many(ys))

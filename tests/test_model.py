@@ -5,6 +5,7 @@ import pytest
 
 import sdedensity as sd
 from sdedensity.errors import ConfigError, ValidationError
+from sdedensity.model import check_mu_on_window
 
 
 def pw(breakpoints, pieces):
@@ -59,7 +60,6 @@ class TestPiecewiseEval:
         f = pw([], [sd.Polynomial(coeffs=(1.0, 0.0, 1.0))])  # 1 + x^2
         assert f(2.0) == 5.0
         assert f.derivative(2.0) == 4.0
-        assert f.sup_abs_on(-2.0, 3.0) == 10.0
 
 
 class TestPiecewiseFromDict:
@@ -259,7 +259,7 @@ class TestSigmaStar:
 
     def test_floor_everywhere(self, sin_sigma_star):
         xs = np.linspace(-20, 20, 4001)
-        assert np.min(np.abs(sin_sigma_star(xs))) >= sin_sigma_star.floor
+        assert np.min(np.abs(sin_sigma_star(xs))) >= sin_sigma_star.window.l_sigma
 
     def test_lipschitz_pairs(self, sin_sigma_star, rng):
         xs = rng.uniform(-5, 5, size=400)
@@ -372,17 +372,20 @@ class TestWindowValidation:
             sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=0.0)
 
     def test_validate_window_passes(self, bm_model, window6):
-        sd.validate_window(bm_model, window6)
+        sd.build_sigma_star(bm_model.sigma, window6)
+        check_mu_on_window(bm_model.mu, window6)
 
     def test_unbounded_mu_rejected(self, window6):
         bad = sd.CoefficientModel(
             mu=pw([], [sd.HolderPower(scale=1.0, center=0.0, exponent=0.5)]),
             sigma=pw([], [sd.Constant(1.0)]),
         )
-        sd.validate_window(bad, window6)  # |x|^0.5 is bounded on the window: fine
+        # |x|^0.5 is bounded on the window: fine
+        sd.build_sigma_star(bad.sigma, window6)
+        check_mu_on_window(bad.mu, window6)
         worse = sd.CoefficientModel(
             mu=pw([], [sd.Polynomial(coeffs=(0.0, 1.0))]),
             sigma=pw([], [sd.Affine(0.0, 1.0)]),
         )
         with pytest.raises(ValidationError):
-            sd.validate_window(worse, window6)  # sigma hits 0 in the window
+            sd.build_sigma_star(worse.sigma, window6)  # sigma hits 0 in the window

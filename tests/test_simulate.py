@@ -35,8 +35,9 @@ class TestEulerStatistics:
 
     def test_initial_column_and_grid(self, bm_ensemble):
         assert np.all(bm_ensemble.states[:, 0] == bm_ensemble.config.x0)
-        diffs = np.diff(bm_ensemble.time_grid)
-        np.testing.assert_allclose(diffs, bm_ensemble.config.h, rtol=1e-12)
+        n_steps = bm_ensemble.config.n_steps
+        assert bm_ensemble.recorded == tuple(range(n_steps + 1))
+        assert bm_ensemble.time_index(n_steps * bm_ensemble.config.h) == n_steps
 
     def test_variance_matches_time(self, bm_ensemble):
         x = bm_ensemble.states_at(0.25)
@@ -174,77 +175,42 @@ class TestDeterminism:
         b = sd.simulate(bm_model, cfg2)
         assert np.array_equal(a.states, b.states[:3_000])
 
-    def test_stream_ids(self, bm_ensemble):
-        seed = bm_ensemble.config.seed
-        assert bm_ensemble.rng_streams.stream_id(0) == (seed, 0, 0)
-        assert bm_ensemble.rng_streams.stream_id(5000) == (seed, 1, 5000 - 4096)
+
+def block_normals(seed, block, n_steps):
+    """The normals of path block `block`: row i drives path block * 4096 + i."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+    return gen.standard_normal((n_steps, 4096)).T
 
 
-class TestEulerZ:
-    def test_driftless_unit_sigma_reproduces_endpoint(self, bm_model, bm_ensemble):
-        z = sd.euler_z(bm_ensemble, bm_model, eps=0.125, t=0.25)
-        assert np.array_equal(z, bm_ensemble.states_at(0.25))
+class TestNoiseContract:
+    """Path i is driven by row i % 4096 of one (n_steps, 4096) Philox draw keyed
+    by (seed, i // 4096), scaled by sqrt(h) and then by sigma at the pre-step state."""
 
-    def test_one_step_reproduces_endpoint_with_state_dependent_sigma(self):
-        # gbm: sigma(x) = 0.25 x, so the step must evaluate sigma at X_k, not
-        # at the post-drift state, for euler_z(eps=h) to be the simulated step
+    def test_driftless_unit_sigma_is_the_running_sum_of_the_noise(self, bm_model):
+        # two blocks, the last one partial; 130 steps is not a whole number of
+        # the simulator's noise chunks
+        cfg = sd.SimConfig(x0=0.5, t_final=130 * 2.0**-8, h=2.0**-8, n_paths=5_000, seed=2024)
+        ens = sd.simulate(bm_model, cfg, threads=2)
+        assert cfg.n_steps == 130
+        sqrth = math.sqrt(cfg.h)
+        dw = np.concatenate([block_normals(cfg.seed, b, cfg.n_steps) for b in (0, 1)])
+        dw = sqrth * dw[:cfg.n_paths]
+        start = np.full((cfg.n_paths, 1), cfg.x0)
+        expected = np.cumsum(np.concatenate([start, dw], axis=1), axis=1)
+        assert np.array_equal(ens.states, expected)
+
+    def test_gbm_step_evaluates_sigma_before_the_drift_moves_the_state(self):
+        # gbm: sigma(x) = 0.25 x, so sigma at X_k + mu(X_k) h would change the bits
         model = sd.preset("gbm").model
         cfg = sd.SimConfig(x0=2.0, t_final=0.25, h=2.0**-6, n_paths=5_000, seed=5)
         ens = sd.simulate(model, cfg, threads=2)
-        z = sd.euler_z(ens, model, eps=cfg.h, t=0.25, threads=2)
-        assert np.array_equal(z, ens.states_at(0.25))
-
-    def test_deterministic_stub(self):
-        model = const_model(2.0, 0.0)
-        cfg = sd.SimConfig(x0=1.0, t_final=0.25, h=2.0**-6, n_paths=100, seed=3)
-        ens = sd.simulate(model, cfg)
-        eps = 0.125
-        z = sd.euler_z(ens, model, eps=eps, t=0.25)
-        x0s = ens.states_at(0.25 - eps)
-        assert np.array_equal(z, x0s + eps * model.mu(x0s))
-
-    def test_off_grid_times_rejected(self, bm_model, bm_ensemble):
-        with pytest.raises(AlignmentError):
-            sd.euler_z(bm_ensemble, bm_model, eps=0.1001, t=0.25)
-
-    def test_lipschitz_drift_gap_scaling(self):
-        # |X_t - Z| = |int g(X_s) - g(X_{t-eps}) ds| for unit sigma, and the
-        # running increment of a Lipschitz drift integrates to eps^{3/2}
-        model = sd.CoefficientModel(
-            mu=sd.PiecewiseFunction((-2.0, 2.0), (sd.Constant(-2.0),
-                                                  sd.Affine(0.0, 1.0),
-                                                  sd.Constant(2.0))),
-            sigma=sd.PiecewiseFunction((), (sd.Constant(1.0),)),
-        )
-        cfg = sd.SimConfig(x0=0.0, t_final=0.125, h=2.0**-12, n_paths=20_000, seed=21)
-        ens = sd.simulate(model, cfg)
-        eps_list = [2.0**-k for k in range(4, 10)]
-        gaps = []
-        for eps in eps_list:
-            z = sd.euler_z(ens, model, eps=eps, t=0.125)
-            gaps.append(np.mean(np.abs(ens.states_at(0.125) - z)))
-        slope = np.polyfit(np.log(eps_list), np.log(gaps), 1)[0]
-        assert slope == pytest.approx(1.5, abs=0.2)
-
-
-class TestLocalization:
-    def test_constant_path_inside(self):
-        ens = sd.simulate(const_model(0.0, 0.0),
-                          sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-4, n_paths=10, seed=1))
-        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
-        assert np.all(sd.localization_indicator(ens, w, eps=0.125, t=0.25))
-
-    def test_escaped_path_is_false(self):
-        ens = sd.simulate(const_model(40.0, 0.0),
-                          sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-4, n_paths=10, seed=1))
-        w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=1.0)
-        assert not np.any(sd.localization_indicator(ens, w, eps=0.125, t=0.25))
-
-    def test_fraction_monotone_in_shrinking_eps(self, bm_ensemble):
-        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
-        fracs = [np.mean(sd.localization_indicator(bm_ensemble, w, eps, 0.25))
-                 for eps in (0.125, 0.0625, 0.03125)]
-        assert fracs[0] <= fracs[1] <= fracs[2]
+        g = np.concatenate([block_normals(cfg.seed, b, cfg.n_steps) for b in (0, 1)])
+        g = g[:cfg.n_paths]
+        sqrth = math.sqrt(cfg.h)
+        for k in range(cfg.n_steps):
+            x = ens.states[:, k]
+            step = (x + model.mu(x) * cfg.h) + (sqrth * g[:, k]) * model.sigma(x)
+            assert np.array_equal(ens.states[:, k + 1], step)
 
 
 class TestStoppedMoment:
@@ -264,37 +230,6 @@ class TestStoppedMoment:
         assert est.value <= (1.5 * eps) ** 3 + 1e-12
 
 
-@pytest.fixture(scope="module")
-def tight_window_run(bm_model):
-    cfg = sd.SimConfig(x0=0.0, t_final=0.5, h=2.0**-10, n_paths=20_000, seed=31)
-    ens = sd.simulate(bm_model, cfg)
-    w = sd.LocalWindow(xi=0.0, delta=0.6, delta0=0.4, l_sigma=1.0)
-    return ens, w
-
-
-class TestExitProbability:
-    def test_far_boundary_never_exits(self, bm_ensemble):
-        w = sd.LocalWindow(xi=0.0, delta=25.0, delta0=1.0, l_sigma=1.0)
-        est = sd.exit_probability(bm_ensemble, w, eps=bm_ensemble.config.h, t=0.25)
-        assert est.value == 0.0
-
-    def test_monotone_decreasing_in_eps(self, tight_window_run):
-        ens, w = tight_window_run
-        probs = [sd.exit_probability(ens, w, eps, 0.5) for eps in (2.0**-4, 2.0**-6, 2.0**-8)]
-        for big, small in zip(probs, probs[1:]):
-            assert small.value <= big.value + 3 * (big.std_error + small.std_error)
-
-    def test_quadratic_envelope_from_fit(self, tight_window_run):
-        # p = 4 instance of the exit bound: P <= C eps^2 with C fitted on the
-        # two largest lookbacks must cover all smaller ones
-        ens, w = tight_window_run
-        eps_list = [2.0**-k for k in range(4, 9)]
-        ests = [sd.exit_probability(ens, w, eps, 0.5) for eps in eps_list]
-        c = max(e.value / eps**2 for e, eps in zip(ests[:2], eps_list[:2]))
-        for e, eps in zip(ests[2:], eps_list[2:]):
-            assert e.value <= c * eps**2 + 3 * e.std_error
-
-
 class TestEnsembleArtifact:
     def test_round_trip(self, bm_model, tmp_path):
         cfg = sd.SimConfig(x0=0.5, t_final=0.25, h=2.0**-5, n_paths=300, seed=9)
@@ -304,10 +239,6 @@ class TestEnsembleArtifact:
         back = sd.load_ensemble(path)
         assert np.array_equal(back.states, ens.states)
         assert back.config == cfg
-        # stream provenance survives: one-step reconstruction still works
-        z1 = sd.euler_z(ens, bm_model, eps=0.125, t=0.25)
-        z2 = sd.euler_z(back, bm_model, eps=0.125, t=0.25)
-        assert np.array_equal(z1, z2)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

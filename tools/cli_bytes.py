@@ -24,8 +24,6 @@ from pathlib import Path
 from sdedensity import cli
 from sdedensity.config import PRESETS
 
-COMMANDS = ("simulate", "cf", "bound", "density", "hoelder", "certify")
-
 
 def run_all(out: Path, threads: int, n_paths: int) -> None:
     for name, preset in PRESETS.items():
@@ -35,7 +33,7 @@ def run_all(out: Path, threads: int, n_paths: int) -> None:
         base.mkdir(parents=True, exist_ok=True)
         config = base / "config.json"
         config.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
-        for command in COMMANDS:
+        for command in cli._COMMANDS:
             dest = base / command
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
