@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ class TestEstimate:
         for y in (0.5, 2.0):
             rot = cmath.exp(1j * y * 6.0)
             assert loc.value_at(y) == pytest.approx(raw.value_at(y) * rot, abs=1e-9)
+
+
+class TestAnalyticOracles:
+    """The CF of one frozen-coefficient step of length eps from x is the CF of
+    ``brownian_drift(mu, sigma, x)`` at time eps: exp(iy(x + mu eps) - sigma^2 eps y^2 / 2)."""
+
+    def test_conditional_cf_at_zero_frequency(self):
+        assert sd.exact_cf(sd.brownian_drift(1.0, 2.0, 0.3), 0.5, 0.0) == 1.0
+
+    def test_conditional_cf_modulus(self):
+        v = sd.exact_cf(sd.brownian_drift(0.0, 1.0, 0.0), 1.0, 1.0)
+        assert abs(v) == pytest.approx(math.exp(-0.5), rel=1e-12)
+
+    def test_conditional_cf_against_mc(self):
+        # a single Euler step of the constant-coefficient model is that step
+        x, y, eps = 0.4, 1.1, 0.25
+        ens = sd.simulate(const_model(0.7, 1.3),
+                          sd.SimConfig(x0=x, t_final=eps, h=eps, n_paths=1_000_000, seed=4))
+        samples = np.exp(1j * y * ens.states_at(eps))
+        mc = samples.mean()
+        se = max(samples.real.std(), samples.imag.std()) / 1000.0
+        assert abs(mc - sd.exact_cf(sd.brownian_drift(0.7, 1.3, x), eps, y)) <= 3 * se
 
 
 class TestExport:

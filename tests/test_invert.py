@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -180,3 +181,42 @@ class TestDecayConstant:
         xs = np.linspace(-12, 12, 801)
         p = sd.invert(cf, xs)
         assert sd.holder_norm(p, gamma) <= sd.decay_smoothness_constant(gamma) * c * 1.05
+
+
+@pytest.fixture(scope="module")
+def gaussian_scan():
+    """q_t on one state grid for t = 0.25, 0.5, 0.75, 1 and the midpoints, all
+    from one ensemble (one seed), by ``Pipeline.density_at``: differences across
+    t reflect the path evolution rather than independent sampling noise."""
+    raw = copy.deepcopy(sd.PRESETS["gaussian"])
+    raw["simulation"].update(n_paths=50_000, seed=91)
+    raw["inversion"]["n_points"] = 241
+    pipe = sd.Pipeline(sd.RunConfig.from_dict(raw))
+    t_refined = [0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]
+    pipe.reads(t_refined)
+    rows = [pipe.density_at(t)[2] for t in t_refined]
+    return pipe, t_refined, rows[0].x_grid, np.vstack([q.values for q in rows])
+
+
+class TestJointScan:
+    def test_rows_match_closed_form(self, gaussian_scan):
+        pipe, t_refined, x_state, q = gaussian_scan
+        for row, t in zip(q, t_refined):
+            target = pipe.phi(x_state) * np.exp(-x_state**2 / (2 * t)) / math.sqrt(
+                2 * math.pi * t)
+            assert np.max(np.abs(row - target)) < 0.02
+
+    def test_row_equals_pipeline(self, gaussian_scan):
+        pipe, t_refined, x_state, q = gaussian_scan
+        cf = sd.estimate_localized(pipe.ensemble, pipe.phi, pipe.transform, pipe.freq_grid, 0.5)
+        chain = sd.pushforward(sd.invert(cf, pipe.x_grid()), pipe.transform, pipe.sigma_star)
+        np.testing.assert_array_equal(chain.x_grid, x_state)
+        np.testing.assert_array_equal(q[t_refined.index(0.5)], chain.values)
+
+    def test_time_increments_shrink_under_halving(self, gaussian_scan):
+        # per coarse step (0.25 apart): the larger of its two half-step sups of
+        # |q_{t+dt} - q_t| against the sup over the whole step
+        *_, q = gaussian_scan
+        coarse = np.max(np.abs(np.diff(q[::2], axis=0)), axis=1)
+        fine = np.max(np.abs(np.diff(q, axis=0)), axis=1)
+        assert np.mean(np.maximum(fine[::2], fine[1::2]) / coarse) <= 0.75

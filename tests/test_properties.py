@@ -1,5 +1,7 @@
 """Property-based checks of the structural invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +89,14 @@ def test_refinement_never_shrinks_seminorm(gamma):
     coarse = sd.holder_norm(f_coarse, gamma, x_grid=xs)
     fine = sd.holder_norm(f_fine, gamma, x_grid=xs_fine)
     assert fine >= coarse * (1 - 1e-12)
+
+
+@given(x=finite, y=st.floats(min_value=-20, max_value=20),
+       eps=st.floats(min_value=1e-3, max_value=1.0))
+def test_conditional_cf_modulus_formula(x, y, eps):
+    # the CF of one frozen-coefficient step from x with mu = 0.7, sigma = 1.3
+    v = sd.exact_cf(sd.brownian_drift(0.7, 1.3, x), eps, y)
+    assert abs(abs(v) - math.exp(-0.5 * y * y * 1.3**2 * eps)) <= 1e-12
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32))

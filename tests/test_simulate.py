@@ -8,6 +8,8 @@ from scipy import stats
 import sdedensity as sd
 from sdedensity.bounds import RemainderPass
 from sdedensity.errors import AlignmentError, ConfigError, SimulationError
+from sdedensity.simulate import _first_exit, in_window
+from sdedensity.util import mean_se
 
 
 def const_model(mu, sigma):
@@ -175,11 +177,42 @@ class TestDeterminism:
         b = sd.simulate(bm_model, cfg2)
         assert np.array_equal(a.states, b.states[:3_000])
 
+    def test_stream_ids(self, bm_ensemble):
+        # path 5000 is row 5000 - 4096 of block 1, whose Philox key is (seed, 1)
+        cfg = bm_ensemble.config
+        assert bm_ensemble.rng_streams.philox_key(0).tolist() == [cfg.seed, 0]
+        assert bm_ensemble.rng_streams.philox_key(1).tolist() == [cfg.seed, 1]
+        for path, block, row in ((0, 0, 0), (5000, 1, 5000 - 4096)):
+            dw = math.sqrt(cfg.h) * block_normals(cfg.seed, block, cfg.n_steps)[row]
+            expected = np.cumsum(np.concatenate([[cfg.x0], dw]))
+            assert np.array_equal(bm_ensemble.states[path], expected)
+
 
 def block_normals(seed, block, n_steps):
     """The normals of path block `block`: row i drives path block * 4096 + i."""
     gen = np.random.Generator(np.random.Philox(key=[seed, block]))
     return gen.standard_normal((n_steps, 4096)).T
+
+
+def euler_z(ens, model, eps, t):
+    """The frozen-coefficient step from t - eps to t, per path:
+
+        Z = X_{t-eps} + eps mu(X_{t-eps}) + sigma(X_{t-eps}) (W_t - W_{t-eps})
+
+    with the Brownian increments that drove ``ens``, added in step order, so
+    that for unit sigma and zero drift Z is the simulated X_t bit for bit.
+    """
+    k0, k_end = ens.time_index(t - eps), ens.time_index(t)
+    cfg = ens.config
+    n_blocks = -(-cfg.n_paths // 4096)
+    g = np.concatenate([block_normals(cfg.seed, b, k_end)[:, k0:]
+                        for b in range(n_blocks)])[:cfg.n_paths]
+    x0s = ens.states_at(t - eps)
+    sig0 = model.sigma(x0s)
+    z = x0s + eps * model.mu(x0s)
+    for col in g.T:
+        z = z + sig0 * (math.sqrt(cfg.h) * col)
+    return z
 
 
 class TestNoiseContract:
@@ -213,6 +246,84 @@ class TestNoiseContract:
             assert np.array_equal(ens.states[:, k + 1], step)
 
 
+class TestEulerZ:
+    """The simulated paths against the frozen-coefficient step ``euler_z``."""
+
+    def test_driftless_unit_sigma_reproduces_endpoint(self, bm_model, bm_ensemble):
+        z = euler_z(bm_ensemble, bm_model, eps=0.125, t=0.25)
+        assert np.array_equal(z, bm_ensemble.states_at(0.25))
+
+    def test_one_step_reproduces_endpoint_with_state_dependent_sigma(self):
+        # gbm: sigma(x) = 0.25 x, so the simulated step must evaluate sigma at
+        # X_k, not at the post-drift state, for Z with eps = h to be that step
+        model = sd.preset("gbm").model
+        cfg = sd.SimConfig(x0=2.0, t_final=0.25, h=2.0**-6, n_paths=5_000, seed=5)
+        ens = sd.simulate(model, cfg, threads=2)
+        z = euler_z(ens, model, eps=cfg.h, t=0.25)
+        assert np.array_equal(z, ens.states_at(0.25))
+
+    def test_deterministic_stub(self):
+        # sigma = 0: the Euler chain adds h * mu per step, Z adds eps * mu at once
+        model = const_model(2.0, 0.0)
+        cfg = sd.SimConfig(x0=1.0, t_final=0.25, h=2.0**-6, n_paths=100, seed=3)
+        ens = sd.simulate(model, cfg)
+        eps = 0.125
+        z = euler_z(ens, model, eps=eps, t=0.25)
+        x0s = ens.states_at(0.25 - eps)
+        assert np.array_equal(z, x0s + eps * model.mu(x0s))
+        np.testing.assert_allclose(ens.states_at(0.25), z, rtol=0.0, atol=1e-12)
+
+    def test_off_grid_times_rejected(self, bm_model, bm_ensemble):
+        with pytest.raises(AlignmentError):
+            euler_z(bm_ensemble, bm_model, eps=0.1001, t=0.25)
+
+    def test_lipschitz_drift_gap_scaling(self):
+        # |X_t - Z| = |int g(X_s) - g(X_{t-eps}) ds| for unit sigma, and the
+        # running increment of a Lipschitz drift integrates to eps^{3/2}
+        model = sd.CoefficientModel(
+            mu=sd.PiecewiseFunction((-2.0, 2.0), (sd.Constant(-2.0),
+                                                  sd.Affine(0.0, 1.0),
+                                                  sd.Constant(2.0))),
+            sigma=sd.PiecewiseFunction((), (sd.Constant(1.0),)),
+        )
+        cfg = sd.SimConfig(x0=0.0, t_final=0.125, h=2.0**-12, n_paths=20_000, seed=21)
+        ens = sd.simulate(model, cfg)
+        eps_list = [2.0**-k for k in range(4, 10)]
+        gaps = []
+        for eps in eps_list:
+            z = euler_z(ens, model, eps=eps, t=0.125)
+            gaps.append(np.mean(np.abs(ens.states_at(0.125) - z)))
+        slope = np.polyfit(np.log(eps_list), np.log(gaps), 1)[0]
+        assert slope == pytest.approx(1.5, abs=0.2)
+
+
+def stays_in_window(ens, w, eps, t):
+    """Per path: every grid state in [t - eps, t] lies in the closed window,
+    the event the remainder's indicator (``bounds.BlockRemainder``) counts."""
+    band = ens.band(ens.time_index(t - eps), ens.time_index(t))
+    return np.all(in_window(band, w), axis=1)
+
+
+class TestLocalization:
+    def test_constant_path_inside(self):
+        ens = sd.simulate(const_model(0.0, 0.0),
+                          sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-4, n_paths=10, seed=1))
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
+        assert np.all(stays_in_window(ens, w, eps=0.125, t=0.25))
+
+    def test_escaped_path_is_false(self):
+        ens = sd.simulate(const_model(40.0, 0.0),
+                          sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-4, n_paths=10, seed=1))
+        w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=1.0)
+        assert not np.any(stays_in_window(ens, w, eps=0.125, t=0.25))
+
+    def test_fraction_monotone_in_shrinking_eps(self, bm_ensemble):
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
+        fracs = [np.mean(stays_in_window(bm_ensemble, w, eps, 0.25))
+                 for eps in (0.125, 0.0625, 0.03125)]
+        assert fracs[0] <= fracs[1] <= fracs[2]
+
+
 class TestStoppedMoment:
     def test_single_step_matches_gaussian(self, bm_model, bm_ensemble):
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
@@ -228,6 +339,46 @@ class TestStoppedMoment:
         eps = 0.125
         est = sd.stopped_increment_moment(ens, w, eps=eps, t=0.25, p=3.0)
         assert est.value <= (1.5 * eps) ** 3 + 1e-12
+
+
+def exit_probability(ens, w, eps, t):
+    """MC estimate of P( X_{t-eps} in B_{delta - delta0/2}(xi) and the path
+    reaches the open window's boundary before t ), by ``_first_exit``."""
+    band = ens.band(ens.time_index(t - eps), ens.time_index(t))
+    start_in = np.abs(band[:, 0] - w.xi) < w.delta - w.delta0 / 2.0
+    exited_before_t = _first_exit(band, w) <= band.shape[1] - 2
+    return mean_se((start_in & exited_before_t).astype(float))
+
+
+@pytest.fixture(scope="module")
+def tight_window_run(bm_model):
+    cfg = sd.SimConfig(x0=0.0, t_final=0.5, h=2.0**-10, n_paths=20_000, seed=31)
+    ens = sd.simulate(bm_model, cfg)
+    w = sd.LocalWindow(xi=0.0, delta=0.6, delta0=0.4, l_sigma=1.0)
+    return ens, w
+
+
+class TestExitProbability:
+    def test_far_boundary_never_exits(self, bm_ensemble):
+        w = sd.LocalWindow(xi=0.0, delta=25.0, delta0=1.0, l_sigma=1.0)
+        est = exit_probability(bm_ensemble, w, eps=bm_ensemble.config.h, t=0.25)
+        assert est.value == 0.0
+
+    def test_monotone_decreasing_in_eps(self, tight_window_run):
+        ens, w = tight_window_run
+        probs = [exit_probability(ens, w, eps, 0.5) for eps in (2.0**-4, 2.0**-6, 2.0**-8)]
+        for big, small in zip(probs, probs[1:]):
+            assert small.value <= big.value + 3 * (big.std_error + small.std_error)
+
+    def test_quadratic_envelope_from_fit(self, tight_window_run):
+        # p = 4 instance of the exit bound: P <= C eps^2 with C fitted on the
+        # two largest lookbacks must cover all smaller ones
+        ens, w = tight_window_run
+        eps_list = [2.0**-k for k in range(4, 9)]
+        ests = [exit_probability(ens, w, eps, 0.5) for eps in eps_list]
+        c = max(e.value / eps**2 for e, eps in zip(ests[:2], eps_list[:2]))
+        for e, eps in zip(ests[2:], eps_list[2:]):
+            assert e.value <= c * eps**2 + 3 * e.std_error
 
 
 class TestEnsembleArtifact:
