@@ -1,10 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sdedensity as sd
+
+CHUNK = 1 << 14  # samples per chunk of cf_from_samples
 
 
 def const_model(mu, sigma):
@@ -74,12 +77,46 @@ class TestEstimate:
         v0 = cf.value_at(0.0).real
         assert np.all(np.abs(cf.values) <= v0 + 3 * cf.std_errors + 1e-12)
 
-    def test_threads_do_not_change_bits(self, bm_ensemble, grid):
+    def test_threads_do_not_change_bits(self, sin_sigma_star, grid):
+        # three full chunks and a ragged tail, so the chunks' merge order shows
+        x = np.random.default_rng(7).standard_normal(3 * CHUNK + 5)
         phi = sd.make_plateau_sequence(1)
-        a = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25, threads=1)
-        b = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25, threads=4)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.std_errors, b.std_errors)
+        lam = sd.build_lamperti_map(sin_sigma_star)
+        a = sd.cf_from_samples(x, phi, grid, threads=1, transform=lam)
+        for threads in (2, 4):
+            b = sd.cf_from_samples(x, phi, grid, threads=threads, transform=lam)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.std_errors, b.std_errors)
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_matches_dense_reference_across_chunk_boundaries(self, sin_sigma_star, grid, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        phi = sd.make_plateau_sequence(1)
+        lam = sd.build_lamperti_map(sin_sigma_star)
+        cf = sd.cf_from_samples(x, phi, grid, threads=2, transform=lam)
+        w, hx = phi(x), lam.forward_many(x)
+        bessel = n / (n - 1.0) if n > 1 else 1.0
+        for j, y in enumerate(grid.values):
+            terms = w * np.exp(1j * y * hx)
+            assert abs(cf.values[j] - np.mean(terms)) <= 1e-14
+            # per-sample variance, compared before the square root
+            var = max(np.var(terms.real), np.var(terms.imag))
+            assert abs(cf.std_errors[j] ** 2 * n / bessel - var) <= 1e-14
+
+    def test_peak_allocation_is_per_chunk(self, grid):
+        x = np.random.default_rng(3).standard_normal(10**6)
+        phi = sd.make_plateau_sequence(1)
+        tracemalloc.start()
+        try:
+            sd.cf_from_samples(x, phi, grid, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20  # the samples themselves take 8 MB
+
+    def test_empty_samples_rejected(self, grid):
+        with pytest.raises(sd.ConfigError, match="samples must be non-empty"):
+            sd.cf_from_samples(np.empty(0), sd.make_plateau_sequence(1), grid)
 
     def test_localized_estimate_shifts_phase(self, bm_ensemble, window6, grid):
         # with unit sigma the transform is a shift, so the localized CF is a

@@ -142,7 +142,11 @@ class TestCommands:
         ("bounds", "y_lo", -math.inf, "bounds.y_lo: expected a finite number, got -inf"),
         ("certify", "analytic_y_max", math.inf,
          "certify.analytic_y_max: expected a finite number, got inf"),
+        # finite coefficients whose values overflow on the window
+        ("model", "mu", _pieces({"kind": "polynomial", "coeffs": [0.0, 1e308]}),
+         "model.mu: not finite (bounded) on the window [-6, 6]"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings reach stderr
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
         bad = tiny_config()
         if value is None:
