@@ -4,19 +4,14 @@ The target is E[e^{iyX} w(X)] on a symmetric uniform frequency grid.  Powers
 of e^{i dy X} are accumulated by recursion (one complex exponential per
 sample instead of one per sample-frequency pair), and second moments come
 for free from the double-frequency pass via cos^2 = (1 + cos 2a)/2, which is
-exactly the per-sample variance of the real and imaginary summands.
-
-The two recursions, w e^{i j dy x} and w^2 e^{2 i j dy x}, are rows of one
-(2, chunk) complex array, so each frequency costs one multiply and one
-row sum.  The samples are cut into fixed chunks of ``_CF_CHUNK`` = 2^14; each
-chunk's sums are numpy's pairwise sums over its rows, and the per-chunk sums
-are merged by ``kahan_merge`` in chunk order.  The partition never depends on
-the thread count, so neither do the output bits.  At 2^14 the chunk's two
-(2, chunk) arrays take 1 MB and stay in a 2 MB per-core L2 cache across the
-frequency loop.  Smaller chunks pay more in per-call dispatch than they save:
-on the gaussian preset (10^6 samples, 257 frequencies, 2 threads), chunks of
-8,192 and 4,096 took 1.2 and 2.6 times as long as 2^14, and 32,768 took 1.2
-times as long.
+exactly the per-sample variance of the real and imaginary summands.  Both
+recursions are rows of one (2, chunk) array: one multiply and one row sum per
+frequency.  w and H are applied per fixed chunk of 2^14 samples, whose sums
+(numpy's pairwise sums) ``kahan_merge`` adds in chunk order, so no full-length
+array is made and the bits never depend on the thread count.  A chunk's two
+(2, 2^14) complex arrays, 1 MB, stay in a 2 MB per-core L2 through the loop;
+chunks of 8,192 and 4,096 took 1.2 and 2.6 times as long, from per-call
+dispatch (gaussian preset, 2 threads).
 
 Negative frequencies are filled by conjugation, which is exact for real
 samples, so conjugate symmetry of the estimate holds bitwise.
@@ -121,23 +116,18 @@ def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
     """Weighted empirical CF (1/N) sum_i phi(x_i) e^{i y H(x_i)} on the grid, with SEs.
 
     H is ``transform.forward_many``, or the identity if ``transform`` is None.
-    phi and H are applied per ``_CF_CHUNK`` samples inside the workers, so no
-    full-length weight or phase array is made.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ConfigError("samples must be a 1-d array")
+    if x.ndim != 1 or x.size == 0:
+        raise ConfigError("samples must be non-empty and 1-d")
     n = x.size
-    if n == 0:
-        raise ConfigError("samples must be non-empty")
     m = grid.half_count
-    dy = grid.spacing
 
     def block_sums(bounds):
         start, stop = bounds
         xs = x[start:stop]
         w = phi(xs)
-        z = np.exp(1j * dy * (xs if transform is None else transform.forward_many(xs)))
+        z = np.exp(1j * grid.spacing * (xs if transform is None else transform.forward_many(xs)))
         zz = np.stack([z, z * z])
         acc = np.stack([w, w * w]).astype(complex)
         sums = np.empty((m + 1, 2), dtype=complex)

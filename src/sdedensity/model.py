@@ -477,10 +477,8 @@ def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
 def check_mu_on_window(mu: PiecewiseFunction, w: LocalWindow) -> None:
     """Grid-check that mu is finite (bounded) on the window."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is what this rejects
-        values = mu(np.linspace(w.lo, w.hi, _N_GRID))
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"model.mu: not finite (bounded) on the window "
-                              f"[{w.lo:.6g}, {w.hi:.6g}]")
+        if not np.all(np.isfinite(mu(np.linspace(w.lo, w.hi, _N_GRID)))):
+            raise ValidationError(f"model.mu: not finite on the window [{w.lo:g}, {w.hi:g}]")
 
 
 @dataclass(frozen=True)

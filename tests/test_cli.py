@@ -144,7 +144,7 @@ class TestCommands:
          "certify.analytic_y_max: expected a finite number, got inf"),
         # finite coefficients whose values overflow on the window
         ("model", "mu", _pieces({"kind": "polynomial", "coeffs": [0.0, 1e308]}),
-         "model.mu: not finite (bounded) on the window [-6, 6]"),
+         "model.mu: not finite on the window [-6, 6]"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings reach stderr
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
