@@ -21,12 +21,11 @@ stability under changes of sample size is part of the acceptance story.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .charfn import CharFnEstimate
-from .errors import AlignmentError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
 from .simulate import BLOCK_PATHS, PathEnsemble, in_window
 from .util import MCEstimate, fmt_float, map_ordered, merge_moments, path_chunks, row_moments
@@ -168,10 +167,7 @@ def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,
     The single-lookback case of the estimator ``bound_report`` uses; kept for
     the remainder's scaling exponent (``test_acceptance.py::TestCriterion4RemainderScaling``).
     """
-    if eps < ens.config.h * (1 - 1e-9):
-        raise AlignmentError("eps is below the grid resolution")
-    k_end = ens.time_index(t)
-    k0 = ens.time_index(t - eps)
+    k0, k_end = ens.config.lookback(eps, t)
     kernel = RemainderPass(g, w, ens.config.h, k_end, (k_end - k0,))
     return merge_moments(kernel.block_results(ens))[0]
 
@@ -194,30 +190,12 @@ def within_bound(empirical, se, bound, c: float) -> np.ndarray:
     return empirical <= c * bound + 3.0 * se
 
 
-class DecayFit(NamedTuple):
-    c_fit: float
-    pass_fraction: float
-
-
-def _decay_shape(cf: CharFnEstimate, gamma: float) -> np.ndarray:
-    return (1.0 + np.abs(cf.grid.values)) ** (-(1.0 + gamma))
-
-
-def fit_decay(cf: CharFnEstimate, gamma: float) -> DecayFit:
-    """Least constant c with |cf(y)| <= c (1+|y|)^{-(1+gamma)} + 3 SE on the grid.
-
-    By construction the whole grid passes at that constant.
-    """
+def fit_decay(cf: CharFnEstimate, gamma: float) -> float:
+    """Least constant c with |cf(y)| <= c (1+|y|)^{-(1+gamma)} + 3 SE on the grid."""
     if not (0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1)")
-    c = least_constant(np.abs(cf.values), cf.std_errors, _decay_shape(cf, gamma))
-    return DecayFit(c_fit=c, pass_fraction=decay_pass_fraction(cf, gamma, c))
-
-
-def decay_pass_fraction(cf: CharFnEstimate, gamma: float, c: float) -> float:
-    """Fraction of grid frequencies with |cf| <= c (1+|y|)^{-(1+gamma)} + 3 SE."""
-    return float(np.mean(within_bound(np.abs(cf.values), cf.std_errors,
-                                      _decay_shape(cf, gamma), c)))
+    return least_constant(np.abs(cf.values), cf.std_errors,
+                          (1.0 + np.abs(cf.grid.values)) ** (-(1.0 + gamma)))
 
 
 @dataclass(eq=False)
@@ -272,8 +250,9 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
     """Grid lookback (in steps) of each checked frequency, and the rule's name.
 
     'matched' rounds eps_y to the path grid, a float is one fixed lookback;
-    either way at least one step and at most the whole path up to t.
-    ``Pipeline`` builds its ``RemainderPass`` from these steps.
+    either way at least one step and, since eps < t and rounding is monotone,
+    at most the whole path up to a grid time t > 0.  ``Pipeline`` builds its
+    ``RemainderPass`` from these steps.
     """
     if y_check.size == 0:
         raise ConfigError("no frequencies to check")
@@ -290,8 +269,7 @@ def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
         if np.any(eps_exact >= t) or np.any(eps_exact <= 0):
             raise ConfigError("fixed lookback must lie in (0, t)")
         rule_name = f"fixed:{eps_rule}"
-    k_steps = np.maximum(np.rint(eps_exact / h).astype(int), 1)
-    return np.minimum(k_steps, round(t / h)), rule_name
+    return np.maximum(np.rint(eps_exact / h).astype(int), 1), rule_name
 
 
 def bound_report(cf: CharFnEstimate, ens: PathEnsemble, g: DriftFunctional,
@@ -316,7 +294,7 @@ def bound_report(cf: CharFnEstimate, ens: PathEnsemble, g: DriftFunctional,
     empirical = np.array([abs(cf.value_at(float(y))) for y in y_check])
     se_emp = np.array([cf.se_at(float(y)) for y in y_check])
     # frequencies sharing a grid lookback share the remainder estimate
-    kernel = RemainderPass.of(g, w, h, ens.time_index(t), k_steps)
+    kernel = RemainderPass.of(g, w, h, ens.config.step(t), k_steps)
     ests = merge_moments(kernel.block_results(ens, threads))
     rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
     rem_val, rem_se = rem_by_lookback[np.searchsorted(kernel.lookbacks, k_steps)].T

@@ -99,24 +99,25 @@ def _check_mass(pipe: Pipeline) -> dict:
     t = pipe.cfg.simulation.t_final
     cf, p, _ = pipe.density_at(t)
     gamma = pipe.cfg.bounds.gamma
-    c_fit, _ = fit_decay(cf, gamma)
+    c_fit = fit_decay(cf, gamma)
     truncation = c_fit / (np.pi * gamma * (1.0 + cf.grid.y_max) ** gamma)
     tol = 2.0 * truncation + 3.0 * cf.se_at(0.0) + pipe.cfg.certify.mass_slack
     gap = abs(p.mass() - cf.value_at(0.0).real)
     return {"value": gap, "tolerance": tol, "pass": bool(gap <= tol)}
 
 
-def _check_density_vs_oracle(pipe: Pipeline) -> dict:
-    rm = pipe.cfg.reference_model
-    if rm is None:
-        return {"value": None, "tolerance": None, "pass": False,
-                "note": "no reference model configured"}
+def _vs_reference(pipe: Pipeline, q, tol: float) -> dict:
+    """The sup error max|q - phi p_t| of a state density q at t_final against the
+    reference model's density p_t, and its verdict at ``tol``."""
     t = pipe.cfg.simulation.t_final
-    _, _, q = pipe.density_at(t)
-    target = pipe.phi(q.x_grid) * oracle.exact_density(rm, t, q.x_grid)
+    target = pipe.phi(q.x_grid) * oracle.exact_density(pipe.cfg.reference_model, t, q.x_grid)
     err = float(np.max(np.abs(q.values - target)))
-    tol = pipe.cfg.certify.density_tolerance
     return {"value": err, "tolerance": tol, "pass": bool(err <= tol)}
+
+
+def _check_density_vs_oracle(pipe: Pipeline) -> dict:
+    _, _, q = pipe.density_at(pipe.cfg.simulation.t_final)
+    return _vs_reference(pipe, q, pipe.cfg.certify.density_tolerance)
 
 
 def _check_analytic_roundtrip(pipe: Pipeline) -> dict:
@@ -124,9 +125,6 @@ def _check_analytic_roundtrip(pipe: Pipeline) -> dict:
     from .charfn import CharFnEstimate, FrequencyGrid
 
     rm = pipe.cfg.reference_model
-    if rm is None:
-        return {"value": None, "tolerance": None, "pass": False,
-                "note": "no reference model configured"}
     t = pipe.cfg.simulation.t_final
     grid = FrequencyGrid.uniform(pipe.cfg.certify.analytic_y_max, pipe.freq_grid.spacing)
     ys = grid.values[grid.half_count:]
@@ -147,10 +145,7 @@ def _check_analytic_roundtrip(pipe: Pipeline) -> dict:
     cf = CharFnEstimate.from_values(pos, grid, t=t)
     p = invert_cf(cf, pipe.x_grid())
     q = pushforward(p, pipe.transform, sstar)
-    target = pipe.phi(q.x_grid) * oracle.exact_density(rm, t, q.x_grid)
-    err = float(np.max(np.abs(q.values - target)))
-    tol = pipe.cfg.certify.analytic_tolerance
-    return {"value": err, "tolerance": tol, "pass": bool(err <= tol)}
+    return _vs_reference(pipe, q, pipe.cfg.certify.analytic_tolerance)
 
 
 def _check_bound(pipe: Pipeline) -> dict:

@@ -26,7 +26,7 @@ from .invert import invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
                     LocalWindow, Piece, PiecewiseFunction, Polynomial, SigmaStar, Sinusoid,
-                    build_sigma_star, check_mu_on_window, drift_functional)
+                    build_sigma_star, drift_functional, finite_on_window)
 from .simulate import PathEnsemble, SimConfig, simulate
 
 
@@ -91,6 +91,7 @@ def _rule(read, ok, text: str):
 # names a run's certify.checks may list; the CLI maps each to its check
 CERTIFY_CHECKS = ("cf_sanity", "mass_consistency", "density_vs_oracle",
                   "analytic_roundtrip", "bound_check")
+ORACLE_CHECKS = ("density_vs_oracle", "analytic_roundtrip")  # these need "reference"
 
 
 def _checks(v, where: str) -> tuple[str, ...]:
@@ -363,13 +364,13 @@ class RunConfig:
     def validate(self) -> None:
         """The rules that tie fields of different sections together."""
         sim = self.simulation
-        check_mu_on_window(self.model.mu, self.window)  # sigma: checked by build_sigma_star
+        finite_on_window(self.model.mu, self.window, "mu")  # sigma: by build_sigma_star
         for section in ("density", "hoelder"):
             steps = set()
             for t in getattr(self, section).t_list:
-                k = round(t / sim.h)
-                if not (0 < t <= sim.t_final) or abs(k * sim.h - t) > 1e-9:
-                    raise ConfigError(f"{section} t={t} is not on the grid or exceeds t_final")
+                if t <= 0:
+                    raise ConfigError(f"{section}.t_list: t={t} is not positive")
+                k = _built(f"{section}.t_list", sim.step, t)
                 if k in steps:  # one output file and one set of rows per grid step
                     raise ConfigError(f"{section}.t_list: t={t} is on the grid step of an "
                                       f"earlier entry")
@@ -391,6 +392,10 @@ class RunConfig:
                self.certify.analytic_y_max, self.freq_grid.spacing)
         if self.reference_model is not None:
             _built("reference", self.reference_model.marginal, sim.t_final)
+        for name in self.certify.checks:
+            if name in ORACLE_CHECKS and self.reference_model is None:
+                raise ConfigError(f"certify.checks: {name!r} compares with the reference "
+                                  f"model, and the config has no 'reference'")
 
 
 class Pipeline:
@@ -402,8 +407,7 @@ class Pipeline:
         # per-t results, shared by every command and certify check of a run
         self._cf: dict[float, charfn.CharFnEstimate] = {}
         self._density: dict[float, tuple] = {}
-        sim = cfg.simulation
-        self._reads = ((sim.t_final, *cfg.density.t_list, *cfg.hoelder.t_list), True)
+        self.reads((cfg.simulation.t_final, *cfg.density.t_list, *cfg.hoelder.t_list), True)
 
     @property
     def model(self) -> CoefficientModel:
@@ -431,14 +435,15 @@ class Pipeline:
 
     def reads(self, times, bound: bool = False) -> None:
         """Declare, before the ensemble is simulated, what the command reads:
-        the states at ``times`` and, if ``bound``, the bound report.
+        the states at the grid times ``times`` (``SimConfig.step`` rejects any
+        other) and, if ``bound``, the bound report.
 
         Undeclared, a pipeline reads every time the config names (t_final and
         the density/hoelder t_lists) and runs the bound.
         """
         if "ensemble" in self.__dict__:
             raise RuntimeError("reads() must come before the ensemble is simulated")
-        self._reads = (tuple(times), bound)
+        self._reads = ([self.cfg.simulation.step(t) for t in times], bound)
 
     @cached_property
     def ensemble(self) -> PathEnsemble:
@@ -446,7 +451,7 @@ class Pipeline:
         states in its lookback band are reduced to remainder moments step by
         step while simulating, and never stored."""
         sim = self.cfg.simulation
-        times, bound = self._reads
+        steps, bound = self._reads
         band_pass = None
         if bound:
             k_steps, _ = bounds_mod.lookback_steps(*self.cfg.bound_frequencies(),
@@ -454,7 +459,7 @@ class Pipeline:
             band_pass = bounds_mod.RemainderPass.of(self.cfg.g, self.window, sim.h,
                                                     sim.n_steps, k_steps)
         return simulate(self.model, sim, threads=self.threads,
-                        record=[round(t / sim.h) for t in times], band_pass=band_pass)
+                        record=steps, band_pass=band_pass)
 
     def x_grid(self) -> np.ndarray:
         """Inversion grid in the transformed coordinate, covering H(supp phi)."""

@@ -21,7 +21,7 @@ class RangeError(SdeDensityError, ValueError):
     """A query point is outside the configured invertible range."""
 
 
-class AlignmentError(SdeDensityError, ValueError):
+class AlignmentError(ConfigError):
     """A time does not lie on the simulation grid."""
 
 

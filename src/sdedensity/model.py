@@ -456,29 +456,31 @@ class LocalWindow:
         return self.xi + self.delta
 
 
+def finite_on_window(f: PiecewiseFunction, w: LocalWindow, field: str) -> np.ndarray:
+    """f on a dense grid of the window, where mu must be bounded and sigma finite;
+    ``model.<field>`` is named if a value is not finite.  Overflow is what this
+    rejects, so numpy does not warn of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f(np.linspace(w.lo, w.hi, _N_GRID))
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"model.{field}: not finite on the window [{w.lo:g}, {w.hi:g}]")
+    return values
+
+
 def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
     """Grid-check sigma on the window (finite, |sigma| >= l_sigma, Lipschitz);
     return its Lipschitz constant there.  Exact verification of arbitrary
     pieces is not decidable, so the checks combine a dense grid with
     per-piece metadata."""
-    sig = sigma(np.linspace(w.lo, w.hi, _N_GRID))
-    if not np.all(np.isfinite(sig)):
-        raise ValidationError("sigma is not finite on the window")
-    if float(np.min(np.abs(sig))) < w.l_sigma * (1 - 1e-12):
+    floor = float(np.min(np.abs(finite_on_window(sigma, w, "sigma"))))
+    if floor < w.l_sigma * (1 - 1e-12):
         raise ValidationError(
-            f"inf |sigma| on the window is {np.min(np.abs(sig)):.6g} < l_sigma={w.l_sigma}"
+            f"model.sigma: inf |sigma| on the window is {floor:.6g} < l_sigma={w.l_sigma}"
         )
     lip = sigma.lipschitz_on(w.lo, w.hi)
     if not math.isfinite(lip):
-        raise ValidationError("sigma is not Lipschitz on the window")
+        raise ValidationError("model.sigma: not Lipschitz on the window")
     return lip
-
-
-def check_mu_on_window(mu: PiecewiseFunction, w: LocalWindow) -> None:
-    """Grid-check that mu is finite (bounded) on the window."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is what this rejects
-        if not np.all(np.isfinite(mu(np.linspace(w.lo, w.hi, _N_GRID)))):
-            raise ValidationError(f"model.mu: not finite on the window [{w.lo:g}, {w.hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -497,9 +499,6 @@ class SigmaStar:
 
     def __call__(self, x):
         return self.base(x)
-
-    def derivative(self, x):
-        return self.base.derivative(x)
 
 
 def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:

@@ -46,7 +46,7 @@ class SimConfig:
             raise ConfigError("t_final must lie in (0, 1]")
         if self.h <= 0.0:
             raise ConfigError("step size must be positive")
-        n = round(self.t_final / self.h)
+        n = self.n_steps
         if n < 1 or abs(n * self.h - self.t_final) > 1e-12:
             raise ConfigError("h must divide t_final (within 1e-12)")
         if self.n_paths < 1:
@@ -57,6 +57,22 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_final / self.h)
+
+    def step(self, t: float) -> int:
+        """The grid step k with k h = t (to 1e-9), 0 <= k <= n_steps."""
+        k = round(t / self.h)
+        if k < 0 or k > self.n_steps or abs(k * self.h - t) > 1e-9:
+            raise AlignmentError(f"t={t} is not on the simulation grid of "
+                                 f"[0, {self.t_final}] (h={self.h})")
+        return k
+
+    def lookback(self, eps: float, t: float) -> tuple[int, int]:
+        """The grid steps (k0, k_end) of t - eps and t; eps spans at least one step."""
+        k_end = self.step(t)
+        k0 = self.step(t - eps)
+        if k0 >= k_end:
+            raise AlignmentError("eps must span at least one grid step")
+        return k0, k_end
 
 
 @dataclass(frozen=True)
@@ -104,12 +120,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def time_index(self, t: float) -> int:
-        k = round(t / self.config.h)
-        if k < 0 or k > self.config.n_steps or abs(k * self.config.h - t) > 1e-9:
-            raise AlignmentError(f"t={t} is not on the simulation grid (h={self.config.h})")
-        return k
-
     def _column(self, k: int) -> int:
         j = bisect_left(self.recorded, k)
         if j == len(self.recorded) or self.recorded[j] != k:
@@ -125,7 +135,7 @@ class PathEnsemble:
         return self.states[:, j0:j0 + len(steps)]
 
     def states_at(self, t: float) -> np.ndarray:
-        k = self.time_index(t)
+        k = self.config.step(t)
         return self.band(k, k)[:, 0]
 
 
@@ -215,14 +225,6 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     )
 
 
-def _window_indices(ens: PathEnsemble, eps: float, t: float) -> tuple[int, int]:
-    k_end = ens.time_index(t)
-    k_start = ens.time_index(t - eps)
-    if k_start >= k_end:
-        raise AlignmentError("eps must span at least one grid step")
-    return k_start, k_end
-
-
 def in_window(seg: np.ndarray, w: LocalWindow, closed: bool = True) -> np.ndarray:
     """Elementwise membership of the window [xi-delta, xi+delta] (closed) or
     (xi-delta, xi+delta) (open).  Each caller says why it uses which."""
@@ -250,7 +252,7 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
     """
     if p < 1.0:
         raise ConfigError("p must be >= 1")
-    k0, k_end = _window_indices(ens, eps, t)
+    k0, k_end = ens.config.lookback(eps, t)
     m = k_end - k0 + 1
     band = ens.band(k0, k_end)
     vals = np.empty(ens.n_paths)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.bounds import decay_pass_fraction
 from sdedensity.bounds import RemainderPass, lookback_steps
 from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import AlignmentError, ConfigError, DomainError
@@ -110,17 +109,16 @@ class TestFitDecay:
 
     def test_gaussian_matches_dense_grid_oracle(self):
         cf = self.gaussian_cf()
-        fit = sd.fit_decay(cf, 0.5)
+        c_fit = sd.fit_decay(cf, 0.5)
         dense = np.linspace(0, 16, 400_001)
         oracle = np.max(np.exp(-dense**2 / 2) * (1 + dense) ** 1.5)
-        assert fit.c_fit == pytest.approx(oracle, rel=1e-3)
-        assert fit.pass_fraction == 1.0
+        assert c_fit == pytest.approx(oracle, rel=1e-3)
 
     def test_flat_cf_pins_constant_to_grid_edge(self):
         grid = sd.FrequencyGrid.uniform(8.0, 0.25)
         cf = sd.CharFnEstimate.from_function(lambda y: 1.0, grid)
-        fit = sd.fit_decay(cf, 0.5)
-        assert fit.c_fit == pytest.approx((1 + 8.0) ** 1.5, rel=1e-11)
+        c_fit = sd.fit_decay(cf, 0.5)
+        assert c_fit == pytest.approx((1 + 8.0) ** 1.5, rel=1e-11)
 
     def test_truly_decaying_cf_stable_under_ymax_doubling(self):
         def cap(y):
@@ -129,14 +127,8 @@ class TestFitDecay:
         fits = []
         for y_max in (16.0, 32.0):
             grid = sd.FrequencyGrid.uniform(y_max, 0.25)
-            fits.append(sd.fit_decay(sd.CharFnEstimate.from_function(cap, grid), 0.5).c_fit)
+            fits.append(sd.fit_decay(sd.CharFnEstimate.from_function(cap, grid), 0.5))
         assert fits[1] / fits[0] <= 1.25
-
-    def test_external_constant_pass_fraction(self):
-        cf = self.gaussian_cf()
-        c = sd.fit_decay(cf, 0.5).c_fit
-        assert decay_pass_fraction(cf, 0.5, c) == 1.0
-        assert decay_pass_fraction(cf, 0.5, c / 10) < 1.0
 
 
 class TestGaussianModelBound:
@@ -172,7 +164,7 @@ class TestGaussianModelBound:
         for y_max in (32.0, 64.0):
             grid = sd.FrequencyGrid.uniform(y_max, 0.25)
             cf = sd.estimate_localized(ens, phi, lam, grid, 0.5)
-            fits.append(sd.fit_decay(cf, 0.5).c_fit)
+            fits.append(sd.fit_decay(cf, 0.5))
         assert fits[1] / fits[0] <= 1.25
 
 
@@ -244,7 +236,7 @@ def whole_slab_samples(ens, model, w, t, y_check, eps_rule):
     k_steps, _ = lookback_steps(y_check, eps_rule, t, h)
     s = sd.build_sigma_star(model.sigma, w)
     d = sd.weak_derivative(s)
-    k_end = ens.time_index(t)
+    k_end = ens.config.step(t)
     seg = ens.band(k_end - int(np.max(k_steps)), k_end)
     gv = model.mu(seg) / s(seg) - 0.5 * d(seg)
     gv_prefix = np.cumsum(gv, axis=1)
@@ -335,11 +327,11 @@ class TestStreamedRemainder:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pass_inside_simulate_equals_pass_over_recorded_band(self, kinked_run, threads):
         model, w, ens, cf, t = kinked_run
-        kernel = RemainderPass.of(drift_g(model, w), w, ens.config.h, ens.time_index(t),
+        kernel = RemainderPass.of(drift_g(model, w), w, ens.config.h, ens.config.step(t),
                                   [40, 1, 7, 7])
         inside = sd.simulate(model, ens.config, threads=threads,
-                             record=[ens.time_index(t)], band_pass=kernel)
-        assert inside.recorded == (ens.time_index(t),)
+                             record=[ens.config.step(t)], band_pass=kernel)
+        assert inside.recorded == (ens.config.step(t),)
         recorded = kernel.block_results(ens, threads=threads)  # ens recorded every step
         for a, b in zip(inside.band_parts, recorded, strict=True):
             assert a[0] == b[0]

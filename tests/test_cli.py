@@ -7,7 +7,7 @@ import pytest
 from sdedensity.cli import main
 from sdedensity.config import PRESETS, Pipeline, RunConfig, preset
 from sdedensity.simulate import simulate
-from sdedensity.errors import ConfigError
+from sdedensity.errors import AlignmentError, ConfigError
 
 
 def _pieces(*pieces, breakpoints=()):
@@ -145,6 +145,8 @@ class TestCommands:
         # finite coefficients whose values overflow on the window
         ("model", "mu", _pieces({"kind": "polynomial", "coeffs": [0.0, 1e308]}),
          "model.mu: not finite on the window [-6, 6]"),
+        ("model", "sigma", _pieces({"kind": "polynomial", "coeffs": [1.0, 1e308]}),
+         "model.sigma: not finite on the window [-6, 6]"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings reach stderr
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
@@ -242,6 +244,14 @@ class TestCommands:
          "density.t_list: t=0.125 is on the grid step of an earlier entry"),
         (lambda c: c["hoelder"].update(t_list=[0.125, 0.125 + 1e-12]),
          "hoelder.t_list: t=0.125000000001 is on the grid step of an earlier entry"),
+        # the oracle checks compare with the reference model, left out (as in the
+        # sign_drift preset) or null
+        (lambda c: c.pop("reference"),
+         "certify.checks: 'density_vs_oracle' compares with the reference model, "
+         "and the config has no 'reference'"),
+        (lambda c: c.update(reference=None, certify={"checks": ["analytic_roundtrip"]}),
+         "certify.checks: 'analytic_roundtrip' compares with the reference model, "
+         "and the config has no 'reference'"),
     ])
     def test_bad_section_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, edit, message):
         from sdedensity import config
@@ -292,7 +302,28 @@ class TestCommands:
         assert sorted(cli._CHECKS) == sorted(config.CERTIFY_CHECKS)
 
     def test_null_reference_allowed(self):
-        assert RunConfig.from_dict(tiny_config(reference=None)).reference() is None
+        cfg = tiny_config(reference=None, certify={"checks": ["cf_sanity"]})
+        assert RunConfig.from_dict(cfg).reference() is None
+
+    def test_off_grid_read_fails_before_simulating(self, monkeypatch):
+        from sdedensity import config
+
+        calls = []
+        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        pipe = Pipeline(RunConfig.from_dict(tiny_config()))  # h = 1/32
+        with pytest.raises(AlignmentError, match=r"t=0\.2 is not on the simulation grid"):
+            pipe.reads([0.2])
+        assert calls == []
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid"])
+    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        p = tmp_path / "run.json"
+        if text is not None:
+            p.write_text(text)
+        assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_seed_override_changes_output(self, config_file, tmp_path):
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -417,13 +448,13 @@ class TestSigmaStarOnce:
 
     @pytest.mark.parametrize("edit, message", [
         (_sigma({"kind": "constant", "value": 0.5}),
-         "inf |sigma| on the window is 0.5 < l_sigma=1.0"),
+         "model.sigma: inf |sigma| on the window is 0.5 < l_sigma=1.0"),
         ({**_sigma({"kind": "power", "scale": 1.0, "center": 0.0, "exponent": 0.5}),
           "window": {"l_sigma": 0.01}},
-         "sigma is not Lipschitz on the window"),
+         "model.sigma: not Lipschitz on the window"),
         (_sigma({"kind": "constant", "value": 1.0}, {"kind": "constant", "value": -1.0},
                 breakpoints=[0.0]),
-         "sigma is not Lipschitz on the window"),
+         "model.sigma: not Lipschitz on the window"),
     ])
     def test_bad_sigma_messages(self, tmp_path, capsys, edit, message):
         p = tmp_path / "bad.json"

@@ -46,6 +46,10 @@ class TestInversion:
         cf = analytic_cf(lambda y: math.exp(-y * y / 2), 16.0, 1.0)
         with pytest.raises(ConfigError):
             sd.invert(cf, np.linspace(-10, 10, 100))
+        # the limit pi/spacing itself is rejected, and a grid just inside it inverts
+        with pytest.raises(ConfigError, match="violates the aliasing limit pi/spacing = 3.14"):
+            sd.invert(cf, np.linspace(0.0, math.pi, 5))
+        sd.invert(cf, np.linspace(0.0, math.nextafter(math.pi, 0.0), 5))
 
     def test_asymmetric_cf_rejected(self):
         grid = sd.FrequencyGrid.uniform(4.0, 0.25)
@@ -100,6 +104,23 @@ class TestPushforward:
         p = sd.invert(cf, xs_l)
         q = sd.pushforward(p, lam, sin_sigma_star)
         assert q.mass() == pytest.approx(p.mass(), abs=1e-6)
+
+    def test_decreasing_map_mirrors_the_increasing_one(self):
+        # with the same noise, sigma = -1 gives the paths -X of sigma = +1 and a
+        # decreasing H, so its density is the mirror image, on an ascending grid
+        q = {}
+        for sigma in (-1.0, 1.0):
+            raw = copy.deepcopy(sd.PRESETS["gaussian"])
+            raw["simulation"]["n_paths"] = 20_000
+            raw["model"]["sigma"]["pieces"][0]["value"] = sigma
+            pipe = sd.Pipeline(sd.RunConfig.from_dict(raw))
+            pipe.reads([1.0])
+            assert pipe.transform.increasing == (sigma > 0)
+            q[sigma] = pipe.density_at(1.0)[2]
+        down, up = q[-1.0], q[1.0]
+        assert np.all(np.diff(down.x_grid) > 0)
+        np.testing.assert_allclose(down.x_grid, -up.x_grid[::-1], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(down.values, up.values[::-1], rtol=0.0, atol=1e-14)
 
     def test_requires_transformed_coordinate(self, sin_sigma_star):
         lam = sd.build_lamperti_map(sin_sigma_star)

@@ -5,7 +5,7 @@ import pytest
 
 import sdedensity as sd
 from sdedensity.errors import ConfigError, ValidationError
-from sdedensity.model import check_mu_on_window
+from sdedensity.model import finite_on_window
 
 
 def pw(breakpoints, pieces):
@@ -60,6 +60,19 @@ class TestPiecewiseEval:
         f = pw([], [sd.Polynomial(coeffs=(1.0, 0.0, 1.0))])  # 1 + x^2
         assert f(2.0) == 5.0
         assert f.derivative(2.0) == 4.0
+
+
+class TestLipschitzOn:
+    def test_polynomial_sup_at_a_critical_point(self):
+        # sigma = 2 + x - x^3/3: sigma' = 1 - x^2 is 0 at both ends of [-1, 1]
+        # and 1 at 0, a root of sigma''
+        f = pw([], [sd.Polynomial(coeffs=(2.0, 1.0, 0.0, -1.0 / 3.0))])
+        assert f.lipschitz_on(-1.0, 1.0) == 1.0
+
+    def test_power_of_exponent_at_least_one(self):
+        # |x + 1|^2 on [0, 2]: the derivative 2 (x + 1) is largest at the far end
+        f = pw([], [sd.HolderPower(scale=1.0, center=-1.0, exponent=2.0)])
+        assert f.lipschitz_on(0.0, 2.0) == 6.0
 
 
 class TestPiecewiseFromDict:
@@ -373,7 +386,7 @@ class TestWindowValidation:
 
     def test_validate_window_passes(self, bm_model, window6):
         sd.build_sigma_star(bm_model.sigma, window6)
-        check_mu_on_window(bm_model.mu, window6)
+        finite_on_window(bm_model.mu, window6, "mu")
 
     def test_unbounded_mu_rejected(self, window6):
         bad = sd.CoefficientModel(
@@ -382,7 +395,7 @@ class TestWindowValidation:
         )
         # |x|^0.5 is bounded on the window: fine
         sd.build_sigma_star(bad.sigma, window6)
-        check_mu_on_window(bad.mu, window6)
+        finite_on_window(bad.mu, window6, "mu")
         worse = sd.CoefficientModel(
             mu=pw([], [sd.Polynomial(coeffs=(0.0, 1.0))]),
             sigma=pw([], [sd.Affine(0.0, 1.0)]),

@@ -39,7 +39,7 @@ class TestEulerStatistics:
         assert np.all(bm_ensemble.states[:, 0] == bm_ensemble.config.x0)
         n_steps = bm_ensemble.config.n_steps
         assert bm_ensemble.recorded == tuple(range(n_steps + 1))
-        assert bm_ensemble.time_index(n_steps * bm_ensemble.config.h) == n_steps
+        assert bm_ensemble.config.step(n_steps * bm_ensemble.config.h) == n_steps
 
     def test_variance_matches_time(self, bm_ensemble):
         x = bm_ensemble.states_at(0.25)
@@ -202,7 +202,7 @@ def euler_z(ens, model, eps, t):
     with the Brownian increments that drove ``ens``, added in step order, so
     that for unit sigma and zero drift Z is the simulated X_t bit for bit.
     """
-    k0, k_end = ens.time_index(t - eps), ens.time_index(t)
+    k0, k_end = ens.config.step(t - eps), ens.config.step(t)
     cfg = ens.config
     n_blocks = -(-cfg.n_paths // 4096)
     g = np.concatenate([block_normals(cfg.seed, b, k_end)[:, k0:]
@@ -300,7 +300,7 @@ class TestEulerZ:
 def stays_in_window(ens, w, eps, t):
     """Per path: every grid state in [t - eps, t] lies in the closed window,
     the event the remainder's indicator (``bounds.BlockRemainder``) counts."""
-    band = ens.band(ens.time_index(t - eps), ens.time_index(t))
+    band = ens.band(ens.config.step(t - eps), ens.config.step(t))
     return np.all(in_window(band, w), axis=1)
 
 
@@ -344,7 +344,7 @@ class TestStoppedMoment:
 def exit_probability(ens, w, eps, t):
     """MC estimate of P( X_{t-eps} in B_{delta - delta0/2}(xi) and the path
     reaches the open window's boundary before t ), by ``_first_exit``."""
-    band = ens.band(ens.time_index(t - eps), ens.time_index(t))
+    band = ens.band(ens.config.step(t - eps), ens.config.step(t))
     start_in = np.abs(band[:, 0] - w.xi) < w.delta - w.delta0 / 2.0
     exited_before_t = _first_exit(band, w) <= band.shape[1] - 2
     return mean_se((start_in & exited_before_t).astype(float))
