@@ -128,23 +128,10 @@ def _check_analytic_roundtrip(pipe: Pipeline) -> dict:
     t = pipe.cfg.simulation.t_final
     grid = FrequencyGrid.uniform(pipe.cfg.certify.analytic_y_max, pipe.freq_grid.spacing)
     ys = grid.values[grid.half_count:]
-    sstar = pipe.sigma_star
-    const = sstar.base.constant_value
-
-    # one oracle call covers the whole non-negative grid; the phase is a Python
-    # complex product per frequency, since numpy's vector complex kernels need
-    # not round the same and certify.json is byte-compared
-    if const is not None:
-        shift = pipe.window.lo  # H(x) = (x - lo)/const
-        vals = oracle.localized_cf(rm, pipe.phi, t, ys / const)
-        pos = [complex(np.exp(-1j * y * shift / const)) * v
-               for y, v in zip(ys, vals.tolist())]
-    else:
-        pos = oracle.localized_cf_transformed(rm, pipe.phi, pipe.transform, t, ys)
-
+    pos = oracle.localized_cf_transformed(rm, pipe.phi, pipe.transform, t, ys)
     cf = CharFnEstimate.from_values(pos, grid, t=t)
     p = invert_cf(cf, pipe.x_grid())
-    q = pushforward(p, pipe.transform, sstar)
+    q = pushforward(p, pipe.transform, pipe.sigma_star)
     return _vs_reference(pipe, q, pipe.cfg.certify.analytic_tolerance)
 
 

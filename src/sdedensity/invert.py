@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError, NumericsError
@@ -38,7 +37,6 @@ class DensityEstimate:
     x_grid: np.ndarray
     values: np.ndarray
     y_max: float
-    quad_spacing: float
     t: float
     coordinate: str  # 'transformed' | 'state'
     imag_residual: float = 0.0
@@ -87,8 +85,8 @@ def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
             f"{max(10.0 * se_prop, floor):.3g}; input is not a valid CF"
         )
     return DensityEstimate(
-        x_grid=x_grid, values=out.real, y_max=cf.grid.y_max, quad_spacing=dy,
-        t=cf.t, coordinate="transformed", imag_residual=imag_max,
+        x_grid=x_grid, values=out.real, y_max=cf.grid.y_max, t=cf.t,
+        coordinate="transformed", imag_residual=imag_max,
         metadata={"imag_allowance": max(10.0 * se_prop, floor)},
     )
 
@@ -107,10 +105,8 @@ def pushforward(p: DensityEstimate, m: LampertiMap, s: SigmaStar) -> DensityEsti
     if not m.increasing:
         x_state = x_state[::-1]
         q = q[::-1]
-    return DensityEstimate(
-        x_grid=x_state, values=q, y_max=p.y_max, quad_spacing=p.quad_spacing,
-        t=p.t, coordinate="state", imag_residual=p.imag_residual,
-    )
+    return DensityEstimate(x_grid=x_state, values=q, y_max=p.y_max, t=p.t, coordinate="state",
+                           imag_residual=p.imag_residual)
 
 
 def holder_norm(d: DensityEstimate | np.ndarray, gamma: float,
@@ -139,6 +135,7 @@ def holder_norm(d: DensityEstimate | np.ndarray, gamma: float,
 
 
 _TAIL_PANELS = 2047  # one-lobe panels of |sin(z/2)| after the singular head
+_HEAD_PANELS = 16  # equal panels of the singular head, in u = z^{1-gamma}
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
@@ -155,16 +152,14 @@ def decay_smoothness_constant(gamma: float) -> float:
     """
     if not (0.0 < gamma < 1.0):
         raise DomainError("gamma must lie in (0, 1): the integral diverges otherwise")
-    # head [0, 2pi]: z = u^{1/(1-gamma)} turns z^{-gamma} dz into du/(1-gamma)
+    # head [0, 2pi]: z = u^{1/(1-gamma)} turns z^{-gamma} dz into du/(1-gamma);
+    # HEAD_PANELS Gauss panels in u, where 2 sin(z/2)/z = sinc(z/2pi) is 1 at
+    # z = 0 (u^p underflows to 0 near u = 0 for gamma close to 1)
     p = 1.0 / (1.0 - gamma)
-
-    def head_integrand(u):
-        z = u**p
-        core = 2.0 * math.sin(z / 2.0) / z if z > 0 else 1.0
-        return core * p
-
-    u_hi = (2.0 * math.pi) ** (1.0 - gamma)
-    head, _ = integrate.quad(head_integrand, 0.0, u_hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+    u_edges = np.linspace(0.0, (2.0 * math.pi) ** (1.0 - gamma), _HEAD_PANELS + 1)
+    u_half = 0.5 * np.diff(u_edges)[:, None]
+    u = u_edges[:-1, None] + u_half * (_GL_NODES[None, :] + 1.0)
+    head = float(np.sum(u_half * _GL_WEIGHTS[None, :] * np.sinc(u**p / (2.0 * math.pi)))) * p
 
     # one-lobe panels [2pi m, 2pi (m+1)], m = 1..PANELS
     m = np.arange(1, _TAIL_PANELS + 1, dtype=float)

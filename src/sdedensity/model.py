@@ -352,13 +352,6 @@ class PiecewiseFunction:
     def right_derivative(self, x: float) -> float:
         return float(self.pieces[bisect_right(self.breakpoints, x)].derivative(x))
 
-    @property
-    def constant_value(self):
-        """The global value if every piece is the same one-coefficient polynomial, else None."""
-        rows = {tuple(p.coeffs) if isinstance(p, Polynomial) else None for p in self.pieces}
-        row = rows.pop() if len(rows) == 1 else None
-        return row[0] if row is not None and len(row) == 1 else None
-
     # -- piece bookkeeping ---------------------------------------------------
 
     def _intervals(self):

@@ -2,29 +2,32 @@
 
 Three exactly solvable families (Brownian motion with drift, the
 Ornstein-Uhlenbeck process, geometric Brownian motion) plus the canonical
-discontinuous-drift model a*sign(x - xi), whose density has no simple closed
-form and is certified through the bound and smoothness checks instead.
+discontinuous-drift model a*sign(x - xi).  Started at x0 = xi, the
+sign-drift density has a closed form (|X - xi| is a reflected Brownian motion
+with drift); it is not implemented here, so that model is certified through
+the bound and smoothness checks instead.
 
-The localized CF oracles take an array of frequencies and evaluate the
-y-independent integrand factor phi(x) p_t(x) once per quadrature node for all
-of them: QUADPACK's nodes repeat across frequencies, so a call costs one
-integrand evaluation per distinct node, not one per node of every integral.
+The localized CF is one fixed-node rule: composite Gauss-Legendre panels on
+the smooth segments of phi, refined per frequency by a factor that depends on
+the frequency alone, with phi(x) p_t(x) and H(x) evaluated once per node for
+every frequency of a call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .errors import ConfigError, DomainError
 from .model import Affine, CoefficientModel, Constant, PiecewiseFunction
 
 import numpy as np
 
-_QUAD_TOLERANCE = 1e-9  # absolute and relative tolerance of every QUADPACK call
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_PANEL_H = 0.25  # widest panel, in H
+_PANEL_SDS = 8.0  # widest panel, in standard deviations of X_t
+_PANEL_PHASE = 40.0  # largest |y| * (widest panel in H) before a frequency splits the panels
+_BLOCK_CELLS = 2**16  # frequency-node cells per block of the phase sums
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class ReferenceModel:
         """(kind of law, location, scale) of X_t; Gaussian except for GBM."""
         if t <= 0:
             raise DomainError("t must be positive")
+        if self.sigma0 <= 0:
+            raise ConfigError("sigma0 must be positive")
         if self.kind == "brownian_drift":
             if self.x0 is None:
                 raise ConfigError("brownian_drift needs a start value")
@@ -107,69 +112,78 @@ def exact_cf(rm: ReferenceModel, t: float, y) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def _node_weight(rm: ReferenceModel, phi, t: float):
-    """x -> phi(x) p_t(x), memoized by the exact float node for one oracle call.
-
-    QUADPACK's adaptive rules bisect the same interval for every frequency, so
-    the integrals of one call mostly revisit the same nodes and share one memo.
-    """
-    return functools.cache(lambda x: float(phi(x)) * float(exact_density(rm, t, x)))
+def _forward(transform, x):
+    return x if transform is None else transform.forward_many(x)
 
 
-def _each_frequency(one, y):
-    """one(y) for a scalar y; an array of one(y_j) for an array of frequencies."""
-    ys = np.asarray(y, dtype=float)
-    if ys.ndim == 0:
-        return one(y)
-    return np.array([one(v) for v in ys.ravel()], dtype=complex).reshape(ys.shape)
+def _panel_edges(rm: ReferenceModel, phi, transform, t: float):
+    """(edges, widest in H) of equal panels tiling each of phi's three segments
+    [a, plateau_lo], the plateau and [plateau_hi, b] (phi is a polynomial on
+    each, so within a panel only p_t and H limit the rule's accuracy), every
+    panel at most _PANEL_H wide in H and _PANEL_SDS standard deviations of X_t
+    wide in x."""
+    law, loc, scale = rm.marginal(t)
+    sd = scale if law == "normal" else math.exp(loc + 0.5 * scale**2) * math.sqrt(
+        math.expm1(scale**2))  # the lognormal's standard deviation
+    (a, b), (lo, hi) = phi.support, phi.plateau
+    edges, widest = [np.array([a])], 0.0
+    for s0, s1 in ((a, lo), (lo, hi), (hi, b)):
+        if s1 <= s0:  # an empty plateau
+            continue
+        n = math.ceil((s1 - s0) / (_PANEL_SDS * sd))
+        while True:
+            e = np.linspace(s0, s1, n + 1)
+            w = float(np.max(np.abs(np.diff(_forward(transform, e)))))
+            if w <= _PANEL_H:
+                break
+            n = math.ceil(n * w / _PANEL_H)
+        edges.append(e[1:])
+        widest = max(widest, w)
+    return np.concatenate(edges), widest
+
+
+def _nodes(edges: np.ndarray, r: int):
+    """Gauss-Legendre nodes and weights of the panels between edges, each split r times."""
+    e0, width = edges[:-1, None], np.diff(edges)[:, None]
+    fine = np.append((e0 + width * (np.arange(r) / r)).ravel(), edges[-1])
+    half = 0.5 * np.diff(fine)[:, None]
+    mid = fine[:-1, None] + half
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def localized_cf(rm: ReferenceModel, phi, t: float, y):
-    """integral of e^{iyx} phi(x) density(x) dx by adaptive quadrature.
-
-    The oscillatory factor is handled with the weighted quadrature rules, so
-    the result is reliable well past y ~ 100.  y is one frequency (a complex
-    result) or an array of them (a complex array); the integrand is evaluated
-    once per node for all frequencies of a call.
-    """
-    a, b = phi.support
-    f = _node_weight(rm, phi, t)
-    kw = dict(epsabs=_QUAD_TOLERANCE, epsrel=_QUAD_TOLERANCE, limit=400)
-
-    def one(y):
-        if y == 0.0:
-            re, _ = integrate.quad(f, a, b, **kw)
-            return complex(re, 0.0)
-        re, _ = integrate.quad(f, a, b, weight="cos", wvar=y, **kw)
-        im, _ = integrate.quad(f, a, b, weight="sin", wvar=y, **kw)
-        return complex(re, im)
-
-    return _each_frequency(one, y)
+    """integral of e^{iyx} phi(x) density(x) dx: localized_cf_transformed with H = identity."""
+    return localized_cf_transformed(rm, phi, None, t, y)
 
 
 def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y):
     """CF of the localized law pushed through Y = H(X):  E[e^{iyH(X)} phi(X)].
 
-    y is a scalar or an array, as in localized_cf; phi(x) p_t(x) and H(x) are
-    evaluated once per node for all frequencies of a call.
+    H is ``transform.forward_many``, or the identity for ``transform=None``.
+    y is one frequency (a complex result) or an array of them (a complex
+    array).  Frequency y uses the panels of ``_panel_edges`` each split
+    r(y) = ceil(|y| * widest / _PANEL_PHASE) times (at least once), where
+    widest is the widest panel in H, so that a split panel spans about
+    _PANEL_PHASE radians of phase or less (at most that where H is linear
+    on it).  r depends on y alone and every row is a
+    plain numpy sum in a fixed order, so an array call returns the same bits
+    as one call per frequency.
     """
-    a, b = phi.support
-    w = _node_weight(rm, phi, t)
-    h = functools.cache(transform.forward)
-    kw = dict(epsabs=_QUAD_TOLERANCE, epsrel=_QUAD_TOLERANCE, limit=800)
-
-    def one(y):
-        def fr(x):
-            return w(x) * math.cos(y * h(x))
-
-        def fi(x):
-            return w(x) * math.sin(y * h(x))
-
-        re, _ = integrate.quad(fr, a, b, **kw)
-        im, _ = integrate.quad(fi, a, b, **kw)
-        return complex(re, im)
-
-    return _each_frequency(one, y)
+    edges, widest = _panel_edges(rm, phi, transform, t)
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
+    r = np.maximum(1, np.ceil(np.abs(flat) * widest / _PANEL_PHASE)).astype(int)
+    out = np.empty(flat.size, dtype=complex)
+    for split in np.unique(r):
+        x, w = _nodes(edges, int(split))
+        wf = w * phi(x) * exact_density(rm, t, x)
+        hx = _forward(transform, x)
+        rows = np.flatnonzero(r == split)
+        step = max(1, _BLOCK_CELLS // x.size)
+        for s in range(0, rows.size, step):
+            idx = rows[s:s + step]
+            out[idx] = (np.exp(1j * np.multiply.outer(flat[idx], hx)) * wf).sum(axis=1)
+    return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
 
 def as_coefficient_model(rm: ReferenceModel) -> CoefficientModel:

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox  # at load: numpy imports numpy.random lazily
 
 from .errors import AlignmentError, ConfigError, SimulationError
 from .model import CoefficientModel, LocalWindow
@@ -90,7 +91,7 @@ def _noise(streams: RngStreams, block: int, n_steps: int):
     """The normals that drive `block`'s first n_steps steps, as (first step,
     slice of at most ``_NOISE_STEPS`` rows) pairs.  The slices reuse one buffer
     and hold the values of a single (n_steps, BLOCK_PATHS) draw."""
-    gen = np.random.Generator(np.random.Philox(key=streams.philox_key(block)))
+    gen = Generator(Philox(key=streams.philox_key(block)))
     buf = np.empty((min(_NOISE_STEPS, n_steps), streams.block_paths))
     for k0 in range(0, n_steps, _NOISE_STEPS):
         out = buf[:min(_NOISE_STEPS, n_steps - k0)]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,19 @@ def config_file(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(tiny_config()))
     return p
+
+
+def test_import_loads_numpy_random_and_no_scipy():
+    # SciPy is a test dependency only; numpy.random is imported with the
+    # package (simulate.py), not lazily inside the first simulation
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; import sdedensity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\nTrue\n"
 
 
 class TestConfigLoading:
@@ -147,6 +164,9 @@ class TestCommands:
          "model.mu: not finite on the window [-6, 6]"),
         ("model", "sigma", _pieces({"kind": "polynomial", "coeffs": [1.0, 1e308]}),
          "model.sigma: not finite on the window [-6, 6]"),
+        # a zero scale divides by zero in the density; a negative one makes it negative
+        ("reference", "sigma0", 0.0, "reference: sigma0 must be positive"),
+        ("reference", "sigma0", -0.25, "reference: sigma0 must be positive"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings reach stderr
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import sdedensity as sd
 from sdedensity.errors import ConfigError, DomainError, NumericsError
@@ -173,6 +174,25 @@ class TestDecayConstant:
 
         assert sd.decay_smoothness_constant(gamma) == pytest.approx(decay_constant_refinement_oracle(gamma),
                                                   rel=1e-4)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.8, 0.9, 0.99])
+    def test_head_matches_quadpack(self, gamma):
+        # the same head + one-lobe panels + envelope tail, with QUADPACK's head
+        p = 1.0 / (1.0 - gamma)
+
+        def head_integrand(u):
+            z = u**p
+            return (2.0 * math.sin(z / 2.0) / z if z > 0 else 1.0) * p
+
+        head, _ = integrate.quad(head_integrand, 0.0, (2.0 * math.pi) ** (1.0 - gamma),
+                                 epsabs=1e-13, epsrel=1e-12, limit=200)
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        z = 2.0 * math.pi * np.arange(1, 2048)[:, None] + math.pi * (nodes + 1.0)
+        panels = math.pi * float(np.sum(2.0 * np.abs(np.sin(z / 2.0)) / z ** (1.0 + gamma)
+                                        * weights))
+        tail = 2.0 * (2.0 * math.pi * 2048) ** (-gamma) / gamma
+        want = (head + panels + tail) / math.pi
+        assert sd.decay_smoothness_constant(gamma) == pytest.approx(want, rel=1e-12)
 
     def test_finite_across_range(self):
         for gamma in (0.1, 0.5, 0.9):

@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,8 @@ from scipy import integrate
 
 import sdedensity as sd
 from sdedensity import oracle
+from sdedensity.cli import main
+from sdedensity.config import PRESETS
 
 
 class TestExactDensity:
@@ -84,8 +88,56 @@ def _gbm_setup():
     return rm, sd.make_bump(w, 0.25), lam
 
 
+class TestFixedNodeRule:
+    @pytest.mark.parametrize("t", [1e-3, 1e-5])
+    def test_narrow_off_centre_law(self, window6, t):
+        # sd 0.032 at x = 0.3 (t = 1e-3): QUADPACK's QAWO missed this peak and
+        # returned ~0 for y > 0.  At t = 1e-5 (sd 0.0032) a panel 0.25 wide is 79
+        # sd, so the panels' 8-sd limit is what resolves the peak
+        rm = sd.brownian_drift(0.0, 1.0, x0=0.3)
+        phi = sd.make_bump(window6, 0.2)
+        ys = np.arange(0, 97, dtype=float)
+        got = sd.localized_cf(rm, phi, t, ys)
+        assert np.max(np.abs(got - sd.exact_cf(rm, t, ys))) <= 1e-12
+
+    def test_split_panels_at_high_frequency(self, monkeypatch, window6):
+        # panels are at most 0.25 wide, so y = 200 has r(y) = ceil(200 * 0.25 / 40) = 2:
+        # twice the nodes of y = 0.  The law lies inside the plateau, where the
+        # localized CF is the Gaussian CF; unsplit panels are 2.0e-12 off here
+        rm = sd.brownian_drift(0.0, 1.0, x0=0.3)
+        phi = sd.make_bump(window6, 0.2)
+        sizes = []
+        exact = oracle.exact_density
+
+        def spy(rm, t, x):
+            sizes.append(np.size(x))
+            return exact(rm, t, x)
+
+        monkeypatch.setattr(oracle, "exact_density", spy)
+        got = oracle.localized_cf(rm, phi, 1e-3, 200.0)
+        oracle.localized_cf(rm, phi, 1e-3, 0.0)
+        assert sizes[0] == 2 * sizes[1]
+        want = sd.exact_cf(rm, 1e-3, 200.0)  # |want| = 2.1e-9
+        assert abs(got - want) <= 1e-14
+
+    def test_narrow_cli_roundtrip(self, tmp_path):
+        cfg = copy.deepcopy(PRESETS["gaussian"])
+        cfg["simulation"].update(t=1e-3, h=1e-4, x0=0.3, n_paths=2000)
+        cfg["reference"]["x0"] = 0.3
+        cfg["density"]["t_list"] = cfg["hoelder"]["t_list"] = None
+        cfg["bounds"]["eps_rule"] = 5e-4
+        # the other checks would read the MC density, which frequency_grid.y_max = 16
+        # truncates for this narrow law
+        cfg["certify"].update(checks=["analytic_roundtrip"], analytic_y_max=256.0)
+        p = tmp_path / "narrow.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "certify.json").read_text())
+        assert report["checks"]["analytic_roundtrip"]["value"] <= 1e-5
+
+
 class TestFrequencyArrays:
-    """One call over an array of frequencies shares one integrand memo."""
+    """One call over an array of frequencies evaluates the integrand once per node."""
 
     def test_array_equals_scalar_calls_bitwise(self, window6):
         rm = sd.brownian_drift(0.0, 1.0, 0.0)
@@ -118,7 +170,8 @@ class TestFrequencyArrays:
         else:
             rm, phi = sd.brownian_drift(0.0, 1.0, 0.0), sd.make_bump(window6, 0.2)
             oracle.localized_cf(rm, phi, 1.0, np.arange(0, 33) / 4.0)
-        assert 0 < len(nodes) == len(set(nodes))
+        xs = np.concatenate([np.ravel(x) for x in nodes])
+        assert 0 < xs.size == np.unique(xs).size
 
 
 class TestSignDriftModel:
