@@ -28,7 +28,7 @@ from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
 from .simulate import BLOCK_PATHS, PathEnsemble, in_window
-from .util import MCEstimate, fmt_float, map_ordered, merge_moments, path_chunks, row_moments
+from .util import MCEstimate, map_ordered, merge_moments, path_chunks, row_moments
 
 
 def epsilon_rule(y):
@@ -223,26 +223,6 @@ class BoundReport:
     @property
     def pass_fraction(self) -> float:
         return float(np.mean(self.passed))
-
-    def to_csv(self, path) -> None:
-        cols = zip(self.y, self.empirical, self.se, self.gauss_term,
-                   self.eps_term, self.remainder_term, self.bound, self.passed)
-        with open(path, "w", newline="") as fh:
-            fh.write("y,empirical,se,gauss_term,eps_term,remainder_term,bound,pass\n")
-            for y, e, s, g, ep, r, b, p in cols:
-                fh.write(",".join([fmt_float(y), fmt_float(e), fmt_float(s),
-                                   fmt_float(g), fmt_float(ep), fmt_float(r),
-                                   fmt_float(b), str(int(p))]) + "\n")
-
-    def summary(self) -> dict:
-        return {
-            "t": self.t,
-            "eps_rule": self.eps_rule,
-            "n_paths": self.n_paths,
-            "n_frequencies": int(self.y.size),
-            "c_fit": self.c_fit,
-            "pass_fraction": self.pass_fraction,
-        }
 
 
 def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,

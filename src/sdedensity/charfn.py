@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .simulate import PathEnsemble
-from .util import fmt_float, kahan_merge, map_ordered, path_chunks
+from .util import kahan_merge, map_ordered, path_chunks
 
 _CF_CHUNK = 1 << 14
 
@@ -88,12 +88,6 @@ class CharFnEstimate:
 
     def se_at(self, y: float) -> float:
         return float(self.std_errors[self._index(y)])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("y,re,im,se\n")
-            for y, v, s in zip(self.grid.values, self.values, self.std_errors):
-                fh.write(f"{fmt_float(y)},{fmt_float(v.real)},{fmt_float(v.imag)},{fmt_float(s)}\n")
 
     @classmethod
     def from_function(cls, f, grid: FrequencyGrid, t: float = 0.0) -> "CharFnEstimate":

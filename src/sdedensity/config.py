@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import charfn, oracle
+from .certify import CHECKS
 from .cutoff import CutoffFunction, make_bump
 from .errors import ConfigError, SdeDensityError
 from .invert import invert as invert_cf, pushforward
@@ -88,19 +89,12 @@ def _rule(read, ok, text: str):
     return checked
 
 
-# names a run's certify.checks may list; the CLI maps each to its check
-CERTIFY_CHECKS = ("cf_sanity", "mass_consistency", "density_vs_oracle",
-                  "analytic_roundtrip", "bound_check")
-ORACLE_CHECKS = ("density_vs_oracle", "analytic_roundtrip")  # these need "reference"
-
-
 def _checks(v, where: str) -> tuple[str, ...]:
     if not isinstance(v, list):
         raise ConfigError(f"{where}: expected a list, got {v!r}")
     for i, name in enumerate(v):
-        if name not in CERTIFY_CHECKS:
-            raise ConfigError(f"{where}[{i}]: unknown check {name!r}; "
-                              f"one of {list(CERTIFY_CHECKS)}")
+        if name not in CHECKS:
+            raise ConfigError(f"{where}[{i}]: unknown check {name!r}; one of {list(CHECKS)}")
     return tuple(v)
 
 
@@ -393,7 +387,7 @@ class RunConfig:
         if self.reference_model is not None:
             _built("reference", self.reference_model.marginal, sim.t_final)
         for name in self.certify.checks:
-            if name in ORACLE_CHECKS and self.reference_model is None:
+            if CHECKS[name].needs_reference and self.reference_model is None:
                 raise ConfigError(f"certify.checks: {name!r} compares with the reference "
                                   f"model, and the config has no 'reference'")
 
@@ -471,12 +465,16 @@ class Pipeline:
                                                     self.freq_grid, t, threads=self.threads)
         return self._cf[t]
 
+    def density_of(self, cf: charfn.CharFnEstimate) -> tuple:
+        """A localized CF inverted onto ``x_grid()``: the density p in the
+        transformed coordinate and its pushforward q in the state coordinate."""
+        p = invert_cf(cf, self.x_grid())
+        return p, pushforward(p, self.transform, self.sigma_star)
+
     def density_at(self, t: float):
         if t not in self._density:
             cf = self.cf_at(t)
-            p = invert_cf(cf, self.x_grid())
-            q = pushforward(p, self.transform, self.sigma_star)
-            self._density[t] = (cf, p, q)
+            self._density[t] = (cf, *self.density_of(cf))
         return self._density[t]
 
     def bound_report(self):

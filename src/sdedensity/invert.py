@@ -25,7 +25,6 @@ from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError, NumericsError
 from .lamperti import LampertiMap
 from .model import SigmaStar
-from .util import fmt_float
 
 _INVERT_BLOCK, _HOLDER_BLOCK = 256, 512  # rows per block: invert's phases, holder_norm's pairs
 
@@ -44,13 +43,6 @@ class DensityEstimate:
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x_grid))
-
-    def to_csv(self, path) -> None:
-        name = "q" if self.coordinate == "state" else "p"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"x,{name}\n")
-            for x, v in zip(self.x_grid, self.values):
-                fh.write(f"{fmt_float(x)},{fmt_float(v)}\n")
 
 
 def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
@@ -120,6 +112,8 @@ def holder_norm(d: DensityEstimate | np.ndarray, gamma: float,
         if x_grid is None:
             raise ConfigError("x_grid required when passing raw values")
         xs, vs = np.asarray(x_grid, float), np.asarray(d, float)
+        if vs.size != xs.size:
+            raise ConfigError(f"{vs.size} values for an x_grid of {xs.size} points")
     if xs.size < 2:
         raise ConfigError("need at least two grid points")
     best = float(np.max(np.abs(vs)))

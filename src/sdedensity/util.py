@@ -1,4 +1,4 @@
-"""Small shared helpers: MC estimates, deterministic chunked execution, formatting."""
+"""Small shared helpers: MC estimates and deterministic chunked execution."""
 
 from __future__ import annotations
 
@@ -93,11 +93,6 @@ def kahan_merge(partials: Iterable[np.ndarray]) -> np.ndarray:
     if total is None:
         raise ValueError("no partials to merge")
     return total
-
-
-def fmt_float(x: float) -> str:
-    """Round-trip-stable decimal rendering of a float (for CSV output)."""
-    return format(float(x), ".17g")
 
 
 def path_chunks(n: int, size: int) -> list[tuple[int, int]]:

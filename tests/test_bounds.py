@@ -214,16 +214,15 @@ class TestBoundReport:
         with pytest.raises(ConfigError, match="log"):
             sd.bound_report(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
 
-    def test_csv_schema(self, sign_run, tmp_path):
-        model, w, ens = sign_run
-        grid = sd.FrequencyGrid.uniform(8.0, 0.5)
-        cf = sd.estimate_localized(
-            ens, sd.make_bump(w, 0.2),
-            sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
-        report = sd.bound_report(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
-        out = tmp_path / "bound.csv"
-        report.to_csv(out)
-        lines = out.read_text().splitlines()
+    def test_csv_schema(self, tmp_path):
+        from sdedensity.cli import cmd_bound
+
+        raw = json.loads(json.dumps(PRESETS["sign_drift"]))
+        raw["simulation"]["n_paths"] = 2000
+        pipe = Pipeline(RunConfig.from_dict(raw))
+        cmd_bound(pipe, tmp_path)
+        report = pipe.bound_report()
+        lines = (tmp_path / "bound.csv").read_text().splitlines()
         assert lines[0] == "y,empirical,se,gauss_term,eps_term,remainder_term,bound,pass"
         assert len(lines) == 1 + report.y.size
 

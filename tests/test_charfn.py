@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 import tracemalloc
 
@@ -154,12 +155,18 @@ class TestAnalyticOracles:
 
 
 class TestExport:
-    def test_csv_round_trip_stable(self, bm_ensemble, grid, tmp_path):
-        phi = sd.make_plateau_sequence(1)
-        cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        cf.to_csv(p1)
-        cf.to_csv(p2)
+    def test_csv_round_trip_stable(self, tmp_path):
+        from sdedensity.cli import cmd_cf
+
+        raw = copy.deepcopy(sd.PRESETS["gaussian"])
+        raw["simulation"]["n_paths"] = 2000
+        cfg = sd.RunConfig.from_dict(raw)
+        p1, p2 = tmp_path / "a" / "cf.csv", tmp_path / "b" / "cf.csv"
+        for p in (p1, p2):
+            p.parent.mkdir()
+            pipe = sd.Pipeline(cfg)
+            cmd_cf(pipe, p.parent)
+        cf = pipe.cf_at(cfg.simulation.t_final)
         assert p1.read_bytes() == p2.read_bytes()
         header, first = p1.read_text().splitlines()[:2]
         assert header == "y,re,im,se"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdedensity.cli import main
+from sdedensity.certify import CHECKS
+from sdedensity.cli import _write_csv, cmd_certify, main
 from sdedensity.config import PRESETS, Pipeline, RunConfig, preset
 from sdedensity.simulate import simulate
 from sdedensity.errors import AlignmentError, ConfigError
@@ -41,6 +43,17 @@ def tiny_config(**overrides):
     return cfg
 
 
+class _Recording:
+    """A stand-in for a reference model that notes whether anything read it."""
+
+    def __init__(self, inner):
+        self._inner, self.read = inner, False
+
+    def __getattr__(self, name):
+        self.read = True
+        return getattr(self._inner, name)
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     p = tmp_path / "run.json"
@@ -59,6 +72,21 @@ def test_import_loads_numpy_random_and_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\nTrue\n"
+
+
+def test_write_csv_cells_read_back_to_the_same_bits(tmp_path):
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64),
+                         [0.0, -0.0, 1.0 / 3.0, 5e-324, np.finfo(float).max]])
+    flags = xs > 0
+    path = tmp_path / "t.csv"
+    _write_csv(path, "x,flag", xs, flags)
+    header, *rows = path.read_text().splitlines()
+    assert header == "x,flag" and len(rows) == xs.size
+    cells = [row.split(",") for row in rows]
+    back = np.array([float(x) for x, _ in cells])
+    assert np.array_equal(back.view(np.int64), xs.view(np.int64))
+    assert [f for _, f in cells] == ["1" if f else "0" for f in flags]
 
 
 class TestConfigLoading:
@@ -316,10 +344,44 @@ class TestCommands:
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert calls == []
 
-    def test_check_names_kept_in_one_place(self):
-        from sdedensity import cli, config
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_each_check_needs_what_its_row_declares(self, tmp_path, name):
+        # with no reference unless the row needs one, and then a reference that
+        # records whether the check read it; the bound report is read iff declared
+        row = CHECKS[name]
+        cfg = RunConfig.from_dict(tiny_config(
+            certify={"checks": [name]}, **({} if row.needs_reference else {"reference": None})))
+        if row.needs_reference:
+            cfg = dataclasses.replace(cfg, reference_model=_Recording(cfg.reference_model))
+        pipe = Pipeline(cfg)
+        bound_reads, bound_report = [], pipe.bound_report
+        pipe.bound_report = lambda: bound_reads.append(name) or bound_report()
+        report = cmd_certify(pipe, tmp_path)
+        assert list(report["checks"]) == [name]
+        if row.needs_reference:
+            assert cfg.reference_model.read
+        assert bool(bound_reads) == row.reads_bound
+        assert (pipe.ensemble.band_pass is not None) == row.reads_bound
 
-        assert sorted(cli._CHECKS) == sorted(config.CERTIFY_CHECKS)
+    @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+    def test_out_on_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, under):
+        from sdedensity import config
+
+        calls = []
+        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "sub" if under else tmp_path / "f"
+        assert main(["cf", "--preset", "gaussian", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: {out}: ") and err.count("\n") == 1
+        assert calls == []
+
+    def test_unwritable_output_file_exits_2_naming_it(self, config_file, tmp_path, capsys):
+        (tmp_path / "o" / "cf.csv").mkdir(parents=True)
+        assert main(["cf", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: {tmp_path / 'o' / 'cf.csv'}: ")
+        assert err.count("\n") == 1
 
     def test_null_reference_allowed(self):
         cfg = tiny_config(reference=None, certify={"checks": ["cf_sanity"]})

@@ -166,6 +166,12 @@ class TestHolderNorm:
         with pytest.raises(DomainError):
             sd.holder_norm(np.zeros(4), 1.5, x_grid=np.arange(4.0))
 
+    @pytest.mark.parametrize("n_values, n_grid", [(5, 10), (1, 10), (600, 3)])
+    def test_length_mismatch_names_both_lengths(self, n_values, n_grid):
+        with pytest.raises(ConfigError,
+                           match=f"^{n_values} values for an x_grid of {n_grid} points$"):
+            sd.holder_norm(np.zeros(n_values), 0.5, x_grid=np.linspace(0.0, 1.0, n_grid))
+
 
 class TestDecayConstant:
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
