@@ -28,7 +28,9 @@ from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
 from .simulate import BLOCK_PATHS, PathEnsemble, in_window
-from .util import MCEstimate, map_ordered, merge_moments, path_chunks, row_moments
+from .util import MCEstimate, map_ordered, merge_moments, path_chunks, row_moments, unique
+
+_SLAB_ROWS = 8  # lookbacks per slab of BlockRemainder.result
 
 
 def epsilon_rule(y):
@@ -82,7 +84,7 @@ class RemainderPass:
     def of(cls, g: DriftFunctional, w: LocalWindow, h: float, k_end: int,
            k_steps) -> "RemainderPass":
         """The kernel for the distinct lookbacks among ``k_steps``."""
-        return cls(g, w, h, k_end, tuple(int(k) for k in np.unique(k_steps)))
+        return cls(g, w, h, k_end, tuple(int(k) for k in unique(k_steps)))
 
     @property
     def steps(self) -> range:
@@ -127,13 +129,17 @@ class BlockRemainder:
         self.g_first = np.empty((lookbacks.size, rows))
         self.prefix_first = np.empty((lookbacks.size, rows))
         self.last_out = np.full(rows, -1)
+        self.prefix = np.empty(rows)
         self.row = 0
-        self.prefix = self.g_last = None
+        self.g_last = None
 
     def push(self, x: np.ndarray) -> None:
         """The block's states at the next band step."""
         gx = self.kernel.g(x)
-        self.prefix = gx if self.prefix is None else self.prefix + gx
+        if self.row == 0:
+            self.prefix[:] = gx
+        else:
+            self.prefix += gx
         u = self.slot.get(self.row)
         if u is not None:
             self.g_first[u] = gx
@@ -144,19 +150,28 @@ class BlockRemainder:
         self.row += 1
 
     def result(self) -> tuple:
-        """``row_moments`` of the samples, a row per lookback, once every band step is in."""
+        """``row_moments`` of the samples, a row per lookback, once every band step is in;
+        worked in place, ``_SLAB_ROWS`` lookbacks at a time, to keep temporaries small."""
         k = self.kernel
-        # |h (P_end - P_first + 0.5 (g_first - g_end)) - eps g_first| in this
-        # operation order, in place
-        integral = np.subtract(self.prefix, self.prefix_first, out=self.prefix_first)
-        half = self.g_first - self.g_last
-        half *= 0.5
-        integral += half
-        integral *= k.h
-        self.g_first *= (np.asarray(k.lookbacks) * k.h)[:, None]
-        integral -= self.g_first
-        np.abs(integral, out=integral)
-        return row_moments(np.where(self.last_out < self.first[:, None], integral, 0.0))
+        eps = np.asarray(k.lookbacks) * k.h
+        parts = []
+        for s in range(0, eps.size, _SLAB_ROWS):
+            rows = slice(s, s + _SLAB_ROWS)
+            g_first, integral = self.g_first[rows], self.prefix_first[rows]
+            # |h (P_end - P_first + 0.5 (g_first - g_end)) - eps g_first| in this
+            # operation order, in place
+            np.subtract(self.prefix, integral, out=integral)
+            half = g_first - self.g_last
+            half *= 0.5
+            integral += half
+            integral *= k.h
+            g_first *= eps[rows, None]
+            integral -= g_first
+            np.abs(integral, out=integral)
+            integral[self.last_out >= self.first[rows, None]] = 0.0  # not in the window throughout
+            parts.append(row_moments(integral))
+        counts, means, m2s = zip(*parts)
+        return counts[0], np.concatenate(means), np.concatenate(m2s)
 
 
 def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .certify import CHECKS
-from .config import Pipeline, RunConfig, preset
+from .config import Pipeline, RunConfig, preset, t_tag
 from .errors import SdeDensityError
 from .invert import holder_norm
 from .simulate import save_ensemble, simulate
@@ -31,10 +31,6 @@ def _write_csv(path: Path, header: str, *columns) -> None:
         fh.write(header + "\n")
         for row in zip(*columns, strict=True):
             fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
-
-
-def _t_tag(t: float) -> str:
-    return format(t, "g").replace(".", "p").replace("-", "m")
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +71,7 @@ def cmd_density(pipe: Pipeline, out: Path) -> dict:
     files = []
     for t in pipe.cfg.density.t_list:
         _, _, q = pipe.density_at(t)
-        name = f"density_t{_t_tag(t)}.csv"
+        name = f"density_t{t_tag(t)}.csv"
         _write_csv(out / name, "x,q", q.x_grid, q.values)
         files.append(name)
     return {"densities": files}

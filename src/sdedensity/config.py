@@ -98,6 +98,12 @@ def _checks(v, where: str) -> tuple[str, ...]:
     return tuple(v)
 
 
+def t_tag(t: float) -> str:
+    """Time t in an output file name: six significant digits, '.' as 'p' and
+    '-' as 'm' (0.5 -> '0p5')."""
+    return format(t, "g").replace(".", "p").replace("-", "m")
+
+
 def _built(where: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a rule it enforces fails under the field's name."""
     try:
@@ -369,6 +375,12 @@ class RunConfig:
                     raise ConfigError(f"{section}.t_list: t={t} is on the grid step of an "
                                       f"earlier entry")
                 steps.add(k)
+        tags = {}
+        for t in self.density.t_list:  # each entry writes density_t<tag>.csv
+            earlier = tags.setdefault(t_tag(t), t)
+            if earlier != t:
+                raise ConfigError(f"density.t_list: t={earlier!r} and t={t!r} share the "
+                                  f"file tag {t_tag(t)!r}")
         y_check, rule = self.bound_frequencies()
         if y_check.size == 0:
             raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "

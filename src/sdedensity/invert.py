@@ -26,7 +26,7 @@ from .errors import ConfigError, DomainError, NumericsError
 from .lamperti import LampertiMap
 from .model import SigmaStar
 
-_INVERT_BLOCK, _HOLDER_BLOCK = 256, 512  # rows per block: invert's phases, holder_norm's pairs
+_INVERT_BLOCK, _HOLDER_BLOCK = 64, 512  # rows per block: invert's phases, holder_norm's pairs
 
 
 @dataclass(eq=False)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NumericsError, RangeError, ValidationError
 from .model import Polynomial, SigmaStar
+from .util import unique
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _INVERSE_TOLERANCE = 1e-10  # Newton stopping tolerance of the inverse, in H units
@@ -30,7 +31,7 @@ def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
     coefficients, Gauss-Legendre for the others."""
     out = np.empty_like(x)
     which = cell_piece[cell]
-    for pi in np.unique(which):
+    for pi in unique(which):
         m, piece = which == pi, pieces[pi]
         am, xm = knots[cell[m]], x[m]
         if isinstance(piece, Polynomial) and len(piece.coeffs) <= 2:
@@ -161,7 +162,7 @@ def build_lamperti_map(s: SigmaStar) -> LampertiMap:
     """Tabulate H on the window and wire up the closed-form continuations."""
     w = s.window
     base = s.base
-    knots = np.unique(np.concatenate([
+    knots = unique(np.concatenate([
         np.linspace(w.lo, w.hi, _N_KNOTS),
         np.asarray([bp for bp in base.breakpoints if w.lo <= bp <= w.hi]),
         np.asarray(sorted(k for p in base.pieces for k in p.kinks(w.lo, w.hi))),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
 from .model import Affine, CoefficientModel, Constant, PiecewiseFunction
+from .util import unique
 
 import numpy as np
 
@@ -174,7 +175,7 @@ def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y):
     flat = ys.ravel()
     r = np.maximum(1, np.ceil(np.abs(flat) * widest / _PANEL_PHASE)).astype(int)
     out = np.empty(flat.size, dtype=complex)
-    for split in np.unique(r):
+    for split in unique(r):
         x, w = _nodes(edges, int(split))
         wf = w * phi(x) * exact_density(rm, t, x)
         hx = _forward(transform, x)

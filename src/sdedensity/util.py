@@ -32,6 +32,16 @@ def mean_se(samples: np.ndarray) -> MCEstimate:
     return MCEstimate(m, se, n)
 
 
+def unique(values) -> np.ndarray:
+    """``np.unique`` of a NaN-free array, same bits (its sort, then the first of
+    each run), without the ``numpy.ma`` import ``np.unique`` does in numpy 2.4."""
+    ordered = np.sort(np.ravel(values))
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def row_moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, M2) of each row of a 2-d array; M2 is the sum of squared
     deviations from the row's mean."""

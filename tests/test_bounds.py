@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.bounds import RemainderPass, lookback_steps
+from sdedensity.bounds import _SLAB_ROWS, RemainderPass, lookback_steps
 from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import AlignmentError, ConfigError, DomainError
-from sdedensity.simulate import BLOCK_PATHS
+from sdedensity.simulate import BLOCK_PATHS, simulate
 from sdedensity.util import mean_se
 
 from helpers import drift_g
@@ -336,6 +336,47 @@ class TestStreamedRemainder:
             assert a[0] == b[0]
             assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
         assert kernel.block_results(inside) is inside.band_parts
+
+    @pytest.mark.parametrize("rows", [BLOCK_PATHS, 848])
+    @pytest.mark.parametrize("n_lookbacks", [1, _SLAB_ROWS, _SLAB_ROWS + 1, 81])
+    def test_slabbed_finish_equals_one_shot(self, kinked_run, n_lookbacks, rows):
+        model, w, ens, _, t = kinked_run
+        kernel = RemainderPass(drift_g(model, w), w, ens.config.h, ens.config.step(t),
+                               tuple(range(1, 2 * n_lookbacks, 2)))
+        block = kernel.start(rows)
+        for x in ens.band(kernel.steps[0], kernel.steps[-1])[:rows].T:
+            block.push(x)
+        # the samples and their row moments, from the whole (lookbacks, rows) arrays at once
+        integral = block.prefix - block.prefix_first
+        integral += (block.g_first - block.g_last) * 0.5
+        integral *= kernel.h
+        integral -= block.g_first * (np.asarray(kernel.lookbacks) * kernel.h)[:, None]
+        stays = block.last_out < block.first[:, None]
+        samples = np.where(stays, np.abs(integral), 0.0)
+        mean = samples.mean(axis=1)
+        m2 = np.square(samples - mean[:, None]).sum(axis=1)
+        assert np.any(stays) and not np.all(stays)
+        count, got_mean, got_m2 = block.result()
+        assert count == rows
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_m2.tobytes() == m2.tobytes()
+
+    def test_simulate_peak_allocation_within_the_remainder_state(self):
+        # the pass keeps g and the prefix at each lookback's first step, 2 L rows
+        # per block; result() adds a slab's temporaries, not the block's
+        raw = json.loads(json.dumps(PRESETS["sign_drift"]))
+        raw["simulation"]["n_paths"] = 50_000
+        cfg = RunConfig.from_dict(raw)
+        sim = cfg.simulation
+        k_steps, _ = lookback_steps(*cfg.bound_frequencies(), sim.t_final, sim.h)
+        kernel = RemainderPass.of(cfg.g, cfg.window, sim.h, sim.n_steps, k_steps)
+        tracemalloc.start()
+        try:
+            simulate(cfg.model, sim, threads=1, record=[sim.n_steps], band_pass=kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(kernel.lookbacks) * BLOCK_PATHS * 8 + 4 * 2**20
 
     def test_peak_allocation_below_one_band_copy(self, tmp_path):
         # a whole certify: the lookback band of all paths is never held, only

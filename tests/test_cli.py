@@ -14,6 +14,7 @@ from sdedensity.cli import _write_csv, cmd_certify, main
 from sdedensity.config import PRESETS, Pipeline, RunConfig, preset
 from sdedensity.simulate import simulate
 from sdedensity.errors import AlignmentError, ConfigError
+from sdedensity.util import unique
 
 
 def _pieces(*pieces, breakpoints=()):
@@ -72,6 +73,44 @@ def test_import_loads_numpy_random_and_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\nTrue\n"
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma; the package sorts and masks instead
+    # (util.unique), so no command on any preset pays for that import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import copy, json, sys\n"
+        "from pathlib import Path\n"
+        "from sdedensity import cli\n"
+        "from sdedensity.config import PRESETS\n"
+        "root = Path(sys.argv[1])\n"
+        "for name in sorted(PRESETS):\n"
+        "    raw = copy.deepcopy(PRESETS[name])\n"
+        "    raw['simulation']['n_paths'] = 2000\n"
+        "    config = root / (name + '.json')\n"
+        "    config.write_text(json.dumps(raw))\n"
+        "    for command in sorted(cli._COMMANDS):\n"
+        "        out = str(root / name / command)\n"
+        "        rc = cli.main([command, '--config', str(config), '--out', out])\n"
+        "        assert rc in (0, 1), (name, command, rc)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def test_unique_is_np_unique_bit_for_bit():
+    rng = np.random.default_rng(5)
+    floats = [rng.integers(-5, 5, 200) * 0.25, np.array([0.0, -0.0, 1.5, -0.0, 1.5]),
+              np.array([-0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -1.0]),
+              np.linspace(-1.0, 1.0, 4096)[::-1].copy(), np.array([]), np.array([7.0])]
+    ints = [rng.integers(0, 40, 500), np.array([3, 1, 3, 2, 1]), np.array([], dtype=int)]
+    for a in floats + ints:
+        got, want = unique(a), np.unique(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_write_csv_cells_read_back_to_the_same_bits(tmp_path):
@@ -313,6 +352,24 @@ class TestCommands:
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []  # every one of these fails before simulating
+
+    def test_density_times_sharing_a_file_tag_exit_2(self, tmp_path, capsys, monkeypatch):
+        # t and t + h on a fine grid: distinct grid steps, both tagged 0p5, so
+        # the second density_t0p5.csv would overwrite the first
+        from sdedensity import config
+
+        calls = []
+        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        raw = json.loads(json.dumps(PRESETS["gaussian"]))
+        raw["simulation"]["h"] = 2.0**-21
+        raw["density"]["t_list"] = [0.5, 0.5 + 2.0**-21]
+        p = tmp_path / "tags.json"
+        p.write_text(json.dumps(raw))
+        assert main(["density", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: density.t_list: t=0.5 and "
+                                           "t=0.5000004768371582 share the file tag '0p5'\n")
+        assert calls == []
+        assert not list(tmp_path.glob("o/density_*"))
 
     @pytest.mark.parametrize("n_paths", [10**400, 2**62], ids=["10**400", "2**62"])
     def test_unallocatable_n_paths_exits_2(self, tmp_path, capsys, n_paths):

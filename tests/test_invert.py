@@ -1,4 +1,5 @@
 import copy
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ from scipy import integrate
 
 import sdedensity as sd
 from sdedensity.errors import ConfigError, DomainError, NumericsError
+
+# the module, which the package's ``invert`` function shadows
+invert_module = importlib.import_module("sdedensity.invert")
 
 
 def analytic_cf(fn, y_max, spacing):
@@ -60,6 +64,16 @@ class TestInversion:
                                 std_errors=np.zeros(grid.values.size), n_paths=0, t=0.0)
         with pytest.raises(NumericsError):
             sd.invert(bad, np.linspace(-2, 2, 11))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 256])
+    def test_bytes_do_not_depend_on_the_row_block(self, monkeypatch, block):
+        cf = analytic_cf(lambda y: np.exp(0.3j * y - y * y / 2), 16.0, 1 / 16)
+        xs = np.linspace(-4, 4, 301)  # 301 rows: a partial last block for each size
+        ref = sd.invert(cf, xs)
+        monkeypatch.setattr(invert_module, "_INVERT_BLOCK", block)
+        got = sd.invert(cf, xs)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.imag_residual == ref.imag_residual
 
     def test_mass_matches_zero_frequency(self, bm_ensemble, window6):
         s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
