@@ -7,8 +7,8 @@ localized characteristic function, check its decay against the frequency
 bounds, invert to a density, and certify smoothness in space and time.
 """
 
-from .bounds import (BoundReport, bound_report, matched_lookback_bound, epsilon_rule,
-                     fit_decay, remainder, fixed_lookback_bound)
+from .bounds import (BoundReport, bound_plan, bound_report, matched_lookback_bound,
+                     epsilon_rule, fit_decay, remainder, fixed_lookback_bound)
 from .charfn import CharFnEstimate, FrequencyGrid, cf_from_samples, estimate_localized
 from .config import PRESETS, Pipeline, RunConfig, piecewise_from_dict, preset
 from .cutoff import CutoffFunction, make_bump, make_plateau_sequence

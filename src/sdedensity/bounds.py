@@ -16,6 +16,8 @@ integral taken by the trapezoid rule on the path grid.  The multiplicative
 constant is never derived from first principles; it is fitted as the least
 constant making every checked frequency pass at 3 standard errors, and its
 stability under changes of sample size is part of the acceptance story.
+``bound_plan`` fixes the checked frequencies, their grid lookbacks and the
+remainder kernel once; ``simulate`` runs the kernel and ``bound_report`` reads both.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
-from .simulate import BLOCK_PATHS, PathEnsemble, in_window
+from .simulate import BLOCK_PATHS, PathEnsemble, SimConfig, in_window
 from .util import MCEstimate, map_ordered, merge_moments, path_chunks, row_moments, unique
 
 _SLAB_ROWS = 8  # lookbacks per slab of BlockRemainder.result
@@ -80,12 +82,6 @@ class RemainderPass:
     k_end: int
     lookbacks: tuple[int, ...]
 
-    @classmethod
-    def of(cls, g: DriftFunctional, w: LocalWindow, h: float, k_end: int,
-           k_steps) -> "RemainderPass":
-        """The kernel for the distinct lookbacks among ``k_steps``."""
-        return cls(g, w, h, k_end, tuple(int(k) for k in unique(k_steps)))
-
     @property
     def steps(self) -> range:
         return range(self.k_end - self.lookbacks[-1], self.k_end + 1)
@@ -94,11 +90,9 @@ class RemainderPass:
         return BlockRemainder(self, rows)
 
     def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
-        """The kernel's results per ``BLOCK_PATHS`` block of ``ens``, in block order:
-        the ones ``simulate`` made if it ran this kernel, else a pass over the
-        recorded band on ``threads`` workers."""
-        if ens.band_pass == self:
-            return ens.band_parts
+        """The kernel's results per ``BLOCK_PATHS`` block of ``ens``, in block order,
+        from a pass over its recorded band on ``threads`` workers: the same
+        bits as ``simulate`` makes running the kernel in its Euler loop."""
         band = ens.band(self.steps[0], self.steps[-1])
 
         def run(span):
@@ -240,70 +234,72 @@ class BoundReport:
         return float(np.mean(self.passed))
 
 
-def lookback_steps(y_check: np.ndarray, eps_rule: str | float, t: float,
-                   h: float) -> tuple[np.ndarray, str]:
-    """Grid lookback (in steps) of each checked frequency, and the rule's name.
+@dataclass(frozen=True, eq=False)
+class BoundPlan:
+    """What the bound report checks at grid time t (see ``bound_plan``)."""
+
+    t: float
+    y: np.ndarray  # the checked frequencies
+    k_steps: np.ndarray  # the grid lookback of each, in steps
+    rule: str  # "matched" or "fixed:<eps>"
+    kernel: RemainderPass  # over the distinct lookbacks, ending at t
+
+
+def bound_plan(g: DriftFunctional, window: LocalWindow, sim: SimConfig, t: float,
+               y, eps_rule: str | float = "matched") -> BoundPlan:
+    """The plan for checking frequencies ``y`` at grid time t.
 
     'matched' rounds eps_y to the path grid, a float is one fixed lookback;
     either way at least one step and, since eps < t and rounding is monotone,
-    at most the whole path up to a grid time t > 0.  ``Pipeline`` builds its
-    ``RemainderPass`` from these steps.
+    at most the whole path up to t.  Frequencies sharing a grid lookback
+    share the remainder estimate.
     """
-    if y_check.size == 0:
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
         raise ConfigError("no frequencies to check")
     if eps_rule == "matched":
-        eps_exact = epsilon_rule(y_check)
+        eps_exact = epsilon_rule(y)
         if np.any(eps_exact >= t):
-            bad = y_check[eps_exact >= t][0]
-            raise ConfigError(
-                f"lookback rule needs log^2|y|/y^2 < t; violated at y={bad} (t={t})"
-            )
-        rule_name = "matched"
+            raise ConfigError(f"lookback rule needs log^2|y|/y^2 < t; violated at "
+                              f"y={y[eps_exact >= t][0]} (t={t})")
+        rule = "matched"
     else:
-        eps_exact = np.full(y_check.size, float(eps_rule))
+        eps_exact = np.full(y.size, float(eps_rule))
         if np.any(eps_exact >= t) or np.any(eps_exact <= 0):
             raise ConfigError("fixed lookback must lie in (0, t)")
-        rule_name = f"fixed:{eps_rule}"
-    return np.maximum(np.rint(eps_exact / h).astype(int), 1), rule_name
+        rule = f"fixed:{eps_rule}"
+    k_steps = np.maximum(np.rint(eps_exact / sim.h).astype(int), 1)
+    kernel = RemainderPass(g, window, sim.h, sim.step(t), tuple(int(k) for k in unique(k_steps)))
+    return BoundPlan(t, y, k_steps, rule, kernel)
 
 
-def bound_report(cf: CharFnEstimate, ens: PathEnsemble, g: DriftFunctional,
-                 w: LocalWindow, t: float, y_check: np.ndarray,
-                 eps_rule: str | float = "matched", c: float | None = None,
-                 threads: int = 1) -> BoundReport:
-    """Evaluate the bound at each checked frequency against the empirical CF.
+def bound_report(cf: CharFnEstimate, plan: BoundPlan, parts: list,
+                 c: float | None = None) -> BoundReport:
+    """Evaluate the bound at each of the plan's frequencies against the empirical CF.
 
-    ``y_check`` are grid frequencies (``RunConfig.bound_frequencies`` picks
-    them for a run).  eps_rule 'matched' uses the per-frequency lookback eps_y
-    (rounded to the path grid); a float uses that fixed lookback everywhere.
-    The remainder is estimated once per distinct grid lookback by one
-    ``RemainderPass``: inside ``simulate``, if the ensemble was simulated with
-    it, else over the ensemble's recorded band, in path blocks on ``threads``
-    workers.  The report does not depend on ``threads``.
+    ``parts`` are the results of ``plan.kernel`` per path block, in block
+    order: ``simulate`` makes them in its Euler loop (``band_parts``), and
+    ``RemainderPass.block_results`` replays them over a recorded band.  The
+    remainder is estimated once per distinct grid lookback, by merging them.
     """
-    h = ens.config.h
-    y_check = np.asarray(y_check, dtype=float)
-    k_steps, rule_name = lookback_steps(y_check, eps_rule, t, h)
-    eps_used = k_steps * h
-
-    empirical = np.array([abs(cf.value_at(float(y))) for y in y_check])
-    se_emp = np.array([cf.se_at(float(y)) for y in y_check])
-    # frequencies sharing a grid lookback share the remainder estimate
-    kernel = RemainderPass.of(g, w, h, ens.config.step(t), k_steps)
-    ests = merge_moments(kernel.block_results(ens, threads))
+    y, kernel = plan.y, plan.kernel
+    eps_used = plan.k_steps * kernel.h
+    empirical = np.array([abs(cf.value_at(float(v))) for v in y])
+    se_emp = np.array([cf.se_at(float(v)) for v in y])
+    ests = merge_moments(parts)
     rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
-    rem_val, rem_se = rem_by_lookback[np.searchsorted(kernel.lookbacks, k_steps)].T
+    rem_val, rem_se = rem_by_lookback[np.searchsorted(kernel.lookbacks, plan.k_steps)].T
 
-    if rule_name == "matched":
-        gauss, eps_term, rem_term = matched_lookback_bound(y_check, rem_val)
+    if plan.rule == "matched":
+        gauss, eps_term, rem_term = matched_lookback_bound(y, rem_val)
     else:
-        gauss, eps_term, rem_term = fixed_lookback_bound(y_check, eps_used, rem_val)
+        gauss, eps_term, rem_term = fixed_lookback_bound(y, eps_used, rem_val)
     total = gauss + eps_term + rem_term
     c_fit = least_constant(empirical, se_emp, total) if c is None else float(c)
     return BoundReport(
-        y=y_check, empirical=empirical, se=se_emp, gauss_term=gauss,
+        y=y, empirical=empirical, se=se_emp, gauss_term=gauss,
         eps_term=eps_term, remainder_term=rem_term, eps_used=eps_used,
-        c_fit=c_fit, passed=within_bound(empirical, se_emp, total, c_fit), t=t,
-        eps_rule=rule_name, n_paths=ens.n_paths,
+        c_fit=c_fit, passed=within_bound(empirical, se_emp, total, c_fit), t=plan.t,
+        eps_rule=plan.rule, n_paths=ests[0].n_samples,
         metadata={"remainder_se_max": float(np.max(rem_se))},
     )

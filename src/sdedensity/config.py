@@ -93,8 +93,10 @@ def _checks(v, where: str) -> tuple[str, ...]:
     if not isinstance(v, list):
         raise ConfigError(f"{where}: expected a list, got {v!r}")
     for i, name in enumerate(v):
-        if name not in CHECKS:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ConfigError(f"{where}[{i}]: unknown check {name!r}; one of {list(CHECKS)}")
+        if name in v[:i]:
+            raise ConfigError(f"{where}[{i}]: {name!r} is listed twice")
     return tuple(v)
 
 
@@ -216,7 +218,7 @@ FIELDS = {
     "cutoff": {"shoulder_fraction": (_real, 0.2)},
     "frequency_grid": {"y_max": (_real, 256.0), "spacing": (_real, 1.0 / 16.0)},
     "inversion": {"n_points": (_rule(_int, lambda n: n >= 2, "must be at least 2"), 513),
-                  "margin": (_real, 0.05)},
+                  "margin": (_rule(_real, lambda m: m >= 0.0, "must be at least 0"), 0.05)},
     "bounds": {"gamma": (_rule(_real, lambda g: 0.0 < g < 1.0, "must lie in (0, 1)"), 0.5),
                "eps_rule": (_eps_rule, "matched"), "y_lo": (_real, math.e),
                "y_hi": (_optional(_real), None)},
@@ -224,7 +226,8 @@ FIELDS = {
     "hoelder": {"gamma_list": (_rule(_reals, lambda gs: all(0.0 < g <= 1.0 for g in gs),
                                      "entries must lie in (0, 1]"), [0.5]),
                 "t_list": (_optional(_reals), None)},
-    "certify": {"checks": (_checks, ["cf_sanity", "mass_consistency"]),
+    "certify": {"checks": (_rule(_checks, bool, "expected at least one check"),
+                           ["cf_sanity", "mass_consistency"]),
                 "density_tolerance": (_real, 5e-3), "analytic_tolerance": (_real, 1e-5),
                 "analytic_y_max": (_real, 96.0), "bound_pass_fraction": (_real, 0.95),
                 "mass_slack": (_real, 1e-3)},
@@ -345,14 +348,24 @@ class RunConfig:
     def reference(self) -> oracle.ReferenceModel | None:
         return self.reference_model
 
-    def bound_frequencies(self) -> tuple[np.ndarray, str | float]:
-        """The frequencies the bound report checks, and its lookback rule."""
-        b = self.bounds
+    @cached_property
+    def bound_plan(self) -> bounds_mod.BoundPlan:
+        """The bound report's plan at t_final: the grid frequencies in (y_lo, y_hi],
+        the lookback of each, and the remainder kernel ``Pipeline.ensemble`` runs."""
+        b, sim = self.bounds, self.simulation
         pos = self.freq_grid.positive()
         mask = pos > b.y_lo
         if b.y_hi is not None:
             mask &= pos <= b.y_hi
-        return pos[mask], b.eps_rule
+        y = pos[mask]
+        if y.size == 0:
+            raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "
+                              f"in ({b.y_lo}, {b.y_hi}]")
+        if b.eps_rule == "matched" and y[0] <= 1.0:
+            raise ConfigError(f"bounds.y_lo: the matched lookback rule needs every checked "
+                              f"frequency above 1, and y={y[0]} is not (y_lo={b.y_lo})")
+        return _built("bounds.eps_rule", bounds_mod.bound_plan, self.g, self.window, sim,
+                      sim.t_final, y, b.eps_rule)
 
     @property
     def x_range(self) -> tuple[float, float]:
@@ -381,12 +394,7 @@ class RunConfig:
             if earlier != t:
                 raise ConfigError(f"density.t_list: t={earlier!r} and t={t!r} share the "
                                   f"file tag {t_tag(t)!r}")
-        y_check, rule = self.bound_frequencies()
-        if y_check.size == 0:
-            raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "
-                              f"in ({self.bounds.y_lo}, {self.bounds.y_hi}]")
-        # every checked frequency has a lookback in (0, t); Pipeline.ensemble relies on it
-        _built("bounds.eps_rule", bounds_mod.lookback_steps, y_check, rule, sim.t_final, sim.h)
+        self.bound_plan  # built here, so its rules fail at parse time
         lo, hi = self.x_range
         limit = math.pi / self.freq_grid.spacing
         if hi - lo >= limit:
@@ -456,16 +464,9 @@ class Pipeline:
         """The paths at the declared times.  If the bound runs, each block's
         states in its lookback band are reduced to remainder moments step by
         step while simulating, and never stored."""
-        sim = self.cfg.simulation
         steps, bound = self._reads
-        band_pass = None
-        if bound:
-            k_steps, _ = bounds_mod.lookback_steps(*self.cfg.bound_frequencies(),
-                                                   sim.t_final, sim.h)
-            band_pass = bounds_mod.RemainderPass.of(self.cfg.g, self.window, sim.h,
-                                                    sim.n_steps, k_steps)
-        return simulate(self.model, sim, threads=self.threads,
-                        record=steps, band_pass=band_pass)
+        return simulate(self.model, self.cfg.simulation, threads=self.threads, record=steps,
+                        band_pass=self.cfg.bound_plan.kernel if bound else None)
 
     def x_grid(self) -> np.ndarray:
         """Inversion grid in the transformed coordinate, covering H(supp phi)."""
@@ -489,13 +490,13 @@ class Pipeline:
             self._density[t] = (cf, *self.density_of(cf))
         return self._density[t]
 
-    def bound_report(self):
-        t = self.cfg.simulation.t_final
-        cf = self.cf_at(t)
-        y_check, rule = self.cfg.bound_frequencies()
-        return bounds_mod.bound_report(cf, self.ensemble, self.cfg.g, self.window,
-                                       t, y_check=y_check, eps_rule=rule,
-                                       threads=self.threads)
+    def bound_report(self) -> bounds_mod.BoundReport:
+        """The bound report at t_final, from the remainder moments ``simulate`` made."""
+        if not self._reads[1]:
+            raise RuntimeError("bound_report() needs reads(..., bound=True) before the "
+                               "ensemble is simulated")
+        plan = self.cfg.bound_plan
+        return bounds_mod.bound_report(self.cf_at(plan.t), plan, self.ensemble.band_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -105,16 +105,16 @@ class PathEnsemble:
 
     ``recorded`` lists, ascending, the grid steps that were stored:
     ``states[i, j]`` is path i at time ``recorded[j] * h``.  Read states
-    through ``band``/``states_at``, which index by grid step.  ``band_pass``
-    is the reduction ``simulate`` ran on each block's states at the band's
-    steps, if any, and ``band_parts`` its results in block order.
+    through ``band``/``states_at``, which index by grid step.  ``band_parts``
+    holds, in block order, the results of the ``band_pass`` reduction
+    ``simulate`` ran on each block's states at the band's steps, or None if
+    it ran none.
     """
 
     states: np.ndarray
     config: SimConfig
     rng_streams: RngStreams
     recorded: tuple[int, ...]
-    band_pass: object = None
     band_parts: list | None = None
 
     @property
@@ -221,7 +221,6 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         config=cfg,
         rng_streams=streams,
         recorded=recorded,
-        band_pass=band_pass,
         band_parts=None if band_pass is None else parts,
     )
 

@@ -12,6 +12,13 @@ def drift_g(model, w):
     return sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
 
 
+def report_of(cf, ens, g, w, t, y, eps_rule="matched", c=None, threads=1):
+    """The bound report of a recorded ensemble: the plan, then its kernel replayed
+    over the ensemble's band on ``threads`` workers."""
+    plan = sd.bound_plan(g, w, ens.config, t, y, eps_rule)
+    return sd.bound_report(cf, plan, plan.kernel.block_results(ens, threads), c)
+
+
 def decay_constant_refinement_oracle(gamma: float, z_cut: float = 2 * math.pi * 2048) -> float:
     """Richardson-style refinement value of the decay-to-smoothness constant.
 

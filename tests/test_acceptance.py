@@ -17,7 +17,7 @@ import sdedensity as sd
 from sdedensity.cli import main as cli_main
 from sdedensity.config import PRESETS, RunConfig
 
-from helpers import decay_constant_refinement_oracle, drift_g, loglog_slope
+from helpers import decay_constant_refinement_oracle, drift_g, loglog_slope, report_of
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -159,11 +159,11 @@ class TestCriterion5BoundSatisfaction:
 
         ens1, cf1 = reports[200_000]
         g = drift_g(model, w)
-        rep1 = sd.bound_report(cf1, ens1, g, w, t, y_check=y_check)
+        rep1 = report_of(cf1, ens1, g, w, t, y_check)
         c1 = rep1.c_fit
         ens2, cf2 = reports[400_000]
-        rep2_cross = sd.bound_report(cf2, ens2, g, w, t, y_check=y_check, c=c1)
-        rep2 = sd.bound_report(cf2, ens2, g, w, t, y_check=y_check)
+        rep2_cross = report_of(cf2, ens2, g, w, t, y_check, c=c1)
+        rep2 = report_of(cf2, ens2, g, w, t, y_check)
         ratio = rep2.c_fit / c1
         ok = (rep2_cross.pass_fraction >= 0.95
               and rep1.pass_fraction >= 0.95

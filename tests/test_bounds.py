@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.bounds import _SLAB_ROWS, RemainderPass, lookback_steps
+from sdedensity.bounds import _SLAB_ROWS, RemainderPass
 from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import AlignmentError, ConfigError, DomainError
 from sdedensity.simulate import BLOCK_PATHS, simulate
 from sdedensity.util import mean_se
 
-from helpers import drift_g
+from helpers import drift_g, report_of
 
 
 class TestClosedFormBounds:
@@ -182,7 +182,7 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, t)
-        report = sd.bound_report(cf, ens, drift_g(model, w), w, t, band_above(cf))
+        report = report_of(cf, ens, drift_g(model, w), w, t, band_above(cf))
         for j in (0, len(report.y) // 2, len(report.y) - 1):
             eps = float(report.eps_used[j])
             standalone = sd.remainder(ens, drift_g(model, w), w, eps=eps, t=t)
@@ -197,10 +197,10 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
-        report = sd.bound_report(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
+        report = report_of(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
         assert report.pass_fraction == 1.0
-        tight = sd.bound_report(cf, ens, drift_g(model, w), w, 0.5, band_above(cf),
-                                c=report.c_fit / 20.0)
+        tight = report_of(cf, ens, drift_g(model, w), w, 0.5, band_above(cf),
+                          c=report.c_fit / 20.0)
         assert tight.pass_fraction < 1.0
 
     def test_lookback_precondition_rejected(self, sign_run):
@@ -212,7 +212,7 @@ class TestBoundReport:
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.0625)
         with pytest.raises(ConfigError, match="log"):
-            sd.bound_report(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
+            report_of(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
 
     def test_csv_schema(self, tmp_path):
         from sdedensity.cli import cmd_bound
@@ -232,7 +232,7 @@ def whole_slab_samples(ens, model, w, t, y_check, eps_rule):
     one pass over the whole lookback band, g evaluated as mu/sigma_cont - weak_deriv/2
     piece by piece."""
     h = ens.config.h
-    k_steps, _ = lookback_steps(y_check, eps_rule, t, h)
+    k_steps = sd.bound_plan(drift_g(model, w), w, ens.config, t, y_check, eps_rule).k_steps
     s = sd.build_sigma_star(model.sigma, w)
     d = sd.weak_derivative(s)
     k_end = ens.config.step(t)
@@ -300,12 +300,12 @@ class TestStreamedRemainder:
         model, w, ens, cf, t = kinked_run
         g = drift_g(model, w)
         y_check = band_above(cf, math.e if eps_rule == "matched" else 0.0)
-        one = sd.bound_report(cf, ens, g, w, t, y_check, eps_rule=eps_rule, threads=1)
+        one = report_of(cf, ens, g, w, t, y_check, eps_rule=eps_rule, threads=1)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the block workers as much as possible
         try:
-            report = sd.bound_report(cf, ens, g, w, t, y_check, eps_rule=eps_rule,
-                                     threads=threads)
+            report = report_of(cf, ens, g, w, t, y_check, eps_rule=eps_rule,
+                               threads=threads)
         finally:
             sys.setswitchinterval(switch)
         if eps_rule == "matched":
@@ -326,8 +326,8 @@ class TestStreamedRemainder:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pass_inside_simulate_equals_pass_over_recorded_band(self, kinked_run, threads):
         model, w, ens, cf, t = kinked_run
-        kernel = RemainderPass.of(drift_g(model, w), w, ens.config.h, ens.config.step(t),
-                                  [40, 1, 7, 7])
+        kernel = RemainderPass(drift_g(model, w), w, ens.config.h, ens.config.step(t),
+                               (1, 7, 40))
         inside = sd.simulate(model, ens.config, threads=threads,
                              record=[ens.config.step(t)], band_pass=kernel)
         assert inside.recorded == (ens.config.step(t),)
@@ -335,7 +335,6 @@ class TestStreamedRemainder:
         for a, b in zip(inside.band_parts, recorded, strict=True):
             assert a[0] == b[0]
             assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
-        assert kernel.block_results(inside) is inside.band_parts
 
     @pytest.mark.parametrize("rows", [BLOCK_PATHS, 848])
     @pytest.mark.parametrize("n_lookbacks", [1, _SLAB_ROWS, _SLAB_ROWS + 1, 81])
@@ -367,9 +366,7 @@ class TestStreamedRemainder:
         raw = json.loads(json.dumps(PRESETS["sign_drift"]))
         raw["simulation"]["n_paths"] = 50_000
         cfg = RunConfig.from_dict(raw)
-        sim = cfg.simulation
-        k_steps, _ = lookback_steps(*cfg.bound_frequencies(), sim.t_final, sim.h)
-        kernel = RemainderPass.of(cfg.g, cfg.window, sim.h, sim.n_steps, k_steps)
+        sim, kernel = cfg.simulation, cfg.bound_plan.kernel
         tracemalloc.start()
         try:
             simulate(cfg.model, sim, threads=1, record=[sim.n_steps], band_pass=kernel)
@@ -394,6 +391,5 @@ class TestStreamedRemainder:
         finally:
             tracemalloc.stop()
         assert report["checks"]["bound_check"]["pass"]
-        k_steps, _ = lookback_steps(*pipe.cfg.bound_frequencies(), sim.t_final, sim.h)
-        band_cols = int(np.max(k_steps)) + 1
+        band_cols = int(np.max(pipe.cfg.bound_plan.k_steps)) + 1
         assert peak < sim.n_paths * band_cols * 8

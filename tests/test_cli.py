@@ -149,6 +149,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="lookback"):
             RunConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("bounds, first", [
+        ({"eps_rule": "matched", "y_lo": 1.0}, 1.25),
+        ({"eps_rule": 0.0625, "y_lo": 0.5}, 0.75),
+    ])
+    def test_low_y_lo_accepted_where_every_lookback_exists(self, bounds, first):
+        plan = RunConfig.from_dict(tiny_config(bounds=bounds)).bound_plan
+        assert plan.y[0] == first and plan.k_steps.min() >= 1
+
     def test_off_grid_density_time_rejected(self):
         bad = tiny_config(density={"t_list": [0.2]})
         with pytest.raises(ConfigError, match="grid"):
@@ -295,6 +303,21 @@ class TestCommands:
          "bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies in (9.0, 8.0]"),
         (lambda c: c["bounds"].update(eps_rule=0.5),
          "bounds.eps_rule: fixed lookback must lie in (0, t)"),
+        # the grid is H(supp phi) widened by the margin; a negative one folds it
+        (lambda c: c["inversion"].update(margin=-0.5),
+         "inversion.margin: must be at least 0, got -0.5"),
+        # the matched lookback needs |y| > 1: the offending field is y_lo, not eps_rule
+        (lambda c: c["bounds"].update(y_lo=0.5),
+         "bounds.y_lo: the matched lookback rule needs every checked frequency above 1, "
+         "and y=0.75 is not (y_lo=0.5)"),
+        # a certify that checks nothing, or one check twice, is a config error
+        (lambda c: c["certify"].update(checks=[]),
+         "certify.checks: expected at least one check, got []"),
+        (lambda c: c["certify"].update(checks=["cf_sanity", "cf_sanity"]),
+         "certify.checks[1]: 'cf_sanity' is listed twice"),
+        (lambda c: c["certify"].update(checks=[["cf_sanity"]]),
+         "certify.checks[0]: unknown check ['cf_sanity']; one of ['cf_sanity', "
+         "'mass_consistency', 'density_vs_oracle', 'analytic_roundtrip', 'bound_check']"),
         # piece fields go through the same number reader as every other field
         (lambda c: c["model"].update(mu=_pieces({"kind": "polynomial", "coeffs": []})),
          "model.mu: polynomial piece: coeffs: expected at least one coefficient, got []"),
@@ -418,7 +441,7 @@ class TestCommands:
         if row.needs_reference:
             assert cfg.reference_model.read
         assert bool(bound_reads) == row.reads_bound
-        assert (pipe.ensemble.band_pass is not None) == row.reads_bound
+        assert (pipe.ensemble.band_parts is not None) == row.reads_bound
 
     @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
     def test_out_on_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, under):
@@ -512,6 +535,52 @@ class TestCertify:
         assert len(seen) == len(set(seen)) == 1
 
 
+class TestBoundPlan:
+    def test_built_once_per_config_through_certify(self, tmp_path, monkeypatch):
+        from sdedensity import bounds
+
+        calls = []
+        original = bounds.bound_plan
+        monkeypatch.setattr(bounds, "bound_plan",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(tiny_config(certify={"checks": ["cf_sanity", "bound_check"]})))
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_report_reads_the_moments_made_while_simulating(self, tmp_path, monkeypatch):
+        # the recorded-band replay is the tests' reference only: with it broken,
+        # bound and certify write the same bytes
+        from sdedensity.bounds import RemainderPass
+
+        raw = json.loads(json.dumps(PRESETS["sign_drift"]))
+        raw["simulation"]["n_paths"] = 2000
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(raw))
+
+        def outputs(tag):
+            files = {}
+            for command in ("bound", "certify"):
+                out = tmp_path / tag / command
+                assert main([command, "--config", str(p), "--out", str(out)]) == 0
+                files.update({f"{command}/{f.name}": f.read_bytes() for f in out.iterdir()})
+            return files
+
+        expected = outputs("unpatched")
+
+        def replay(*args, **kwargs):
+            raise AssertionError("the bound report replayed the band")
+
+        monkeypatch.setattr(RemainderPass, "block_results", replay)
+        assert outputs("patched") == expected
+
+    def test_report_without_declaring_it_is_refused(self):
+        pipe = Pipeline(RunConfig.from_dict(tiny_config()))
+        pipe.reads([0.25])
+        with pytest.raises(RuntimeError, match=r"reads\(\.\.\., bound=True\)"):
+            pipe.bound_report()
+
+
 class TestRecordingPlan:
     def test_gbm_ensemble_stores_only_the_plan(self, tmp_path):
         from sdedensity import cli
@@ -531,7 +600,7 @@ class TestRecordingPlan:
             assert pipe.ensemble.recorded == plan, command
             assert pipe.ensemble.states.shape == (3000, len(plan))
             assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
-            assert (pipe.ensemble.band_pass is not None) == bound, command
+            assert (pipe.ensemble.band_parts is not None) == bound, command
 
     def test_certify_runs_the_remainder_pass_only_for_bound_check(self, tmp_path):
         from sdedensity.cli import cmd_certify
@@ -540,7 +609,7 @@ class TestRecordingPlan:
             pipe = Pipeline(RunConfig.from_dict(tiny_config(certify={"checks": checks})))
             cmd_certify(pipe, tmp_path)
             assert pipe.ensemble.recorded == (8,)
-            assert (pipe.ensemble.band_pass is not None) == bound
+            assert (pipe.ensemble.band_parts is not None) == bound
 
     def test_reads_after_simulating_is_refused(self):
         pipe = Pipeline(RunConfig.from_dict(tiny_config()))

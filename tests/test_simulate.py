@@ -148,7 +148,7 @@ class TestRecordingPlan:
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
         g = sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
-        kernel = RemainderPass.of(g, w, cfg.h, cfg.n_steps, [1, 4, 10])
+        kernel = RemainderPass(g, w, cfg.h, cfg.n_steps, (1, 4, 10))
         assert kernel.steps == range(6, 17)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
