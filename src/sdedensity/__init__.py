@@ -2,7 +2,7 @@
 
 The pipeline: declare piecewise drift/diffusion and a localization window,
 continue the diffusion constantly outside the window, map to unit diffusion,
-simulate paths with reproducible counter-based randomness, estimate the
+simulate paths with reproducible per-block keyed randomness, estimate the
 localized characteristic function, check its decay against the frequency
 bounds, invert to a density, and certify smoothness in space and time.
 """

@@ -364,7 +364,10 @@ class RunConfig:
         if b.eps_rule == "matched" and y[0] <= 1.0:
             raise ConfigError(f"bounds.y_lo: the matched lookback rule needs every checked "
                               f"frequency above 1, and y={y[0]} is not (y_lo={b.y_lo})")
-        return _built("bounds.eps_rule", bounds_mod.bound_plan, self.g, self.window, sim,
+        # a matched lookback too long for t is fixed by raising y_lo, a fixed one
+        # by choosing another eps
+        where = "bounds.y_lo" if b.eps_rule == "matched" else "bounds.eps_rule"
+        return _built(where, bounds_mod.bound_plan, self.g, self.window, sim,
                       sim.t_final, y, b.eps_rule)
 
     @property

@@ -1,12 +1,13 @@
-"""Euler path ensembles with scheduling-independent, counter-based randomness.
+"""Euler path ensembles with scheduling-independent, per-block keyed randomness.
 
 Paths are grouped into fixed blocks of ``BLOCK_PATHS``; block ``b`` draws all
-of its normals from a Philox stream keyed by ``(seed, b)``, and path ``i``
-always owns row ``i % BLOCK_PATHS`` of block ``i // BLOCK_PATHS``.  The noise
-of a path is therefore a pure function of ``(seed, path index, step)`` -- it
-does not depend on the number of workers, on scheduling, or on how many other
-paths are simulated.  Runs with identical (seed, config) are bitwise
-reproducible at any thread count.
+of its normals from an SFC64 stream seeded by ``SeedSequence([seed, b])``, and
+path ``i`` always owns row ``i % BLOCK_PATHS`` of block ``i // BLOCK_PATHS``.
+The noise of a path is therefore a pure function of ``(seed, path index,
+step)`` -- it does not depend on the number of workers, on scheduling, or on
+how many other paths are simulated.  Runs with identical (seed, config) are
+bitwise reproducible at any thread count.  NumPy does not freeze this stream
+across releases; ``tests/test_simulate.py`` pins its first values.
 
 Because any block can be re-run bit for bit, an ensemble may store only the
 grid steps its consumers read (a recording plan): a block whose states turn
@@ -21,14 +22,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox  # at load: numpy imports numpy.random lazily
+from numpy.random import SFC64, Generator, SeedSequence  # at load: numpy imports numpy.random lazily
 
 from .errors import AlignmentError, ConfigError, SimulationError
 from .model import CoefficientModel, LocalWindow
 from .util import MCEstimate, map_ordered, mean_se, path_chunks
 
 BLOCK_PATHS = 4096
-_NOISE_STEPS = 64  # Euler steps per Philox draw
+_NOISE_STEPS = 64  # Euler steps per draw from a block's generator
 _MOMENT_BLOCK = 16384  # paths per block in stopped_increment_moment
 _MAGIC = b"SDEPATH1"
 _VERSION = 1
@@ -78,20 +79,24 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RngStreams:
-    """Per-block Philox keys: path i is row i % block_paths of block i // block_paths."""
+    """Per-block stream keys: block b's SFC64 generator is seeded by
+    ``SeedSequence(key(b))``, and path i is row i % block_paths of block
+    i // block_paths."""
 
     seed: int
     block_paths: int
 
-    def philox_key(self, block: int) -> np.ndarray:
+    def key(self, block: int) -> np.ndarray:
         return np.array([self.seed, block], dtype=np.uint64)
+
+    philox_key = key  # the benchmark probe's name for it, until ROADMAP item 1 moves the probe
 
 
 def _noise(streams: RngStreams, block: int, n_steps: int):
     """The normals that drive `block`'s first n_steps steps, as (first step,
     slice of at most ``_NOISE_STEPS`` rows) pairs.  The slices reuse one buffer
     and hold the values of a single (n_steps, BLOCK_PATHS) draw."""
-    gen = Generator(Philox(key=streams.philox_key(block)))
+    gen = Generator(SFC64(SeedSequence(streams.key(block))))
     buf = np.empty((min(_NOISE_STEPS, n_steps), streams.block_paths))
     for k0 in range(0, n_steps, _NOISE_STEPS):
         out = buf[:min(_NOISE_STEPS, n_steps - k0)]

@@ -141,13 +141,27 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"model": tiny_config()["model"]})
 
-    def test_lookback_precondition_checked(self):
+    def test_lookback_precondition_checked(self, tmp_path, capsys, monkeypatch):
+        # the matched lookback at y = 2.75 is longer than t; raising y_lo fixes it
+        from sdedensity import cli, config
+
         bad = tiny_config(simulation={"x0": 0.0, "t": 0.0625, "h": 2.0**-5,
                                       "n_paths": 100, "seed": 1},
                           density={"t_list": [0.0625]},
                           hoelder={"gamma_list": [0.5], "t_list": [0.0625]})
-        with pytest.raises(ConfigError, match="lookback"):
+        message = ("bounds.y_lo: lookback rule needs log^2|y|/y^2 < t; violated at "
+                   "y=2.75 (t=0.0625)")
+        with pytest.raises(ConfigError) as info:
             RunConfig.from_dict(bad)
+        assert str(info.value) == message
+        calls = []
+        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(p), "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
 
     @pytest.mark.parametrize("bounds, first", [
         ({"eps_rule": "matched", "y_lo": 1.0}, 1.25),

@@ -8,7 +8,7 @@ from scipy import stats
 import sdedensity as sd
 from sdedensity.bounds import RemainderPass
 from sdedensity.errors import AlignmentError, ConfigError, SimulationError
-from sdedensity.simulate import _first_exit, in_window
+from sdedensity.simulate import BLOCK_PATHS, RngStreams, _first_exit, _noise, in_window
 from sdedensity.util import mean_se
 
 
@@ -81,17 +81,13 @@ class TestEulerStatistics:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nonfinite_report_names_first_step_of_first_failing_block(self, threads):
-        # cubic drift: block 1 first blows up at step 11 (path 5762), block 0
-        # at step 12, where 13 paths do so at once; the report names block 0's
-        # step and the lowest path index in that step
-        model = sd.CoefficientModel(
-            mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
-            sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
-        )
-        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
+        # cubic drift: a later block blows up at an earlier step than the first
+        # failing block; the report names the first failing block's step and
+        # the lowest path index in that step
+        model, cfg, report = cubic_blowup()
         with pytest.raises(SimulationError) as info:
             sd.simulate(model, cfg, threads=threads)
-        assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
+        assert str(info.value) == report
 
 
 class TestRecordingPlan:
@@ -128,24 +124,16 @@ class TestRecordingPlan:
     def test_nonfinite_report_is_the_same_under_a_partial_record(self, threads):
         # the case of test_nonfinite_report_names_first_step_of_first_failing_block,
         # recording only t_final: the failing block is re-run in full to name the step
-        model = sd.CoefficientModel(
-            mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
-            sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
-        )
-        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
+        model, cfg, report = cubic_blowup()
         with pytest.raises(SimulationError) as info:
             sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps])
-        assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
+        assert str(info.value) == report
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nonfinite_report_is_the_same_with_the_band_pass_on(self, threads):
         # the same case, with a remainder pass whose band (steps 6..16) holds the
         # blow-up: the pass sees the non-finite states without raising or warning
-        model = sd.CoefficientModel(
-            mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
-            sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
-        )
-        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=11)
+        model, cfg, report = cubic_blowup()
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
         g = sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
         kernel = RemainderPass(g, w, cfg.h, cfg.n_steps, (1, 4, 10))
@@ -155,7 +143,7 @@ class TestRecordingPlan:
             with pytest.raises(SimulationError) as info:
                 sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps],
                             band_pass=kernel)
-        assert str(info.value) == "path 303 became non-finite at step 12 (t=0.75)"
+        assert str(info.value) == report
 
 
 class TestDeterminism:
@@ -178,10 +166,10 @@ class TestDeterminism:
         assert np.array_equal(a.states, b.states[:3_000])
 
     def test_stream_ids(self, bm_ensemble):
-        # path 5000 is row 5000 - 4096 of block 1, whose Philox key is (seed, 1)
+        # path 5000 is row 5000 - 4096 of block 1, whose stream key is (seed, 1)
         cfg = bm_ensemble.config
-        assert bm_ensemble.rng_streams.philox_key(0).tolist() == [cfg.seed, 0]
-        assert bm_ensemble.rng_streams.philox_key(1).tolist() == [cfg.seed, 1]
+        assert bm_ensemble.rng_streams.key(0).tolist() == [cfg.seed, 0]
+        assert bm_ensemble.rng_streams.key(1).tolist() == [cfg.seed, 1]
         for path, block, row in ((0, 0, 0), (5000, 1, 5000 - 4096)):
             dw = math.sqrt(cfg.h) * block_normals(cfg.seed, block, cfg.n_steps)[row]
             expected = np.cumsum(np.concatenate([[cfg.x0], dw]))
@@ -190,8 +178,36 @@ class TestDeterminism:
 
 def block_normals(seed, block, n_steps):
     """The normals of path block `block`: row i drives path block * 4096 + i."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, block]))
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
     return gen.standard_normal((n_steps, 4096)).T
+
+
+def cubic_blowup():
+    """A cubic-drift run of two blocks that turns non-finite, and the report
+    ``simulate`` must give, both derived from ``block_normals``.
+
+    The seed is one where block 1 turns non-finite at an earlier step than
+    block 0 (11 against 12), so the report must name the first failing
+    block's first bad step, not the earliest bad step of any block.
+    """
+    model = sd.CoefficientModel(
+        mu=sd.PiecewiseFunction((), (sd.Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)),)),
+        sigma=sd.PiecewiseFunction((), (sd.Constant(1.5),)),
+    )
+    cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-4, n_paths=6000, seed=2)
+    first_bad = []  # per block: (first non-finite step, lowest path index at it)
+    for block in (0, 1):
+        g = block_normals(cfg.seed, block, cfg.n_steps)[:cfg.n_paths - block * 4096]
+        x = np.full(len(g), cfg.x0)
+        with np.errstate(all="ignore"):
+            for k in range(1, cfg.n_steps + 1):
+                x = x + model.mu(x) * cfg.h + (math.sqrt(cfg.h) * g[:, k - 1]) * model.sigma(x)
+                if not np.all(np.isfinite(x)):
+                    first_bad.append((k, block * 4096 + int(np.argmin(np.isfinite(x)))))
+                    break
+    (k, path), (k_later, _) = first_bad
+    assert k_later < k  # the scenario the report is checked on
+    return model, cfg, f"path {path} became non-finite at step {k} (t={k * cfg.h})"
 
 
 def euler_z(ens, model, eps, t):
@@ -216,8 +232,23 @@ def euler_z(ens, model, eps, t):
 
 
 class TestNoiseContract:
-    """Path i is driven by row i % 4096 of one (n_steps, 4096) Philox draw keyed
-    by (seed, i // 4096), scaled by sqrt(h) and then by sigma at the pre-step state."""
+    """Path i is driven by row i % 4096 of one (n_steps, 4096) draw from the SFC64
+    generator seeded by SeedSequence([seed, i // 4096]), scaled by sqrt(h) and
+    then by sigma at the pre-step state."""
+
+    @pytest.mark.parametrize("seed, block, first", [
+        (20240801, 0, ("-0x1.17357f34fd8cbp+0", "-0x1.b3fee5cd04bf5p-1", "0x1.ba8da0dd28dd0p+0",
+                       "0x1.80ba2fea0d292p-3", "0x1.6c08defd6708dp+0", "0x1.df58a73323f7ep-4",
+                       "-0x1.2c272908bd9f2p+0", "0x1.09f676324ae8ep+0")),
+        (2**64 - 1, 1, ("0x1.71f0699189720p+0", "-0x1.4989fac1bf6abp-1", "-0x1.6ef0ba33d5893p-1",
+                        "-0x1.37a6a4077af83p-1", "0x1.ca61223ce7e82p-3", "-0x1.37f9af0b2addfp-1",
+                        "0x1.0f17e2d2df795p+1", "0x1.128ff92909156p+0")),
+    ], ids=["seed-20240801-block-0", "seed-2**64-1-block-1"])
+    def test_golden_stream(self, seed, block, first):
+        # NumPy does not freeze Generator distributions across releases; if a
+        # release changes this stream, every output moves, and this fails first
+        _, normals = next(_noise(RngStreams(seed=seed, block_paths=BLOCK_PATHS), block, 1))
+        assert [v.hex() for v in normals[0, :8].tolist()] == list(first)
 
     def test_driftless_unit_sigma_is_the_running_sum_of_the_noise(self, bm_model):
         # two blocks, the last one partial; 130 steps is not a whole number of
