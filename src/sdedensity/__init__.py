@@ -12,8 +12,7 @@ from .bounds import (BoundReport, bound_plan, bound_report, matched_lookback_bou
 from .charfn import CharFnEstimate, FrequencyGrid, cf_from_samples, estimate_localized
 from .config import PRESETS, Pipeline, RunConfig, piecewise_from_dict, preset
 from .cutoff import CutoffFunction, make_bump, make_plateau_sequence
-from .errors import (AlignmentError, ConfigError, DomainError, NumericsError,
-                     RangeError, SdeDensityError, SimulationError, ValidationError)
+from .errors import ConfigError, DomainError, NumericsError, SdeDensityError
 from .invert import DensityEstimate, decay_smoothness_constant, holder_norm, invert, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, HolderPower, LocalWindow,

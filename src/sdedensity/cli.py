@@ -82,7 +82,8 @@ def cmd_hoelder(pipe: Pipeline, out: Path) -> dict:
     rows = []
     for t in pipe.cfg.hoelder.t_list:
         _, _, q = pipe.density_at(t)
-        rows += [(t, gamma, holder_norm(q, gamma)) for gamma in pipe.cfg.hoelder.gamma_list]
+        rows += [(t, gamma, holder_norm(q.x_grid, q.values, gamma))
+                 for gamma in pipe.cfg.hoelder.gamma_list]
     _write_csv(out / "hoelder.csv", "t,gamma,c_gamma_norm", *zip(*rows))
     return {"hoelder": "hoelder.csv", "rows": len(rows)}
 

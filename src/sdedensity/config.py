@@ -150,52 +150,21 @@ def piece_from_dict(spec) -> Piece:
 
 
 def piecewise_from_dict(spec) -> PiecewiseFunction:
-    """Build a piecewise function from config data.
-
-    Two forms are accepted: ``{"breakpoints": [...], "pieces": [...]}`` with
-    len(pieces) == len(breakpoints) + 1, or a list of pieces carrying explicit
-    ``"interval": [lo, hi]`` entries that must tile the real line (``null``
-    stands for an infinite endpoint).  Gaps or overlaps are configuration
-    errors, and so is a key or piece field that its form or kind does not have.
+    """Build a piecewise function from its config object
+    ``{"breakpoints": [...], "pieces": [...]}``, with len(pieces) ==
+    len(breakpoints) + 1.  A key or piece field that the object or the
+    piece's kind does not have is a configuration error.
     """
     if isinstance(spec, dict):
         unknown = sorted((k for k in spec if k not in ("breakpoints", "pieces")), key=str)
         if unknown:
             raise ConfigError(f"unknown field(s) {unknown}; allowed ['breakpoints', 'pieces']")
-    if isinstance(spec, dict) and "breakpoints" in spec:
-        if not isinstance(spec.get("pieces"), list):
-            raise ConfigError(f"pieces: expected a list, got {spec.get('pieces')!r}")
-        return PiecewiseFunction(breakpoints=_reals(spec["breakpoints"], "breakpoints"),
-                                 pieces=tuple(piece_from_dict(p) for p in spec["pieces"]))
-    if isinstance(spec, dict) and "pieces" in spec:
-        entries = spec["pieces"]
-    elif isinstance(spec, list):
-        entries = spec
-    else:
-        raise ConfigError("piecewise spec must carry 'breakpoints'+'pieces' or interval pieces")
-    if not isinstance(entries, list):
-        raise ConfigError(f"pieces: expected a list, got {entries!r}")
-    if not entries:
-        raise ConfigError("piecewise spec has no pieces")
-    parsed = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise ConfigError(f"pieces[{i}]: expected an object, got {e!r}")
-        if not isinstance(e.get("interval"), list) or len(e["interval"]) != 2:
-            raise ConfigError("interval form requires an 'interval' [lo, hi] on every piece")
-        lo, hi = (_optional(_real)(v, "interval") for v in e["interval"])
-        piece = piece_from_dict({k: v for k, v in e.items() if k != "interval"})
-        parsed.append((-math.inf if lo is None else lo, math.inf if hi is None else hi, piece))
-    parsed.sort(key=lambda t: t[0])
-    if parsed[0][0] != -math.inf or parsed[-1][1] != math.inf:
-        raise ConfigError("piece intervals must cover the whole line")
-    for (_, hi1, _), (lo2, _, _) in zip(parsed, parsed[1:]):
-        if hi1 != lo2:
-            raise ConfigError(f"gap or overlap between pieces at {hi1} vs {lo2}")
-    return PiecewiseFunction(
-        breakpoints=tuple(lo for lo, _, _ in parsed[1:]),
-        pieces=tuple(p for _, _, p in parsed),
-    )
+    if not isinstance(spec, dict) or "breakpoints" not in spec:
+        raise ConfigError(f"expected an object with 'breakpoints' and 'pieces', got {spec!r}")
+    if not isinstance(spec.get("pieces"), list):
+        raise ConfigError(f"pieces: expected a list, got {spec.get('pieces')!r}")
+    return PiecewiseFunction(breakpoints=_reals(spec["breakpoints"], "breakpoints"),
+                             pieces=tuple(piece_from_dict(p) for p in spec["pieces"]))
 
 
 def _piecewise(v, where: str):
@@ -342,10 +311,10 @@ class RunConfig:
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    def sim_config(self) -> SimConfig:
+    def sim_config(self) -> SimConfig:  # alias of .simulation, kept for perfbench/child.py
         return self.simulation
 
-    def reference(self) -> oracle.ReferenceModel | None:
+    def reference(self) -> oracle.ReferenceModel | None:  # kept for perfbench/workloads.py
         return self.reference_model
 
     @cached_property

@@ -39,6 +39,11 @@ def _smoothstep_d2(u):
     return 60.0 * u * (2.0 * u - 1.0) * (u - 1.0)
 
 
+# derivative order -> (smoothstep derivative, value on the plateau, sign on the
+# right shoulder, where phi runs the ramp backwards)
+_ORDERS = ((_smoothstep, 1.0, 1.0), (_smoothstep_d1, 0.0, -1.0), (_smoothstep_d2, 0.0, 1.0))
+
+
 @dataclass(frozen=True)
 class CutoffFunction:
     """A C^2 bump: 0 outside (a, b), 1 on [plateau_lo, plateau_hi], smoothstep
@@ -87,36 +92,27 @@ class CutoffFunction:
     def sup_norm(self) -> float:
         return 1.0
 
-    def _pieces(self, x):
+    def _evaluate(self, x, order: int):
+        """The order-th derivative of phi at x, from row ``order`` of ``_ORDERS``."""
+        s, plateau, right_sign = _ORDERS[order]
         arr = np.asarray(x, dtype=float)
         left = (arr > self.a) & (arr < self.plateau_lo)
         right = (arr > self.plateau_hi) & (arr < self.b)
-        mid = (arr >= self.plateau_lo) & (arr <= self.plateau_hi)
-        return arr, left, mid, right
+        out = np.zeros_like(arr)
+        out[(arr >= self.plateau_lo) & (arr <= self.plateau_hi)] = plateau
+        w = self.shoulder_width
+        out[left] = s((arr[left] - self.a) / w) / w**order
+        out[right] = right_sign * s((self.b - arr[right]) / w) / w**order
+        return float(out) if out.ndim == 0 else out
 
     def __call__(self, x):
-        arr, left, mid, right = self._pieces(x)
-        out = np.zeros_like(arr)
-        out[mid] = 1.0
-        out[left] = _smoothstep((arr[left] - self.a) / self.shoulder_width)
-        out[right] = _smoothstep((self.b - arr[right]) / self.shoulder_width)
-        return float(out) if out.ndim == 0 else out
+        return self._evaluate(x, 0)
 
     def derivative(self, x):
-        arr, left, mid, right = self._pieces(x)
-        out = np.zeros_like(arr)
-        w = self.shoulder_width
-        out[left] = _smoothstep_d1((arr[left] - self.a) / w) / w
-        out[right] = -_smoothstep_d1((self.b - arr[right]) / w) / w
-        return float(out) if out.ndim == 0 else out
+        return self._evaluate(x, 1)
 
     def second_derivative(self, x):
-        arr, left, mid, right = self._pieces(x)
-        out = np.zeros_like(arr)
-        w = self.shoulder_width
-        out[left] = _smoothstep_d2((arr[left] - self.a) / w) / w**2
-        out[right] = _smoothstep_d2((self.b - arr[right]) / w) / w**2
-        return float(out) if out.ndim == 0 else out
+        return self._evaluate(x, 2)
 
 
 def make_bump(w: LocalWindow, shoulder_fraction: float) -> CutoffFunction:

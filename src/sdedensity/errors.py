@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every one is an ``SdeDensityError``, and the CLI exits 2 on any of them.
+"""
 
 
 class SdeDensityError(Exception):
@@ -6,28 +9,15 @@ class SdeDensityError(Exception):
 
 
 class ConfigError(SdeDensityError, ValueError):
-    """Invalid configuration: bad piece specs, grid mismatches, Nyquist violations."""
-
-
-class ValidationError(SdeDensityError, ValueError):
-    """A model/window invariant failed a validation check."""
+    """The config or a time is wrong: bad piece specs, window invariants, grid
+    mismatches, times off the simulation grid, Nyquist violations."""
 
 
 class DomainError(SdeDensityError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
-
-
-class RangeError(SdeDensityError, ValueError):
-    """A query point is outside the configured invertible range."""
-
-
-class AlignmentError(ConfigError):
-    """A time does not lie on the simulation grid."""
+    """An argument is outside the mathematical domain of an operation, such as a
+    query point outside the invertible range."""
 
 
 class NumericsError(SdeDensityError, RuntimeError):
-    """A numerical routine failed to reach its tolerance."""
-
-
-class SimulationError(SdeDensityError, RuntimeError):
-    """A path produced a non-finite state."""
+    """A numerical routine failed to reach its tolerance, or a path produced a
+    non-finite state."""

@@ -101,19 +101,14 @@ def pushforward(p: DensityEstimate, m: LampertiMap, s: SigmaStar) -> DensityEsti
                            imag_residual=p.imag_residual)
 
 
-def holder_norm(d: DensityEstimate | np.ndarray, gamma: float,
-                x_grid: np.ndarray | None = None) -> float:
-    """Discrete C^gamma norm: max(sup |f|, sup over grid pairs |df| / |dx|^gamma)."""
+def holder_norm(x_grid, values, gamma: float) -> float:
+    """Discrete C^gamma norm of ``values`` on ``x_grid``:
+    max(sup |f|, sup over grid pairs |df| / |dx|^gamma)."""
     if not (0.0 < gamma <= 1.0):
         raise DomainError("gamma must lie in (0, 1]")
-    if isinstance(d, DensityEstimate):
-        xs, vs = d.x_grid, d.values
-    else:
-        if x_grid is None:
-            raise ConfigError("x_grid required when passing raw values")
-        xs, vs = np.asarray(x_grid, float), np.asarray(d, float)
-        if vs.size != xs.size:
-            raise ConfigError(f"{vs.size} values for an x_grid of {xs.size} points")
+    xs, vs = np.asarray(x_grid, float), np.asarray(values, float)
+    if vs.size != xs.size:
+        raise ConfigError(f"{vs.size} values for an x_grid of {xs.size} points")
     if xs.size < 2:
         raise ConfigError("need at least two grid points")
     best = float(np.max(np.abs(vs)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, RangeError, ValidationError
+from .errors import ConfigError, DomainError, NumericsError
 from .model import Polynomial, SigmaStar
 from .util import unique
 
@@ -60,7 +60,7 @@ class LampertiMap:
     # -- forward -------------------------------------------------------------
 
     def forward_many(self, x) -> np.ndarray:
-        """H(x) for an array of points anywhere on the line."""
+        """H(x) for an array of points, or one point (a float), anywhere on the line."""
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr).ravel()
         out = np.empty_like(flat)
@@ -81,17 +81,14 @@ class LampertiMap:
             out[mid] = self.knots_h[idx] + res
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
-    def forward(self, x: float) -> float:
-        return float(self.forward_many(float(x)))
-
     def image(self, a: float, b: float) -> tuple[float, float]:
         """H([a, b]) as (lo, hi).
 
-        One scalar ``forward`` per endpoint: a batched call need not round
-        the same (numpy's vector and scalar log loops differ), and the
+        One scalar ``forward_many`` call per endpoint: a batched call need not
+        round the same (numpy's vector and scalar log loops differ), and the
         inversion grid is built from these two numbers.
         """
-        ha, hb = self.forward(a), self.forward(b)
+        ha, hb = self.forward_many(a), self.forward_many(b)
         return (min(ha, hb), max(ha, hb))
 
     # -- inverse -------------------------------------------------------------
@@ -107,14 +104,14 @@ class LampertiMap:
         return self.image(w.xi - _BOX_RADII * w.delta, w.xi + _BOX_RADII * w.delta)
 
     def inverse_many(self, y) -> np.ndarray:
-        """x with H(x) = y, for y inside ``h_range``."""
+        """x with H(x) = y, for an array of y, or one y (a float), inside ``h_range``."""
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel().copy()
         r_lo, r_hi = self.h_range
         span = max(abs(r_lo), abs(r_hi), 1.0)
         if np.any(flat < r_lo - 1e-12 * span) or np.any(flat > r_hi + 1e-12 * span):
             bad = flat[(flat < r_lo - 1e-12 * span) | (flat > r_hi + 1e-12 * span)][0]
-            raise RangeError(f"y={bad!r} outside the invertible range [{r_lo}, {r_hi}]")
+            raise DomainError(f"y={bad!r} outside the invertible range [{r_lo}, {r_hi}]")
         sgn = 1.0 if self.increasing else -1.0
         w = self.sigma_star.window
         out = np.empty_like(flat)
@@ -154,9 +151,6 @@ class LampertiMap:
             out[mid] = x
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
-    def inverse(self, y: float) -> float:
-        return float(self.inverse_many(float(y)))
-
 
 def build_lamperti_map(s: SigmaStar) -> LampertiMap:
     """Tabulate H on the window and wire up the closed-form continuations."""
@@ -188,5 +182,5 @@ def build_lamperti_map(s: SigmaStar) -> LampertiMap:
     )
     diffs = np.diff(knots_h)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValidationError("transform is not strictly monotone; check sigma's sign")
+        raise ConfigError("transform is not strictly monotone; check sigma's sign")
     return m

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 
 _DERIV_MATCH_TOL = 1e-9
 _N_GRID = 10_000  # grid points of the window checks on sigma and mu
@@ -436,9 +436,9 @@ class LocalWindow:
 
     def __post_init__(self):
         if not (0.0 < self.delta0 < self.delta):
-            raise ValidationError("need 0 < delta0 < delta")
+            raise ConfigError("need 0 < delta0 < delta")
         if self.l_sigma <= 0.0:
-            raise ValidationError("ellipticity floor must be positive")
+            raise ConfigError("ellipticity floor must be positive")
 
     @property
     def lo(self) -> float:
@@ -456,7 +456,7 @@ def finite_on_window(f: PiecewiseFunction, w: LocalWindow, field: str) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         values = f(np.linspace(w.lo, w.hi, _N_GRID))
     if not np.all(np.isfinite(values)):
-        raise ValidationError(f"model.{field}: not finite on the window [{w.lo:g}, {w.hi:g}]")
+        raise ConfigError(f"model.{field}: not finite on the window [{w.lo:g}, {w.hi:g}]")
     return values
 
 
@@ -467,12 +467,12 @@ def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
     per-piece metadata."""
     floor = float(np.min(np.abs(finite_on_window(sigma, w, "sigma"))))
     if floor < w.l_sigma * (1 - 1e-12):
-        raise ValidationError(
+        raise ConfigError(
             f"model.sigma: inf |sigma| on the window is {floor:.6g} < l_sigma={w.l_sigma}"
         )
     lip = sigma.lipschitz_on(w.lo, w.hi)
     if not math.isfinite(lip):
-        raise ValidationError("model.sigma: not Lipschitz on the window")
+        raise ConfigError("model.sigma: not Lipschitz on the window")
     return lip
 
 

@@ -17,6 +17,7 @@ non-finite is re-run with every step recorded to name the first bad step.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence  # at load: numpy imports numpy.random lazily
 
-from .errors import AlignmentError, ConfigError, SimulationError
+from .errors import ConfigError, NumericsError
 from .model import CoefficientModel, LocalWindow
 from .util import MCEstimate, map_ordered, mean_se, path_chunks
 
@@ -64,8 +65,8 @@ class SimConfig:
         """The grid step k with k h = t (to 1e-9), 0 <= k <= n_steps."""
         k = round(t / self.h)
         if k < 0 or k > self.n_steps or abs(k * self.h - t) > 1e-9:
-            raise AlignmentError(f"t={t} is not on the simulation grid of "
-                                 f"[0, {self.t_final}] (h={self.h})")
+            raise ConfigError(f"t={t} is not on the simulation grid of "
+                              f"[0, {self.t_final}] (h={self.h})")
         return k
 
     def lookback(self, eps: float, t: float) -> tuple[int, int]:
@@ -73,7 +74,7 @@ class SimConfig:
         k_end = self.step(t)
         k0 = self.step(t - eps)
         if k0 >= k_end:
-            raise AlignmentError("eps must span at least one grid step")
+            raise ConfigError("eps must span at least one grid step")
         return k0, k_end
 
 
@@ -89,7 +90,7 @@ class RngStreams:
     def key(self, block: int) -> np.ndarray:
         return np.array([self.seed, block], dtype=np.uint64)
 
-    philox_key = key  # the benchmark probe's name for it, until ROADMAP item 1 moves the probe
+    philox_key = key  # alias of key, kept for perfbench/child.py's noise probe
 
 
 def _noise(streams: RngStreams, block: int, n_steps: int):
@@ -129,7 +130,7 @@ class PathEnsemble:
     def _column(self, k: int) -> int:
         j = bisect_left(self.recorded, k)
         if j == len(self.recorded) or self.recorded[j] != k:
-            raise AlignmentError(f"grid step {k} (t={k * self.config.h}) was not recorded")
+            raise ConfigError(f"grid step {k} (t={k * self.config.h}) was not recorded")
         return j
 
     def band(self, k0: int, k1: int) -> np.ndarray:
@@ -213,7 +214,7 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
             full, _ = euler_block(block, stop - start, range(n_steps + 1))
             k = 1 + int(np.argmin(np.all(np.isfinite(full[1:]), axis=1)))
             j = int(np.argmin(np.isfinite(full[k])))
-            raise SimulationError(
+            raise NumericsError(
                 f"path {start + j} became non-finite at step {k} (t={k * cfg.h})"
             )
         states[start:stop] = local.T
@@ -294,7 +295,7 @@ def save_ensemble(path, ens: PathEnsemble) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(ens.states, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ens.states, dtype="<f8"))  # its buffer, not a copy
 
 
 def load_ensemble(path) -> PathEnsemble:
@@ -309,16 +310,15 @@ def load_ensemble(path) -> PathEnsemble:
             raise ConfigError(f"{path}: not an ensemble file")
         if version != _VERSION:
             raise ConfigError(f"{path}: unsupported version {version}")
-        body = fh.read()
         expected = n_paths * (n_steps + 1) * 8
-        if len(body) != expected:
+        size = os.fstat(fh.fileno()).st_size
+        if size != _HEADER.size + expected:
             raise ConfigError(f"{path}: expected {_HEADER.size + expected} bytes for "
-                              f"{n_paths} paths x {n_steps + 1} grid points, "
-                              f"got {_HEADER.size + len(body)}")
-        data = np.frombuffer(body, dtype="<f8").reshape(n_paths, n_steps + 1)
+                              f"{n_paths} paths x {n_steps + 1} grid points, got {size}")
+        data = np.fromfile(fh, dtype="<f8").reshape(n_paths, n_steps + 1)
     cfg = SimConfig(x0=x0, t_final=t_final, h=h, n_paths=n_paths, seed=seed)
     return PathEnsemble(
-        states=data.astype(float),
+        states=data.astype(float, copy=False),
         config=cfg,
         rng_streams=RngStreams(seed=seed, block_paths=block_paths),
         recorded=tuple(range(n_steps + 1)),

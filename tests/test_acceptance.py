@@ -47,7 +47,7 @@ class TestCriterion1GaussianEndToEnd:
 
         grid = sd.FrequencyGrid.uniform(16.0, 1.0 / 16.0)
         cf = sd.estimate_localized(ens, phi, lam, grid, 1.0, threads=2)
-        xg = np.linspace(lam.forward(phi.a), lam.forward(phi.b), 501)
+        xg = np.linspace(lam.forward_many(phi.a), lam.forward_many(phi.b), 501)
         q = sd.pushforward(sd.invert(cf, xg), lam, s)
         mc_err = float(np.max(np.abs(q.values - gaussian_target(phi, q.x_grid))))
 
@@ -80,7 +80,7 @@ class TestCriterion2GbmLamperti:
         ens = sd.simulate(model, cfg, threads=2)
         grid = sd.FrequencyGrid.uniform(32.0, 1.0 / 8.0)
         cf = sd.estimate_localized(ens, phi, lam, grid, 1.0, threads=2)
-        xg = np.linspace(lam.forward(phi.a), lam.forward(phi.b), 501)
+        xg = np.linspace(lam.forward_many(phi.a), lam.forward_many(phi.b), 501)
         q = sd.pushforward(sd.invert(cf, xg), lam, s)
         target = phi(q.x_grid) * sd.exact_density(rm, 1.0, q.x_grid)
         err = float(np.max(np.abs(q.values - target)))
@@ -185,7 +185,7 @@ class TestCriterion6HoelderCertification:
                            seed=20240808)
         ens = sd.simulate(model, cfg, threads=2)
         grid = sd.FrequencyGrid.uniform(32.0, 1.0 / 8.0)
-        lo, hi = lam.forward(phi.a), lam.forward(phi.b)
+        lo, hi = lam.forward_many(phi.a), lam.forward_many(phi.b)
         norms = {}
         for t in (0.25, 0.5, 0.75, 1.0):
             cf = sd.estimate_localized(ens, phi, lam, grid, t, threads=2)
@@ -193,7 +193,7 @@ class TestCriterion6HoelderCertification:
             for n_x in (257, 513):
                 xg = np.linspace(lo, hi, n_x)
                 q = sd.pushforward(sd.invert(cf, xg), lam, s)
-                row[n_x] = sd.holder_norm(q, 0.5)
+                row[n_x] = sd.holder_norm(q.x_grid, q.values, 0.5)
             norms[t] = row
         coarse = np.array([norms[t][257] for t in sorted(norms)])
         fine = np.array([norms[t][513] for t in sorted(norms)])
@@ -238,7 +238,7 @@ class TestCriterion7DecaySmoothnessContract:
                     cap, sd.FrequencyGrid.uniform(64.0, 1.0 / 16.0))
                 xs = np.linspace(-12, 12, 801)
                 p = sd.invert(cf, xs)
-                ratio = sd.holder_norm(p, gamma) / (d_g * c)
+                ratio = sd.holder_norm(p.x_grid, p.values, gamma) / (d_g * c)
                 worst = max(worst, ratio)
                 cases += 1
         ok = cases == 20 and worst <= 1.05
@@ -297,7 +297,7 @@ class TestCriterion9CfSanity:
             quick["simulation"]["n_paths"] = 20_000
             cfg = RunConfig.from_dict(quick)
             pipe = sd.Pipeline(cfg, threads=2)
-            cf = pipe.cf_at(cfg.sim_config().t_final)
+            cf = pipe.cf_at(cfg.simulation.t_final)
             sup_excess = float(np.max(np.abs(cf.values) - 3.0 * cf.std_errors)) - 1.0
             m = cf.grid.half_count
             symmetric = bool(np.array_equal(

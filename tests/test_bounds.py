@@ -9,7 +9,7 @@ import pytest
 import sdedensity as sd
 from sdedensity.bounds import _SLAB_ROWS, RemainderPass
 from sdedensity.config import PRESETS, Pipeline, RunConfig
-from sdedensity.errors import AlignmentError, ConfigError, DomainError
+from sdedensity.errors import ConfigError, DomainError
 from sdedensity.simulate import BLOCK_PATHS, simulate
 from sdedensity.util import mean_se
 
@@ -96,7 +96,7 @@ class TestRemainder:
 
     def test_sub_resolution_eps_rejected(self, bm_model, bm_ensemble):
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ConfigError, match=r"^t=0\.2490234375 is not on the simulation grid"):
             sd.remainder(bm_ensemble, drift_g(bm_model, w), w,
                          eps=bm_ensemble.config.h / 4, t=0.25)
 
@@ -383,7 +383,7 @@ class TestStreamedRemainder:
         raw = json.loads(json.dumps(PRESETS["sign_drift"]))
         raw["simulation"]["n_paths"] = 50_000
         pipe = Pipeline(RunConfig.from_dict(raw), threads=1)
-        sim = pipe.cfg.sim_config()
+        sim = pipe.cfg.simulation
         tracemalloc.start()
         try:
             report = cmd_certify(pipe, tmp_path)

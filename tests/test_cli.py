@@ -13,12 +13,17 @@ from sdedensity.certify import CHECKS
 from sdedensity.cli import _write_csv, cmd_certify, main
 from sdedensity.config import PRESETS, Pipeline, RunConfig, preset
 from sdedensity.simulate import simulate
-from sdedensity.errors import AlignmentError, ConfigError
+from sdedensity.errors import ConfigError
 from sdedensity.util import unique
 
 
 def _pieces(*pieces, breakpoints=()):
     return {"breakpoints": list(breakpoints), "pieces": list(pieces)}
+
+
+# sign(-x) as pieces that carry their own intervals, which tile the line
+_INTERVAL_PIECES = [{"kind": "constant", "value": 1.0, "interval": [None, 0.0]},
+                    {"kind": "constant", "value": -1.0, "interval": [0.0, None]}]
 
 
 def tiny_config(**overrides):
@@ -350,11 +355,15 @@ class TestCommands:
         (lambda c: c["model"].update(mu=_pieces({"kind": ["constant"], "value": 0.0})),
          "model.mu: unknown piece kind ['constant']; one of ['affine', 'constant', "
          "'polynomial', 'power', 'sinusoid']"),
-        (lambda c: c["model"].update(mu=[
-            {"kind": "constant", "value": 0.0, "interval": [None, "0"]},
-            {"kind": "constant", "value": 0.0, "interval": ["0", None]}]),
-         "model.mu: interval: expected a finite number, got '0'"),
-        # and so are the keys of the piecewise object itself, in either form
+        # pieces that carry their own intervals, as a list or under "pieces",
+        # are not a piecewise object: the one spelling is breakpoints + pieces
+        (lambda c: c["model"].update(mu=_INTERVAL_PIECES),
+         f"model.mu: expected an object with 'breakpoints' and 'pieces', "
+         f"got {_INTERVAL_PIECES!r}"),
+        (lambda c: c["model"].update(mu={"pieces": _INTERVAL_PIECES}),
+         f"model.mu: expected an object with 'breakpoints' and 'pieces', "
+         f"got {{'pieces': {_INTERVAL_PIECES!r}}}"),
+        # and so are the keys of the piecewise object itself
         (lambda c: c["model"].update(mu={**_pieces({"kind": "constant", "value": 1.0}),
                                          "breakpiont": [0.0]}),
          "model.mu: unknown field(s) ['breakpiont']; allowed ['breakpoints', 'pieces']"),
@@ -479,7 +488,7 @@ class TestCommands:
 
     def test_null_reference_allowed(self):
         cfg = tiny_config(reference=None, certify={"checks": ["cf_sanity"]})
-        assert RunConfig.from_dict(cfg).reference() is None
+        assert RunConfig.from_dict(cfg).reference_model is None
 
     def test_off_grid_read_fails_before_simulating(self, monkeypatch):
         from sdedensity import config
@@ -487,7 +496,7 @@ class TestCommands:
         calls = []
         monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
         pipe = Pipeline(RunConfig.from_dict(tiny_config()))  # h = 1/32
-        with pytest.raises(AlignmentError, match=r"t=0\.2 is not on the simulation grid"):
+        with pytest.raises(ConfigError, match=r"t=0\.2 is not on the simulation grid"):
             pipe.reads([0.2])
         assert calls == []
 
@@ -602,7 +611,7 @@ class TestRecordingPlan:
         raw = json.loads(json.dumps(PRESETS["gbm"]))
         raw["simulation"]["n_paths"] = 3000
         cfg = RunConfig.from_dict(raw)
-        full = simulate(cfg.model, cfg.sim_config(), threads=2)
+        full = simulate(cfg.model, cfg.simulation, threads=2)
         # each command stores one column per time it reads: t_final (step 256),
         # and for hoelder also t = 0.5; only bound runs the remainder pass
         for command, plan, bound in [("cf", (256,), False), ("bound", (256,), True),

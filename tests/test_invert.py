@@ -149,11 +149,11 @@ class TestPushforward:
 class TestHolderNorm:
     def test_constant(self):
         xs = np.linspace(0, 1, 64)
-        assert sd.holder_norm(np.full(64, -2.5), 0.5, x_grid=xs) == 2.5
+        assert sd.holder_norm(xs, np.full(64, -2.5), 0.5) == 2.5
 
     def test_abs_on_uniform_grid(self):
         xs = np.linspace(-1, 1, 201)
-        norm = sd.holder_norm(np.abs(xs), 0.5, x_grid=xs)
+        norm = sd.holder_norm(xs, np.abs(xs), 0.5)
         # seminorm 1 attained at same-sign pairs of full separation; sup is 1
         assert norm == pytest.approx(1.0, rel=1e-12)
 
@@ -164,27 +164,26 @@ class TestHolderNorm:
         best = max(np.max(np.abs(vs)), max(
             abs(vs[i] - vs[j]) / abs(xs[i] - xs[j]) ** gamma
             for i in range(60) for j in range(i)))
-        assert sd.holder_norm(vs, gamma, x_grid=xs) == pytest.approx(best, rel=1e-12)
+        assert sd.holder_norm(xs, vs, gamma) == pytest.approx(best, rel=1e-12)
 
     def test_gaussian_stable_under_refinement(self):
         def density(n):
             xs = np.linspace(-5, 5, n)
-            return sd.holder_norm(np.exp(-xs**2 / 2) / math.sqrt(2 * math.pi), 0.5,
-                                  x_grid=xs)
+            return sd.holder_norm(xs, np.exp(-xs**2 / 2) / math.sqrt(2 * math.pi), 0.5)
 
         coarse, fine = density(501), density(1001)
         assert fine <= coarse * 1.05
         assert fine >= coarse * (1 - 1e-12)  # refinement on a superset grid
 
     def test_gamma_domain(self):
-        with pytest.raises(DomainError):
-            sd.holder_norm(np.zeros(4), 1.5, x_grid=np.arange(4.0))
+        with pytest.raises(DomainError, match=r"^gamma must lie in \(0, 1\]$"):
+            sd.holder_norm(np.arange(4.0), np.zeros(4), 1.5)
 
     @pytest.mark.parametrize("n_values, n_grid", [(5, 10), (1, 10), (600, 3)])
     def test_length_mismatch_names_both_lengths(self, n_values, n_grid):
         with pytest.raises(ConfigError,
                            match=f"^{n_values} values for an x_grid of {n_grid} points$"):
-            sd.holder_norm(np.zeros(n_values), 0.5, x_grid=np.linspace(0.0, 1.0, n_grid))
+            sd.holder_norm(np.linspace(0.0, 1.0, n_grid), np.zeros(n_values), 0.5)
 
 
 class TestDecayConstant:
@@ -241,7 +240,8 @@ class TestDecayConstant:
         cf = analytic_cf(cap, 64.0, 1.0 / 16.0)
         xs = np.linspace(-12, 12, 801)
         p = sd.invert(cf, xs)
-        assert sd.holder_norm(p, gamma) <= sd.decay_smoothness_constant(gamma) * c * 1.05
+        bound = sd.decay_smoothness_constant(gamma) * c * 1.05
+        assert sd.holder_norm(p.x_grid, p.values, gamma) <= bound
 
 
 @pytest.fixture(scope="module")

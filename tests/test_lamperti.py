@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.errors import RangeError
+from sdedensity.errors import DomainError
 
 
 def unit_map(window):
@@ -28,22 +28,22 @@ class TestForward:
     def test_unit_sigma_shift(self, window6):
         m = unit_map(window6)
         for x in (-6.0, -1.0, 0.0, 3.7, 20.0):
-            assert m.forward(x) == pytest.approx(x + 6.0, abs=1e-12)
+            assert m.forward_many(x) == pytest.approx(x + 6.0, abs=1e-12)
 
     def test_constant_two(self):
         w = sd.LocalWindow(xi=2.0, delta=2.0, delta0=0.5, l_sigma=2.0)
         s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
         m = sd.build_lamperti_map(s)
-        assert m.forward(3.0) == pytest.approx(1.5, abs=1e-14)
+        assert m.forward_many(3.0) == pytest.approx(1.5, abs=1e-14)
 
     def test_sinusoid_against_refinement_oracle(self, sin_sigma_star):
         m = sd.build_lamperti_map(sin_sigma_star)
         expected = riemann_integral(lambda z: 1.0 / (2.0 + np.sin(z)), -1.0, 1.0)
-        assert m.forward(1.0) == pytest.approx(expected, abs=1e-8)
+        assert m.forward_many(1.0) == pytest.approx(expected, abs=1e-8)
 
     def test_anchor_is_zero(self, sin_sigma_star):
         m = sd.build_lamperti_map(sin_sigma_star)
-        assert m.forward(sin_sigma_star.window.lo) == 0.0
+        assert m.forward_many(sin_sigma_star.window.lo) == 0.0
 
     def test_strictly_monotone_on_grid(self, sin_sigma_star):
         m = sd.build_lamperti_map(sin_sigma_star)
@@ -74,7 +74,7 @@ class TestForward:
 class TestInverse:
     def test_unit_sigma(self, window6):
         m = unit_map(window6)
-        assert m.inverse(2.0) == pytest.approx(-6.0 + 2.0, abs=1e-12)
+        assert m.inverse_many(2.0) == pytest.approx(-6.0 + 2.0, abs=1e-12)
 
     def test_round_trip_random_grid(self, sin_sigma_star, rng):
         m = sd.build_lamperti_map(sin_sigma_star)
@@ -88,16 +88,16 @@ class TestInverse:
         lo, hi = -3.0, 3.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if m.forward(mid) < y:
+            if m.forward_many(mid) < y:
                 lo = mid
             else:
                 hi = mid
-        assert m.inverse(y) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+        assert m.inverse_many(y) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
     def test_out_of_range_fails_fast(self, sin_sigma_star):
         m = sd.build_lamperti_map(sin_sigma_star)
-        with pytest.raises(RangeError):
-            m.inverse(m.h_range[1] + 1.0)
+        with pytest.raises(DomainError, match=r"^y=.* outside the invertible range \["):
+            m.inverse_many(m.h_range[1] + 1.0)
 
     def test_decreasing_round_trip(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=0.5)
@@ -126,8 +126,8 @@ class TestImage:
         w = sin_sigma_star.window
         m = sd.build_lamperti_map(sin_sigma_star)
         lo, hi = m.image(w.lo, w.hi)
-        assert lo == pytest.approx(min(m.forward(w.lo), m.forward(w.hi)), abs=1e-12)
-        assert hi == pytest.approx(max(m.forward(w.lo), m.forward(w.hi)), abs=1e-12)
+        assert lo == pytest.approx(min(m.forward_many(w.lo), m.forward_many(w.hi)), abs=1e-12)
+        assert hi == pytest.approx(max(m.forward_many(w.lo), m.forward_many(w.hi)), abs=1e-12)
 
 
 class TestTransformedCoefficients:
@@ -170,7 +170,7 @@ class TestPushforwardConsistency:
 
         a, b = -2.0, 2.0
         lhs = riemann_integral(f, a, b)
-        ya, yb = m.forward(a), m.forward(b)
+        ya, yb = m.forward_many(a), m.forward_many(b)
 
         def g(y):
             x = m.inverse_many(y)

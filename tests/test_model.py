@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.errors import ConfigError, ValidationError
+from sdedensity.errors import ConfigError
 from sdedensity.model import finite_on_window
 
 
@@ -84,27 +84,15 @@ class TestPiecewiseFromDict:
         })
         assert f(-1.0) == -1.0 and f(1.0) == 1.0
 
-    def test_interval_form(self):
-        f = sd.piecewise_from_dict([
-            {"kind": "constant", "value": 2.0, "interval": [None, 0.0]},
-            {"kind": "affine", "intercept": 2.0, "slope": 1.0, "interval": [0.0, None]},
-        ])
-        assert f(-5.0) == 2.0 and f(3.0) == 5.0
-
-    def test_gap_rejected(self):
-        with pytest.raises(ConfigError):
-            sd.piecewise_from_dict([
-                {"kind": "constant", "value": 0.0, "interval": [None, 0.0]},
-                {"kind": "constant", "value": 1.0, "interval": [1.0, None]},
-            ])
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             sd.piecewise_from_dict({"breakpoints": [], "pieces": [{"kind": "spline"}]})
 
-    @pytest.mark.parametrize("spec", [{"pieces": []}, []])
+    @pytest.mark.parametrize("spec", [{"breakpoints": [], "pieces": []},
+                                      {"breakpoints": [0.0], "pieces": []}])
     def test_empty_interval_form_rejected(self, spec):
-        with pytest.raises(ConfigError, match="no pieces"):
+        n = len(spec["breakpoints"])
+        with pytest.raises(ConfigError, match=f"^need {n + 1} pieces for {n} breakpoints, got 0$"):
             sd.piecewise_from_dict(spec)
 
     def test_non_numeric_field_rejected(self):
@@ -118,8 +106,8 @@ class TestPiecewiseFromDict:
                                                                    "coeffs": 5}]})
 
     def test_non_object_interval_entry_rejected(self):
-        with pytest.raises(ConfigError, match=r"pieces\[0\]: expected an object, got 1"):
-            sd.piecewise_from_dict({"pieces": [1]})
+        with pytest.raises(ConfigError, match=r"^piece: expected an object, got 1$"):
+            sd.piecewise_from_dict({"breakpoints": [], "pieces": [1]})
 
     def test_unknown_piece_field_rejected(self):
         spec = {"kind": "sinusoid", "offset": 2.0, "amplitude": 1.0, "frequncy": 3.0}
@@ -283,7 +271,8 @@ class TestSigmaStar:
     def test_ellipticity_violation_rejected(self):
         sigma = pw([], [sd.Affine(0.0, 1.0)])  # vanishes at 0
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=0.1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match=r"^model\.sigma: inf \|sigma\| on the window "
+                                              r"is 0\.00010001 < l_sigma=0\.1$"):
             sd.build_sigma_star(sigma, w)
 
     def test_non_lipschitz_sigma_rejected(self):
@@ -292,7 +281,7 @@ class TestSigmaStar:
         # window [4, 6] avoids the cusp, so this one is fine
         sd.build_sigma_star(sigma, w)
         w_bad = sd.LocalWindow(xi=0.5, delta=1.0, delta0=0.5, l_sigma=1e-6)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match=r"^model\.sigma: not Lipschitz on the window$"):
             sd.build_sigma_star(sigma, w_bad)
 
 
@@ -379,9 +368,9 @@ class TestDriftFunctional:
 
 class TestWindowValidation:
     def test_window_shape_invariants(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match=r"^need 0 < delta0 < delta$"):
             sd.LocalWindow(xi=0.0, delta=1.0, delta0=1.5, l_sigma=1.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match=r"^ellipticity floor must be positive$"):
             sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=0.0)
 
     def test_validate_window_passes(self, bm_model, window6):
@@ -400,5 +389,6 @@ class TestWindowValidation:
             mu=pw([], [sd.Polynomial(coeffs=(0.0, 1.0))]),
             sigma=pw([], [sd.Affine(0.0, 1.0)]),
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError, match=r"^model\.sigma: inf \|sigma\| on the window "
+                                              r"is 0\.00060006 < l_sigma=1\.0$"):
             sd.build_sigma_star(worse.sigma, window6)  # sigma hits 0 in the window

@@ -203,7 +203,7 @@ class TestCrossModuleConsistency:
         s = sd.build_sigma_star(model.sigma, w)
         lam = sd.build_lamperti_map(s)
         drift_bm = (mu0 - 0.5 * sig0**2) / sig0
-        y0 = lam.forward(x0)
+        y0 = lam.forward_many(x0)
         rm_y = sd.brownian_drift(drift_bm, 1.0, y0)
         xs = np.linspace(1.2, 2.9, 31)
         ys = lam.forward_many(xs)

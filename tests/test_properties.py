@@ -76,7 +76,7 @@ def test_lookback_rule_positive_and_even(y):
        gamma=st.floats(min_value=0.05, max_value=1.0))
 def test_holder_norm_of_constant(c, gamma):
     xs = np.linspace(0.0, 1.0, 16)
-    assert sd.holder_norm(np.full(16, c), gamma, x_grid=xs) == abs(c)
+    assert sd.holder_norm(xs, np.full(16, c), gamma) == abs(c)
 
 
 @given(gamma=st.floats(min_value=0.1, max_value=0.95))
@@ -86,8 +86,8 @@ def test_refinement_never_shrinks_seminorm(gamma):
     f_coarse = np.abs(xs) ** 0.8
     xs_fine = np.linspace(-1, 1, 129)  # superset of the coarse grid
     f_fine = np.abs(xs_fine) ** 0.8
-    coarse = sd.holder_norm(f_coarse, gamma, x_grid=xs)
-    fine = sd.holder_norm(f_fine, gamma, x_grid=xs_fine)
+    coarse = sd.holder_norm(xs, f_coarse, gamma)
+    fine = sd.holder_norm(xs_fine, f_fine, gamma)
     assert fine >= coarse * (1 - 1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats
 
 import sdedensity as sd
 from sdedensity.bounds import RemainderPass
-from sdedensity.errors import AlignmentError, ConfigError, SimulationError
+from sdedensity.errors import ConfigError, NumericsError
 from sdedensity.simulate import BLOCK_PATHS, RngStreams, _first_exit, _noise, in_window
 from sdedensity.util import mean_se
 
@@ -76,7 +77,7 @@ class TestEulerStatistics:
             sigma=sd.PiecewiseFunction((), (sd.Constant(0.0),)),
         )
         cfg = sd.SimConfig(x0=1e200, t_final=0.5, h=0.25, n_paths=3, seed=1)
-        with pytest.raises(SimulationError, match=r"path \d+ .* step \d+"):
+        with pytest.raises(NumericsError, match=r"path \d+ .* step \d+"):
             sd.simulate(model, cfg)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -85,7 +86,7 @@ class TestEulerStatistics:
         # failing block; the report names the first failing block's step and
         # the lowest path index in that step
         model, cfg, report = cubic_blowup()
-        with pytest.raises(SimulationError) as info:
+        with pytest.raises(NumericsError) as info:
             sd.simulate(model, cfg, threads=threads)
         assert str(info.value) == report
 
@@ -103,11 +104,11 @@ class TestRecordingPlan:
 
     def test_unrecorded_step_is_an_alignment_error(self, bm_model):
         part = sd.simulate(bm_model, self.CFG, record=[3, 4, 6, 8])
-        with pytest.raises(AlignmentError, match=r"grid step 7 \(t=0.21875\) was not recorded"):
+        with pytest.raises(ConfigError, match=r"grid step 7 \(t=0.21875\) was not recorded"):
             part.states_at(0.21875)
-        with pytest.raises(AlignmentError, match="grid step 5 "):
+        with pytest.raises(ConfigError, match="grid step 5 "):
             part.band(3, 8)
-        with pytest.raises(AlignmentError, match="grid step 2 "):
+        with pytest.raises(ConfigError, match="grid step 2 "):
             part.band(2, 4)
 
     def test_record_outside_the_grid_rejected(self, bm_model):
@@ -125,7 +126,7 @@ class TestRecordingPlan:
         # the case of test_nonfinite_report_names_first_step_of_first_failing_block,
         # recording only t_final: the failing block is re-run in full to name the step
         model, cfg, report = cubic_blowup()
-        with pytest.raises(SimulationError) as info:
+        with pytest.raises(NumericsError) as info:
             sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps])
         assert str(info.value) == report
 
@@ -140,7 +141,7 @@ class TestRecordingPlan:
         assert kernel.steps == range(6, 17)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SimulationError) as info:
+            with pytest.raises(NumericsError) as info:
                 sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps],
                             band_pass=kernel)
         assert str(info.value) == report
@@ -305,7 +306,7 @@ class TestEulerZ:
         np.testing.assert_allclose(ens.states_at(0.25), z, rtol=0.0, atol=1e-12)
 
     def test_off_grid_times_rejected(self, bm_model, bm_ensemble):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ConfigError, match=r"^t=0\.1499 is not on the simulation grid"):
             euler_z(bm_ensemble, bm_model, eps=0.1001, t=0.25)
 
     def test_lipschitz_drift_gap_scaling(self):
@@ -421,6 +422,25 @@ class TestEnsembleArtifact:
         back = sd.load_ensemble(path)
         assert np.array_equal(back.states, ens.states)
         assert back.config == cfg
+
+    def test_save_and_load_hold_one_copy_of_the_states(self, bm_model, tmp_path):
+        # save writes the array's own buffer; load reads the body into the one
+        # array it returns
+        cfg = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-5, n_paths=20_000, seed=9)
+        ens = sd.simulate(bm_model, cfg)
+        path = tmp_path / "paths.bin"
+        tracemalloc.start()
+        try:
+            sd.save_ensemble(path, ens)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = sd.load_ensemble(path)
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.states, ens.states)
+        assert saved < ens.states.nbytes / 2
+        assert loaded < 1.5 * ens.states.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
