@@ -18,9 +18,8 @@ from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, HolderPower, LocalWindow,
                     PiecewiseFunction, Polynomial, SigmaStar, Sinusoid, WeakDerivative,
                     build_sigma_star, drift_functional, weak_derivative)
-from .oracle import (ReferenceModel, as_coefficient_model, brownian_drift, exact_cf,
-                     exact_density, geometric_bm, localized_cf, ornstein_uhlenbeck,
-                     sign_drift_model)
+from .oracle import (ReferenceModel, as_coefficient_model, exact_cf, exact_density,
+                     localized_cf, sign_drift_model)
 from .simulate import (PathEnsemble, SimConfig, load_ensemble, save_ensemble, simulate,
                        stopped_increment_moment)
 from .util import MCEstimate

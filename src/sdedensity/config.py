@@ -133,7 +133,7 @@ def piece_from_dict(spec) -> Piece:
     """One piece from its config object; ``coeffs`` is a list of numbers, every
     other field one number."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"piece: expected an object, got {spec!r}")
+        raise ConfigError(f"expected an object, got {spec!r}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _PIECE_KINDS:
         raise ConfigError(f"unknown piece kind {kind!r}; one of {sorted(_PIECE_KINDS)}")
@@ -153,7 +153,8 @@ def piecewise_from_dict(spec) -> PiecewiseFunction:
     """Build a piecewise function from its config object
     ``{"breakpoints": [...], "pieces": [...]}``, with len(pieces) ==
     len(breakpoints) + 1.  A key or piece field that the object or the
-    piece's kind does not have is a configuration error.
+    piece's kind does not have is a configuration error; a piece's error
+    names it as ``pieces[i]``.
     """
     if isinstance(spec, dict):
         unknown = sorted((k for k in spec if k not in ("breakpoints", "pieces")), key=str)
@@ -164,7 +165,8 @@ def piecewise_from_dict(spec) -> PiecewiseFunction:
     if not isinstance(spec.get("pieces"), list):
         raise ConfigError(f"pieces: expected a list, got {spec.get('pieces')!r}")
     return PiecewiseFunction(breakpoints=_reals(spec["breakpoints"], "breakpoints"),
-                             pieces=tuple(piece_from_dict(p) for p in spec["pieces"]))
+                             pieces=tuple(_built(f"pieces[{i}]", piece_from_dict, p)
+                                          for i, p in enumerate(spec["pieces"])))
 
 
 def _piecewise(v, where: str):
@@ -183,7 +185,7 @@ FIELDS = {
     "simulation": {"x0": (_real, _REQUIRED), "t": (_real, _REQUIRED), "h": (_real, _REQUIRED),
                    "n_paths": (_int, _REQUIRED), "seed": (_int, _REQUIRED)},
     "reference": {"kind": (_str, _REQUIRED), "mu0": (_real, 0.0), "sigma0": (_real, 1.0),
-                  "theta": (_real, 0.0), "x0": (_optional(_real), None)},
+                  "theta": (_real, 0.0), "x0": (_real, _REQUIRED)},
     "cutoff": {"shoulder_fraction": (_real, 0.2)},
     "frequency_grid": {"y_max": (_real, 256.0), "spacing": (_real, 1.0 / 16.0)},
     "inversion": {"n_points": (_rule(_int, lambda n: n >= 2, "must be at least 2"), 513),
@@ -242,6 +244,18 @@ def _parse_fields(raw) -> tuple[dict, dict]:
     return merged, parsed
 
 
+def _reference(given: dict, fields: dict) -> oracle.ReferenceModel:
+    """The reference law of the parsed ``fields``.  A field ``given`` that the
+    kind does not read is an error; an unknown kind is ``marginal``'s to reject."""
+    kind = fields["kind"]
+    reads = oracle.PARAMETERS.get(kind, tuple(fields))
+    foreign = sorted(k for k in given if k not in ("kind", *reads))
+    if foreign:
+        raise ConfigError(f"reference.{foreign[0]}: kind {kind!r} does not read it; "
+                          f"its fields are {list(reads)}")
+    return oracle.ReferenceModel(**fields)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run config.  ``raw`` is the merged JSON, kept for the hash."""
@@ -258,7 +272,6 @@ class RunConfig:
     density: Density
     hoelder: Hoelder
     certify: Certify
-    sigma_star: SigmaStar
     transform: LampertiMap
     g: DriftFunctional
 
@@ -277,8 +290,8 @@ class RunConfig:
             window=window,
             simulation=_built("simulation", SimConfig, x0=sim["x0"], t_final=sim["t"],
                               h=sim["h"], n_paths=sim["n_paths"], seed=sim["seed"]),
-            reference_model=None if p["reference"] is None else oracle.ReferenceModel(
-                **p["reference"]),
+            reference_model=None if p["reference"] is None else _reference(
+                raw["reference"], p["reference"]),
             phi=_built("cutoff.shoulder_fraction", make_bump, window,
                        p["cutoff"]["shoulder_fraction"]),
             freq_grid=_built("frequency_grid", charfn.FrequencyGrid.uniform,
@@ -286,7 +299,6 @@ class RunConfig:
             inversion=Inversion(**p["inversion"]), bounds=Bounds(**p["bounds"]),
             density=Density(**p["density"]), hoelder=Hoelder(**p["hoelder"]),
             certify=Certify(**p["certify"]),
-            sigma_star=sigma_star,
             transform=build_lamperti_map(sigma_star),
             g=drift_functional(model.mu, sigma_star),
         )
@@ -413,7 +425,7 @@ class Pipeline:
 
     @property
     def sigma_star(self) -> SigmaStar:
-        return self.cfg.sigma_star
+        return self.cfg.transform.sigma_star
 
     @property
     def transform(self) -> LampertiMap:
@@ -454,7 +466,7 @@ class Pipeline:
         """A localized CF inverted onto ``x_grid()``: the density p in the
         transformed coordinate and its pushforward q in the state coordinate."""
         p = invert_cf(cf, self.x_grid())
-        return p, pushforward(p, self.transform, self.sigma_star)
+        return p, pushforward(p, self.transform)
 
     def density_at(self, t: float):
         if t not in self._density:

@@ -81,14 +81,6 @@ class CutoffFunction:
         return self.sup_norm + self.c1 + self.lip1
 
     @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.b)
-
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return (self.plateau_lo, self.plateau_hi)
-
-    @property
     def sup_norm(self) -> float:
         return 1.0
 

@@ -24,7 +24,6 @@ import numpy as np
 from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError, NumericsError
 from .lamperti import LampertiMap
-from .model import SigmaStar
 
 _INVERT_BLOCK, _HOLDER_BLOCK = 64, 512  # rows per block: invert's phases, holder_norm's pairs
 
@@ -83,17 +82,18 @@ def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
     )
 
 
-def pushforward(p: DensityEstimate, m: LampertiMap, s: SigmaStar) -> DensityEstimate:
+def pushforward(p: DensityEstimate, m: LampertiMap) -> DensityEstimate:
     """Carry a density from transformed to state coordinates:
 
         q(x) = p(H(x)) / |sigma_cont(x)|
 
+    where H is the map m and sigma_cont the continuation it integrates,
     evaluated on the exact preimage of p's grid, so no interpolation enters.
     """
     if p.coordinate != "transformed":
         raise ConfigError("pushforward expects a density in the transformed coordinate")
     x_state = m.inverse_many(p.x_grid)
-    q = p.values / np.abs(s(x_state))
+    q = p.values / np.abs(m.sigma_star(x_state))
     if not m.increasing:
         x_state = x_state[::-1]
         q = q[::-1]

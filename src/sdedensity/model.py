@@ -51,10 +51,6 @@ class Piece:
     def derivative(self, x):
         raise NotImplementedError
 
-    def sup_abs_derivative(self, a: float, b: float) -> float:
-        """Upper bound for sup |f'| over [a, b]; may be inf."""
-        raise NotImplementedError
-
     def kinks(self, a: float, b: float) -> tuple[float, ...]:
         """Interior points of (a, b) where the classical derivative fails."""
         return ()
@@ -87,17 +83,6 @@ class Polynomial(Piece):
     def derivative(self, x):
         return _polyval(self.deriv_coeffs, x)
 
-    @staticmethod
-    def _sup_on(coeffs, a, b):
-        pts = [a, b]
-        if len(coeffs) > 2:
-            roots = np.polynomial.Polynomial(coeffs).deriv().roots()
-            pts.extend(float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b)
-        return max(abs(_polyval(coeffs, p)) for p in pts)
-
-    def sup_abs_derivative(self, a, b):
-        return self._sup_on(self.deriv_coeffs, a, b)
-
 
 def Constant(value: float) -> Polynomial:
     """The constant piece ``value``."""
@@ -126,9 +111,6 @@ class Sinusoid(Piece):
         arr, scalar = _as_array(x)
         return _ret(self.amplitude * self.frequency * np.cos(self.frequency * arr + self.phase), scalar)
 
-    def sup_abs_derivative(self, a, b):
-        return abs(self.amplitude * self.frequency)
-
 
 @dataclass(frozen=True)
 class HolderPower(Piece):
@@ -153,18 +135,6 @@ class HolderPower(Piece):
             out = self.scale * self.exponent * np.sign(d) * np.abs(d) ** (self.exponent - 1.0)
         out = np.where(d == 0.0, 0.0, out)
         return _ret(out, scalar)
-
-    def sup_abs_derivative(self, a, b):
-        dmax = max(abs(a - self.center), abs(b - self.center))
-        dmin = min(abs(a - self.center), abs(b - self.center))
-        if a <= self.center <= b:
-            dmin = 0.0
-        c = abs(self.scale) * self.exponent
-        if self.exponent >= 1.0:
-            return c * dmax ** (self.exponent - 1.0)
-        if dmin == 0.0:
-            return float("inf")
-        return c * dmin ** (self.exponent - 1.0)
 
     def kinks(self, a, b):
         if self.exponent < 1.0 + _DERIV_MATCH_TOL and a < self.center < b:
@@ -369,13 +339,15 @@ class PiecewiseFunction:
             segs.append((a, b, self.pieces[bisect_right(self.breakpoints, a)]))
         return segs
 
-    def lipschitz_on(self, a: float, b: float) -> float:
-        """Lipschitz constant on [a, b] from the per-piece symbolic bounds."""
-        # a jump at an interior breakpoint makes the function non-Lipschitz
+    def lipschitz_on(self, a: float, b: float) -> bool:
+        """Whether the function is Lipschitz on [a, b]: no jump at a breakpoint in
+        (a, b], and no piece whose derivative is unbounded on its closed segment
+        there, which only a power of exponent below 1 centred on it has."""
         for bp in self.breakpoints:
             if a < bp <= b and abs(self.left_limit(bp) - self(bp)) > 1e-12 * (1 + abs(self(bp))):
-                return float("inf")
-        return max(p.sup_abs_derivative(lo, hi) for lo, hi, p in self.overlapping(a, b))
+                return False
+        return not any(isinstance(p, HolderPower) and p.exponent < 1.0 and lo <= p.center <= hi
+                       for lo, hi, p in self.overlapping(a, b))
 
     def breakpoints_in(self, a: float, b: float) -> tuple[float, ...]:
         return tuple(bp for bp in self.breakpoints if a < bp < b)
@@ -460,20 +432,17 @@ def finite_on_window(f: PiecewiseFunction, w: LocalWindow, field: str) -> np.nda
     return values
 
 
-def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> float:
-    """Grid-check sigma on the window (finite, |sigma| >= l_sigma, Lipschitz);
-    return its Lipschitz constant there.  Exact verification of arbitrary
-    pieces is not decidable, so the checks combine a dense grid with
-    per-piece metadata."""
+def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> None:
+    """Check sigma on the window: finite and |sigma| >= l_sigma on a dense grid
+    (exact verification of arbitrary pieces is not decidable), and Lipschitz
+    by ``lipschitz_on``."""
     floor = float(np.min(np.abs(finite_on_window(sigma, w, "sigma"))))
     if floor < w.l_sigma * (1 - 1e-12):
         raise ConfigError(
             f"model.sigma: inf |sigma| on the window is {floor:.6g} < l_sigma={w.l_sigma}"
         )
-    lip = sigma.lipschitz_on(w.lo, w.hi)
-    if not math.isfinite(lip):
+    if not sigma.lipschitz_on(w.lo, w.hi):
         raise ConfigError("model.sigma: not Lipschitz on the window")
-    return lip
 
 
 @dataclass(frozen=True)
@@ -488,7 +457,6 @@ class SigmaStar:
     left_value: float
     right_value: float
     window: LocalWindow
-    lipschitz: float
 
     def __call__(self, x):
         return self.base(x)
@@ -496,7 +464,7 @@ class SigmaStar:
 
 def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:
     """Constant continuation of sigma outside the window [xi - delta, xi + delta]."""
-    lip = _check_sigma_on_window(sigma, w)
+    _check_sigma_on_window(sigma, w)
     left_value = float(sigma(w.lo))
     right_value = float(sigma.left_limit(w.hi))
 
@@ -508,8 +476,7 @@ def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:
         breakpoints=bp,
         pieces=(Constant(left_value),) + window_pieces + (Constant(right_value),),
     )
-    return SigmaStar(base=base, left_value=left_value, right_value=right_value,
-                     window=w, lipschitz=lip)
+    return SigmaStar(base=base, left_value=left_value, right_value=right_value, window=w)
 
 
 @dataclass(frozen=True)
@@ -555,11 +522,6 @@ class DriftFunctional:
 
     def __call__(self, x):
         return _evaluate(self._compiled, x)
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        pts = set(self.mu.breakpoints) | set(self.sigma_star.base.breakpoints)
-        return tuple(sorted(pts))
 
 
 def drift_functional(mu: PiecewiseFunction, s: SigmaStar) -> DriftFunctional:

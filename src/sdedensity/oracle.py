@@ -30,21 +30,24 @@ _PANEL_SDS = 8.0  # widest panel, in standard deviations of X_t
 _PANEL_PHASE = 40.0  # largest |y| * (widest panel in H) before a frequency splits the panels
 _BLOCK_CELLS = 2**16  # frequency-node cells per block of the phase sums
 
+# kind -> the parameters its law reads; every law starts at x0
+PARAMETERS = {"brownian_drift": ("mu0", "sigma0", "x0"),
+              "ornstein_uhlenbeck": ("theta", "sigma0", "x0"),
+              "geometric_bm": ("mu0", "sigma0", "x0")}
+
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """An SDE family with a known marginal law at every time.
+    """An SDE family with a known marginal law at every time, started at x0.
 
-    kind: 'brownian_drift' | 'ornstein_uhlenbeck' | 'geometric_bm'.
-    For the OU process x0=None selects the stationary law (mean zero,
-    variance sigma0^2 / (2 theta) at every time).
+    kind: one of ``PARAMETERS``, which lists the fields each kind reads.
     """
 
     kind: str
     mu0: float = 0.0
     sigma0: float = 1.0
     theta: float = 0.0
-    x0: float | None = 0.0
+    x0: float = 0.0
 
     def marginal(self, t: float):
         """(kind of law, location, scale) of X_t; Gaussian except for GBM."""
@@ -53,38 +56,18 @@ class ReferenceModel:
         if self.sigma0 <= 0:
             raise ConfigError("sigma0 must be positive")
         if self.kind == "brownian_drift":
-            if self.x0 is None:
-                raise ConfigError("brownian_drift needs a start value")
             return ("normal", self.x0 + self.mu0 * t, self.sigma0 * math.sqrt(t))
         if self.kind == "ornstein_uhlenbeck":
             if self.theta <= 0:
                 raise ConfigError("theta must be positive")
-            if self.x0 is None:
-                var = self.sigma0**2 / (2.0 * self.theta)
-                return ("normal", 0.0, math.sqrt(var))
             var = self.sigma0**2 * (1.0 - math.exp(-2.0 * self.theta * t)) / (2.0 * self.theta)
             return ("normal", self.x0 * math.exp(-self.theta * t), math.sqrt(var))
         if self.kind == "geometric_bm":
-            if self.x0 is None or self.x0 <= 0:
+            if self.x0 <= 0:
                 raise ConfigError("geometric BM needs a positive start value")
             m = math.log(self.x0) + (self.mu0 - 0.5 * self.sigma0**2) * t
             return ("lognormal", m, self.sigma0 * math.sqrt(t))
         raise ConfigError(f"unknown reference kind {self.kind!r}")
-
-
-def brownian_drift(mu0: float, sigma0: float, x0: float = 0.0) -> ReferenceModel:
-    """Brownian motion with drift, the reference law of the oracle tests (``test_oracle.py``)."""
-    return ReferenceModel(kind="brownian_drift", mu0=mu0, sigma0=sigma0, x0=x0)
-
-
-def ornstein_uhlenbeck(theta: float, sigma0: float, x0: float | None = None) -> ReferenceModel:
-    """The OU process, the reference law of the oracle tests (``test_oracle.py``)."""
-    return ReferenceModel(kind="ornstein_uhlenbeck", theta=theta, sigma0=sigma0, x0=x0)
-
-
-def geometric_bm(mu0: float, sigma0: float, x0: float) -> ReferenceModel:
-    """Geometric Brownian motion, the reference law of the oracle tests (``test_oracle.py``)."""
-    return ReferenceModel(kind="geometric_bm", mu0=mu0, sigma0=sigma0, x0=x0)
 
 
 def exact_density(rm: ReferenceModel, t: float, x):
@@ -126,7 +109,7 @@ def _panel_edges(rm: ReferenceModel, phi, transform, t: float):
     law, loc, scale = rm.marginal(t)
     sd = scale if law == "normal" else math.exp(loc + 0.5 * scale**2) * math.sqrt(
         math.expm1(scale**2))  # the lognormal's standard deviation
-    (a, b), (lo, hi) = phi.support, phi.plateau
+    a, lo, hi, b = phi.a, phi.plateau_lo, phi.plateau_hi, phi.b
     edges, widest = [np.array([a])], 0.0
     for s0, s1 in ((a, lo), (lo, hi), (hi, b)):
         if s1 <= s0:  # an empty plateau

@@ -17,9 +17,6 @@ class MCEstimate:
     std_error: float
     n_samples: int
 
-    def within(self, target: float, k: float = 3.0) -> bool:
-        return abs(self.value - target) <= k * self.std_error
-
 
 def mean_se(samples: np.ndarray) -> MCEstimate:
     """Sample mean and standard error of a 1-d array."""

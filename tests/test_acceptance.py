@@ -48,16 +48,16 @@ class TestCriterion1GaussianEndToEnd:
         grid = sd.FrequencyGrid.uniform(16.0, 1.0 / 16.0)
         cf = sd.estimate_localized(ens, phi, lam, grid, 1.0, threads=2)
         xg = np.linspace(lam.forward_many(phi.a), lam.forward_many(phi.b), 501)
-        q = sd.pushforward(sd.invert(cf, xg), lam, s)
+        q = sd.pushforward(sd.invert(cf, xg), lam)
         mc_err = float(np.max(np.abs(q.values - gaussian_target(phi, q.x_grid))))
 
         # same inverter fed the exact localized CF instead of the MC estimate
-        rm = sd.brownian_drift(0.0, 1.0, 0.0)
+        rm = sd.ReferenceModel("brownian_drift", mu0=0.0, sigma0=1.0, x0=0.0)
         grid_a = sd.FrequencyGrid.uniform(96.0, 1.0 / 16.0)
         ys = grid_a.values[grid_a.half_count:]
         cf_exact = sd.CharFnEstimate.from_values(
             np.exp(-1j * ys * w.lo) * sd.localized_cf(rm, phi, 1.0, ys), grid_a, t=1.0)
-        qa = sd.pushforward(sd.invert(cf_exact, xg), lam, s)
+        qa = sd.pushforward(sd.invert(cf_exact, xg), lam)
         an_err = float(np.max(np.abs(qa.values - gaussian_target(phi, qa.x_grid))))
 
         elapsed = time.monotonic() - t_start
@@ -69,7 +69,7 @@ class TestCriterion1GaussianEndToEnd:
 
 class TestCriterion2GbmLamperti:
     def test_gbm_full_pipeline(self):
-        rm = sd.geometric_bm(0.05, 0.25, 2.0)
+        rm = sd.ReferenceModel("geometric_bm", mu0=0.05, sigma0=0.25, x0=2.0)
         model = sd.as_coefficient_model(rm)
         w = sd.LocalWindow(xi=2.0, delta=1.0, delta0=0.25, l_sigma=0.25)
         phi = sd.make_bump(w, 0.25)
@@ -81,7 +81,7 @@ class TestCriterion2GbmLamperti:
         grid = sd.FrequencyGrid.uniform(32.0, 1.0 / 8.0)
         cf = sd.estimate_localized(ens, phi, lam, grid, 1.0, threads=2)
         xg = np.linspace(lam.forward_many(phi.a), lam.forward_many(phi.b), 501)
-        q = sd.pushforward(sd.invert(cf, xg), lam, s)
+        q = sd.pushforward(sd.invert(cf, xg), lam)
         target = phi(q.x_grid) * sd.exact_density(rm, 1.0, q.x_grid)
         err = float(np.max(np.abs(q.values - target)))
         ok = err <= 1e-2
@@ -192,7 +192,7 @@ class TestCriterion6HoelderCertification:
             row = {}
             for n_x in (257, 513):
                 xg = np.linspace(lo, hi, n_x)
-                q = sd.pushforward(sd.invert(cf, xg), lam, s)
+                q = sd.pushforward(sd.invert(cf, xg), lam)
                 row[n_x] = sd.holder_norm(q.x_grid, q.values, 0.5)
             norms[t] = row
         coarse = np.array([norms[t][257] for t in sorted(norms)])

@@ -55,7 +55,7 @@ class TestEstimate:
         ens = sd.simulate(bm_model, cfg)
         phi = sd.make_plateau_sequence(4)
         cf = sd.cf_from_samples(ens.states_at(1.0), phi, grid, 1.0)
-        rm = sd.brownian_drift(0.0, 1.0, 0.0)
+        rm = sd.ReferenceModel("brownian_drift", mu0=0.0, sigma0=1.0, x0=0.0)
         # e^{-1/2} up to the plateau truncation (< 1e-3) plus MC noise
         assert abs(cf.value_at(1.0) - cmath.exp(-0.5)) <= 1e-3 + 3 * cf.se_at(1.0)
         for y in (0.0, 0.5, 1.0, 2.5, 5.0):
@@ -134,13 +134,15 @@ class TestEstimate:
 
 class TestAnalyticOracles:
     """The CF of one frozen-coefficient step of length eps from x is the CF of
-    ``brownian_drift(mu, sigma, x)`` at time eps: exp(iy(x + mu eps) - sigma^2 eps y^2 / 2)."""
+    the Brownian motion with drift mu and diffusion sigma started at x, at time
+    eps: exp(iy(x + mu eps) - sigma^2 eps y^2 / 2)."""
 
     def test_conditional_cf_at_zero_frequency(self):
-        assert sd.exact_cf(sd.brownian_drift(1.0, 2.0, 0.3), 0.5, 0.0) == 1.0
+        rm = sd.ReferenceModel("brownian_drift", mu0=1.0, sigma0=2.0, x0=0.3)
+        assert sd.exact_cf(rm, 0.5, 0.0) == 1.0
 
     def test_conditional_cf_modulus(self):
-        v = sd.exact_cf(sd.brownian_drift(0.0, 1.0, 0.0), 1.0, 1.0)
+        v = sd.exact_cf(sd.ReferenceModel("brownian_drift", mu0=0.0, sigma0=1.0, x0=0.0), 1.0, 1.0)
         assert abs(v) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_conditional_cf_against_mc(self):
@@ -151,7 +153,8 @@ class TestAnalyticOracles:
         samples = np.exp(1j * y * ens.states_at(eps))
         mc = samples.mean()
         se = max(samples.real.std(), samples.imag.std()) / 1000.0
-        assert abs(mc - sd.exact_cf(sd.brownian_drift(0.7, 1.3, x), eps, y)) <= 3 * se
+        rm = sd.ReferenceModel("brownian_drift", mu0=0.7, sigma0=1.3, x0=x)
+        assert abs(mc - sd.exact_cf(rm, eps, y)) <= 3 * se
 
 
 class TestExport:

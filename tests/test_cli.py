@@ -286,8 +286,24 @@ class TestCommands:
          "certify.analytic_y_max: expected a finite number, got 'x'"),
         (lambda c: c["certify"].update(analytic_y_max=-1.0),
          "certify.analytic_y_max: y_max and spacing must be positive"),
-        (lambda c: c["reference"].update(kind="ornstein_uhlenbeck"),
+        (lambda c: c.update(reference={"kind": "ornstein_uhlenbeck", "sigma0": 1.0, "x0": 0.0}),
          "reference: theta must be positive"),
+        # every reference law starts at reference.x0; none is stationary
+        (lambda c: c["reference"].pop("x0"), "reference.x0: missing"),
+        (lambda c: c.update(reference={"kind": "ornstein_uhlenbeck", "theta": 1.0,
+                                       "sigma0": 1.0}),
+         "reference.x0: missing"),
+        # a field the kind does not read is an error, not silently ignored
+        (lambda c: c["reference"].update(theta=1.0),
+         "reference.theta: kind 'brownian_drift' does not read it; "
+         "its fields are ['mu0', 'sigma0', 'x0']"),
+        (lambda c: c["reference"].update(kind="ornstein_uhlenbeck", theta=1.0),
+         "reference.mu0: kind 'ornstein_uhlenbeck' does not read it; "
+         "its fields are ['theta', 'sigma0', 'x0']"),
+        (lambda c: c.update(reference={"kind": "geometric_bm", "mu0": 0.0, "sigma0": 1.0,
+                                       "theta": 0.0, "x0": 1.0}),
+         "reference.theta: kind 'geometric_bm' does not read it; "
+         "its fields are ['mu0', 'sigma0', 'x0']"),
         (lambda c: c["density"].update(t_list=["x"]),
          "density.t_list: expected a list of finite numbers, got ['x']"),
         (lambda c: c["hoelder"].update(gamma_list=0.5),
@@ -337,23 +353,28 @@ class TestCommands:
         (lambda c: c["certify"].update(checks=[["cf_sanity"]]),
          "certify.checks[0]: unknown check ['cf_sanity']; one of ['cf_sanity', "
          "'mass_consistency', 'density_vs_oracle', 'analytic_roundtrip', 'bound_check']"),
-        # piece fields go through the same number reader as every other field
+        # piece fields go through the same number reader as every other field,
+        # and a piece's error names the piece
         (lambda c: c["model"].update(mu=_pieces({"kind": "polynomial", "coeffs": []})),
-         "model.mu: polynomial piece: coeffs: expected at least one coefficient, got []"),
+         "model.mu: pieces[0]: polynomial piece: coeffs: expected at least one coefficient, "
+         "got []"),
         (lambda c: c["model"].update(mu=_pieces({"kind": "polynomial",
                                                  "coeffs": [0.0, math.nan]})),
-         "model.mu: polynomial piece: coeffs: expected a list of finite numbers, "
+         "model.mu: pieces[0]: polynomial piece: coeffs: expected a list of finite numbers, "
          "got [0.0, nan]"),
+        (lambda c: c["model"].update(mu=_pieces({"kind": "constant", "value": 1.0}, 1,
+                                                breakpoints=[0.0])),
+         "model.mu: pieces[1]: expected an object, got 1"),
         (lambda c: c["model"].update(mu=_pieces({"kind": "constant", "value": 1.0},
                                                 {"kind": "constant", "value": -1.0},
                                                 breakpoints=[math.nan])),
          "model.mu: breakpoints: expected a list of finite numbers, got [nan]"),
         (lambda c: c["model"].update(sigma=_pieces({"kind": "constant", "value": "0.5"})),
-         "model.sigma: constant piece: value: expected a finite number, got '0.5'"),
+         "model.sigma: pieces[0]: constant piece: value: expected a finite number, got '0.5'"),
         (lambda c: c["model"].update(sigma=_pieces({"kind": "constant", "value": True})),
-         "model.sigma: constant piece: value: expected a finite number, got True"),
+         "model.sigma: pieces[0]: constant piece: value: expected a finite number, got True"),
         (lambda c: c["model"].update(mu=_pieces({"kind": ["constant"], "value": 0.0})),
-         "model.mu: unknown piece kind ['constant']; one of ['affine', 'constant', "
+         "model.mu: pieces[0]: unknown piece kind ['constant']; one of ['affine', 'constant', "
          "'polynomial', 'power', 'sinusoid']"),
         # pieces that carry their own intervals, as a list or under "pieces",
         # are not a piecewise object: the one spelling is breakpoints + pieces

@@ -32,7 +32,7 @@ class TestBump:
         assert np.all((v >= 0.0) & (v <= 1.0))
 
     def test_plateau_is_one(self, bump):
-        lo, hi = bump.plateau
+        lo, hi = bump.plateau_lo, bump.plateau_hi
         xs = np.linspace(lo, hi, 101)
         assert np.all(bump(xs) == 1.0)
 

@@ -93,7 +93,7 @@ class TestPushforward:
         cf = analytic_cf(lambda y: math.exp(-y * y / 2) * np.exp(1j * y * 6.0), 16.0, 1 / 16)
         xs_l = np.linspace(1.0, 11.0, 201)
         p = sd.invert(cf, xs_l)
-        q = sd.pushforward(p, lam, s)
+        q = sd.pushforward(p, lam)
         np.testing.assert_allclose(q.x_grid, xs_l - 6.0, atol=1e-9)
         np.testing.assert_allclose(q.values, p.values, atol=1e-12)
 
@@ -104,7 +104,7 @@ class TestPushforward:
         cf = analytic_cf(lambda y: math.exp(-(y**2)), 16.0, 1 / 16)
         xs_l = np.linspace(-0.9, 0.9, 101)
         p = sd.invert(cf, xs_l)
-        q = sd.pushforward(p, lam, s)
+        q = sd.pushforward(p, lam)
         np.testing.assert_allclose(q.values, p.values / 2.0, atol=1e-12)
         np.testing.assert_allclose(lam.forward_many(q.x_grid), xs_l, atol=1e-10)
 
@@ -117,7 +117,7 @@ class TestPushforward:
             lambda y: np.exp(1j * y * center - (width * y) ** 2 / 2), 64.0, 1 / 16)
         xs_l = np.linspace(lo, hi, 501)
         p = sd.invert(cf, xs_l)
-        q = sd.pushforward(p, lam, sin_sigma_star)
+        q = sd.pushforward(p, lam)
         assert q.mass() == pytest.approx(p.mass(), abs=1e-6)
 
     def test_decreasing_map_mirrors_the_increasing_one(self):
@@ -141,9 +141,9 @@ class TestPushforward:
         lam = sd.build_lamperti_map(sin_sigma_star)
         cf = analytic_cf(lambda y: math.exp(-y * y), 16.0, 1 / 16)
         p = sd.invert(cf, np.linspace(-0.5, 0.5, 11))
-        q = sd.pushforward(p, lam, sin_sigma_star)
+        q = sd.pushforward(p, lam)
         with pytest.raises(ConfigError):
-            sd.pushforward(q, lam, sin_sigma_star)
+            sd.pushforward(q, lam)
 
 
 class TestHolderNorm:
@@ -270,7 +270,7 @@ class TestJointScan:
     def test_row_equals_pipeline(self, gaussian_scan):
         pipe, t_refined, x_state, q = gaussian_scan
         cf = sd.estimate_localized(pipe.ensemble, pipe.phi, pipe.transform, pipe.freq_grid, 0.5)
-        chain = sd.pushforward(sd.invert(cf, pipe.x_grid()), pipe.transform, pipe.sigma_star)
+        chain = sd.pushforward(sd.invert(cf, pipe.x_grid()), pipe.transform)
         np.testing.assert_array_equal(chain.x_grid, x_state)
         np.testing.assert_array_equal(q[t_refined.index(0.5)], chain.values)
 

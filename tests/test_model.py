@@ -63,16 +63,39 @@ class TestPiecewiseEval:
 
 
 class TestLipschitzOn:
+    """lipschitz_on is a predicate: no jump at a breakpoint in (a, b], and no
+    power of exponent below 1 centred on the closed segment."""
+
     def test_polynomial_sup_at_a_critical_point(self):
-        # sigma = 2 + x - x^3/3: sigma' = 1 - x^2 is 0 at both ends of [-1, 1]
-        # and 1 at 0, a root of sigma''
+        # sigma = 2 + x - x^3/3: |sigma'| = |1 - x^2| peaks inside [-1, 1], at the
+        # critical point 0; a polynomial's derivative is bounded on any segment
         f = pw([], [sd.Polynomial(coeffs=(2.0, 1.0, 0.0, -1.0 / 3.0))])
-        assert f.lipschitz_on(-1.0, 1.0) == 1.0
+        assert f.lipschitz_on(-1.0, 1.0) is True
 
     def test_power_of_exponent_at_least_one(self):
-        # |x + 1|^2 on [0, 2]: the derivative 2 (x + 1) is largest at the far end
-        f = pw([], [sd.HolderPower(scale=1.0, center=-1.0, exponent=2.0)])
-        assert f.lipschitz_on(0.0, 2.0) == 6.0
+        # |x + 1| and |x + 1|^2 have bounded derivatives, the center included
+        for exponent in (1.0, 2.0):
+            f = pw([], [sd.HolderPower(scale=1.0, center=-1.0, exponent=exponent)])
+            assert f.lipschitz_on(-2.0, 2.0) is True
+
+    @pytest.mark.parametrize("center, lipschitz", [
+        (0.0, False), (0.5, False), (1.0, False), (-1e-3, True), (1.0 + 1e-3, True)],
+        ids=["at_a", "inside", "at_b", "left_of_a", "right_of_b"])
+    def test_power_of_exponent_below_one(self, center, lipschitz):
+        f = pw([], [sd.HolderPower(scale=1.0, center=center, exponent=0.5)])
+        assert f.lipschitz_on(0.0, 1.0) is lipschitz
+
+    @pytest.mark.parametrize("breakpoint, lipschitz", [
+        (0.5, False), (1.0, False), (0.0, True), (1.5, True)],
+        ids=["inside", "at_b", "at_a", "outside"])
+    def test_jump_at_a_breakpoint(self, breakpoint, lipschitz):
+        # the right piece applies at a breakpoint, so a jump at a leaves [a, b] constant
+        f = pw([breakpoint], [sd.Constant(1.0), sd.Constant(2.0)])
+        assert f.lipschitz_on(0.0, 1.0) is lipschitz
+
+    def test_continuous_kink_is_lipschitz(self):
+        f = pw([0.5], [sd.Affine(0.0, 1.0), sd.Affine(1.0, -1.0)])
+        assert f.lipschitz_on(0.0, 1.0) is True
 
 
 class TestPiecewiseFromDict:
@@ -106,7 +129,7 @@ class TestPiecewiseFromDict:
                                                                    "coeffs": 5}]})
 
     def test_non_object_interval_entry_rejected(self):
-        with pytest.raises(ConfigError, match=r"^piece: expected an object, got 1$"):
+        with pytest.raises(ConfigError, match=r"^pieces\[0\]: expected an object, got 1$"):
             sd.piecewise_from_dict({"breakpoints": [], "pieces": [1]})
 
     def test_unknown_piece_field_rejected(self):
@@ -200,7 +223,8 @@ class TestCompiledStepAndDrift:
     def points(g, rng):
         """Every breakpoint and kink of mu, sigma and sigma_cont, their neighbours,
         +-0, +-inf, NaN and random points."""
-        pts = np.array(sorted({*g.breakpoints, *g.weak_deriv.nondifferentiable_points}))
+        pts = np.array(sorted({*g.mu.breakpoints, *g.sigma_star.base.breakpoints,
+                               *g.weak_deriv.nondifferentiable_points}))
         return np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
                                [0.0, -0.0, np.inf, -np.inf, np.nan],
                                rng.uniform(-6.0, 6.0, 500)])
@@ -256,7 +280,7 @@ class TestSigmaStar:
         s = sd.build_sigma_star(sigma, w)
         assert s(10.0) == 2.0
         assert s(-10.0) == 2.0
-        assert s.lipschitz == 1.0
+        assert s.base.lipschitz_on(-10.0, 10.0) is True
 
     def test_floor_everywhere(self, sin_sigma_star):
         xs = np.linspace(-20, 20, 4001)
@@ -266,7 +290,7 @@ class TestSigmaStar:
         xs = rng.uniform(-5, 5, size=400)
         ys = rng.uniform(-5, 5, size=400)
         lhs = np.abs(sin_sigma_star(xs) - sin_sigma_star(ys))
-        assert np.all(lhs <= sin_sigma_star.lipschitz * np.abs(xs - ys) + 1e-12)
+        assert np.all(lhs <= 1.0 * np.abs(xs - ys) + 1e-12)  # |(2 + sin)'| <= 1
 
     def test_ellipticity_violation_rejected(self):
         sigma = pw([], [sd.Affine(0.0, 1.0)])  # vanishes at 0
@@ -353,7 +377,7 @@ class TestDriftFunctional:
                                                       l_sigma=1.0))
         d = sd.weak_derivative(s)
         g = sd.drift_functional(mu, s)
-        bps = np.array(g.breakpoints)
+        bps = np.array(sorted({*mu.breakpoints, *s.base.breakpoints}))
         assert set(bps) == {-1.0, -0.5, 0.0, 0.7, 1.0}
         xs = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),
                              [-np.inf, np.inf, np.nan], rng.uniform(-3, 3, 200)])

@@ -95,7 +95,7 @@ def test_refinement_never_shrinks_seminorm(gamma):
        eps=st.floats(min_value=1e-3, max_value=1.0))
 def test_conditional_cf_modulus_formula(x, y, eps):
     # the CF of one frozen-coefficient step from x with mu = 0.7, sigma = 1.3
-    v = sd.exact_cf(sd.brownian_drift(0.7, 1.3, x), eps, y)
+    v = sd.exact_cf(sd.ReferenceModel("brownian_drift", mu0=0.7, sigma0=1.3, x0=x), eps, y)
     assert abs(abs(v) - math.exp(-0.5 * y * y * 1.3**2 * eps)) <= 1e-12
 
 

@@ -361,7 +361,7 @@ class TestStoppedMoment:
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
         h = bm_ensemble.config.h
         est = sd.stopped_increment_moment(bm_ensemble, w, eps=h, t=0.25, p=2.0)
-        assert est.within(1.0 * h, k=3.0)
+        assert abs(est.value - 1.0 * h) <= 3.0 * est.std_error
 
     def test_deterministic_bound(self):
         model = const_model(1.5, 0.0)
