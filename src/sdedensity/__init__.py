@@ -15,9 +15,9 @@ from .cutoff import CutoffFunction, make_bump, make_plateau_sequence
 from .errors import ConfigError, DomainError, NumericsError, SdeDensityError
 from .invert import DensityEstimate, decay_smoothness_constant, holder_norm, invert, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
-from .model import (Affine, CoefficientModel, Constant, HolderPower, LocalWindow,
-                    PiecewiseFunction, Polynomial, SigmaStar, Sinusoid, WeakDerivative,
-                    build_sigma_star, drift_functional, weak_derivative)
+from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
+                    LocalWindow, PiecewiseFunction, Polynomial, SigmaStar, Sinusoid,
+                    WeakDerivative, build_sigma_star)
 from .oracle import (ReferenceModel, as_coefficient_model, exact_cf, exact_density,
                      localized_cf, sign_drift_model)
 from .simulate import (PathEnsemble, SimConfig, load_ensemble, save_ensemble, simulate,

@@ -27,7 +27,7 @@ from .invert import invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
                     LocalWindow, Piece, PiecewiseFunction, Polynomial, SigmaStar, Sinusoid,
-                    build_sigma_star, drift_functional, finite_on_window)
+                    build_sigma_star, finite_on_window)
 from .simulate import PathEnsemble, SimConfig, simulate
 
 
@@ -194,7 +194,8 @@ FIELDS = {
                "eps_rule": (_eps_rule, "matched"), "y_lo": (_real, math.e),
                "y_hi": (_optional(_real), None)},
     "density": {"t_list": (_optional(_reals), None)},
-    "hoelder": {"gamma_list": (_rule(_reals, lambda gs: all(0.0 < g <= 1.0 for g in gs),
+    "hoelder": {"gamma_list": (_rule(_rule(_reals, bool, "expected at least one gamma"),
+                                     lambda gs: all(0.0 < g <= 1.0 for g in gs),
                                      "entries must lie in (0, 1]"), [0.5]),
                 "t_list": (_optional(_reals), None)},
     "certify": {"checks": (_rule(_checks, bool, "expected at least one check"),
@@ -300,7 +301,7 @@ class RunConfig:
             density=Density(**p["density"]), hoelder=Hoelder(**p["hoelder"]),
             certify=Certify(**p["certify"]),
             transform=build_lamperti_map(sigma_star),
-            g=drift_functional(model.mu, sigma_star),
+            g=DriftFunctional(model.mu, sigma_star),
         )
         cfg.validate()
         return cfg
@@ -335,13 +336,11 @@ class RunConfig:
         the lookback of each, and the remainder kernel ``Pipeline.ensemble`` runs."""
         b, sim = self.bounds, self.simulation
         pos = self.freq_grid.positive()
-        mask = pos > b.y_lo
-        if b.y_hi is not None:
-            mask &= pos <= b.y_hi
-        y = pos[mask]
+        y_hi = math.inf if b.y_hi is None else b.y_hi  # null: no upper limit
+        y = pos[(pos > b.y_lo) & (pos <= y_hi)]
         if y.size == 0:
             raise ConfigError(f"bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies "
-                              f"in ({b.y_lo}, {b.y_hi}]")
+                              f"in ({b.y_lo}, {y_hi}]")
         if b.eps_rule == "matched" and y[0] <= 1.0:
             raise ConfigError(f"bounds.y_lo: the matched lookback rule needs every checked "
                               f"frequency above 1, and y={y[0]} is not (y_lo={b.y_lo})")

@@ -15,7 +15,7 @@ class ConfigError(SdeDensityError, ValueError):
 
 class DomainError(SdeDensityError, ValueError):
     """An argument is outside the mathematical domain of an operation, such as a
-    query point outside the invertible range."""
+    non-positive time or a Hoelder exponent outside (0, 1]."""
 
 
 class NumericsError(SdeDensityError, RuntimeError):

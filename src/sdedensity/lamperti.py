@@ -6,7 +6,8 @@ form; inside, cumulative integrals are tabulated on a dense knot grid aligned
 with the piece breakpoints, and the residual sub-cell integral is evaluated
 with a fixed Gauss-Legendre rule (closed forms for polynomial pieces of
 degree at most one).  The map is strictly monotone and bi-Lipschitz because
-the diffusion is bounded away from zero.
+the diffusion is bounded away from zero, so it is a bijection of the line: the
+inverse is the closed forms outside the window's image and Newton inside.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericsError
+from .errors import ConfigError, NumericsError
 from .model import Polynomial, SigmaStar
 from .util import unique
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _INVERSE_TOLERANCE = 1e-10  # Newton stopping tolerance of the inverse, in H units
 _N_KNOTS = 4096  # uniform knots of the H table on the window (breakpoints added)
-_BOX_RADII = 3.0  # the inverse is defined on H([xi - 3 delta, xi + 3 delta])
 
 
 def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
@@ -97,36 +97,20 @@ class LampertiMap:
     def increasing(self) -> bool:
         return self.sigma_star.left_value > 0.0
 
-    @property
-    def h_range(self) -> tuple[float, float]:
-        """The invertible range: the image of the box [xi - 3 delta, xi + 3 delta]."""
-        w = self.sigma_star.window
-        return self.image(w.xi - _BOX_RADII * w.delta, w.xi + _BOX_RADII * w.delta)
-
     def inverse_many(self, y) -> np.ndarray:
-        """x with H(x) = y, for an array of y, or one y (a float), inside ``h_range``."""
+        """x with H(x) = y, for an array of y, or one y (a float), anywhere on the line."""
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel().copy()
-        r_lo, r_hi = self.h_range
-        span = max(abs(r_lo), abs(r_hi), 1.0)
-        if np.any(flat < r_lo - 1e-12 * span) or np.any(flat > r_hi + 1e-12 * span):
-            bad = flat[(flat < r_lo - 1e-12 * span) | (flat > r_hi + 1e-12 * span)][0]
-            raise DomainError(f"y={bad!r} outside the invertible range [{r_lo}, {r_hi}]")
         sgn = 1.0 if self.increasing else -1.0
         w = self.sigma_star.window
         out = np.empty_like(flat)
 
-        # linear closed forms outside the window (exact inverses)
-        hw_lo, hw_hi = sorted((0.0, self.h_hi))
-        left = flat < hw_lo
-        right = flat > hw_hi
+        # linear closed forms beyond H(w.lo) = 0 and H(w.hi) = h_hi (exact inverses)
+        left = sgn * flat < 0.0
+        right = sgn * (flat - self.h_hi) > 0.0
         mid = ~(left | right)
-        if self.increasing:
-            out[left] = w.lo + flat[left] * self.sigma_star.left_value
-            out[right] = w.hi + (flat[right] - self.h_hi) * self.sigma_star.right_value
-        else:
-            out[left] = w.hi + (flat[left] - self.h_hi) * self.sigma_star.right_value
-            out[right] = w.lo + flat[right] * self.sigma_star.left_value
+        out[left] = w.lo + flat[left] * self.sigma_star.left_value
+        out[right] = w.hi + (flat[right] - self.h_hi) * self.sigma_star.right_value
 
         if np.any(mid):
             ym = flat[mid]

@@ -16,7 +16,6 @@ Evaluation convention at a breakpoint: the piece to the *right* applies.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,55 +311,31 @@ class PiecewiseFunction:
         """Piece-by-piece classical derivative, right piece at breakpoints."""
         return _evaluate(self._deriv, x)
 
-    def left_limit(self, x: float) -> float:
-        """Limit from the left (left piece evaluated at x)."""
-        return float(self.pieces[bisect_left(self.breakpoints, x)](x))
-
-    def left_derivative(self, x: float) -> float:
-        return float(self.pieces[bisect_left(self.breakpoints, x)].derivative(x))
-
-    def right_derivative(self, x: float) -> float:
-        return float(self.pieces[bisect_right(self.breakpoints, x)].derivative(x))
-
     # -- piece bookkeeping ---------------------------------------------------
 
-    def _intervals(self):
-        edges = (-math.inf,) + self.breakpoints + (math.inf,)
-        return [(edges[i], edges[i + 1], self.pieces[i]) for i in range(len(self.pieces))]
-
     def overlapping(self, a: float, b: float):
-        """(lo, hi, piece) segments covering [a, b]."""
-        segs = []
-        for lo, hi, piece in self._intervals():
-            lo2, hi2 = max(lo, a), min(hi, b)
-            if lo2 < hi2:
-                segs.append((lo2, hi2, piece))
-        if not segs:  # degenerate interval: single point
-            segs.append((a, b, self.pieces[bisect_right(self.breakpoints, a)]))
-        return segs
+        """(lo, hi, piece) segments covering [a, b], for a < b."""
+        edges = (-math.inf, *self.breakpoints, math.inf)
+        return [(max(lo, a), min(hi, b), p) for lo, hi, p in zip(edges, edges[1:], self.pieces)
+                if max(lo, a) < min(hi, b)]
 
     def lipschitz_on(self, a: float, b: float) -> bool:
         """Whether the function is Lipschitz on [a, b]: no jump at a breakpoint in
         (a, b], and no piece whose derivative is unbounded on its closed segment
         there, which only a power of exponent below 1 centred on it has."""
-        for bp in self.breakpoints:
-            if a < bp <= b and abs(self.left_limit(bp) - self(bp)) > 1e-12 * (1 + abs(self(bp))):
+        for i, bp in enumerate(self.breakpoints):
+            if a < bp <= b and abs(self.pieces[i](bp) - self(bp)) > 1e-12 * (1 + abs(self(bp))):
                 return False
         return not any(isinstance(p, HolderPower) and p.exponent < 1.0 and lo <= p.center <= hi
                        for lo, hi, p in self.overlapping(a, b))
 
-    def breakpoints_in(self, a: float, b: float) -> tuple[float, ...]:
-        return tuple(bp for bp in self.breakpoints if a < bp < b)
-
-    def kinks_in(self, a: float, b: float) -> tuple[float, ...]:
-        """Candidate non-differentiability points strictly inside (a, b)."""
-        pts = set()
-        for lo, hi, piece in self.overlapping(a, b):
-            pts.update(piece.kinks(max(lo, a), min(hi, b)))
-        for bp in self.breakpoints_in(a, b):
-            if abs(self.left_derivative(bp) - self.right_derivative(bp)) > _DERIV_MATCH_TOL * (
-                1.0 + abs(self.right_derivative(bp))
-            ):
+    def kinks(self) -> tuple[float, ...]:
+        """The points where the classical derivative fails: each piece's own kinks
+        inside its interval, and each breakpoint whose one-sided derivatives differ."""
+        pts = {k for lo, hi, p in self.overlapping(-math.inf, math.inf) for k in p.kinks(lo, hi)}
+        for i, bp in enumerate(self.breakpoints):
+            left, right = self.pieces[i].derivative(bp), self.pieces[i + 1].derivative(bp)
+            if abs(left - right) > _DERIV_MATCH_TOL * (1.0 + abs(right)):
                 pts.add(bp)
         return tuple(sorted(pts))
 
@@ -465,39 +440,31 @@ class SigmaStar:
 def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:
     """Constant continuation of sigma outside the window [xi - delta, xi + delta]."""
     _check_sigma_on_window(sigma, w)
+    segs = sigma.overlapping(w.lo, w.hi)
     left_value = float(sigma(w.lo))
-    right_value = float(sigma.left_limit(w.hi))
-
-    inner_bp = sigma.breakpoints_in(w.lo, w.hi)
-    bp = (w.lo,) + inner_bp + (w.hi,)
-    idx = [int(np.searchsorted(np.asarray(sigma.breakpoints), b, side="right")) for b in bp[:-1]]
-    window_pieces = tuple(sigma.pieces[i] for i in idx)
+    right_value = float(segs[-1][2](w.hi))  # the limit from the left at w.hi
     base = PiecewiseFunction(
-        breakpoints=bp,
-        pieces=(Constant(left_value),) + window_pieces + (Constant(right_value),),
+        breakpoints=(w.lo, *(lo for lo, _, _ in segs[1:]), w.hi),
+        pieces=(Constant(left_value), *(p for _, _, p in segs), Constant(right_value)),
     )
     return SigmaStar(base=base, left_value=left_value, right_value=right_value, window=w)
 
 
 @dataclass(frozen=True)
 class WeakDerivative:
-    """Derivative of the continued diffusion, set to zero where it fails to exist."""
+    """Derivative of the continued diffusion, set to zero at its kinks, where it
+    fails to exist; those points are ``nondifferentiable_points``."""
 
-    source: SigmaStar
-    nondifferentiable_points: tuple[float, ...]
+    sigma_star: SigmaStar
 
     def __post_init__(self):
+        points = self.sigma_star.base.kinks()
+        object.__setattr__(self, "nondifferentiable_points", points)
         object.__setattr__(self, "_compiled", _Compiled([
-            (_identity, ((self.source.base, "derivative", self.nondifferentiable_points),))]))
+            (_identity, ((self.sigma_star.base, "derivative", points),))]))
 
     def __call__(self, x):
         return _evaluate(self._compiled, x)
-
-
-def weak_derivative(s: SigmaStar) -> WeakDerivative:
-    """Detect kink points of the continuation and zero the derivative there."""
-    return WeakDerivative(source=s,
-                          nondifferentiable_points=s.base.kinks_in(-math.inf, math.inf))
 
 
 def _drift(mu, sigma, d):
@@ -506,11 +473,11 @@ def _drift(mu, sigma, d):
 
 @dataclass(frozen=True)
 class DriftFunctional:
-    """g = mu/sigma_cont - weak_derivative/2, evaluable on the window (and beyond)."""
+    """g = mu/sigma_cont - d(sigma_cont)/2, the derivative zero at sigma_cont's
+    kinks, evaluable on the window (and beyond)."""
 
     mu: PiecewiseFunction
     sigma_star: SigmaStar
-    weak_deriv: WeakDerivative
 
     def __post_init__(self):
         # one lookup on the union of mu's and sigma_cont's breakpoints; a
@@ -518,12 +485,7 @@ class DriftFunctional:
         base = self.sigma_star.base
         object.__setattr__(self, "_compiled", _Compiled([(_drift, (
             (self.mu, "__call__", ()), (base, "__call__", ()),
-            (base, "derivative", self.weak_deriv.nondifferentiable_points)))]))
+            (base, "derivative", base.kinks())))]))
 
     def __call__(self, x):
         return _evaluate(self._compiled, x)
-
-
-def drift_functional(mu: PiecewiseFunction, s: SigmaStar) -> DriftFunctional:
-    """g = mu/sigma_cont - weak_derivative(sigma_cont)/2 for this continuation."""
-    return DriftFunctional(mu=mu, sigma_star=s, weak_deriv=weak_derivative(s))

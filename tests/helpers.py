@@ -9,7 +9,7 @@ import sdedensity as sd
 
 def drift_g(model, w):
     """The drift functional g of a model on a window, built as ``RunConfig`` builds it."""
-    return sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
+    return sd.DriftFunctional(model.mu, sd.build_sigma_star(model.sigma, w))
 
 
 def report_of(cf, ens, g, w, t, y, eps_rule="matched", c=None, threads=1):

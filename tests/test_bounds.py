@@ -229,12 +229,12 @@ class TestBoundReport:
 
 def whole_slab_samples(ens, model, w, t, y_check, eps_rule):
     """Reference: the remainder samples of every checked frequency (a row each) from
-    one pass over the whole lookback band, g evaluated as mu/sigma_cont - weak_deriv/2
+    one pass over the whole lookback band, g evaluated as mu/sigma_cont - d(sigma_cont)/2
     piece by piece."""
     h = ens.config.h
     k_steps = sd.bound_plan(drift_g(model, w), w, ens.config, t, y_check, eps_rule).k_steps
     s = sd.build_sigma_star(model.sigma, w)
-    d = sd.weak_derivative(s)
+    d = sd.WeakDerivative(s)
     k_end = ens.config.step(t)
     seg = ens.band(k_end - int(np.max(k_steps)), k_end)
     gv = model.mu(seg) / s(seg) - 0.5 * d(seg)

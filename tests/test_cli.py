@@ -11,7 +11,7 @@ import pytest
 
 from sdedensity.certify import CHECKS
 from sdedensity.cli import _write_csv, cmd_certify, main
-from sdedensity.config import PRESETS, Pipeline, RunConfig, preset
+from sdedensity.config import PRESETS, Pipeline, RunConfig, preset, t_tag
 from sdedensity.simulate import simulate
 from sdedensity.errors import ConfigError
 from sdedensity.util import unique
@@ -261,6 +261,8 @@ class TestCommands:
         # a zero scale divides by zero in the density; a negative one makes it negative
         ("reference", "sigma0", 0.0, "reference: sigma0 must be positive"),
         ("reference", "sigma0", -0.25, "reference: sigma0 must be positive"),
+        # a hoelder that measures nothing is a config error, as a certify that checks nothing
+        ("hoelder", "gamma_list", [], "hoelder.gamma_list: expected at least one gamma, got []"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings reach stderr
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
@@ -336,6 +338,9 @@ class TestCommands:
          "pi/frequency_grid.spacing = 12.57; reduce the margin or refine the frequency spacing"),
         (lambda c: c["bounds"].update(y_lo=9.0),
          "bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies in (9.0, 8.0]"),
+        # a null y_hi is no upper limit
+        (lambda c: c["bounds"].update(y_lo=9.0, y_hi=None),
+         "bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies in (9.0, inf]"),
         (lambda c: c["bounds"].update(eps_rule=0.5),
          "bounds.eps_rule: fixed lookback must lie in (0, t)"),
         # the grid is H(supp phi) widened by the margin; a negative one folds it
@@ -437,6 +442,24 @@ class TestCommands:
                                            "t=0.5000004768371582 share the file tag '0p5'\n")
         assert calls == []
         assert not list(tmp_path.glob("o/density_*"))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_density_at_the_widest_aliasing_safe_margin(self, tmp_path, name):
+        # the grid spans span * (1 + 2 margin) < pi / spacing; just inside that
+        # limit the grid reaches far past the window, where H^{-1} is the closed forms
+        cfg = preset(name)
+        lo, hi = cfg.transform.image(cfg.phi.a, cfg.phi.b)
+        widest = (math.pi / cfg.freq_grid.spacing / (hi - lo) - 1.0) / 2.0
+        raw = json.loads(json.dumps(PRESETS[name]))
+        raw["simulation"]["n_paths"] = 2000
+        raw["inversion"]["margin"] = 0.99 * widest
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+        for t in raw["density"]["t_list"]:
+            x = np.loadtxt(out / f"density_t{t_tag(t)}.csv", delimiter=",", skiprows=1)[:, 0]
+            assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
 
     @pytest.mark.parametrize("n_paths", [10**400, 2**62], ids=["10**400", "2**62"])
     def test_unallocatable_n_paths_exits_2(self, tmp_path, capsys, n_paths):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
-from sdedensity.errors import DomainError
 
 
 def unit_map(window):
@@ -94,10 +93,17 @@ class TestInverse:
                 hi = mid
         assert m.inverse_many(y) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
-    def test_out_of_range_fails_fast(self, sin_sigma_star):
-        m = sd.build_lamperti_map(sin_sigma_star)
-        with pytest.raises(DomainError, match=r"^y=.* outside the invertible range \["):
-            m.inverse_many(m.h_range[1] + 1.0)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+    def test_round_trip_far_outside_the_window(self, sign):
+        # H is a bijection of the line: the closed forms invert it at any x
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
+        sig = sd.PiecewiseFunction((), (sd.Sinusoid(offset=2.0 * sign, amplitude=1.0),))
+        m = sd.build_lamperti_map(sd.build_sigma_star(sig, w))
+        assert m.increasing == (sign > 0)
+        xs = np.array([-1000.0, -50.0, 50.0, 1000.0])
+        np.testing.assert_allclose(m.inverse_many(m.forward_many(xs)), xs, rtol=1e-13, atol=0)
+        for x in xs:
+            assert m.inverse_many(m.forward_many(x)) == pytest.approx(x, rel=1e-13, abs=0)
 
     def test_decreasing_round_trip(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=0.5)
@@ -144,7 +150,7 @@ class TestTransformedCoefficients:
     def test_zero_drift_stays_zero(self, window6):
         m = unit_map(window6)
         s = m.sigma_star
-        g = sd.drift_functional(sd.PiecewiseFunction((), (sd.Constant(0.0),)), s)
+        g = sd.DriftFunctional(sd.PiecewiseFunction((), (sd.Constant(0.0),)), s)
         ys = np.linspace(0.5, 11.5, 7)
         np.testing.assert_allclose(g(m.inverse_many(ys)), 0.0, atol=1e-14)
 
@@ -153,7 +159,7 @@ class TestTransformedCoefficients:
         sigma = sd.PiecewiseFunction((), (sd.Constant(2.0),))
         s = sd.build_sigma_star(sigma, w)
         m = sd.build_lamperti_map(s)
-        g = sd.drift_functional(sd.PiecewiseFunction((), (sd.Constant(1.0),)), s)
+        g = sd.DriftFunctional(sd.PiecewiseFunction((), (sd.Constant(1.0),)), s)
         lo, hi = m.image(w.lo, w.hi)
         xs = m.inverse_many(np.linspace(lo + 1e-9, hi - 1e-9, 11))
         np.testing.assert_allclose(g(xs), 0.5, atol=1e-12)

@@ -30,7 +30,7 @@ class TestPiecewiseEval:
         f = pw([0.0], [sd.Constant(-1.0), sd.Constant(1.0)])
         assert f(0.0) == 1.0
         assert f(-1e-12) == -1.0
-        assert f.left_limit(0.0) == -1.0
+        assert f(np.nextafter(0.0, -np.inf)) == -1.0
 
     def test_vectorized_matches_scalar(self):
         f = pw([-1.0, 2.0], [sd.Constant(3.0), sd.Affine(0.0, 1.0), sd.Sinusoid(0.0, 1.0)])
@@ -224,7 +224,7 @@ class TestCompiledStepAndDrift:
         """Every breakpoint and kink of mu, sigma and sigma_cont, their neighbours,
         +-0, +-inf, NaN and random points."""
         pts = np.array(sorted({*g.mu.breakpoints, *g.sigma_star.base.breakpoints,
-                               *g.weak_deriv.nondifferentiable_points}))
+                               *g.sigma_star.base.kinks()}))
         return np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
                                [0.0, -0.0, np.inf, -np.inf, np.nan],
                                rng.uniform(-6.0, 6.0, 500)])
@@ -237,7 +237,7 @@ class TestCompiledStepAndDrift:
 
     @pytest.mark.parametrize("model, window", _models_with_windows())
     def test_step(self, model, window, rng):
-        g = sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, window))
+        g = sd.DriftFunctional(model.mu, sd.build_sigma_star(model.sigma, window))
         xs = self.points(g, rng)
         assert set(model.mu.breakpoints) | set(model.sigma.breakpoints) <= set(xs)
         dw = math.sqrt(self.H) * rng.standard_normal(xs.size)
@@ -250,10 +250,10 @@ class TestCompiledStepAndDrift:
     @pytest.mark.parametrize("model, window", _models_with_windows())
     def test_drift_functional(self, model, window, rng):
         s = sd.build_sigma_star(model.sigma, window)
-        g = sd.drift_functional(model.mu, s)
+        g = sd.DriftFunctional(model.mu, s)
         xs = self.points(g, rng)
         with np.errstate(all="ignore"):
-            expect = model.mu(xs) / s(xs) - 0.5 * sd.weak_derivative(s)(xs)
+            expect = model.mu(xs) / s(xs) - 0.5 * sd.WeakDerivative(s)(xs)
             got = g(xs)
             scalars = np.array([g(float(x)) for x in xs])
         self.assert_same_bits(got, expect)
@@ -309,17 +309,58 @@ class TestSigmaStar:
             sd.build_sigma_star(sigma, w_bad)
 
 
+class TestPieceBookkeeping:
+    """build_sigma_star and kinks() read pieces by index; these pin the edge cases."""
+
+    # 0.5 (a jump at -1), then 2 + x on [-1, 0.5), 2.25 + x^2 on [0.5, 2), 6.25
+    SIGMA = pw([-1.0, 0.5, 2.0], [sd.Constant(0.5), sd.Affine(2.0, 1.0),
+                                  sd.Polynomial((2.25, 0.0, 1.0)), sd.Constant(6.25)])
+
+    @pytest.mark.parametrize("xi, breakpoints, left, right", [
+        (0.0, (-1.0, 0.5, 1.0), 1.0, 3.25),      # w.lo on a breakpoint: the right piece
+        (1.0, (0.0, 0.5, 2.0), 2.0, 6.25),       # w.hi on a breakpoint: the left piece
+        (0.25, (-0.75, 0.5, 1.25), 1.25, 3.8125),  # both strictly between
+    ], ids=["lo_on_breakpoint", "hi_on_breakpoint", "both_between"])
+    def test_sigma_star_edges(self, xi, breakpoints, left, right):
+        w = sd.LocalWindow(xi=xi, delta=1.0, delta0=0.5, l_sigma=1.0)
+        s = sd.build_sigma_star(self.SIGMA, w)
+        _, affine, quadratic, _ = self.SIGMA.pieces
+        assert s.base.breakpoints == breakpoints
+        assert s.base.pieces == (sd.Constant(left), affine, quadratic, sd.Constant(right))
+        assert (s.left_value, s.right_value) == (left, right)
+
+    @pytest.mark.parametrize("f, kinks", [
+        # 1 + x, then 1 + x + x^2: both derivatives are 1 at 0
+        (pw([0.0], [sd.Affine(1.0, 1.0), sd.Polynomial((1.0, 1.0, 1.0))]), ()),
+        # 1 + |x|: derivatives -1 and 1 at 0
+        (pw([0.0], [sd.Affine(1.0, -1.0), sd.Affine(1.0, 1.0)]), (0.0,)),
+        # |x| on [-1, 1), its centre inside its interval; 1 outside
+        (pw([-1.0, 1.0], [sd.Constant(1.0), sd.HolderPower(1.0, 0.0, 1.0), sd.Constant(1.0)]),
+         (-1.0, 0.0, 1.0)),
+    ], ids=["equal_sides", "unequal_sides", "centre_inside_its_interval"])
+    def test_kinks(self, f, kinks):
+        assert f.kinks() == kinks
+
+    def test_power_centre_outside_its_interval_is_no_kink(self):
+        # 1.5, then 3|x| on [0.5, inf): the centre 0 lies in the window [-1, 1]
+        # but not in the power's interval, so only the breakpoint 0.5 and the
+        # window edge 1 (derivatives 3 and 0) are kinks of sigma_cont
+        sigma = pw([0.5], [sd.Constant(1.5), sd.HolderPower(3.0, 0.0, 1.0)])
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
+        assert sd.build_sigma_star(sigma, w).base.kinks() == (0.5, 1.0)
+
+
 class TestWeakDerivative:
     def test_constant_is_zero(self, window6):
         s = sd.build_sigma_star(pw([], [sd.Constant(3.0)]), window6)
-        d = sd.weak_derivative(s)
+        d = sd.WeakDerivative(s)
         xs = np.linspace(-10, 10, 101)
         assert np.all(d(xs) == 0.0)
 
     def test_abs_kink(self):
         sigma = pw([0.0], [sd.Affine(1.0, -1.0), sd.Affine(1.0, 1.0)])  # 1 + |x|
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
-        d = sd.weak_derivative(sd.build_sigma_star(sigma, w))
+        d = sd.WeakDerivative(sd.build_sigma_star(sigma, w))
         assert d(0.0) == 0.0
         assert d(0.5) == 1.0
         assert d(-0.5) == -1.0
@@ -328,7 +369,7 @@ class TestWeakDerivative:
         assert -1.0 in d.nondifferentiable_points
 
     def test_classical_derivative_inside(self, sin_sigma_star):
-        d = sd.weak_derivative(sin_sigma_star)
+        d = sd.WeakDerivative(sin_sigma_star)
         assert d(0.3) == pytest.approx(math.cos(0.3), abs=1e-12)
 
     def test_smooth_boundary_not_flagged(self):
@@ -336,32 +377,32 @@ class TestWeakDerivative:
         # a constant sigma continues smoothly: no points at all
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
         s = sd.build_sigma_star(pw([], [sd.Constant(2.0)]), w)
-        assert sd.weak_derivative(s).nondifferentiable_points == ()
+        assert sd.WeakDerivative(s).nondifferentiable_points == ()
 
 
 class TestDriftFunctional:
     def test_zero_drift(self, window6):
         s = sd.build_sigma_star(pw([], [sd.Constant(1.0)]), window6)
-        g = sd.drift_functional(pw([], [sd.Constant(0.0)]), s)
+        g = sd.DriftFunctional(pw([], [sd.Constant(0.0)]), s)
         xs = np.linspace(-6, 6, 101)
         assert np.all(g(xs) == 0.0)
 
     def test_constant_drift(self, window6):
         s = sd.build_sigma_star(pw([], [sd.Constant(1.0)]), window6)
-        g = sd.drift_functional(pw([], [sd.Constant(2.5)]), s)
+        g = sd.DriftFunctional(pw([], [sd.Constant(2.5)]), s)
         assert g(0.3) == 2.5
 
     def test_sign_drift_over_two(self, window6):
         mu = pw([0.0], [sd.Constant(-1.0), sd.Constant(1.0)])
         s = sd.build_sigma_star(pw([], [sd.Constant(2.0)]), window6)
-        g = sd.drift_functional(mu, s)
+        g = sd.DriftFunctional(mu, s)
         assert g(1.0) == 0.5
         assert g(-1.0) == -0.5
 
     def test_matches_pointwise_formula(self, sin_sigma_star, rng):
         mu = pw([], [sd.Sinusoid(offset=0.5, amplitude=0.3, frequency=2.0)])
-        d = sd.weak_derivative(sin_sigma_star)
-        g = sd.drift_functional(mu, sin_sigma_star)
+        d = sd.WeakDerivative(sin_sigma_star)
+        g = sd.DriftFunctional(mu, sin_sigma_star)
         xs = rng.uniform(-1, 1, size=300)
         expect = mu(xs) / sin_sigma_star(xs) - 0.5 * d(xs)
         np.testing.assert_allclose(g(xs), expect, rtol=0, atol=0)
@@ -375,8 +416,8 @@ class TestDriftFunctional:
                            sd.HolderPower(1.0, -4.0, 0.5)])  # continuous kink at 0
         s = sd.build_sigma_star(sigma, sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5,
                                                       l_sigma=1.0))
-        d = sd.weak_derivative(s)
-        g = sd.drift_functional(mu, s)
+        d = sd.WeakDerivative(s)
+        g = sd.DriftFunctional(mu, s)
         bps = np.array(sorted({*mu.breakpoints, *s.base.breakpoints}))
         assert set(bps) == {-1.0, -0.5, 0.0, 0.7, 1.0}
         xs = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),

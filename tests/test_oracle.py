@@ -183,7 +183,7 @@ class TestSignDriftModel:
         m = sd.sign_drift_model(1.5)
         w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=1.0)
         s = sd.build_sigma_star(m.sigma, w)
-        g = sd.drift_functional(m.mu, s)
+        g = sd.DriftFunctional(m.mu, s)
         xs = np.array([-1.0, -0.1, 0.1, 1.0])
         np.testing.assert_array_equal(g(xs), np.array([-1.5, -1.5, 1.5, 1.5]))
 

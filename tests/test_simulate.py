@@ -136,7 +136,7 @@ class TestRecordingPlan:
         # blow-up: the pass sees the non-finite states without raising or warning
         model, cfg, report = cubic_blowup()
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
-        g = sd.drift_functional(model.mu, sd.build_sigma_star(model.sigma, w))
+        g = sd.DriftFunctional(model.mu, sd.build_sigma_star(model.sigma, w))
         kernel = RemainderPass(g, w, cfg.h, cfg.n_steps, (1, 4, 10))
         assert kernel.steps == range(6, 17)
         with warnings.catch_warnings():
