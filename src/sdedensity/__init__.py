@@ -16,7 +16,7 @@ from .errors import ConfigError, DomainError, NumericsError, SdeDensityError
 from .invert import DensityEstimate, decay_smoothness_constant, holder_norm, invert, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
-                    LocalWindow, PiecewiseFunction, Polynomial, SigmaStar, Sinusoid,
+                    LocalWindow, PiecewiseFunction, Polynomial, Sinusoid,
                     WeakDerivative, build_sigma_star)
 from .oracle import (ReferenceModel, as_coefficient_model, exact_cf, exact_density,
                      localized_cf, sign_drift_model)

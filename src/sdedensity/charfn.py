@@ -53,10 +53,13 @@ class FrequencyGrid:
     def uniform(cls, y_max: float, spacing: float) -> "FrequencyGrid":
         if y_max <= 0 or spacing <= 0:
             raise ConfigError("y_max and spacing must be positive")
-        m = int(round(y_max / spacing))
+        try:
+            m = int(round(y_max / spacing))
+            vals = spacing * np.arange(-m, m + 1)
+        except (OverflowError, ValueError):  # numpy refuses the size before allocating
+            raise ConfigError("y_max / spacing is more frequencies than numpy can index") from None
         if m < 1:
             raise ConfigError("y_max must be at least one spacing")
-        vals = spacing * np.arange(-m, m + 1)
         return cls(values=vals, y_max=m * spacing, spacing=spacing)
 
     @property

@@ -26,8 +26,8 @@ from .errors import ConfigError, SdeDensityError
 from .invert import invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
-                    LocalWindow, Piece, PiecewiseFunction, Polynomial, SigmaStar, Sinusoid,
-                    build_sigma_star, finite_on_window)
+                    LocalWindow, Piece, PiecewiseFunction, Polynomial, Sinusoid,
+                    finite_on_window)
 from .simulate import PathEnsemble, SimConfig, simulate
 
 
@@ -127,6 +127,8 @@ _PIECE_KINDS = {
     "power": (HolderPower, ("scale", "center", "exponent")),
 }
 _coeffs = _rule(_reals, bool, "expected at least one coefficient")
+_nonneg = _rule(_real, lambda x: x >= 0.0, "must be at least 0")
+_times = _optional(_rule(_reals, bool, "expected at least one time"))
 
 
 def piece_from_dict(spec) -> Piece:
@@ -189,24 +191,25 @@ FIELDS = {
     "cutoff": {"shoulder_fraction": (_real, 0.2)},
     "frequency_grid": {"y_max": (_real, 256.0), "spacing": (_real, 1.0 / 16.0)},
     "inversion": {"n_points": (_rule(_int, lambda n: n >= 2, "must be at least 2"), 513),
-                  "margin": (_rule(_real, lambda m: m >= 0.0, "must be at least 0"), 0.05)},
+                  "margin": (_nonneg, 0.05)},
     "bounds": {"gamma": (_rule(_real, lambda g: 0.0 < g < 1.0, "must lie in (0, 1)"), 0.5),
                "eps_rule": (_eps_rule, "matched"), "y_lo": (_real, math.e),
                "y_hi": (_optional(_real), None)},
-    "density": {"t_list": (_optional(_reals), None)},
+    "density": {"t_list": (_times, None)},
     "hoelder": {"gamma_list": (_rule(_rule(_reals, bool, "expected at least one gamma"),
                                      lambda gs: all(0.0 < g <= 1.0 for g in gs),
                                      "entries must lie in (0, 1]"), [0.5]),
-                "t_list": (_optional(_reals), None)},
+                "t_list": (_times, None)},
     "certify": {"checks": (_rule(_checks, bool, "expected at least one check"),
                            ["cf_sanity", "mass_consistency"]),
-                "density_tolerance": (_real, 5e-3), "analytic_tolerance": (_real, 1e-5),
-                "analytic_y_max": (_real, 96.0), "bound_pass_fraction": (_real, 0.95),
-                "mass_slack": (_real, 1e-3)},
+                "density_tolerance": (_nonneg, 5e-3), "analytic_tolerance": (_nonneg, 1e-5),
+                "analytic_y_max": (_real, 96.0), "mass_slack": (_nonneg, 1e-3),
+                "bound_pass_fraction": (_rule(_real, lambda f: 0 < f <= 1, "must lie in (0, 1]"),
+                                        0.95)},
 }
 
 # typed sections for the fields that no other class holds; density/hoelder
-# t_list default to (simulation.t,)
+# t_list null or left out means (simulation.t,)
 Inversion, Bounds, Density, Hoelder, Certify = (
     namedtuple(name, FIELDS[name.lower()]) for name in
     ("Inversion", "Bounds", "Density", "Hoelder", "Certify"))
@@ -284,7 +287,7 @@ class RunConfig:
             p[section]["t_list"] = p[section]["t_list"] or (sim["t"],)
         window = _built("window", LocalWindow, **p["window"])
         model = CoefficientModel(**p["model"])
-        sigma_star = build_sigma_star(model.sigma, window)
+        transform = build_lamperti_map(model.sigma, window)
         cfg = cls(
             raw=merged,
             model=model,
@@ -300,8 +303,8 @@ class RunConfig:
             inversion=Inversion(**p["inversion"]), bounds=Bounds(**p["bounds"]),
             density=Density(**p["density"]), hoelder=Hoelder(**p["hoelder"]),
             certify=Certify(**p["certify"]),
-            transform=build_lamperti_map(sigma_star),
-            g=DriftFunctional(model.mu, sigma_star),
+            transform=transform,
+            g=DriftFunctional(model.mu, transform.sigma_star),
         )
         cfg.validate()
         return cfg
@@ -360,7 +363,7 @@ class RunConfig:
     def validate(self) -> None:
         """The rules that tie fields of different sections together."""
         sim = self.simulation
-        finite_on_window(self.model.mu, self.window, "mu")  # sigma: by build_sigma_star
+        finite_on_window(self.model.mu, self.window, "mu")  # sigma: by build_lamperti_map
         for section in ("density", "hoelder"):
             steps = set()
             for t in getattr(self, section).t_list:
@@ -423,7 +426,7 @@ class Pipeline:
         return self.cfg.freq_grid
 
     @property
-    def sigma_star(self) -> SigmaStar:
+    def sigma_star(self) -> PiecewiseFunction:
         return self.cfg.transform.sigma_star
 
     @property

@@ -3,7 +3,7 @@
 H(x) is the antiderivative of 1/sigma_cont anchored at the left window edge.
 Outside the window sigma_cont is constant, so H continues linearly in closed
 form; inside, cumulative integrals are tabulated on a dense knot grid aligned
-with the piece breakpoints, and the residual sub-cell integral is evaluated
+with the piece breakpoints and kinks, and the residual sub-cell integral is evaluated
 with a fixed Gauss-Legendre rule (closed forms for polynomial pieces of
 degree at most one).  The map is strictly monotone and bi-Lipschitz because
 the diffusion is bounded away from zero, so it is a bijection of the line: the
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import Polynomial, SigmaStar
+from .model import LocalWindow, PiecewiseFunction, Polynomial, build_sigma_star
 from .util import unique
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _INVERSE_TOLERANCE = 1e-10  # Newton stopping tolerance of the inverse, in H units
-_N_KNOTS = 4096  # uniform knots of the H table on the window (breakpoints added)
+_N_KNOTS = 4096  # uniform knots of the H table on the window (breakpoints and kinks added)
 
 
 def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
@@ -49,13 +49,16 @@ def _integrals_of_inverse(pieces, cell_piece, knots, cell, x):
 
 @dataclass(eq=False)
 class LampertiMap:
-    """Strictly monotone antiderivative of 1/sigma_cont with a fast inverse."""
+    """Strictly monotone antiderivative of 1/sigma_cont with a fast inverse, and the
+    one holder of sigma_cont and its constant values left and right of the window.
+    The knots span the window, and knots_h[-1] is H at its right end (0 at the left)."""
 
-    sigma_star: SigmaStar
+    sigma_star: PiecewiseFunction
+    left_value: float
+    right_value: float
     knots_x: np.ndarray = field(repr=False)
     knots_h: np.ndarray = field(repr=False)
     cell_piece: np.ndarray = field(repr=False)  # piece index per knot cell
-    h_hi: float = 0.0  # H at window right edge; H is 0 at the left edge by anchoring
 
     # -- forward -------------------------------------------------------------
 
@@ -64,19 +67,19 @@ class LampertiMap:
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr).ravel()
         out = np.empty_like(flat)
-        w = self.sigma_star.window
-        left = flat < w.lo
-        right = flat > w.hi
+        lo, hi = self.knots_x[0], self.knots_x[-1]
+        left = flat < lo
+        right = flat > hi
         mid = ~(left | right)
         if np.any(left):
-            out[left] = (flat[left] - w.lo) / self.sigma_star.left_value
+            out[left] = (flat[left] - lo) / self.left_value
         if np.any(right):
-            out[right] = self.h_hi + (flat[right] - w.hi) / self.sigma_star.right_value
+            out[right] = self.knots_h[-1] + (flat[right] - hi) / self.right_value
         if np.any(mid):
             xm = flat[mid]
             idx = np.searchsorted(self.knots_x, xm, side="right") - 1
             idx = np.clip(idx, 0, len(self.knots_x) - 2)
-            res = _integrals_of_inverse(self.sigma_star.base.pieces, self.cell_piece,
+            res = _integrals_of_inverse(self.sigma_star.pieces, self.cell_piece,
                                         self.knots_x, idx, xm)
             out[mid] = self.knots_h[idx] + res
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
@@ -95,22 +98,22 @@ class LampertiMap:
 
     @property
     def increasing(self) -> bool:
-        return self.sigma_star.left_value > 0.0
+        return self.left_value > 0.0
 
     def inverse_many(self, y) -> np.ndarray:
         """x with H(x) = y, for an array of y, or one y (a float), anywhere on the line."""
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel().copy()
         sgn = 1.0 if self.increasing else -1.0
-        w = self.sigma_star.window
+        h_hi = self.knots_h[-1]
         out = np.empty_like(flat)
 
-        # linear closed forms beyond H(w.lo) = 0 and H(w.hi) = h_hi (exact inverses)
+        # linear closed forms beyond H = 0 and H = h_hi at the window's ends (exact inverses)
         left = sgn * flat < 0.0
-        right = sgn * (flat - self.h_hi) > 0.0
+        right = sgn * (flat - h_hi) > 0.0
         mid = ~(left | right)
-        out[left] = w.lo + flat[left] * self.sigma_star.left_value
-        out[right] = w.hi + (flat[right] - self.h_hi) * self.sigma_star.right_value
+        out[left] = self.knots_x[0] + flat[left] * self.left_value
+        out[right] = self.knots_x[-1] + (flat[right] - h_hi) * self.right_value
 
         if np.any(mid):
             ym = flat[mid]
@@ -122,7 +125,8 @@ class LampertiMap:
             x = 0.5 * (lo_b + hi_b)
             for _ in range(80):
                 res = self.forward_many(x) - ym
-                if np.all(np.abs(res) <= _INVERSE_TOLERANCE):
+                # done within tolerance, or once no float lies strictly inside the bracket
+                if not np.any((abs(res) > _INVERSE_TOLERANCE) & (np.nextafter(lo_b, hi_b) < hi_b)):
                     break
                 pos = res * sgn > 0
                 hi_b = np.where(pos, x, hi_b)
@@ -136,22 +140,20 @@ class LampertiMap:
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
-def build_lamperti_map(s: SigmaStar) -> LampertiMap:
-    """Tabulate H on the window and wire up the closed-form continuations."""
-    w = s.window
-    base = s.base
-    knots = unique(np.concatenate([
-        np.linspace(w.lo, w.hi, _N_KNOTS),
-        np.asarray([bp for bp in base.breakpoints if w.lo <= bp <= w.hi]),
-        np.asarray(sorted(k for p in base.pieces for k in p.kinks(w.lo, w.hi))),
-    ]))
+def build_lamperti_map(sigma: PiecewiseFunction, w: LocalWindow) -> LampertiMap:
+    """Continue sigma outside the window w (sigma_cont), tabulate H on the window
+    and wire up the closed-form continuations."""
+    s = build_sigma_star(sigma, w)
+    knots = unique(np.concatenate([np.linspace(w.lo, w.hi, _N_KNOTS), s.breakpoints,
+                                   s.kinks()]))
     mids = 0.5 * (knots[:-1] + knots[1:])
-    cell_piece = np.searchsorted(np.asarray(base.breakpoints), mids, side="right")
+    cell_piece = np.searchsorted(np.asarray(s.breakpoints), mids, side="right")
 
-    cell_vals = _integrals_of_inverse(base.pieces, cell_piece, knots,
-                                      np.arange(len(knots) - 1), knots[1:])
+    with np.errstate(all="ignore"):  # a non-finite cell is rejected just below
+        cell_vals = _integrals_of_inverse(s.pieces, cell_piece, knots,
+                                          np.arange(len(knots) - 1), knots[1:])
     if not np.all(np.isfinite(cell_vals)):
-        j = int(np.argwhere(~np.isfinite(cell_vals))[0])
+        j = np.flatnonzero(~np.isfinite(cell_vals))[0]
         raise NumericsError(
             f"quadrature of 1/sigma_cont failed on cell [{knots[j]}, {knots[j+1]}]"
         )
@@ -159,10 +161,11 @@ def build_lamperti_map(s: SigmaStar) -> LampertiMap:
 
     m = LampertiMap(
         sigma_star=s,
+        left_value=float(s(w.lo)),
+        right_value=float(s(w.hi)),
         knots_x=knots,
         knots_h=knots_h,
         cell_piece=cell_piece,
-        h_hi=float(knots_h[-1]),
     )
     diffs = np.diff(knots_h)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):

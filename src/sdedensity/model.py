@@ -386,6 +386,8 @@ class LocalWindow:
             raise ConfigError("need 0 < delta0 < delta")
         if self.l_sigma <= 0.0:
             raise ConfigError("ellipticity floor must be positive")
+        if not self.lo < self.hi:
+            raise ConfigError(f"xi - delta and xi + delta round to one float, {self.lo!r}")
 
     @property
     def lo(self) -> float:
@@ -420,34 +422,17 @@ def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> None:
         raise ConfigError("model.sigma: not Lipschitz on the window")
 
 
-@dataclass(frozen=True)
-class SigmaStar:
-    """The diffusion frozen at its window-boundary values outside the window.
-
-    Globally Lipschitz, bounded away from zero by the window's floor, and
-    equal to sigma on [xi - delta, xi + delta].
-    """
-
-    base: PiecewiseFunction
-    left_value: float
-    right_value: float
-    window: LocalWindow
-
-    def __call__(self, x):
-        return self.base(x)
-
-
-def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> SigmaStar:
-    """Constant continuation of sigma outside the window [xi - delta, xi + delta]."""
+def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> PiecewiseFunction:
+    """sigma_cont: sigma on the window [xi - delta, xi + delta], continued by the
+    constants sigma(w.lo) on the left and the left limit at w.hi on the right.
+    Globally Lipschitz and bounded away from zero by the window's floor."""
     _check_sigma_on_window(sigma, w)
     segs = sigma.overlapping(w.lo, w.hi)
-    left_value = float(sigma(w.lo))
-    right_value = float(segs[-1][2](w.hi))  # the limit from the left at w.hi
-    base = PiecewiseFunction(
+    return PiecewiseFunction(
         breakpoints=(w.lo, *(lo for lo, _, _ in segs[1:]), w.hi),
-        pieces=(Constant(left_value), *(p for _, _, p in segs), Constant(right_value)),
+        pieces=(Constant(float(sigma(w.lo))), *(p for _, _, p in segs),
+                Constant(float(segs[-1][2](w.hi)))),
     )
-    return SigmaStar(base=base, left_value=left_value, right_value=right_value, window=w)
 
 
 @dataclass(frozen=True)
@@ -455,13 +440,13 @@ class WeakDerivative:
     """Derivative of the continued diffusion, set to zero at its kinks, where it
     fails to exist; those points are ``nondifferentiable_points``."""
 
-    sigma_star: SigmaStar
+    sigma_star: PiecewiseFunction
 
     def __post_init__(self):
-        points = self.sigma_star.base.kinks()
+        points = self.sigma_star.kinks()
         object.__setattr__(self, "nondifferentiable_points", points)
         object.__setattr__(self, "_compiled", _Compiled([
-            (_identity, ((self.sigma_star.base, "derivative", points),))]))
+            (_identity, ((self.sigma_star, "derivative", points),))]))
 
     def __call__(self, x):
         return _evaluate(self._compiled, x)
@@ -477,15 +462,14 @@ class DriftFunctional:
     kinks, evaluable on the window (and beyond)."""
 
     mu: PiecewiseFunction
-    sigma_star: SigmaStar
+    sigma_star: PiecewiseFunction
 
     def __post_init__(self):
         # one lookup on the union of mu's and sigma_cont's breakpoints; a
         # piecewise constant g (discontinuous drift, constant diffusion) is a table
-        base = self.sigma_star.base
+        s = self.sigma_star
         object.__setattr__(self, "_compiled", _Compiled([(_drift, (
-            (self.mu, "__call__", ()), (base, "__call__", ()),
-            (base, "derivative", base.kinks())))]))
+            (self.mu, "__call__", ()), (s, "__call__", ()), (s, "derivative", s.kinks())))]))
 
     def __call__(self, x):
         return _evaluate(self._compiled, x)

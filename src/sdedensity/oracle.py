@@ -57,15 +57,19 @@ class ReferenceModel:
             raise ConfigError("sigma0 must be positive")
         if self.kind == "brownian_drift":
             return ("normal", self.x0 + self.mu0 * t, self.sigma0 * math.sqrt(t))
+        try:
+            s2 = self.sigma0**2
+        except OverflowError:
+            raise ConfigError(f"sigma0**2 overflows, sigma0={self.sigma0!r}") from None
         if self.kind == "ornstein_uhlenbeck":
             if self.theta <= 0:
                 raise ConfigError("theta must be positive")
-            var = self.sigma0**2 * (1.0 - math.exp(-2.0 * self.theta * t)) / (2.0 * self.theta)
+            var = s2 * (1.0 - math.exp(-2.0 * self.theta * t)) / (2.0 * self.theta)
             return ("normal", self.x0 * math.exp(-self.theta * t), math.sqrt(var))
         if self.kind == "geometric_bm":
             if self.x0 <= 0:
                 raise ConfigError("geometric BM needs a positive start value")
-            m = math.log(self.x0) + (self.mu0 - 0.5 * self.sigma0**2) * t
+            m = math.log(self.x0) + (self.mu0 - 0.5 * s2) * t
             return ("lognormal", m, self.sigma0 * math.sqrt(t))
         raise ConfigError(f"unknown reference kind {self.kind!r}")
 

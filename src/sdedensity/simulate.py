@@ -49,6 +49,8 @@ class SimConfig:
             raise ConfigError("t_final must lie in (0, 1]")
         if self.h <= 0.0:
             raise ConfigError("step size must be positive")
+        if not self.t_final / self.h < np.iinfo(np.intp).max:
+            raise ConfigError("t_final / h is more steps than numpy can index")
         n = self.n_steps
         if n < 1 or abs(n * self.h - self.t_final) > 1e-12:
             raise ConfigError("h must divide t_final (within 1e-12)")

@@ -29,9 +29,13 @@ def sin_sigma():
 
 
 @pytest.fixture(scope="session")
-def sin_sigma_star(sin_sigma):
-    w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
-    return sd.build_sigma_star(sin_sigma, w)
+def sin_window():
+    return sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
+
+
+@pytest.fixture(scope="session")
+def sin_sigma_star(sin_sigma, sin_window):
+    return sd.build_sigma_star(sin_sigma, sin_window)
 
 
 @pytest.fixture(scope="session")

@@ -39,8 +39,7 @@ class TestCriterion1GaussianEndToEnd:
         )
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
         phi = sd.make_bump(w, 0.2)
-        s = sd.build_sigma_star(model.sigma, w)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(model.sigma, w)
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-6, n_paths=1_000_000,
                            seed=20240801)
         ens = sd.simulate(model, cfg, threads=2)
@@ -73,8 +72,7 @@ class TestCriterion2GbmLamperti:
         model = sd.as_coefficient_model(rm)
         w = sd.LocalWindow(xi=2.0, delta=1.0, delta0=0.25, l_sigma=0.25)
         phi = sd.make_bump(w, 0.25)
-        s = sd.build_sigma_star(model.sigma, w)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(model.sigma, w)
         cfg = sd.SimConfig(x0=2.0, t_final=1.0, h=2.0**-8, n_paths=1_000_000,
                            seed=20240803)
         ens = sd.simulate(model, cfg, threads=2)
@@ -142,8 +140,7 @@ class TestCriterion5BoundSatisfaction:
         model = sd.sign_drift_model(-1.0)
         w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=1.0)
         phi = sd.make_bump(w, 0.2)
-        s = sd.build_sigma_star(model.sigma, w)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(model.sigma, w)
         grid = sd.FrequencyGrid.uniform(128.0, 0.25)
         t = 0.5
         pos = grid.positive()
@@ -179,8 +176,7 @@ class TestCriterion6HoelderCertification:
         model = sd.sign_drift_model(-1.0)
         w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=1.0)
         phi = sd.make_bump(w, 0.2)
-        s = sd.build_sigma_star(model.sigma, w)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(model.sigma, w)
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-10, n_paths=200_000,
                            seed=20240808)
         ens = sd.simulate(model, cfg, threads=2)

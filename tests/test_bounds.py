@@ -135,8 +135,7 @@ class TestGaussianModelBound:
     def test_fixed_bound_holds_with_small_constant(self, bm_model, bm_ensemble, window6):
         # exactly sampleable model: remainder vanishes and the empirical CF
         # modulus sits under 3x the matched-lookback fixed bound everywhere
-        s = sd.build_sigma_star(bm_model.sigma, window6)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(bm_model.sigma, window6)
         phi = sd.make_bump(window6, 0.2)
         grid = sd.FrequencyGrid.uniform(16.0, 0.25)
         cf = sd.estimate_localized(bm_ensemble, phi, lam, grid, 0.25)
@@ -159,7 +158,7 @@ class TestGaussianModelBound:
     def test_fit_decay_stable_under_ymax_doubling_on_mc_run(self, sign_run):
         model, w, ens = sign_run
         phi = sd.make_bump(w, 0.2)
-        lam = sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w))
+        lam = sd.build_lamperti_map(model.sigma, w)
         fits = []
         for y_max in (32.0, 64.0):
             grid = sd.FrequencyGrid.uniform(y_max, 0.25)
@@ -181,7 +180,7 @@ class TestBoundReport:
         grid = sd.FrequencyGrid.uniform(16.0, 0.25)
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
-            sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, t)
+            sd.build_lamperti_map(model.sigma, w), grid, t)
         report = report_of(cf, ens, drift_g(model, w), w, t, band_above(cf))
         for j in (0, len(report.y) // 2, len(report.y) - 1):
             eps = float(report.eps_used[j])
@@ -196,7 +195,7 @@ class TestBoundReport:
         grid = sd.FrequencyGrid.uniform(16.0, 0.25)
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
-            sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.5)
+            sd.build_lamperti_map(model.sigma, w), grid, 0.5)
         report = report_of(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
         assert report.pass_fraction == 1.0
         tight = report_of(cf, ens, drift_g(model, w), w, 0.5, band_above(cf),
@@ -210,7 +209,7 @@ class TestBoundReport:
         grid = sd.FrequencyGrid.uniform(8.0, 0.25)
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
-            sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)), grid, 0.0625)
+            sd.build_lamperti_map(model.sigma, w), grid, 0.0625)
         with pytest.raises(ConfigError, match="log"):
             report_of(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
 
@@ -285,7 +284,7 @@ def kinked_run():
                                           seed=77))
     cf = sd.estimate_localized(
         ens, sd.make_bump(w, 0.2),
-        sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w)),
+        sd.build_lamperti_map(model.sigma, w),
         sd.FrequencyGrid.uniform(64.0, 0.25), t)
     return model, w, ens, cf, t
 

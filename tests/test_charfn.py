@@ -78,11 +78,11 @@ class TestEstimate:
         v0 = cf.value_at(0.0).real
         assert np.all(np.abs(cf.values) <= v0 + 3 * cf.std_errors + 1e-12)
 
-    def test_threads_do_not_change_bits(self, sin_sigma_star, grid):
+    def test_threads_do_not_change_bits(self, sin_sigma, sin_window, grid):
         # three full chunks and a ragged tail, so the chunks' merge order shows
         x = np.random.default_rng(7).standard_normal(3 * CHUNK + 5)
         phi = sd.make_plateau_sequence(1)
-        lam = sd.build_lamperti_map(sin_sigma_star)
+        lam = sd.build_lamperti_map(sin_sigma, sin_window)
         a = sd.cf_from_samples(x, phi, grid, threads=1, transform=lam)
         for threads in (2, 4):
             b = sd.cf_from_samples(x, phi, grid, threads=threads, transform=lam)
@@ -90,10 +90,10 @@ class TestEstimate:
             assert np.array_equal(a.std_errors, b.std_errors)
 
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-    def test_matches_dense_reference_across_chunk_boundaries(self, sin_sigma_star, grid, n):
+    def test_matches_dense_reference_across_chunk_boundaries(self, sin_sigma, sin_window, grid, n):
         x = np.random.default_rng(n).standard_normal(n)
         phi = sd.make_plateau_sequence(1)
-        lam = sd.build_lamperti_map(sin_sigma_star)
+        lam = sd.build_lamperti_map(sin_sigma, sin_window)
         cf = sd.cf_from_samples(x, phi, grid, threads=2, transform=lam)
         w, hx = phi(x), lam.forward_many(x)
         bessel = n / (n - 1.0) if n > 1 else 1.0
@@ -122,8 +122,7 @@ class TestEstimate:
     def test_localized_estimate_shifts_phase(self, bm_ensemble, window6, grid):
         # with unit sigma the transform is a shift, so the localized CF is a
         # phase rotation of the raw one
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
         phi = sd.make_bump(window6, 0.2)
         raw = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
         loc = sd.estimate_localized(bm_ensemble, phi, lam, grid, 0.25)

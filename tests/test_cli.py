@@ -263,6 +263,19 @@ class TestCommands:
         ("reference", "sigma0", -0.25, "reference: sigma0 must be positive"),
         # a hoelder that measures nothing is a config error, as a certify that checks nothing
         ("hoelder", "gamma_list", [], "hoelder.gamma_list: expected at least one gamma, got []"),
+        # null or no entry means [simulation.t]; an empty list is an error, as above
+        ("density", "t_list", [], "density.t_list: expected at least one time, got []"),
+        ("hoelder", "t_list", [], "hoelder.t_list: expected at least one time, got []"),
+        # a negative tolerance fails every check, and a zero pass fraction none
+        ("certify", "density_tolerance", -1.0,
+         "certify.density_tolerance: must be at least 0, got -1.0"),
+        ("certify", "analytic_tolerance", -1e-5,
+         "certify.analytic_tolerance: must be at least 0, got -1e-05"),
+        ("certify", "mass_slack", -1e-3, "certify.mass_slack: must be at least 0, got -0.001"),
+        ("certify", "bound_pass_fraction", 2.0,
+         "certify.bound_pass_fraction: must lie in (0, 1], got 2.0"),
+        ("certify", "bound_pass_fraction", 0.0,
+         "certify.bound_pass_fraction: must lie in (0, 1], got 0.0"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings reach stderr
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value, message):
@@ -460,6 +473,18 @@ class TestCommands:
         for t in raw["density"]["t_list"]:
             x = np.loadtxt(out / f"density_t{t_tag(t)}.csv", delimiter=",", skiprows=1)[:, 0]
             assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+
+    def test_density_on_a_window_far_from_the_origin(self, tmp_path):
+        # near 1e6 adjacent floats are farther apart than H^{-1}'s tolerance
+        raw = json.loads(json.dumps(PRESETS["gaussian"]))
+        raw["simulation"]["n_paths"] = 2000
+        raw["window"]["xi"] = raw["simulation"]["x0"] = raw["reference"]["x0"] = 1e6
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["density", "--config", str(p), "--out", str(out)]) == 0
+        x = np.loadtxt(out / "density_t1.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.all(np.diff(x) > 0) and x[0] < 1e6 < x[-1]
 
     @pytest.mark.parametrize("n_paths", [10**400, 2**62], ids=["10**400", "2**62"])
     def test_unallocatable_n_paths_exits_2(self, tmp_path, capsys, n_paths):

@@ -1,8 +1,12 @@
-"""Fuzz the config reader through the CLI.
+"""Fuzz the config reader through the CLI, and the parser on extreme numbers.
 
 Each example takes a preset at a small path count, drops, retypes or misspells
 one or two of its nodes, or empties a list, and runs one command on it.  The
 command must exit 0, 1 or 2 (a bad field is a configuration error), never raise.
+
+The parse-only cases set each number of each preset to +-1e300 and +-1e-300;
+parsing must succeed or raise an ``SdeDensityError``, with numpy's warnings
+raised as errors.  Nothing is simulated.
 """
 
 import contextlib
@@ -13,12 +17,15 @@ import json
 import math
 import operator
 import tempfile
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdedensity import cli
-from sdedensity.config import PRESETS
+from sdedensity.config import PRESETS, RunConfig
+from sdedensity.errors import SdeDensityError
 
 COMMANDS = ("simulate", "cf", "bound", "density", "hoelder", "certify")
 N_PATHS = 2000
@@ -26,6 +33,7 @@ N_PATHS = 2000
 RETYPED = ("x", True, [], None, math.nan, math.inf, -math.inf)
 # the size fields take only invalid values, or these small valid ones
 SMALL = {("simulation", "n_paths"): (1, 2, 17, N_PATHS), ("inversion", "n_points"): (2, 3, 101)}
+EXTREMES = (1e300, -1e300, 1e-300, -1e-300)
 
 
 def small_preset(name):
@@ -113,3 +121,27 @@ def test_mutated_preset_exits_cleanly(case, command, threads):
             rc = cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out"),
                            "--threads", str(threads)])
     assert rc in (0, 1, 2)
+
+
+def extreme_cases():
+    """(preset, path, value) for every number of every preset and each of EXTREMES."""
+    out = []
+    for name in sorted(PRESETS):
+        raw = PRESETS[name]
+        for path in node_paths(raw):
+            leaf = functools.reduce(operator.getitem, path, raw)
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+                where = ".".join(map(str, path))
+                out += [pytest.param(name, path, v, id=f"{name}-{where}={v:g}") for v in EXTREMES]
+    return out
+
+
+@pytest.mark.parametrize("name, path, value", extreme_cases())
+def test_extreme_number_parses_or_raises_a_package_error(name, path, value):
+    raw = mutate(PRESETS[name], ((path, "set", value),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            RunConfig.from_dict(raw)
+        except SdeDensityError:
+            pass

@@ -76,8 +76,7 @@ class TestInversion:
         assert got.imag_residual == ref.imag_residual
 
     def test_mass_matches_zero_frequency(self, bm_ensemble, window6):
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
         phi = sd.make_bump(window6, 0.2)
         grid = sd.FrequencyGrid.uniform(16.0, 1 / 16)
         cf = sd.estimate_localized(bm_ensemble, phi, lam, grid, 0.25)
@@ -88,8 +87,7 @@ class TestInversion:
 
 class TestPushforward:
     def test_unit_sigma_is_shift(self, window6):
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)
         cf = analytic_cf(lambda y: math.exp(-y * y / 2) * np.exp(1j * y * 6.0), 16.0, 1 / 16)
         xs_l = np.linspace(1.0, 11.0, 201)
         p = sd.invert(cf, xs_l)
@@ -99,8 +97,7 @@ class TestPushforward:
 
     def test_constant_two_rescales(self):
         w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=2.0)
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
         cf = analytic_cf(lambda y: math.exp(-(y**2)), 16.0, 1 / 16)
         xs_l = np.linspace(-0.9, 0.9, 101)
         p = sd.invert(cf, xs_l)
@@ -108,10 +105,10 @@ class TestPushforward:
         np.testing.assert_allclose(q.values, p.values / 2.0, atol=1e-12)
         np.testing.assert_allclose(lam.forward_many(q.x_grid), xs_l, atol=1e-10)
 
-    def test_mass_conserved_under_nonlinear_map(self, sin_sigma_star):
-        lam = sd.build_lamperti_map(sin_sigma_star)
+    def test_mass_conserved_under_nonlinear_map(self, sin_sigma, sin_window):
+        lam = sd.build_lamperti_map(sin_sigma, sin_window)
         # a density living inside the image window
-        lo, hi = lam.image(sin_sigma_star.window.lo, sin_sigma_star.window.hi)
+        lo, hi = lam.image(sin_window.lo, sin_window.hi)
         center, width = 0.5 * (lo + hi), 0.25 * 0.5 * (hi - lo)
         cf = analytic_cf(
             lambda y: np.exp(1j * y * center - (width * y) ** 2 / 2), 64.0, 1 / 16)
@@ -137,8 +134,8 @@ class TestPushforward:
         np.testing.assert_allclose(down.x_grid, -up.x_grid[::-1], rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(down.values, up.values[::-1], rtol=0.0, atol=1e-14)
 
-    def test_requires_transformed_coordinate(self, sin_sigma_star):
-        lam = sd.build_lamperti_map(sin_sigma_star)
+    def test_requires_transformed_coordinate(self, sin_sigma, sin_window):
+        lam = sd.build_lamperti_map(sin_sigma, sin_window)
         cf = analytic_cf(lambda y: math.exp(-y * y), 16.0, 1 / 16)
         p = sd.invert(cf, np.linspace(-0.5, 0.5, 11))
         q = sd.pushforward(p, lam)

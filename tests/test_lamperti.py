@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
+from sdedensity.lamperti import _N_KNOTS
 
 
 def unit_map(window):
-    s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window)
-    return sd.build_lamperti_map(s)
+    return sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window)
 
 
 def riemann_integral(f, a, b, tol=1e-9):
@@ -31,37 +31,35 @@ class TestForward:
 
     def test_constant_two(self):
         w = sd.LocalWindow(xi=2.0, delta=2.0, delta0=0.5, l_sigma=2.0)
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
-        m = sd.build_lamperti_map(s)
+        m = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
         assert m.forward_many(3.0) == pytest.approx(1.5, abs=1e-14)
 
-    def test_sinusoid_against_refinement_oracle(self, sin_sigma_star):
-        m = sd.build_lamperti_map(sin_sigma_star)
+    def test_sinusoid_against_refinement_oracle(self, sin_sigma, sin_window):
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
         expected = riemann_integral(lambda z: 1.0 / (2.0 + np.sin(z)), -1.0, 1.0)
         assert m.forward_many(1.0) == pytest.approx(expected, abs=1e-8)
 
-    def test_anchor_is_zero(self, sin_sigma_star):
-        m = sd.build_lamperti_map(sin_sigma_star)
-        assert m.forward_many(sin_sigma_star.window.lo) == 0.0
+    def test_anchor_is_zero(self, sin_sigma, sin_window):
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
+        assert m.forward_many(sin_window.lo) == 0.0
 
-    def test_strictly_monotone_on_grid(self, sin_sigma_star):
-        m = sd.build_lamperti_map(sin_sigma_star)
+    def test_strictly_monotone_on_grid(self, sin_sigma, sin_window):
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
         xs = np.linspace(-3, 3, 2001)
         assert np.all(np.diff(m.forward_many(xs)) > 0)
 
     def test_negative_sigma_decreasing(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(-2.0),)), w)
-        m = sd.build_lamperti_map(s)
+        m = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(-2.0),)), w)
         xs = np.linspace(-2, 2, 101)
         assert np.all(np.diff(m.forward_many(xs)) < 0)
         assert not m.increasing
 
-    def test_bilipschitz_sandwich(self, sin_sigma_star, rng):
-        m = sd.build_lamperti_map(sin_sigma_star)
-        wave = sin_sigma_star.base.pieces[1]  # the fixture's sinusoid, on the window
+    def test_bilipschitz_sandwich(self, sin_sigma, sin_window, rng):
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
+        wave = m.sigma_star.pieces[1]  # the fixture's sinusoid, on the window
         sup = wave.offset + abs(wave.amplitude)  # bounds |sigma_cont|, its edge values too
-        floor = sin_sigma_star.window.l_sigma
+        floor = sin_window.l_sigma
         xs = rng.uniform(-3, 3, 300)
         ys = rng.uniform(-3, 3, 300)
         gap = np.abs(m.forward_many(xs) - m.forward_many(ys))
@@ -75,14 +73,14 @@ class TestInverse:
         m = unit_map(window6)
         assert m.inverse_many(2.0) == pytest.approx(-6.0 + 2.0, abs=1e-12)
 
-    def test_round_trip_random_grid(self, sin_sigma_star, rng):
-        m = sd.build_lamperti_map(sin_sigma_star)
+    def test_round_trip_random_grid(self, sin_sigma, sin_window, rng):
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
         xs = rng.uniform(-2.5, 2.5, 500)
         back = m.inverse_many(m.forward_many(xs))
         assert np.max(np.abs(back - xs)) <= 1e-10
 
-    def test_against_bisection_oracle(self, sin_sigma_star):
-        m = sd.build_lamperti_map(sin_sigma_star)
+    def test_against_bisection_oracle(self, sin_sigma, sin_window):
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
         y = 0.37
         lo, hi = -3.0, 3.0
         for _ in range(200):
@@ -98,20 +96,59 @@ class TestInverse:
         # H is a bijection of the line: the closed forms invert it at any x
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
         sig = sd.PiecewiseFunction((), (sd.Sinusoid(offset=2.0 * sign, amplitude=1.0),))
-        m = sd.build_lamperti_map(sd.build_sigma_star(sig, w))
+        m = sd.build_lamperti_map(sig, w)
         assert m.increasing == (sign > 0)
         xs = np.array([-1000.0, -50.0, 50.0, 1000.0])
         np.testing.assert_allclose(m.inverse_many(m.forward_many(xs)), xs, rtol=1e-13, atol=0)
         for x in xs:
             assert m.inverse_many(m.forward_many(x)) == pytest.approx(x, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("xi", [1e6, 4e6])
+    @pytest.mark.parametrize("sigma", [sd.Constant(1.0), sd.Sinusoid(offset=2.0, amplitude=1.0)],
+                             ids=["unit", "two_plus_sin"])
+    def test_round_trip_far_from_the_origin(self, sigma, xi):
+        # adjacent floats near 1e6 are 1.2e-10 apart, more than the tolerance in H
+        # units allows: the iteration ends on a bracket with no float inside
+        w = sd.LocalWindow(xi=xi, delta=6.0, delta0=1.0, l_sigma=1.0)
+        m = sd.build_lamperti_map(sd.PiecewiseFunction((), (sigma,)), w)
+        xs = np.linspace(w.lo, w.hi, 101)
+        np.testing.assert_allclose(m.inverse_many(m.forward_many(xs)), xs, rtol=1e-15, atol=0)
+
     def test_decreasing_round_trip(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=0.5)
         sig = sd.PiecewiseFunction((), (sd.Sinusoid(offset=-2.0, amplitude=1.0),))
-        s = sd.build_sigma_star(sig, w)
-        m = sd.build_lamperti_map(s)
+        m = sd.build_lamperti_map(sig, w)
         xs = np.linspace(-2.0, 2.0, 101)
         np.testing.assert_allclose(m.inverse_many(m.forward_many(xs)), xs, atol=1e-9)
+
+
+class TestKnots:
+    """H's knots are the uniform grid, sigma_cont's breakpoints and its kinks()."""
+
+    @staticmethod
+    def assert_knots(m, w):
+        s = m.sigma_star
+        expect = np.unique(np.concatenate([np.linspace(w.lo, w.hi, _N_KNOTS), s.breakpoints,
+                                           s.kinks()]))
+        assert m.knots_x.tobytes() == expect.tobytes()
+
+    def test_power_centre_outside_its_interval_adds_no_knot(self):
+        # 1.5, then 3|x| on [0.5, inf): the centre 0 lies in the window [-1, 1],
+        # off the uniform grid, but not in the power's interval
+        sigma = sd.PiecewiseFunction((0.5,), (sd.Constant(1.5), sd.HolderPower(3.0, 0.0, 1.0)))
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
+        m = sd.build_lamperti_map(sigma, w)
+        assert 0.0 not in m.knots_x and 0.5 in m.knots_x
+        self.assert_knots(m, w)
+
+    def test_power_centre_inside_its_interval_adds_a_knot(self):
+        # 3|x - 0.3|, whose kink 0.3 is off the uniform grid; l_sigma lies below
+        # |sigma| on the floor check's grid, so only the knots are of interest here
+        sigma = sd.PiecewiseFunction((), (sd.HolderPower(3.0, 0.3, 1.0),))
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1e-6)
+        m = sd.build_lamperti_map(sigma, w)
+        assert 0.3 in m.knots_x
+        self.assert_knots(m, w)
 
 
 class TestImage:
@@ -124,13 +161,13 @@ class TestImage:
 
     def test_constant_two(self):
         w = sd.LocalWindow(xi=0.0, delta=2.0, delta0=0.5, l_sigma=2.0)
-        s = sd.build_sigma_star(sd.PiecewiseFunction((), (sd.Constant(2.0),)), w)
-        lo, hi = sd.build_lamperti_map(s).image(w.lo, w.hi)
+        sigma = sd.PiecewiseFunction((), (sd.Constant(2.0),))
+        lo, hi = sd.build_lamperti_map(sigma, w).image(w.lo, w.hi)
         assert 0.5 * (hi - lo) == pytest.approx(1.0, abs=1e-12)
 
-    def test_endpoints_match_forward(self, sin_sigma_star):
-        w = sin_sigma_star.window
-        m = sd.build_lamperti_map(sin_sigma_star)
+    def test_endpoints_match_forward(self, sin_sigma, sin_window):
+        w = sin_window
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
         lo, hi = m.image(w.lo, w.hi)
         assert lo == pytest.approx(min(m.forward_many(w.lo), m.forward_many(w.hi)), abs=1e-12)
         assert hi == pytest.approx(max(m.forward_many(w.lo), m.forward_many(w.hi)), abs=1e-12)
@@ -139,13 +176,13 @@ class TestImage:
 class TestTransformedCoefficients:
     # Y = H(X) has drift g(H^{-1}(y)) and diffusion sigma/sigma_cont at H^{-1}(y)
 
-    def test_unit_diffusion_on_image(self, sin_sigma, sin_sigma_star):
-        w = sin_sigma_star.window
-        m = sd.build_lamperti_map(sin_sigma_star)
+    def test_unit_diffusion_on_image(self, sin_sigma, sin_window):
+        w = sin_window
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
         lo, hi = m.image(w.lo, w.hi)
         ys = np.linspace(lo + 1e-9, hi - 1e-9, 201)
         xs = m.inverse_many(ys)
-        np.testing.assert_allclose(sin_sigma(xs) / sin_sigma_star(xs), 1.0, atol=1e-8)
+        np.testing.assert_allclose(sin_sigma(xs) / m.sigma_star(xs), 1.0, atol=1e-8)
 
     def test_zero_drift_stays_zero(self, window6):
         m = unit_map(window6)
@@ -157,8 +194,8 @@ class TestTransformedCoefficients:
     def test_constant_coefficients(self):
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=2.0)
         sigma = sd.PiecewiseFunction((), (sd.Constant(2.0),))
-        s = sd.build_sigma_star(sigma, w)
-        m = sd.build_lamperti_map(s)
+        m = sd.build_lamperti_map(sigma, w)
+        s = m.sigma_star
         g = sd.DriftFunctional(sd.PiecewiseFunction((), (sd.Constant(1.0),)), s)
         lo, hi = m.image(w.lo, w.hi)
         xs = m.inverse_many(np.linspace(lo + 1e-9, hi - 1e-9, 11))
@@ -167,9 +204,9 @@ class TestTransformedCoefficients:
 
 
 class TestPushforwardConsistency:
-    def test_change_of_variables(self, sin_sigma_star):
+    def test_change_of_variables(self, sin_sigma, sin_window):
         # integral of f dx  ==  integral of f(H^{-1}(y)) |sigma_cont(H^{-1}(y))| dy
-        m = sd.build_lamperti_map(sin_sigma_star)
+        m = sd.build_lamperti_map(sin_sigma, sin_window)
 
         def f(x):
             return np.exp(-(x**2))
@@ -180,7 +217,7 @@ class TestPushforwardConsistency:
 
         def g(y):
             x = m.inverse_many(y)
-            return f(x) * np.abs(sin_sigma_star(x))
+            return f(x) * np.abs(m.sigma_star(x))
 
         rhs = riemann_integral(g, ya, yb)
         assert lhs == pytest.approx(rhs, abs=1e-7)

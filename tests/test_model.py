@@ -166,7 +166,7 @@ def _preset_functions():
         model = cfg.model
         out += [pytest.param(model.mu, id=f"{name}.mu"),
                 pytest.param(model.sigma, id=f"{name}.sigma"),
-                pytest.param(sd.build_sigma_star(model.sigma, cfg.window).base,
+                pytest.param(sd.build_sigma_star(model.sigma, cfg.window),
                              id=f"{name}.sigma_star")]
     out.append(pytest.param(pw([-2.0, -0.5, 0.0, 1.0, 2.5], [
         sd.Constant(1.5),
@@ -223,8 +223,8 @@ class TestCompiledStepAndDrift:
     def points(g, rng):
         """Every breakpoint and kink of mu, sigma and sigma_cont, their neighbours,
         +-0, +-inf, NaN and random points."""
-        pts = np.array(sorted({*g.mu.breakpoints, *g.sigma_star.base.breakpoints,
-                               *g.sigma_star.base.kinks()}))
+        pts = np.array(sorted({*g.mu.breakpoints, *g.sigma_star.breakpoints,
+                               *g.sigma_star.kinks()}))
         return np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
                                [0.0, -0.0, np.inf, -np.inf, np.nan],
                                rng.uniform(-6.0, 6.0, 500)])
@@ -280,11 +280,11 @@ class TestSigmaStar:
         s = sd.build_sigma_star(sigma, w)
         assert s(10.0) == 2.0
         assert s(-10.0) == 2.0
-        assert s.base.lipschitz_on(-10.0, 10.0) is True
+        assert s.lipschitz_on(-10.0, 10.0) is True
 
-    def test_floor_everywhere(self, sin_sigma_star):
+    def test_floor_everywhere(self, sin_sigma_star, sin_window):
         xs = np.linspace(-20, 20, 4001)
-        assert np.min(np.abs(sin_sigma_star(xs))) >= sin_sigma_star.window.l_sigma
+        assert np.min(np.abs(sin_sigma_star(xs))) >= sin_window.l_sigma
 
     def test_lipschitz_pairs(self, sin_sigma_star, rng):
         xs = rng.uniform(-5, 5, size=400)
@@ -325,9 +325,11 @@ class TestPieceBookkeeping:
         w = sd.LocalWindow(xi=xi, delta=1.0, delta0=0.5, l_sigma=1.0)
         s = sd.build_sigma_star(self.SIGMA, w)
         _, affine, quadratic, _ = self.SIGMA.pieces
-        assert s.base.breakpoints == breakpoints
-        assert s.base.pieces == (sd.Constant(left), affine, quadratic, sd.Constant(right))
-        assert (s.left_value, s.right_value) == (left, right)
+        assert s.breakpoints == breakpoints
+        assert s.pieces == (sd.Constant(left), affine, quadratic, sd.Constant(right))
+        # H holds the end values: exact here, so == compares bits
+        m = sd.build_lamperti_map(self.SIGMA, w)
+        assert (m.left_value, m.right_value) == (left, right)
 
     @pytest.mark.parametrize("f, kinks", [
         # 1 + x, then 1 + x + x^2: both derivatives are 1 at 0
@@ -347,7 +349,7 @@ class TestPieceBookkeeping:
         # window edge 1 (derivatives 3 and 0) are kinks of sigma_cont
         sigma = pw([0.5], [sd.Constant(1.5), sd.HolderPower(3.0, 0.0, 1.0)])
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1.0)
-        assert sd.build_sigma_star(sigma, w).base.kinks() == (0.5, 1.0)
+        assert sd.build_sigma_star(sigma, w).kinks() == (0.5, 1.0)
 
 
 class TestWeakDerivative:
@@ -418,7 +420,7 @@ class TestDriftFunctional:
                                                       l_sigma=1.0))
         d = sd.WeakDerivative(s)
         g = sd.DriftFunctional(mu, s)
-        bps = np.array(sorted({*mu.breakpoints, *s.base.breakpoints}))
+        bps = np.array(sorted({*mu.breakpoints, *s.breakpoints}))
         assert set(bps) == {-1.0, -0.5, 0.0, 0.7, 1.0}
         xs = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),
                              [-np.inf, np.inf, np.nan], rng.uniform(-3, 3, 200)])
@@ -426,7 +428,7 @@ class TestDriftFunctional:
             expect = mu(xs) / s(xs) - 0.5 * d(xs)
             got = g(xs)
         assert got.tobytes() == expect.tobytes()
-        assert np.isfinite(got[-201]) and got[-201] == -2.0 / s.right_value
+        assert np.isfinite(got[-201]) and got[-201] == -2.0 / s(1.0)  # the right end value
         assert g(float(xs[3])) == got[3]
         assert g(xs[-200:].reshape(10, 20)).tobytes() == expect[-200:].tobytes()
 

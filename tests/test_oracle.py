@@ -80,7 +80,7 @@ def _gbm_setup():
     rm = sd.ReferenceModel("geometric_bm", mu0=0.05, sigma0=0.25, x0=2.0)
     model = sd.as_coefficient_model(rm)
     w = sd.LocalWindow(xi=2.0, delta=1.0, delta0=0.25, l_sigma=0.25)
-    lam = sd.build_lamperti_map(sd.build_sigma_star(model.sigma, w))
+    lam = sd.build_lamperti_map(model.sigma, w)
     return rm, sd.make_bump(w, 0.25), lam
 
 
@@ -197,8 +197,8 @@ class TestCrossModuleConsistency:
         rm = sd.ReferenceModel("geometric_bm", mu0=mu0, sigma0=sig0, x0=x0)
         w = sd.LocalWindow(xi=2.0, delta=1.0, delta0=0.25, l_sigma=0.25)
         model = sd.as_coefficient_model(rm)
-        s = sd.build_sigma_star(model.sigma, w)
-        lam = sd.build_lamperti_map(s)
+        lam = sd.build_lamperti_map(model.sigma, w)
+        s = lam.sigma_star
         drift_bm = (mu0 - 0.5 * sig0**2) / sig0
         y0 = lam.forward_many(x0)
         rm_y = sd.ReferenceModel("brownian_drift", mu0=drift_bm, sigma0=1.0, x0=y0)

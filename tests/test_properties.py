@@ -52,7 +52,7 @@ def test_plateau_family_norms_constant(k):
 def test_forward_map_monotone(offset, amp):
     w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=offset - amp)
     sig = sd.PiecewiseFunction((), (sd.Sinusoid(offset=offset, amplitude=amp),))
-    m = sd.build_lamperti_map(sd.build_sigma_star(sig, w))
+    m = sd.build_lamperti_map(sig, w)
     xs = np.linspace(-2.5, 2.5, 201)
     assert np.all(np.diff(m.forward_many(xs)) > 0)
 
