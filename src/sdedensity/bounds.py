@@ -284,8 +284,8 @@ def bound_report(cf: CharFnEstimate, plan: BoundPlan, parts: list,
     """
     y, kernel = plan.y, plan.kernel
     eps_used = plan.k_steps * kernel.h
-    empirical = np.array([abs(cf.value_at(float(v))) for v in y])
-    se_emp = np.array([cf.se_at(float(v)) for v in y])
+    j = cf.grid.index(y)
+    empirical, se_emp = np.abs(cf.values[j]), cf.std_errors[j]
     ests = merge_moments(parts)
     rem_by_lookback = np.array([(e.value, e.std_error) for e in ests])
     rem_val, rem_se = rem_by_lookback[np.searchsorted(kernel.lookbacks, plan.k_steps)].T

@@ -16,12 +16,11 @@ import numpy as np
 
 from . import oracle
 from .bounds import fit_decay
-from .charfn import CharFnEstimate, FrequencyGrid
+from .charfn import CharFnEstimate
 
 
 def _check_cf_sanity(pipe) -> dict:
-    t = pipe.cfg.simulation.t_final
-    cf = pipe.cf_at(t)
+    cf = pipe.cf_at(pipe.cfg.simulation.t_final)
     excess = float(np.max(np.abs(cf.values) - 3.0 * cf.std_errors)) - pipe.phi.sup_norm
     m = cf.grid.half_count
     symmetric = bool(np.array_equal(cf.values[:m], np.conj(cf.values[m + 1:][::-1])))
@@ -29,13 +28,13 @@ def _check_cf_sanity(pipe) -> dict:
 
 
 def _check_mass(pipe) -> dict:
-    t = pipe.cfg.simulation.t_final
-    cf, p, _ = pipe.density_at(t)
+    cf, p, _ = pipe.density_at(pipe.cfg.simulation.t_final)
     gamma = pipe.cfg.bounds.gamma
     c_fit = fit_decay(cf, gamma)
     truncation = c_fit / (np.pi * gamma * (1.0 + cf.grid.y_max) ** gamma)
-    tol = 2.0 * truncation + 3.0 * cf.se_at(0.0) + pipe.cfg.certify.mass_slack
-    gap = abs(p.mass() - cf.value_at(0.0).real)
+    m = cf.grid.half_count
+    tol = 2.0 * truncation + 3.0 * cf.std_errors[m] + pipe.cfg.certify.mass_slack
+    gap = abs(p.mass() - cf.values[m].real)
     return {"value": gap, "tolerance": tol, "pass": bool(gap <= tol)}
 
 
@@ -57,7 +56,7 @@ def _check_analytic_roundtrip(pipe) -> dict:
     """Feed the exact localized CF to the inverter and compare densities."""
     rm = pipe.cfg.reference_model
     t = pipe.cfg.simulation.t_final
-    grid = FrequencyGrid.uniform(pipe.cfg.certify.analytic_y_max, pipe.freq_grid.spacing)
+    grid = pipe.cfg.analytic_grid
     ys = grid.values[grid.half_count:]
     pos = oracle.localized_cf_transformed(rm, pipe.phi, pipe.transform, t, ys)
     _, q = pipe.density_of(CharFnEstimate.from_values(pos, grid, t=t))

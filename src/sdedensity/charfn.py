@@ -13,8 +13,8 @@ array is made and the bits never depend on the thread count.  A chunk's two
 chunks of 8,192 and 4,096 took 1.2 and 2.6 times as long, from per-call
 dispatch (gaussian preset, 2 threads).
 
-Negative frequencies are filled by conjugation, which is exact for real
-samples, so conjugate symmetry of the estimate holds bitwise.
+Negative frequencies are filled by conjugation (``CharFnEstimate.from_values``),
+which is exact for real samples, so conjugate symmetry holds bitwise.
 """
 
 from __future__ import annotations
@@ -32,22 +32,14 @@ _CF_CHUNK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Symmetric uniform grid {-M dy, ..., 0, ..., M dy}."""
+    """Symmetric uniform grid {-M dy, ..., 0, ..., M dy}, M = half_count, dy = spacing."""
 
-    values: np.ndarray
-    y_max: float
+    half_count: int
     spacing: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size % 2 == 0:
-            raise ConfigError("frequency grid must be 1-d with odd length")
-        m = v.size // 2
-        if v[m] != 0.0:
-            raise ConfigError("frequency grid must contain 0 at its center")
-        if not np.array_equal(v[m:], -v[m::-1]):
-            raise ConfigError("frequency grid must be symmetric about 0")
-        object.__setattr__(self, "values", v)
+        m = self.half_count
+        object.__setattr__(self, "values", self.spacing * np.arange(-m, m + 1))
 
     @classmethod
     def uniform(cls, y_max: float, spacing: float) -> "FrequencyGrid":
@@ -55,19 +47,32 @@ class FrequencyGrid:
             raise ConfigError("y_max and spacing must be positive")
         try:
             m = int(round(y_max / spacing))
-            vals = spacing * np.arange(-m, m + 1)
-        except (OverflowError, ValueError):  # numpy refuses the size before allocating
-            raise ConfigError("y_max / spacing is more frequencies than numpy can index") from None
+            grid = cls(m, spacing)
+        except (OverflowError, ValueError, MemoryError):  # a size numpy refuses or cannot allocate
+            raise ConfigError("y_max / spacing is more frequencies than numpy can hold") from None
         if m < 1:
             raise ConfigError("y_max must be at least one spacing")
-        return cls(values=vals, y_max=m * spacing, spacing=spacing)
+        return grid
 
     @property
-    def half_count(self) -> int:
-        return self.values.size // 2
+    def y_max(self) -> float:
+        return self.half_count * self.spacing
 
     def positive(self) -> np.ndarray:
         return self.values[self.half_count + 1:]
+
+    def index(self, y):
+        """The positions of the frequencies y (shaped like y); an entry that is
+        not a grid frequency, to 1e-9, is an error."""
+        y = np.asarray(y, dtype=float)
+        with np.errstate(all="ignore"):
+            j = np.rint(y / self.spacing) + self.half_count
+        ok = (j >= 0) & (j < self.values.size)
+        j = np.where(ok, j, 0).astype(np.intp)
+        ok &= np.abs(self.values[j] - y) <= 1e-9
+        if not np.all(ok):
+            raise ConfigError(f"frequency {y[~ok][0]} is not on the grid")
+        return j[()]
 
 
 @dataclass(eq=False)
@@ -80,32 +85,22 @@ class CharFnEstimate:
     n_paths: int
     t: float
 
-    def _index(self, y: float) -> int:
-        j = int(round((y - self.grid.values[0]) / self.grid.spacing))
-        if not (0 <= j < self.grid.values.size) or abs(self.grid.values[j] - y) > 1e-9:
-            raise ConfigError(f"frequency {y} is not on the grid")
-        return j
-
-    def value_at(self, y: float) -> complex:
-        return complex(self.values[self._index(y)])
-
-    def se_at(self, y: float) -> float:
-        return float(self.std_errors[self._index(y)])
-
     @classmethod
     def from_function(cls, f, grid: FrequencyGrid, t: float = 0.0) -> "CharFnEstimate":
         """Wrap an analytic CF (zero standard errors, mirrored for symmetry)."""
         return cls.from_values([complex(f(y)) for y in grid.values[grid.half_count:]], grid, t)
 
     @classmethod
-    def from_values(cls, pos, grid: FrequencyGrid, t: float = 0.0) -> "CharFnEstimate":
-        """Exact CF values at the grid's non-negative frequencies, mirrored to the rest."""
+    def from_values(cls, pos, grid: FrequencyGrid, t: float = 0.0, se=None,
+                    n_paths: int = 0) -> "CharFnEstimate":
+        """CF values and standard errors (None: zero) at the grid's non-negative
+        frequencies, mirrored to the rest: values conjugated, errors as they are."""
         pos = np.asarray(pos, dtype=complex)
         if pos.shape != (grid.half_count + 1,):
             raise ConfigError("need one value per non-negative grid frequency")
-        vals = np.concatenate([np.conj(pos[1:])[::-1], pos])
-        return cls(grid=grid, values=vals, std_errors=np.zeros(grid.values.size),
-                   n_paths=0, t=t)
+        se = np.zeros(pos.size) if se is None else se
+        return cls(grid=grid, values=np.concatenate([np.conj(pos[1:])[::-1], pos]),
+                   std_errors=np.concatenate([se[1:][::-1], se]), n_paths=n_paths, t=t)
 
 
 def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
@@ -136,8 +131,7 @@ def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
 
     parts = map_ordered(block_sums, path_chunks(n, _CF_CHUNK), threads=threads)
     totals = kahan_merge(parts)
-    mean_a = totals[0] / n
-    mean_b = totals[1] / n
+    mean_a, mean_b = totals / n
 
     # E[(w cos(yx))^2] = (E[w^2] + Re E[w^2 e^{2iyx}]) / 2, same with a minus for sin
     w2 = mean_b[0].real
@@ -147,10 +141,7 @@ def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
     var_i = np.maximum(e_i2 - mean_a.imag**2, 0.0)
     bessel = n / (n - 1.0) if n > 1 else 1.0
     se_pos = np.sqrt(np.maximum(var_r, var_i) * bessel / n)
-
-    values = np.concatenate([np.conj(mean_a[1:])[::-1], mean_a])
-    ses = np.concatenate([se_pos[1:][::-1], se_pos])
-    return CharFnEstimate(grid=grid, values=values, std_errors=ses, n_paths=n, t=t)
+    return CharFnEstimate.from_values(mean_a, grid, t, se_pos, n)
 
 
 def estimate_localized(ens: PathEnsemble, phi, transform, grid: FrequencyGrid, t: float,

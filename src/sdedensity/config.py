@@ -23,7 +23,7 @@ from . import charfn, oracle
 from .certify import CHECKS
 from .cutoff import CutoffFunction, make_bump
 from .errors import ConfigError, SdeDensityError
-from .invert import invert as invert_cf, pushforward
+from .invert import check_aliasing, invert as invert_cf, pushforward
 from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
                     LocalWindow, Piece, PiecewiseFunction, Polynomial, Sinusoid,
@@ -353,12 +353,21 @@ class RunConfig:
         return _built(where, bounds_mod.bound_plan, self.g, self.window, sim,
                       sim.t_final, y, b.eps_rule)
 
-    @property
-    def x_range(self) -> tuple[float, float]:
-        """Ends of the inversion grid: H(supp phi) widened by inversion.margin per side."""
+    @cached_property
+    def x_grid(self) -> np.ndarray:
+        """The inversion grid: inversion.n_points on H(supp phi), widened by the margin."""
         lo, hi = self.transform.image(self.phi.a, self.phi.b)
-        margin = self.inversion.margin * (hi - lo)
-        return lo - margin, hi + margin
+        margin, n = self.inversion.margin * (hi - lo), self.inversion.n_points
+        try:
+            return np.linspace(lo - margin, hi + margin, n)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"inversion.n_points: cannot hold {n} points ({exc})") from None
+
+    @cached_property
+    def analytic_grid(self) -> charfn.FrequencyGrid:
+        """The analytic round trip's grid: certify.analytic_y_max at the grid spacing."""
+        return _built("certify.analytic_y_max", charfn.FrequencyGrid.uniform,
+                      self.certify.analytic_y_max, self.freq_grid.spacing)
 
     def validate(self) -> None:
         """The rules that tie fields of different sections together."""
@@ -380,16 +389,8 @@ class RunConfig:
             if earlier != t:
                 raise ConfigError(f"density.t_list: t={earlier!r} and t={t!r} share the "
                                   f"file tag {t_tag(t)!r}")
-        self.bound_plan  # built here, so its rules fail at parse time
-        lo, hi = self.x_range
-        limit = math.pi / self.freq_grid.spacing
-        if hi - lo >= limit:
-            raise ConfigError(
-                f"inversion.margin: the inversion grid spans {hi - lo:.4g}, not below the "
-                f"aliasing limit pi/frequency_grid.spacing = {limit:.4g}; reduce the margin "
-                f"or refine the frequency spacing")
-        _built("certify.analytic_y_max", charfn.FrequencyGrid.uniform,
-               self.certify.analytic_y_max, self.freq_grid.spacing)
+        self.bound_plan, self.analytic_grid  # built here, so their rules fail at parse time
+        _built("inversion.margin", check_aliasing, self.x_grid, self.freq_grid.spacing)
         if self.reference_model is not None:
             _built("reference", self.reference_model.marginal, sim.t_final)
         for name in self.certify.checks:
@@ -454,10 +455,6 @@ class Pipeline:
         return simulate(self.model, self.cfg.simulation, threads=self.threads, record=steps,
                         band_pass=self.cfg.bound_plan.kernel if bound else None)
 
-    def x_grid(self) -> np.ndarray:
-        """Inversion grid in the transformed coordinate, covering H(supp phi)."""
-        return np.linspace(*self.cfg.x_range, self.cfg.inversion.n_points)
-
     def cf_at(self, t: float) -> charfn.CharFnEstimate:
         if t not in self._cf:
             self._cf[t] = charfn.estimate_localized(self.ensemble, self.phi, self.transform,
@@ -465,9 +462,9 @@ class Pipeline:
         return self._cf[t]
 
     def density_of(self, cf: charfn.CharFnEstimate) -> tuple:
-        """A localized CF inverted onto ``x_grid()``: the density p in the
+        """A localized CF inverted onto ``cfg.x_grid``: the density p in the
         transformed coordinate and its pushforward q in the state coordinate."""
-        p = invert_cf(cf, self.x_grid())
+        p = invert_cf(cf, self.cfg.x_grid)
         return p, pushforward(p, self.transform)
 
     def density_at(self, t: float):

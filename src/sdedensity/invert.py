@@ -17,7 +17,7 @@ and the grids are small enough for the O(n^2) scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +30,24 @@ _INVERT_BLOCK, _HOLDER_BLOCK = 64, 512  # rows per block: invert's phases, holde
 
 @dataclass(eq=False)
 class DensityEstimate:
-    """A real density on a grid, with the truncation metadata of its inversion."""
+    """A real density on a grid, and the imaginary residue its inversion dropped."""
 
     x_grid: np.ndarray
     values: np.ndarray
-    y_max: float
     t: float
     coordinate: str  # 'transformed' | 'state'
     imag_residual: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x_grid))
+
+
+def check_aliasing(x_grid: np.ndarray, spacing: float) -> None:
+    """Reject an x grid as wide as pi/spacing or wider, where its ends alias."""
+    diameter, limit = float(x_grid.max() - x_grid.min()), math.pi / spacing
+    if diameter >= limit:
+        raise ConfigError(f"the inversion grid spans {diameter:.4g}, not below the aliasing "
+                          f"limit pi/spacing = {limit:.4g}")
 
 
 def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
@@ -49,12 +55,7 @@ def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
     x_grid = np.asarray(x_grid, dtype=float)
     y = cf.grid.values
     dy = cf.grid.spacing
-    diameter = float(x_grid.max() - x_grid.min())
-    if diameter >= math.pi / dy:
-        raise ConfigError(
-            f"x-grid diameter {diameter:.3g} violates the aliasing limit "
-            f"pi/spacing = {math.pi / dy:.3g}"
-        )
+    check_aliasing(x_grid, dy)
     wts = np.ones_like(y)
     wts[0] = wts[-1] = 0.5
     wv = wts * cf.values
@@ -69,17 +70,12 @@ def invert(cf: CharFnEstimate, x_grid: np.ndarray) -> DensityEstimate:
     # covers pure rounding when the input is analytic (zero SEs)
     se_prop = dy / (2.0 * math.pi) * math.sqrt(float(np.sum((wts * cf.std_errors) ** 2)))
     floor = 1e-12 * dy / (2.0 * math.pi) * float(np.sum(np.abs(wv)) + 1.0)
-    imag_max = float(np.max(np.abs(out.imag)))
-    if imag_max > max(10.0 * se_prop, floor):
-        raise NumericsError(
-            f"imaginary residue {imag_max:.3g} exceeds tolerance "
-            f"{max(10.0 * se_prop, floor):.3g}; input is not a valid CF"
-        )
-    return DensityEstimate(
-        x_grid=x_grid, values=out.real, y_max=cf.grid.y_max, t=cf.t,
-        coordinate="transformed", imag_residual=imag_max,
-        metadata={"imag_allowance": max(10.0 * se_prop, floor)},
-    )
+    allowance, imag_max = max(10.0 * se_prop, floor), float(np.max(np.abs(out.imag)))
+    if imag_max > allowance:
+        raise NumericsError(f"imaginary residue {imag_max:.3g} exceeds tolerance "
+                            f"{allowance:.3g}; input is not a valid CF")
+    return DensityEstimate(x_grid=x_grid, values=out.real, t=cf.t, coordinate="transformed",
+                           imag_residual=imag_max)
 
 
 def pushforward(p: DensityEstimate, m: LampertiMap) -> DensityEstimate:
@@ -97,7 +93,7 @@ def pushforward(p: DensityEstimate, m: LampertiMap) -> DensityEstimate:
     if not m.increasing:
         x_state = x_state[::-1]
         q = q[::-1]
-    return DensityEstimate(x_grid=x_state, values=q, y_max=p.y_max, t=p.t, coordinate="state",
+    return DensityEstimate(x_grid=x_state, values=q, t=p.t, coordinate="state",
                            imag_residual=p.imag_residual)
 
 

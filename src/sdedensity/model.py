@@ -54,6 +54,10 @@ class Piece:
         """Interior points of (a, b) where the classical derivative fails."""
         return ()
 
+    def zeros(self) -> tuple[float, ...]:
+        """Points where the piece may vanish between the points of a grid."""
+        return ()
+
 
 def _polyval(coeffs: tuple[float, ...], x):
     arr, scalar = _as_array(x)
@@ -81,6 +85,12 @@ class Polynomial(Piece):
 
     def derivative(self, x):
         return _polyval(self.deriv_coeffs, x)
+
+    def zeros(self):
+        try:  # the real parts of the roots; none where a coefficient ratio overflows
+            return tuple(np.polynomial.polynomial.polyroots(self.coeffs).real)
+        except np.linalg.LinAlgError:
+            return ()
 
 
 def Constant(value: float) -> Polynomial:
@@ -134,6 +144,9 @@ class HolderPower(Piece):
             out = self.scale * self.exponent * np.sign(d) * np.abs(d) ** (self.exponent - 1.0)
         out = np.where(d == 0.0, 0.0, out)
         return _ret(out, scalar)
+
+    def zeros(self):
+        return (self.center,)
 
     def kinks(self, a, b):
         if self.exponent < 1.0 + _DERIV_MATCH_TOL and a < self.center < b:
@@ -410,16 +423,19 @@ def finite_on_window(f: PiecewiseFunction, w: LocalWindow, field: str) -> np.nda
 
 
 def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> None:
-    """Check sigma on the window: finite and |sigma| >= l_sigma on a dense grid
-    (exact verification of arbitrary pieces is not decidable), and Lipschitz
-    by ``lipschitz_on``."""
-    floor = float(np.min(np.abs(finite_on_window(sigma, w, "sigma"))))
-    if floor < w.l_sigma * (1 - 1e-12):
-        raise ConfigError(
-            f"model.sigma: inf |sigma| on the window is {floor:.6g} < l_sigma={w.l_sigma}"
-        )
-    if not sigma.lipschitz_on(w.lo, w.hi):
+    """Check sigma on the window: finite, Lipschitz by ``lipschitz_on``, and
+    |sigma| >= l_sigma on a dense grid and at each piece's ``zeros`` in its
+    segment (exact verification of arbitrary pieces is not decidable)."""
+    grid = np.abs(finite_on_window(sigma, w, "sigma"))
+    if not sigma.lipschitz_on(w.lo, w.hi):  # first: a power's cusp is also its zero
         raise ConfigError("model.sigma: not Lipschitz on the window")
+    with np.errstate(all="ignore"):
+        at_zeros = [abs(p(z)) for lo, hi, p in sigma.overlapping(w.lo, w.hi)
+                    for z in p.zeros() if lo <= z <= hi]
+    floor = float(min([np.min(grid), *at_zeros]))
+    if floor < w.l_sigma * (1 - 1e-12):
+        raise ConfigError(f"model.sigma: inf |sigma| on the window is {floor:.6g} "
+                          f"< l_sigma={w.l_sigma}")
 
 
 def build_sigma_star(sigma: PiecewiseFunction, w: LocalWindow) -> PiecewiseFunction:

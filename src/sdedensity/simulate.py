@@ -183,17 +183,16 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
                           f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
 
-    def euler_block(block, rows, steps, reduction=None):
-        """One block's states at `steps` (a row per step), and whether it ended
-        finite; ``reduction`` gets the states at the band's steps."""
-        slot = [-1] * (n_steps + 1)
-        for j, k in enumerate(steps):
-            slot[k] = j
-        local = np.empty((len(steps), rows))
+    rows_of = {k: j for j, k in enumerate(recorded)}  # recorded grid step -> row
+
+    def euler_block(block, rows, slot, reduction=None):
+        """A block's states at the steps of ``slot`` (a step -> row map; a range is
+        every step), and whether it ended finite; ``reduction`` gets the band's."""
+        local = np.empty((len(slot), rows))
         x = np.full(rows, float(cfg.x0))
 
         def reached(k):
-            if slot[k] >= 0:
+            if k in slot:
                 local[slot[k]] = x
             if reduction is not None and k in band:
                 reduction.push(x)
@@ -211,7 +210,7 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     def run_block(args):
         block, (start, stop) = args
         reduction = None if band_pass is None else band_pass.start(stop - start)
-        local, finite = euler_block(block, stop - start, recorded, reduction)
+        local, finite = euler_block(block, stop - start, rows_of, reduction)
         if not finite:
             full, _ = euler_block(block, stop - start, range(n_steps + 1))
             k = 1 + int(np.argmin(np.all(np.isfinite(full[1:]), axis=1)))

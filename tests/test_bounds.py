@@ -213,6 +213,18 @@ class TestBoundReport:
         with pytest.raises(ConfigError, match="log"):
             report_of(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
 
+    def test_empirical_is_the_modulus_fit_decay_takes(self):
+        # |cf| and its SE gathered at the checked frequencies' grid positions,
+        # with the np.abs that fit_decay and cf_sanity take, bit for bit
+        raw = json.loads(json.dumps(PRESETS["sign_drift"]))
+        raw["simulation"]["n_paths"] = 20_000
+        pipe = Pipeline(RunConfig.from_dict(raw), threads=2)
+        report = pipe.bound_report()
+        cf = pipe.cf_at(report.t)
+        j = cf.grid.index(report.y)
+        assert report.empirical.tobytes() == np.abs(cf.values[j]).tobytes()
+        assert report.se.tobytes() == cf.std_errors[j].tobytes()
+
     def test_csv_schema(self, tmp_path):
         from sdedensity.cli import cmd_bound
 

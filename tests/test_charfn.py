@@ -29,9 +29,26 @@ class TestFrequencyGrid:
         assert grid.values[m] == 0.0
         assert np.array_equal(grid.values[m:], -grid.values[m::-1])
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(sd.ConfigError):
-            sd.FrequencyGrid(values=np.array([0.0, 1.0]), y_max=1.0, spacing=1.0)
+    def test_values_are_the_spacing_times_the_offsets(self):
+        grid = sd.FrequencyGrid(3, 0.1)
+        assert grid.values.tobytes() == (0.1 * np.arange(-3, 4)).tobytes()
+        assert grid.y_max == 3 * 0.1
+        assert sd.FrequencyGrid.uniform(0.3, 0.1).values.tobytes() == grid.values.tobytes()
+
+    def test_index_is_the_position_of_every_grid_frequency(self, grid):
+        assert np.array_equal(grid.index(grid.values), np.arange(grid.values.size))
+        assert grid.index(0.0) == grid.half_count
+        assert grid.index(np.array([[8.0, -8.0]])).tolist() == [[2 * grid.half_count, 0]]
+
+    @pytest.mark.parametrize("y", [0.5, -5.0, -9.0, 5.0, math.inf, math.nan])
+    def test_off_grid_frequency_rejected(self, y):
+        # between two frequencies, or beyond either end of the grid; an index
+        # that wrapped around would read another frequency's entry
+        grid = sd.FrequencyGrid.uniform(4.0, 1.0)
+        assert grid.index(np.array([-4.0, 0.0, 4.0])).tolist() == [0, 4, 8]
+        for ys in (y, [0.0, y]):
+            with pytest.raises(sd.ConfigError, match=f"^frequency {y} is not on the grid$"):
+                grid.index(ys)
 
 
 class TestEstimate:
@@ -41,12 +58,12 @@ class TestEstimate:
         phi = sd.make_plateau_sequence(3)
         cf = sd.cf_from_samples(ens.states_at(0.25), phi, grid, 0.25)
         for y in (-3.0, 0.5, 7.0):
-            assert cf.value_at(y) == pytest.approx(cmath.exp(1j * y * 1.3), abs=1e-10)
+            assert cf.values[grid.index(y)] == pytest.approx(cmath.exp(1j * y * 1.3), abs=1e-10)
 
     def test_zero_frequency_is_weight_mean(self, bm_ensemble, grid):
         phi = sd.make_plateau_sequence(1)
         cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
-        v = cf.value_at(0.0)
+        v = cf.values[grid.index(0.0)]
         assert v.imag == 0.0
         assert 0.0 <= v.real <= 1.0
 
@@ -57,11 +74,11 @@ class TestEstimate:
         cf = sd.cf_from_samples(ens.states_at(1.0), phi, grid, 1.0)
         rm = sd.ReferenceModel("brownian_drift", mu0=0.0, sigma0=1.0, x0=0.0)
         # e^{-1/2} up to the plateau truncation (< 1e-3) plus MC noise
-        assert abs(cf.value_at(1.0) - cmath.exp(-0.5)) <= 1e-3 + 3 * cf.se_at(1.0)
+        j = grid.index(1.0)
+        assert abs(cf.values[j] - cmath.exp(-0.5)) <= 1e-3 + 3 * cf.std_errors[j]
         for y in (0.0, 0.5, 1.0, 2.5, 5.0):
             target = sd.localized_cf(rm, phi, 1.0, y)
-            got = cf.value_at(y)
-            se = cf.se_at(y)
+            got, se = cf.values[grid.index(y)], cf.std_errors[grid.index(y)]
             assert abs(got.real - target.real) <= 3 * se
             assert abs(got.imag - target.imag) <= 3 * se
 
@@ -75,7 +92,7 @@ class TestEstimate:
     def test_modulus_bounded_by_center_value(self, bm_ensemble, grid):
         phi = sd.make_plateau_sequence(1)
         cf = sd.cf_from_samples(bm_ensemble.states_at(0.25), phi, grid, 0.25)
-        v0 = cf.value_at(0.0).real
+        v0 = cf.values[grid.index(0.0)].real
         assert np.all(np.abs(cf.values) <= v0 + 3 * cf.std_errors + 1e-12)
 
     def test_threads_do_not_change_bits(self, sin_sigma, sin_window, grid):
@@ -128,7 +145,8 @@ class TestEstimate:
         loc = sd.estimate_localized(bm_ensemble, phi, lam, grid, 0.25)
         for y in (0.5, 2.0):
             rot = cmath.exp(1j * y * 6.0)
-            assert loc.value_at(y) == pytest.approx(raw.value_at(y) * rot, abs=1e-9)
+            j = grid.index(y)
+            assert loc.values[j] == pytest.approx(raw.values[j] * rot, abs=1e-9)
 
 
 class TestAnalyticOracles:
@@ -175,19 +193,15 @@ class TestExport:
         y, re, im, se = first.split(",")
         assert float(y) == cf.grid.values[0]
 
-    @pytest.mark.parametrize("y", [0.5, -5.0, -9.0, 5.0])
-    def test_off_grid_frequency_rejected(self, y):
-        # between two frequencies, or beyond either end of the grid; an index
-        # that wrapped around would read another frequency's entry
-        grid = sd.FrequencyGrid.uniform(4.0, 1.0)
-        cf = sd.CharFnEstimate(grid=grid, values=grid.values.astype(complex),
-                               std_errors=np.arange(9.0), n_paths=2, t=0.0)
-        assert [cf.se_at(v) for v in (-4.0, 0.0, 4.0)] == [0.0, 4.0, 8.0]
-        for lookup in (cf.value_at, cf.se_at):
-            with pytest.raises(sd.ConfigError, match=f"frequency {y} is not on the grid"):
-                lookup(y)
-
     def test_from_function_has_zero_errors(self, grid):
         cf = sd.CharFnEstimate.from_function(lambda y: cmath.exp(-y * y / 2), grid)
         assert np.all(cf.std_errors == 0.0)
-        assert cf.value_at(-1.0) == np.conj(cf.value_at(1.0))
+        assert cf.values[grid.index(-1.0)] == np.conj(cf.values[grid.index(1.0)])
+
+    def test_from_values_mirrors_values_and_errors(self):
+        grid = sd.FrequencyGrid(2, 0.5)
+        cf = sd.CharFnEstimate.from_values([1.0, 0.5 + 0.25j, -0.5j], grid, t=0.5,
+                                           se=np.array([0.1, 0.2, 0.3]), n_paths=7)
+        assert cf.values.tolist() == [0.5j, 0.5 - 0.25j, 1.0, 0.5 + 0.25j, -0.5j]
+        assert cf.std_errors.tolist() == [0.3, 0.2, 0.1, 0.2, 0.3]
+        assert (cf.n_paths, cf.t) == (7, 0.5)

@@ -348,7 +348,7 @@ class TestCommands:
          "bounds.eps_rule: expected 'matched' or a finite number, got 'bogus'"),
         (lambda c: c["inversion"].update(margin=3.0),
          "inversion.margin: the inversion grid spans 70, not below the aliasing limit "
-         "pi/frequency_grid.spacing = 12.57; reduce the margin or refine the frequency spacing"),
+         "pi/spacing = 12.57"),
         (lambda c: c["bounds"].update(y_lo=9.0),
          "bounds.y_lo..bounds.y_hi: no frequency_grid frequency lies in (9.0, 8.0]"),
         # a null y_hi is no upper limit
@@ -494,6 +494,38 @@ class TestCommands:
         assert main(["cf", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: simulation.n_paths: cannot hold {n_paths} paths x 1 ")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("inversion", "n_points", 10**12, "inversion.n_points: cannot hold 1000000000000 points"),
+        ("inversion", "n_points", 10**400, f"inversion.n_points: cannot hold {10**400} points"),
+        ("frequency_grid", "y_max", 1e11,
+         "frequency_grid: y_max / spacing is more frequencies than numpy can hold"),
+        ("certify", "analytic_y_max", 1e11,
+         "certify.analytic_y_max: y_max / spacing is more frequencies than numpy can hold"),
+    ], ids=["n_points=10**12", "n_points=10**400", "y_max=1e11", "analytic_y_max=1e11"])
+    def test_unallocatable_grid_exits_2_before_simulating(self, tmp_path, section, key, value,
+                                                          message):
+        # in a child whose address space is 3 GB, so that numpy's allocation
+        # fails whatever the machine's overcommit policy
+        code = (
+            "import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS,\n"
+            "                   (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from sdedensity import cli, config\n"
+            "def simulate(*args, **kwargs):\n"
+            "    raise AssertionError('simulated')\n"
+            "config.simulate = simulate\n"
+            "sys.exit(cli.main(['density', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        raw = json.loads(json.dumps(PRESETS["gaussian"]))
+        raw[section][key] = value
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(raw))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, str(p), str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith(f"error: {message}") and out.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2_naming_the_flag(self, tmp_path, capsys, threads):
@@ -755,6 +787,11 @@ class TestSigmaStarOnce:
         (_sigma({"kind": "constant", "value": 1.0}, {"kind": "constant", "value": -1.0},
                 breakpoints=[0.0]),
          "model.sigma: not Lipschitz on the window"),
+        # gbm's sigma = 0.25 x on its window widened over the root 0, which lies
+        # between the floor check's grid points
+        *[({**_sigma({"kind": "affine", "intercept": 0.0, "slope": 0.25}),
+            "window": {"xi": 2.0, "delta": delta, "delta0": 1.0, "l_sigma": 0.25}},
+           "model.sigma: inf |sigma| on the window is 0 < l_sigma=0.25") for delta in (1e300, 9.0)],
     ])
     def test_bad_sigma_messages(self, tmp_path, capsys, edit, message):
         p = tmp_path / "bad.json"

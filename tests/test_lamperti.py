@@ -141,14 +141,14 @@ class TestKnots:
         assert 0.0 not in m.knots_x and 0.5 in m.knots_x
         self.assert_knots(m, w)
 
-    def test_power_centre_inside_its_interval_adds_a_knot(self):
-        # 3|x - 0.3|, whose kink 0.3 is off the uniform grid; l_sigma lies below
-        # |sigma| on the floor check's grid, so only the knots are of interest here
+    def test_power_centre_inside_the_window_is_a_zero_of_sigma(self):
+        # 3|x - 0.3|: its kink 0.3, off the uniform grid, is also its zero, so
+        # no map has a power's kink inside the window
         sigma = sd.PiecewiseFunction((), (sd.HolderPower(3.0, 0.3, 1.0),))
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=1e-6)
-        m = sd.build_lamperti_map(sigma, w)
-        assert 0.3 in m.knots_x
-        self.assert_knots(m, w)
+        with pytest.raises(sd.ConfigError, match=r"^model\.sigma: inf \|sigma\| on the window "
+                                                 r"is 0 < l_sigma=1e-06$"):
+            sd.build_lamperti_map(sigma, w)
 
 
 class TestImage:

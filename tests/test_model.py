@@ -296,8 +296,36 @@ class TestSigmaStar:
         sigma = pw([], [sd.Affine(0.0, 1.0)])  # vanishes at 0
         w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5, l_sigma=0.1)
         with pytest.raises(ConfigError, match=r"^model\.sigma: inf \|sigma\| on the window "
-                                              r"is 0\.00010001 < l_sigma=0\.1$"):
+                                              r"is 0 < l_sigma=0\.1$"):
             sd.build_sigma_star(sigma, w)
+
+    @pytest.mark.parametrize("piece, l_sigma, floor", [
+        # 0.25 x on [-7, 11]: no grid point of the window lands on the root 0
+        (sd.Affine(0.0, 0.25), 0.25, "0"),
+        # (x - 0.3)^2 + 1e-8: complex roots whose real part 0.3 is off the grid
+        (sd.Polynomial((0.09 + 1e-8, -0.6, 1.0)), 1e-7, "1e-08"),
+        # 2 |x - 0.3|^1.5, zero at its centre
+        (sd.HolderPower(2.0, 0.3, 1.5), 0.1, "0"),
+    ])
+    def test_floor_is_read_at_each_zero_between_grid_points(self, piece, l_sigma, floor):
+        w = sd.LocalWindow(xi=2.0, delta=9.0, delta0=1.0, l_sigma=l_sigma)
+        with pytest.raises(ConfigError, match=rf"^model\.sigma: inf \|sigma\| on the window "
+                                              rf"is {floor} < l_sigma={l_sigma}$"):
+            sd.build_sigma_star(pw([], [piece]), w)
+
+    def test_zeros_outside_a_piece_segment_are_not_read(self):
+        # 1.5, then 7.5 (x - 0.3) on [0.5, inf): its root 0.3 is in the window
+        # [0.2, 1.2] but in the constant's segment
+        sigma = pw([0.5], [sd.Constant(1.5), sd.Affine(-2.25, 7.5)])
+        sd.build_sigma_star(sigma, sd.LocalWindow(xi=0.7, delta=0.5, delta0=0.25, l_sigma=1.5))
+
+    def test_polynomial_roots_past_the_float_range_are_skipped(self):
+        # the companion matrix of 1e300 + 1e-300 x^2 overflows; the grid check stands
+        piece = sd.Polynomial((1e300, 0.0, 1e-300))
+        with np.errstate(all="ignore"):
+            assert piece.zeros() == ()
+        sd.build_sigma_star(pw([], [piece]), sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5,
+                                                            l_sigma=1.0))
 
     def test_non_lipschitz_sigma_rejected(self):
         sigma = pw([], [sd.HolderPower(scale=1.0, center=0.0, exponent=0.5)])
@@ -457,5 +485,5 @@ class TestWindowValidation:
             sigma=pw([], [sd.Affine(0.0, 1.0)]),
         )
         with pytest.raises(ConfigError, match=r"^model\.sigma: inf \|sigma\| on the window "
-                                              r"is 0\.00060006 < l_sigma=1\.0$"):
+                                              r"is 0 < l_sigma=1\.0$"):
             sd.build_sigma_star(worse.sigma, window6)  # sigma hits 0 in the window

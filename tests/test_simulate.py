@@ -115,6 +115,22 @@ class TestRecordingPlan:
         with pytest.raises(ConfigError, match="0..8"):
             sd.simulate(bm_model, self.CFG, record=[0, 9])
 
+    def test_memory_of_a_partial_record_does_not_grow_with_the_steps(self, bm_model):
+        # one path recorded at its last step: what simulate holds per block grows
+        # with the recorded steps, not with the grid (a slot per grid step would
+        # be 16,385 pointers at h = 2^-14, about 131 KB)
+        peaks = []
+        for h in (2.0**-8, 2.0**-14):
+            cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=h, n_paths=1, seed=3)
+            sd.simulate(bm_model, cfg, record=[cfg.n_steps])  # first-call caches, untraced
+            tracemalloc.start()
+            try:
+                sd.simulate(bm_model, cfg, record=[cfg.n_steps])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * 1024
+
     def test_partial_ensemble_cannot_be_saved(self, bm_model, tmp_path):
         part = sd.simulate(bm_model, self.CFG, record=[8])
         with pytest.raises(ConfigError, match="recorded 1 of 9"):
