@@ -95,7 +95,7 @@ class CutoffFunction:
         w = self.shoulder_width
         out[left] = s((arr[left] - self.a) / w) / w**order
         out[right] = right_sign * s((self.b - arr[right]) / w) / w**order
-        return float(out) if out.ndim == 0 else out
+        return out[()]
 
     def __call__(self, x):
         return self._evaluate(x, 0)

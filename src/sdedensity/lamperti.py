@@ -62,8 +62,8 @@ class LampertiMap:
 
     # -- forward -------------------------------------------------------------
 
-    def forward_many(self, x) -> np.ndarray:
-        """H(x) for an array of points, or one point (a float), anywhere on the line."""
+    def forward_many(self, x):
+        """H(x) anywhere on the line, shaped like x."""
         arr = np.asarray(x, dtype=float)
         flat = np.atleast_1d(arr).ravel()
         out = np.empty_like(flat)
@@ -82,7 +82,7 @@ class LampertiMap:
             res = _integrals_of_inverse(self.sigma_star.pieces, self.cell_piece,
                                         self.knots_x, idx, xm)
             out[mid] = self.knots_h[idx] + res
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+        return out.reshape(arr.shape)[()]
 
     def image(self, a: float, b: float) -> tuple[float, float]:
         """H([a, b]) as (lo, hi).
@@ -100,8 +100,8 @@ class LampertiMap:
     def increasing(self) -> bool:
         return self.left_value > 0.0
 
-    def inverse_many(self, y) -> np.ndarray:
-        """x with H(x) = y, for an array of y, or one y (a float), anywhere on the line."""
+    def inverse_many(self, y):
+        """x with H(x) = y anywhere on the line, shaped like y."""
         arr = np.asarray(y, dtype=float)
         flat = np.atleast_1d(arr).ravel().copy()
         sgn = 1.0 if self.increasing else -1.0
@@ -137,7 +137,7 @@ class LampertiMap:
             else:
                 raise NumericsError("inverse iteration failed to reach tolerance")
             out[mid] = x
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+        return out.reshape(arr.shape)[()]
 
 
 def build_lamperti_map(sigma: PiecewiseFunction, w: LocalWindow) -> LampertiMap:

@@ -26,15 +26,6 @@ _DERIV_MATCH_TOL = 1e-9
 _N_GRID = 10_000  # grid points of the window checks on sigma and mu
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
-
-
 # ---------------------------------------------------------------------------
 # piece kinds
 # ---------------------------------------------------------------------------
@@ -54,14 +45,9 @@ class Piece:
         """Interior points of (a, b) where the classical derivative fails."""
         return ()
 
-    def zeros(self) -> tuple[float, ...]:
-        """Points where the piece may vanish between the points of a grid."""
+    def zeros(self, a: float, b: float) -> tuple[float, ...]:
+        """Points of [a, b] where the piece may vanish between the points of a grid."""
         return ()
-
-
-def _polyval(coeffs: tuple[float, ...], x):
-    arr, scalar = _as_array(x)
-    return _ret(np.polynomial.polynomial.polyval(arr, coeffs), scalar)
 
 
 @dataclass(frozen=True)
@@ -81,16 +67,17 @@ class Polynomial(Piece):
         return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)
 
     def __call__(self, x):
-        return _polyval(self.coeffs, x)
+        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)[()]
 
     def derivative(self, x):
-        return _polyval(self.deriv_coeffs, x)
+        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.deriv_coeffs)[()]
 
-    def zeros(self):
+    def zeros(self, a, b):
         try:  # the real parts of the roots; none where a coefficient ratio overflows
-            return tuple(np.polynomial.polynomial.polyroots(self.coeffs).real)
+            roots = np.polynomial.polynomial.polyroots(self.coeffs).real
         except np.linalg.LinAlgError:
             return ()
+        return tuple(z for z in roots if a <= z <= b)
 
 
 def Constant(value: float) -> Polynomial:
@@ -113,12 +100,24 @@ class Sinusoid(Piece):
     phase: float = 0.0
 
     def __call__(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self.offset + self.amplitude * np.sin(self.frequency * arr + self.phase), scalar)
+        arg = self.frequency * np.asarray(x, dtype=float) + self.phase
+        return (self.offset + self.amplitude * np.sin(arg))[()]
 
     def derivative(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self.amplitude * self.frequency * np.cos(self.frequency * arr + self.phase), scalar)
+        arg = self.frequency * np.asarray(x, dtype=float) + self.phase
+        return (self.amplitude * self.frequency * np.cos(arg))[()]
+
+    def zeros(self, a, b):
+        """The solutions of sin(frequency x + phase) = -offset / amplitude in one
+        period from a: the piece repeats with its period, and so does |piece|
+        at its zeros."""
+        c = -self.offset / self.amplitude if self.amplitude else math.inf
+        if self.frequency == 0.0 or abs(c) > 1.0:
+            return ()
+        period = 2.0 * math.pi / abs(self.frequency)
+        s = math.asin(c)
+        xs = ((theta - self.phase) / self.frequency for theta in (s, math.pi - s))
+        return tuple(z for z in (a + (x - a) % period for x in xs) if z <= b)
 
 
 @dataclass(frozen=True)
@@ -134,19 +133,16 @@ class HolderPower(Piece):
             raise ConfigError("power piece requires a positive exponent")
 
     def __call__(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(self.scale * np.abs(arr - self.center) ** self.exponent, scalar)
+        return (self.scale * np.abs(np.asarray(x, dtype=float) - self.center) ** self.exponent)[()]
 
     def derivative(self, x):
-        arr, scalar = _as_array(x)
-        d = arr - self.center
+        d = np.asarray(x, dtype=float) - self.center
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.scale * self.exponent * np.sign(d) * np.abs(d) ** (self.exponent - 1.0)
-        out = np.where(d == 0.0, 0.0, out)
-        return _ret(out, scalar)
+        return np.where(d == 0.0, 0.0, out)[()]
 
-    def zeros(self):
-        return (self.center,)
+    def zeros(self, a, b):
+        return (self.center,) if a <= self.center <= b else ()
 
     def kinks(self, a, b):
         if self.exponent < 1.0 + _DERIV_MATCH_TOL and a < self.center < b:
@@ -272,13 +268,10 @@ class _Compiled:
 
 
 def _evaluate(compiled: _Compiled, x):
-    """The single output of ``compiled`` at x, shaped like x (a float for a scalar)."""
-    arr, scalar = _as_array(x)
-    arr1 = np.atleast_1d(arr)
-    (out,) = compiled(arr1)
-    if np.ndim(out) == 0:
-        out = np.full(arr1.shape, out)
-    return _ret(out.reshape(arr.shape), scalar)
+    """The single output of ``compiled`` at x, shaped like x (numpy's 0-d rule)."""
+    arr = np.asarray(x, dtype=float)
+    (out,) = compiled(np.atleast_1d(arr))
+    return (np.full(arr.shape, out) if np.ndim(out) == 0 else out.reshape(arr.shape))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +424,7 @@ def _check_sigma_on_window(sigma: PiecewiseFunction, w: LocalWindow) -> None:
         raise ConfigError("model.sigma: not Lipschitz on the window")
     with np.errstate(all="ignore"):
         at_zeros = [abs(p(z)) for lo, hi, p in sigma.overlapping(w.lo, w.hi)
-                    for z in p.zeros() if lo <= z <= hi]
+                    for z in p.zeros(lo, hi)]
     floor = float(min([np.min(grid), *at_zeros]))
     if floor < w.l_sigma * (1 - 1e-12):
         raise ConfigError(f"model.sigma: inf |sigma| on the window is {floor:.6g} "

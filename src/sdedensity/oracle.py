@@ -87,17 +87,16 @@ def exact_density(rm: ReferenceModel, t: float, x):
         out[pos] = np.exp(-0.5 * ((lx - loc) / scale) ** 2) / (
             arr[pos] * scale * math.sqrt(2 * math.pi)
         )
-    return float(out) if out.ndim == 0 else out
+    return out[()]
 
 
-def exact_cf(rm: ReferenceModel, t: float, y) -> complex:
+def exact_cf(rm: ReferenceModel, t: float, y):
     """Unweighted CF of the marginal (Gaussian kinds only)."""
     law, loc, scale = rm.marginal(t)
     if law != "normal":
         raise DomainError("closed-form CF only available for the Gaussian kinds")
     y = np.asarray(y, dtype=float)
-    out = np.exp(1j * y * loc - 0.5 * (scale * y) ** 2)
-    return complex(out) if out.ndim == 0 else out
+    return np.exp(1j * y * loc - 0.5 * (scale * y) ** 2)[()]
 
 
 def _forward(transform, x):
@@ -148,12 +147,11 @@ def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y):
     """CF of the localized law pushed through Y = H(X):  E[e^{iyH(X)} phi(X)].
 
     H is ``transform.forward_many``, or the identity for ``transform=None``.
-    y is one frequency (a complex result) or an array of them (a complex
-    array).  Frequency y uses the panels of ``_panel_edges`` each split
-    r(y) = ceil(|y| * widest / _PANEL_PHASE) times (at least once), where
-    widest is the widest panel in H, so that a split panel spans about
-    _PANEL_PHASE radians of phase or less (at most that where H is linear
-    on it).  r depends on y alone and every row is a
+    The result is shaped like y.  Frequency y uses the panels of
+    ``_panel_edges`` each split r(y) = ceil(|y| * widest / _PANEL_PHASE)
+    times (at least once), where widest is the widest panel in H, so that a
+    split panel spans about _PANEL_PHASE radians of phase or less (at most
+    that where H is linear on it).  r depends on y alone and every row is a
     plain numpy sum in a fixed order, so an array call returns the same bits
     as one call per frequency.
     """
@@ -171,7 +169,7 @@ def localized_cf_transformed(rm: ReferenceModel, phi, transform, t: float, y):
         for s in range(0, rows.size, step):
             idx = rows[s:s + step]
             out[idx] = (np.exp(1j * np.multiply.outer(flat[idx], hx)) * wf).sum(axis=1)
-    return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
+    return out.reshape(ys.shape)[()]
 
 
 def as_coefficient_model(rm: ReferenceModel) -> CoefficientModel:

@@ -11,7 +11,7 @@ across releases; ``tests/test_simulate.py`` pins its first values.
 
 Because any block can be re-run bit for bit, an ensemble may store only the
 grid steps its consumers read (a recording plan): a block whose states turn
-non-finite is re-run with every step recorded to name the first bad step.
+non-finite is re-run, checking every step, to name the first bad step.
 """
 
 from __future__ import annotations
@@ -164,15 +164,14 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     A non-finite state stays non-finite under the step, so finiteness is
     checked once per block, after its loop; floating-point warnings are off
     inside it, so the reduction sees non-finite states silently, and its
-    result is not taken.  A block that fails is re-run with every step
-    recorded to name the first non-finite step.
+    result is not taken.  A block that fails is re-run, checking each step,
+    to name the first non-finite step.
     """
     n_steps = cfg.n_steps
-    recorded = tuple(range(n_steps + 1)) if record is None else \
-        tuple(sorted({int(k) for k in record}))
+    # a range until states is allocated: a grid numpy cannot hold is a ConfigError
+    recorded = range(n_steps + 1) if record is None else tuple(sorted({int(k) for k in record}))
     band = range(0) if band_pass is None else band_pass.steps
-    read = recorded + tuple(band)
-    if not recorded or min(read) < 0 or max(read) > n_steps:
+    if not recorded or any(s[0] < 0 or s[-1] > n_steps for s in (recorded, band) if s):
         raise ConfigError(f"record must name grid steps in 0..{n_steps}")
     sqrth = math.sqrt(cfg.h)
     step = model.euler_step(cfg.h)
@@ -182,12 +181,13 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
                           f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
-
+    recorded = tuple(recorded)
     rows_of = {k: j for j, k in enumerate(recorded)}  # recorded grid step -> row
 
-    def euler_block(block, rows, slot, reduction=None):
-        """A block's states at the steps of ``slot`` (a step -> row map; a range is
-        every step), and whether it ended finite; ``reduction`` gets the band's."""
+    def euler_block(block, rows, slot, reduction=None, strict=False):
+        """A block's states at the steps of ``slot`` (a step -> row map), and
+        whether it ended finite; ``reduction`` gets the band's.  ``strict``
+        raises at the first step with a non-finite state, naming its lowest path."""
         local = np.empty((len(slot), rows))
         x = np.full(rows, float(cfg.x0))
 
@@ -196,6 +196,9 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
                 local[slot[k]] = x
             if reduction is not None and k in band:
                 reduction.push(x)
+            if strict and not np.all(np.isfinite(x)):
+                raise NumericsError(f"path {block * BLOCK_PATHS + int(np.argmin(np.isfinite(x)))}"
+                                    f" became non-finite at step {k} (t={k * cfg.h})")
 
         with np.errstate(all="ignore"):
             reached(0)
@@ -212,12 +215,7 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         reduction = None if band_pass is None else band_pass.start(stop - start)
         local, finite = euler_block(block, stop - start, rows_of, reduction)
         if not finite:
-            full, _ = euler_block(block, stop - start, range(n_steps + 1))
-            k = 1 + int(np.argmin(np.all(np.isfinite(full[1:]), axis=1)))
-            j = int(np.argmin(np.isfinite(full[k])))
-            raise NumericsError(
-                f"path {start + j} became non-finite at step {k} (t={k * cfg.h})"
-            )
+            euler_block(block, stop - start, {}, strict=True)  # raises
         states[start:stop] = local.T
         return None if reduction is None else reduction.result()
 

@@ -527,6 +527,33 @@ class TestCommands:
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith(f"error: {message}") and out.stderr.count("\n") == 1
 
+    def test_unallocatable_step_count_exits_2_before_any_step(self, tmp_path):
+        # h = 2^-40: every grid step recorded is 2,000 x (2^40 + 1) floats.  The
+        # list of recorded steps is not built before the states are allocated,
+        # so the allocation's refusal is the error; in a 3 GB child, as above,
+        # whose noise stream fails if a step is ever drawn
+        code = (
+            "import importlib, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS,\n"
+            "                   (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from sdedensity import cli\n"
+            "def noise(*args):\n"
+            "    raise AssertionError('stepped')\n"
+            "importlib.import_module('sdedensity.simulate')._noise = noise\n"
+            "sys.exit(cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        raw = json.loads(json.dumps(PRESETS["gaussian"]))
+        raw["simulation"].update(h=2.0**-40, n_paths=2000)
+        p = tmp_path / "fine.json"
+        p.write_text(json.dumps(raw))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, str(p), str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: simulation.n_paths: cannot hold 2000 paths x "
+                                     f"{2**40 + 1} recorded grid steps as float64")
+        assert out.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2_naming_the_flag(self, tmp_path, capsys, threads):
         with pytest.raises(SystemExit) as info:
@@ -792,6 +819,13 @@ class TestSigmaStarOnce:
         *[({**_sigma({"kind": "affine", "intercept": 0.0, "slope": 0.25}),
             "window": {"xi": 2.0, "delta": delta, "delta0": 1.0, "l_sigma": 0.25}},
            "model.sigma: inf |sigma| on the window is 0 < l_sigma=0.25") for delta in (1e300, 9.0)],
+        # 1 + sin(x) is 0 at -pi/2, between the grid points of the window
+        # [-2.5, -0.5]; read on the grid alone, the floor passed
+        ({**_sigma({"kind": "sinusoid", "offset": 1.0, "amplitude": 1.0, "frequency": 1.0,
+                    "phase": 0.0}),
+          "window": {"xi": -1.5, "delta": 1.0, "delta0": 0.25, "l_sigma": 1e-9},
+          "simulation": {"x0": -1.5}},
+         "model.sigma: inf |sigma| on the window is 0 < l_sigma=1e-09"),
     ])
     def test_bad_sigma_messages(self, tmp_path, capsys, edit, message):
         p = tmp_path / "bad.json"

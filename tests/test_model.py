@@ -319,11 +319,35 @@ class TestSigmaStar:
         sigma = pw([0.5], [sd.Constant(1.5), sd.Affine(-2.25, 7.5)])
         sd.build_sigma_star(sigma, sd.LocalWindow(xi=0.7, delta=0.5, delta0=0.25, l_sigma=1.5))
 
+    # 0.3 + 0.6 sin(2x + 0.5), period pi: zero at -0.5118 + k pi and 1.5826 + k pi
+    WAVE = sd.Sinusoid(0.3, 0.6, 2.0, 0.5)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        (0.0, 1.0, ()), (1.5, 2.0, (1.5826,)), (1.5, 2.7, (1.5826, 2.6298))])
+    def test_sinusoid_zeros_on_a_segment_shorter_than_a_period(self, a, b, expected):
+        zeros = sorted(self.WAVE.zeros(a, b))
+        assert zeros == pytest.approx(expected, abs=1e-4)
+        assert all(abs(self.WAVE(z)) < 1e-15 for z in zeros)
+
+    @pytest.mark.parametrize("frequency", [2.0, -2.0])
+    def test_sinusoid_zeros_on_a_segment_longer_than_a_period(self, frequency):
+        # one period from a: |piece| is the same at every translate
+        wave = sd.Sinusoid(0.3, 0.6, frequency, 0.5)
+        zeros = wave.zeros(-10.0, 10.0)
+        assert len(zeros) == 2 and all(-10.0 <= z < -10.0 + math.pi for z in zeros)
+        assert all(abs(wave(z)) < 1e-14 for z in zeros)
+
+    @pytest.mark.parametrize("piece", [sd.Sinusoid(2.0, 1.0), sd.Sinusoid(-0.5, 0.0),
+                                       sd.Sinusoid(0.0, 1.0, 0.0, 0.3)],
+                             ids=["offset beyond amplitude", "amplitude 0", "frequency 0"])
+    def test_sinusoid_without_zeros(self, piece):
+        assert piece.zeros(-10.0, 10.0) == ()
+
     def test_polynomial_roots_past_the_float_range_are_skipped(self):
         # the companion matrix of 1e300 + 1e-300 x^2 overflows; the grid check stands
         piece = sd.Polynomial((1e300, 0.0, 1e-300))
         with np.errstate(all="ignore"):
-            assert piece.zeros() == ()
+            assert piece.zeros(-1.0, 1.0) == ()
         sd.build_sigma_star(pw([], [piece]), sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.5,
                                                             l_sigma=1.0))
 

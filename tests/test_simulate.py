@@ -131,6 +131,22 @@ class TestRecordingPlan:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 32 * 1024
 
+    def test_memory_of_a_failing_run_does_not_grow_with_the_steps(self):
+        # the cubic drift of cubic_blowup at h = 2^-12 in one block: naming the
+        # first non-finite step re-runs the block with a check at each step, not
+        # with every step stored, which would be a 134 MB matrix
+        model, _, _ = cubic_blowup()
+        cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-12, n_paths=4096, seed=2)
+        matrix = (cfg.n_steps + 1) * cfg.n_paths * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericsError, match=r"^path \d+ became non-finite at step \d+"):
+                sd.simulate(model, cfg, record=[cfg.n_steps])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix / 16
+
     def test_partial_ensemble_cannot_be_saved(self, bm_model, tmp_path):
         part = sd.simulate(bm_model, self.CFG, record=[8])
         with pytest.raises(ConfigError, match="recorded 1 of 9"):
