@@ -144,8 +144,12 @@ def build_lamperti_map(sigma: PiecewiseFunction, w: LocalWindow) -> LampertiMap:
     """Continue sigma outside the window w (sigma_cont), tabulate H on the window
     and wire up the closed-form continuations."""
     s = build_sigma_star(sigma, w)
-    knots = unique(np.concatenate([np.linspace(w.lo, w.hi, _N_KNOTS), s.breakpoints,
-                                   s.kinks()]))
+    special = np.concatenate([s.breakpoints, s.kinks()])
+    uniform = np.linspace(w.lo, w.hi, _N_KNOTS)
+    # a uniform knot a few ulps from a breakpoint or kink would leave a sliver
+    # cell whose integral rounds to 0
+    gap = np.min(np.abs(uniform[:, None] - special), axis=1, initial=np.inf)
+    knots = unique(np.concatenate([uniform[gap > 4 * np.abs(np.spacing(uniform))], special]))
     mids = 0.5 * (knots[:-1] + knots[1:])
     cell_piece = np.searchsorted(np.asarray(s.breakpoints), mids, side="right")
 

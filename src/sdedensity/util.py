@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,10 +73,18 @@ def map_ordered(fn: Callable, args: Sequence, threads: int = 1) -> list:
     always collected in submission order, so any reduction performed over
     the returned list is independent of scheduling.
     """
+    return list(iter_ordered(fn, args, threads))
+
+
+def iter_ordered(fn: Callable, args: Sequence, threads: int = 1) -> Iterator:
+    """``map_ordered`` as an iterator: each result is yielded, in argument order,
+    as soon as it and those before it are done, so a consumer that reduces them
+    as they come holds about one result per worker instead of all of them."""
     if threads <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
+        yield from map(fn, args)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args))
+        yield from pool.map(fn, args)
 
 
 def kahan_merge(partials: Iterable[np.ndarray]) -> np.ndarray:

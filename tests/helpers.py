@@ -7,6 +7,13 @@ import numpy as np
 import sdedensity as sd
 
 
+def cf_from_function(f, grid, t=0.0):
+    """An analytic CF on the grid: f at the non-negative frequencies, zero
+    standard errors, mirrored for symmetry."""
+    return sd.CharFnEstimate.from_values([complex(f(y)) for y in grid.values[grid.half_count:]],
+                                         grid, t)
+
+
 def drift_g(model, w):
     """The drift functional g of a model on a window, built as ``RunConfig`` builds it."""
     return sd.DriftFunctional(model.mu, sd.build_sigma_star(model.sigma, w))

@@ -17,7 +17,8 @@ import sdedensity as sd
 from sdedensity.cli import main as cli_main
 from sdedensity.config import PRESETS, RunConfig
 
-from helpers import decay_constant_refinement_oracle, drift_g, loglog_slope, report_of
+from helpers import (cf_from_function, decay_constant_refinement_oracle, drift_g, loglog_slope,
+                     report_of)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -230,7 +231,7 @@ class TestCriterion7DecaySmoothnessContract:
                     return base / (1 + a * y * y) * complex(math.cos(b * y),
                                                             math.sin(b * y))
 
-                cf = sd.CharFnEstimate.from_function(
+                cf = cf_from_function(
                     cap, sd.FrequencyGrid.uniform(64.0, 1.0 / 16.0))
                 xs = np.linspace(-12, 12, 801)
                 p = sd.invert(cf, xs)

@@ -13,7 +13,7 @@ from sdedensity.errors import ConfigError, DomainError
 from sdedensity.simulate import BLOCK_PATHS, simulate
 from sdedensity.util import mean_se
 
-from helpers import drift_g, report_of
+from helpers import cf_from_function, drift_g, report_of
 
 
 class TestClosedFormBounds:
@@ -105,7 +105,7 @@ class TestFitDecay:
     @staticmethod
     def gaussian_cf(y_max=16.0, spacing=1.0 / 16.0):
         grid = sd.FrequencyGrid.uniform(y_max, spacing)
-        return sd.CharFnEstimate.from_function(lambda y: math.exp(-y * y / 2), grid)
+        return cf_from_function(lambda y: math.exp(-y * y / 2), grid)
 
     def test_gaussian_matches_dense_grid_oracle(self):
         cf = self.gaussian_cf()
@@ -116,7 +116,7 @@ class TestFitDecay:
 
     def test_flat_cf_pins_constant_to_grid_edge(self):
         grid = sd.FrequencyGrid.uniform(8.0, 0.25)
-        cf = sd.CharFnEstimate.from_function(lambda y: 1.0, grid)
+        cf = cf_from_function(lambda y: 1.0, grid)
         c_fit = sd.fit_decay(cf, 0.5)
         assert c_fit == pytest.approx((1 + 8.0) ** 1.5, rel=1e-11)
 
@@ -127,7 +127,7 @@ class TestFitDecay:
         fits = []
         for y_max in (16.0, 32.0):
             grid = sd.FrequencyGrid.uniform(y_max, 0.25)
-            fits.append(sd.fit_decay(sd.CharFnEstimate.from_function(cap, grid), 0.5))
+            fits.append(sd.fit_decay(cf_from_function(cap, grid), 0.5))
         assert fits[1] / fits[0] <= 1.25
 
 

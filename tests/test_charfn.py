@@ -7,8 +7,60 @@ import numpy as np
 import pytest
 
 import sdedensity as sd
+from sdedensity import charfn
+
+from helpers import cf_from_function
 
 CHUNK = 1 << 14  # samples per chunk of cf_from_samples
+PRESET_CASES = ["gaussian", "ou", "gbm", "sign_drift"]  # (M, spacing) 256, 1/16; 256, 1/8; 512, 1/4
+
+
+def dense_case(case, n, sin_sigma, sin_window, grid):
+    """(samples, phi, grid, transform) of one dense-reference case.
+
+    "sin": normal samples under the transform of sigma = 2 + sin x.  A preset:
+    that preset's grid, cutoff and transform, with samples uniform on the
+    cutoff's support widened by a quarter on each side (some weigh 0).
+    "wide_phase": phases dy x up to 1e4, under the identity.
+    """
+    rng = np.random.default_rng(n)
+    if case == "sin":
+        phi = sd.make_plateau_sequence(1)
+        return rng.standard_normal(n), phi, grid, sd.build_lamperti_map(sin_sigma, sin_window)
+    if case == "wide_phase":
+        wide = sd.FrequencyGrid.uniform(16.0, 1.0 / 16.0)
+        x = rng.uniform(-1e4, 1e4, n) / wide.spacing
+        return x, (lambda v: np.exp(-(v * 1e-5) ** 2)), wide, None
+    cfg = sd.RunConfig.from_dict(copy.deepcopy(sd.PRESETS[case]))
+    width = cfg.phi.b - cfg.phi.a
+    x = rng.uniform(cfg.phi.a - width / 4, cfg.phi.b + width / 4, n)
+    return x, cfg.phi, cfg.freq_grid, cfg.transform
+
+
+def dense_errors(x, phi, grid, transform):
+    """The largest gaps between cf_from_samples and the direct sums on every
+    grid frequency: in the values, and in the per-sample variances behind the
+    SEs (compared before the square root).
+
+    The phase y H is taken as y hi + y lo, hi being H's leading 26 bits: y hi is
+    exact for a spacing that is a power of two, so the reference has no
+    rounding of y H (2.8e-14 at y H = 384) to hide an error behind.
+    """
+    n = x.size
+    cf = sd.cf_from_samples(x, phi, grid, threads=2, transform=transform)
+    w = phi(x)
+    hx = x if transform is None else transform.forward_many(x)
+    hi = hx * 134217729.0
+    hi -= hi - hx
+    lo = hx - hi
+    bessel = n / (n - 1.0) if n > 1 else 1.0
+    value_err = var_err = 0.0
+    for j, y in enumerate(grid.values):
+        terms = w * np.exp(1j * y * hi) * np.exp(1j * y * lo)
+        value_err = max(value_err, abs(cf.values[j] - np.mean(terms)))
+        var = max(np.var(terms.real), np.var(terms.imag))
+        var_err = max(var_err, abs(cf.std_errors[j] ** 2 * n / bessel - var))
+    return value_err, var_err
 
 
 def const_model(mu, sigma):
@@ -106,20 +158,44 @@ class TestEstimate:
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.std_errors, b.std_errors)
 
+    @pytest.mark.parametrize("case", ["sin", *PRESET_CASES, "wide_phase"])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-    def test_matches_dense_reference_across_chunk_boundaries(self, sin_sigma, sin_window, grid, n):
-        x = np.random.default_rng(n).standard_normal(n)
-        phi = sd.make_plateau_sequence(1)
-        lam = sd.build_lamperti_map(sin_sigma, sin_window)
-        cf = sd.cf_from_samples(x, phi, grid, threads=2, transform=lam)
-        w, hx = phi(x), lam.forward_many(x)
-        bessel = n / (n - 1.0) if n > 1 else 1.0
-        for j, y in enumerate(grid.values):
-            terms = w * np.exp(1j * y * hx)
-            assert abs(cf.values[j] - np.mean(terms)) <= 1e-14
-            # per-sample variance, compared before the square root
-            var = max(np.var(terms.real), np.var(terms.imag))
-            assert abs(cf.std_errors[j] ** 2 * n / bessel - var) <= 1e-14
+    def test_matches_dense_reference_across_chunk_boundaries(self, sin_sigma, sin_window, grid,
+                                                             case, n):
+        x, phi, case_grid, lam = dense_case(case, n, sin_sigma, sin_window, grid)
+        value_err, var_err = dense_errors(x, phi, case_grid, lam)
+        assert value_err <= 1e-14
+        assert var_err <= 1e-14
+
+    @pytest.mark.parametrize("mutation", ["half_kernel_width", "no_deconvolution"])
+    def test_a_broken_spread_misses_the_dense_reference(self, monkeypatch, mutation):
+        # the dense-reference test's 1e-14 bound sees either defect
+        if mutation == "half_kernel_width":
+            monkeypatch.setattr(charfn, "_SPREAD", charfn._SPREAD // 2)
+        else:
+            monkeypatch.setattr(charfn, "_deconvolution",
+                                lambda size, tau, modes: np.full(modes.size, 1.0 / size))
+        x, phi, case_grid, lam = dense_case("gaussian", CHUNK + 1, None, None, None)
+        assert min(dense_errors(x, phi, case_grid, lam)) > 1e-14
+
+    def test_stated_error_bound_holds_for_every_grid_size(self):
+        # charfn's docstring: relative to mean |w|, the error at mode j <= 2M is
+        # the aliasing plus the truncated kernel's tail times the deconvolution,
+        # both largest at j = 2M
+        msp, worst = charfn._SPREAD, 0.0
+        for m in range(1, 4097):
+            size, tau = charfn._grid_plan(m)
+            a = math.pi**2 / (size * size * tau)
+            tail = 2 * sum(math.exp(-a * (msp + q) ** 2) for q in range(20))
+            j = 2 * m
+            alias = sum(math.exp(-tau * p * size * (2 * j + p * size)) for p in (-2, -1, 1, 2))
+            truncation = math.sqrt(math.pi / tau) * math.exp(j * j * tau) * tail / size
+            worst = max(worst, alias + truncation)
+        assert worst <= 1e-15
+
+    def test_non_finite_samples_rejected(self, grid):
+        with pytest.raises(sd.ConfigError, match="^samples must be finite$"):
+            sd.cf_from_samples(np.array([0.0, np.nan]), sd.make_plateau_sequence(1), grid)
 
     def test_peak_allocation_is_per_chunk(self, grid):
         x = np.random.default_rng(3).standard_normal(10**6)
@@ -194,7 +270,7 @@ class TestExport:
         assert float(y) == cf.grid.values[0]
 
     def test_from_function_has_zero_errors(self, grid):
-        cf = sd.CharFnEstimate.from_function(lambda y: cmath.exp(-y * y / 2), grid)
+        cf = cf_from_function(lambda y: cmath.exp(-y * y / 2), grid)
         assert np.all(cf.std_errors == 0.0)
         assert cf.values[grid.index(-1.0)] == np.conj(cf.values[grid.index(1.0)])
 

@@ -9,12 +9,14 @@ from scipy import integrate
 import sdedensity as sd
 from sdedensity.errors import ConfigError, DomainError, NumericsError
 
+from helpers import cf_from_function
+
 # the module, which the package's ``invert`` function shadows
 invert_module = importlib.import_module("sdedensity.invert")
 
 
 def analytic_cf(fn, y_max, spacing):
-    return sd.CharFnEstimate.from_function(fn, sd.FrequencyGrid.uniform(y_max, spacing))
+    return cf_from_function(fn, sd.FrequencyGrid.uniform(y_max, spacing))
 
 
 class TestInversion:

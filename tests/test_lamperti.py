@@ -123,7 +123,8 @@ class TestInverse:
 
 
 class TestKnots:
-    """H's knots are the uniform grid, sigma_cont's breakpoints and its kinks()."""
+    """H's knots are the uniform grid, sigma_cont's breakpoints and its kinks(),
+    less the uniform knots a few ulps from a breakpoint or kink."""
 
     @staticmethod
     def assert_knots(m, w):
@@ -140,6 +141,27 @@ class TestKnots:
         m = sd.build_lamperti_map(sigma, w)
         assert 0.0 not in m.knots_x and 0.5 in m.knots_x
         self.assert_knots(m, w)
+
+    def test_breakpoint_ulps_from_a_uniform_knot_leaves_no_sliver_cell(self):
+        # the uniform knot np.linspace(-1, 1, 4096)[2457] is 0.19999999999999996,
+        # two ulps below the breakpoint 0.2; the cell between them integrated to
+        # 0, and the map was refused as not strictly monotone
+        w = sd.LocalWindow(xi=0.0, delta=1.0, delta0=0.25, l_sigma=1.0)
+        near = np.linspace(w.lo, w.hi, _N_KNOTS)[2457]
+        assert near == 0.2 - 2 * np.spacing(0.2)
+        sigma = sd.PiecewiseFunction((0.2,), (sd.Constant(1.0), sd.Polynomial((0.8, 1.0))))
+        m = sd.build_lamperti_map(sigma, w)
+        assert 0.2 in m.knots_x and near not in m.knots_x
+        assert np.all(np.diff(m.knots_h) > 0)
+        xs = np.linspace(0.19, 0.21, 20_001)
+        assert np.all(np.diff(m.forward_many(xs)) > 0)
+
+    @pytest.mark.parametrize("preset", sorted(sd.PRESETS))
+    def test_preset_knots_are_the_plain_union(self, preset):
+        # no preset has a breakpoint or kink a few ulps off a uniform knot, so
+        # its knots, and H's table on them, are what they were before the rule
+        cfg = sd.RunConfig.from_dict(sd.PRESETS[preset])
+        self.assert_knots(cfg.transform, cfg.window)
 
     def test_power_centre_inside_the_window_is_a_zero_of_sigma(self):
         # 3|x - 0.3|: its kink 0.3, off the uniform grid, is also its zero, so
