@@ -17,7 +17,7 @@ constant is never derived from first principles; it is fitted as the least
 constant making every checked frequency pass at 3 standard errors, and its
 stability under changes of sample size is part of the acceptance story.
 ``bound_plan`` fixes the checked frequencies, their grid lookbacks and the
-remainder kernel once; ``simulate`` runs the kernel and ``bound_report`` reads both.
+remainder kernel once; the Euler loop runs the kernel and ``bound_report`` reads both.
 """
 
 from __future__ import annotations
@@ -278,9 +278,11 @@ def bound_report(cf: CharFnEstimate, plan: BoundPlan, parts: list,
     """Evaluate the bound at each of the plan's frequencies against the empirical CF.
 
     ``parts`` are the results of ``plan.kernel`` per path block, in block
-    order: ``simulate`` makes them in its Euler loop (``band_parts``), and
-    ``RemainderPass.block_results`` replays them over a recorded band.  The
-    remainder is estimated once per distinct grid lookback, by merging them.
+    order, or a running ``fold_moments`` of them: ``simulate`` makes them in
+    its Euler loop (``band_parts``), the pipeline folds them as the blocks
+    finish, and ``RemainderPass.block_results`` replays them over a recorded
+    band.  The remainder is estimated once per distinct grid lookback, by
+    merging them.
     """
     y, kernel = plan.y, plan.kernel
     eps_used = plan.k_steps * kernel.h

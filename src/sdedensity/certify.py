@@ -5,7 +5,7 @@ A check reads a set-up ``Pipeline`` and returns its row of ``certify.json``:
 rows of ``CHECKS``.  A check with ``needs_reference`` compares with the
 config's reference model, so the config must have one; a check with
 ``reads_bound`` reads the bound report, which the command declares before the
-ensemble is simulated.
+paths are simulated.
 """
 
 from __future__ import annotations

@@ -29,12 +29,14 @@ so the position is formed in double-double and is right to an ulp of its
 fraction whatever theta is.
 
 w and H are applied per fixed chunk of 2^14 samples; a sample of weight 0 is
-dropped before H, since it adds exactly 0 to every grid point.  The chunks'
-grids are summed in chunk order by ``kahan_merge`` as they finish, so no
-full-length array is made, about one grid per worker is held, and the bits
-never depend on the thread count.  Chunks of 2^12 and 2^13 samples took 2.3
-and 1.5 times as long, from the per-offset work on the N-point grid, and
-chunks of 2^15 and 2^16 no less (gaussian preset, 2 threads).
+dropped before H, since it adds exactly 0 to every grid point.  The samples
+may arrive in pieces of any size (``CfAccumulator``: the pipeline feeds each
+path block's states as the block finishes); the chunks' grids are summed in
+chunk order by a compensated sum (``KahanSum``) as they finish, so no
+full-length array is made, at most 2 grids per worker are pending, and the
+bits never depend on the thread count or on the pieces.  Chunks of 2^12 and
+2^13 samples took 2.3 and 1.5 times as long, from the per-offset work on the
+N-point grid, and chunks of 2^15 and 2^16 no less (gaussian preset, 2 threads).
 
 Negative frequencies are filled by conjugation (``CharFnEstimate.from_values``),
 which is exact for real samples, so conjugate symmetry holds bitwise.
@@ -43,13 +45,14 @@ which is exact for real samples, so conjugate symmetry holds bitwise.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .simulate import PathEnsemble
-from .util import iter_ordered, kahan_merge, path_chunks
+from .util import KahanSum, task_pool
 
 _CF_CHUNK = 1 << 14
 _SPREAD = 13  # msp: grid points on each side of a sample
@@ -190,47 +193,102 @@ def _deconvolution(size: int, tau: float, modes: np.ndarray) -> np.ndarray:
     return math.sqrt(math.pi / tau) * np.exp(modes * modes * tau) / size
 
 
+class CfAccumulator:
+    """The weighted empirical CF of ``cf_from_samples``, fed its samples in order,
+    in pieces of any size.
+
+    The samples are cut into the fixed chunks of ``_CF_CHUNK`` from the first;
+    each full chunk is spread as a task on ``pool`` (an executor of ``threads``
+    workers, as ``util.task_pool`` makes), and the chunks' grids are summed in
+    chunk order as they finish, with at most 2 x threads chunks pending.  So the
+    pieces' sizes, the pool and the thread count never change the bits, and
+    what is held does not grow with the number of samples.
+    """
+
+    def __init__(self, phi, grid: FrequencyGrid, transform, pool, threads: int):
+        self.phi, self.grid, self.transform, self.pool = phi, grid, transform, pool
+        self.ahead = 2 * threads
+        self.size, self.tau = _grid_plan(grid.half_count)
+        self.chunk = np.empty(_CF_CHUNK)
+        self.fill = 0
+        self.n = 0
+        self.pending = deque()  # the spread chunks' futures, in chunk order
+        self.padded = KahanSum()
+
+    def add(self, x) -> None:
+        """The next samples, in path order."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ConfigError("samples must be non-empty and 1-d")
+        if not np.all(np.isfinite(x)):
+            raise ConfigError("samples must be finite")
+        self.n += x.size
+        while x.size:
+            take = min(_CF_CHUNK - self.fill, x.size)
+            self.chunk[self.fill:self.fill + take] = x[:take]
+            self.fill += take
+            x = x[take:]
+            if self.fill == _CF_CHUNK:
+                self._submit()
+
+    def _submit(self) -> None:
+        self.pending.append(self.pool.submit(self._chunk_grid, self.chunk[:self.fill]))
+        self.chunk, self.fill = np.empty(_CF_CHUNK), 0
+        while self.pending and (self.pending[0].done() or len(self.pending) > self.ahead):
+            self.padded.add(self.pending.popleft().result())
+
+    def _chunk_grid(self, xs: np.ndarray) -> np.ndarray:
+        w = self.phi(xs)
+        keep = np.flatnonzero(w)
+        xs, w = xs[keep], w[keep]
+        theta = self.grid.spacing * (xs if self.transform is None
+                                     else self.transform.forward_many(xs))
+        return _spread(theta, w, self.size, self.tau)
+
+    def flush(self) -> None:
+        """Spread the last, partial chunk and merge every pending grid; the pool
+        is not used after this."""
+        if self.fill:
+            self._submit()
+        while self.pending:
+            self.padded.add(self.pending.popleft().result())
+
+    def estimate(self, t: float = 0.0) -> CharFnEstimate:
+        """The CF at the grid's frequencies, with SEs, of every sample added so far."""
+        self.flush()
+        n, m, size = self.n, self.grid.half_count, self.size
+        if n == 0:
+            raise ConfigError("samples must be non-empty and 1-d")
+        padded = self.padded.total
+        lo = _SPREAD - 1
+        periodic = padded[:, lo:lo + size].copy()
+        periodic[:, :_SPREAD] += padded[:, lo + size:]
+        periodic[:, size - lo:] += padded[:, :lo]
+        sums = np.fft.rfft(periodic, axis=1)[:, :2 * m + 1]
+        sums *= _deconvolution(size, self.tau, np.arange(2 * m + 1)) / n
+        mean_a, mean_b = sums[0, :m + 1], sums[1, ::2]
+
+        # E[(w cos(yx))^2] = (E[w^2] + Re E[w^2 e^{2iyx}]) / 2, same with a minus for sin
+        w2 = mean_b[0].real
+        e_r2 = 0.5 * (w2 + mean_b.real)
+        e_i2 = 0.5 * (w2 - mean_b.real)
+        var_r = np.maximum(e_r2 - mean_a.real**2, 0.0)
+        var_i = np.maximum(e_i2 - mean_a.imag**2, 0.0)
+        bessel = n / (n - 1.0) if n > 1 else 1.0
+        se_pos = np.sqrt(np.maximum(var_r, var_i) * bessel / n)
+        return CharFnEstimate.from_values(mean_a, self.grid, t, se_pos, n)
+
+
 def cf_from_samples(x: np.ndarray, phi, grid: FrequencyGrid, t: float = 0.0,
                     threads: int = 1, transform=None) -> CharFnEstimate:
     """Weighted empirical CF (1/N) sum_i phi(x_i) e^{i y H(x_i)} on the grid, with SEs.
 
     H is ``transform.forward_many``, or the identity if ``transform`` is None.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError("samples must be non-empty and 1-d")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError("samples must be finite")
-    n = x.size
-    m = grid.half_count
-    size, tau = _grid_plan(m)
-
-    def chunk_grid(bounds):
-        xs = x[bounds[0]:bounds[1]]
-        w = phi(xs)
-        keep = np.flatnonzero(w)
-        xs, w = xs[keep], w[keep]
-        theta = grid.spacing * (xs if transform is None else transform.forward_many(xs))
-        return _spread(theta, w, size, tau)
-
-    padded = kahan_merge(iter_ordered(chunk_grid, path_chunks(n, _CF_CHUNK), threads=threads))
-    lo = _SPREAD - 1
-    periodic = padded[:, lo:lo + size].copy()
-    periodic[:, :_SPREAD] += padded[:, lo + size:]
-    periodic[:, size - lo:] += padded[:, :lo]
-    sums = np.fft.rfft(periodic, axis=1)[:, :2 * m + 1]
-    sums *= _deconvolution(size, tau, np.arange(2 * m + 1)) / n
-    mean_a, mean_b = sums[0, :m + 1], sums[1, ::2]
-
-    # E[(w cos(yx))^2] = (E[w^2] + Re E[w^2 e^{2iyx}]) / 2, same with a minus for sin
-    w2 = mean_b[0].real
-    e_r2 = 0.5 * (w2 + mean_b.real)
-    e_i2 = 0.5 * (w2 - mean_b.real)
-    var_r = np.maximum(e_r2 - mean_a.real**2, 0.0)
-    var_i = np.maximum(e_i2 - mean_a.imag**2, 0.0)
-    bessel = n / (n - 1.0) if n > 1 else 1.0
-    se_pos = np.sqrt(np.maximum(var_r, var_i) * bessel / n)
-    return CharFnEstimate.from_values(mean_a, grid, t, se_pos, n)
+    with task_pool(threads) as pool:
+        acc = CfAccumulator(phi, grid, transform, pool, threads)
+        acc.add(x)
+        return acc.estimate(t)
 
 
 def estimate_localized(ens: PathEnsemble, phi, transform, grid: FrequencyGrid, t: float,

@@ -28,7 +28,8 @@ from .lamperti import LampertiMap, build_lamperti_map
 from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderPower,
                     LocalWindow, Piece, PiecewiseFunction, Polynomial, Sinusoid,
                     finite_on_window)
-from .simulate import PathEnsemble, SimConfig, simulate
+from .simulate import SimConfig, simulate_blocks
+from .util import fold_moments, task_pool
 
 
 def canonical_json(obj) -> str:
@@ -336,7 +337,7 @@ class RunConfig:
     @cached_property
     def bound_plan(self) -> bounds_mod.BoundPlan:
         """The bound report's plan at t_final: the grid frequencies in (y_lo, y_hi],
-        the lookback of each, and the remainder kernel ``Pipeline.ensemble`` runs."""
+        the lookback of each, and the remainder kernel the Euler loop runs."""
         b, sim = self.bounds, self.simulation
         pos = self.freq_grid.positive()
         y_hi = math.inf if b.y_hi is None else b.y_hi  # null: no upper limit
@@ -435,30 +436,50 @@ class Pipeline:
         return self.cfg.transform
 
     def reads(self, times, bound: bool = False) -> None:
-        """Declare, before the ensemble is simulated, what the command reads:
-        the states at the grid times ``times`` (``SimConfig.step`` rejects any
+        """Declare, before the paths are simulated, what the command reads:
+        the CF at the grid times ``times`` (``SimConfig.step`` rejects any
         other) and, if ``bound``, the bound report.
 
         Undeclared, a pipeline reads every time the config names (t_final and
         the density/hoelder t_lists) and runs the bound.
         """
-        if "ensemble" in self.__dict__:
-            raise RuntimeError("reads() must come before the ensemble is simulated")
+        if "_pass" in self.__dict__:
+            raise RuntimeError("reads() must come before the paths are simulated")
         self._reads = ([self.cfg.simulation.step(t) for t in times], bound)
 
     @cached_property
-    def ensemble(self) -> PathEnsemble:
-        """The paths at the declared times.  If the bound runs, each block's
-        states in its lookback band are reduced to remainder moments step by
-        step while simulating, and never stored."""
+    def _pass(self) -> tuple[dict, tuple | None]:
+        """One pass over the paths: the CF sums (``CfAccumulator``) at each
+        declared grid step, and the merged remainder moments of the bound, if
+        it is declared.  Each path block's states go into the sums as the block
+        finishes, and their chunks are spread on the pool that runs the blocks;
+        the block's moments, made step by step in its Euler loop, are merged in
+        block order.  No state is kept, so nothing held grows with n_paths."""
         steps, bound = self._reads
-        return simulate(self.model, self.cfg.simulation, threads=self.threads, record=steps,
-                        band_pass=self.cfg.bound_plan.kernel if bound else None)
+        steps = sorted(set(steps))
+        kernel = self.cfg.bound_plan.kernel if bound else None
+        moments = None
+        with task_pool(self.threads) as pool:
+            sums = {k: charfn.CfAccumulator(self.phi, self.freq_grid, self.transform, pool,
+                                            self.threads) for k in steps}
+            for _, states, part in simulate_blocks(self.model, self.cfg.simulation, self.threads,
+                                                   record=steps, band_pass=kernel, pool=pool):
+                for acc, x in zip(sums.values(), states):
+                    acc.add(x)
+                if part is not None:
+                    moments = part if moments is None else fold_moments(moments, part)
+            for acc in sums.values():
+                acc.flush()
+        return sums, moments
 
     def cf_at(self, t: float) -> charfn.CharFnEstimate:
         if t not in self._cf:
-            self._cf[t] = charfn.estimate_localized(self.ensemble, self.phi, self.transform,
-                                                    self.freq_grid, t, threads=self.threads)
+            k = self.cfg.simulation.step(t)
+            sums = self._pass[0]
+            if k not in sums:
+                raise ConfigError(f"grid step {k} (t={k * self.cfg.simulation.h}) was not "
+                                  f"recorded")
+            self._cf[t] = sums[k].estimate(t)
         return self._cf[t]
 
     def density_of(self, cf: charfn.CharFnEstimate) -> tuple:
@@ -474,12 +495,12 @@ class Pipeline:
         return self._density[t]
 
     def bound_report(self) -> bounds_mod.BoundReport:
-        """The bound report at t_final, from the remainder moments ``simulate`` made."""
+        """The bound report at t_final, from the remainder moments made while simulating."""
         if not self._reads[1]:
             raise RuntimeError("bound_report() needs reads(..., bound=True) before the "
-                               "ensemble is simulated")
+                               "paths are simulated")
         plan = self.cfg.bound_plan
-        return bounds_mod.bound_report(self.cf_at(plan.t), plan, self.ensemble.band_parts)
+        return bounds_mod.bound_report(self.cf_at(plan.t), plan, [self._pass[1]])
 
 
 # ---------------------------------------------------------------------------

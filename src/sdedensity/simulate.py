@@ -12,6 +12,9 @@ across releases; ``tests/test_simulate.py`` pins its first values.
 Because any block can be re-run bit for bit, an ensemble may store only the
 grid steps its consumers read (a recording plan): a block whose states turn
 non-finite is re-run, checking every step, to name the first bad step.
+``simulate_blocks`` yields each block's recorded states as it finishes, so a
+consumer that reduces them as they come (the pipeline's CF) stores none;
+``simulate`` collects them into one ensemble.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from numpy.random import SFC64, Generator, SeedSequence  # at load: numpy import
 
 from .errors import ConfigError, NumericsError
 from .model import CoefficientModel, LocalWindow
-from .util import MCEstimate, map_ordered, mean_se, path_chunks
+from .util import MCEstimate, iter_ordered, mean_se, path_chunks
 
 BLOCK_PATHS = 4096
-_NOISE_STEPS = 64  # Euler steps per draw from a block's generator
+_NOISE_STEPS = 16  # Euler steps per draw from a block's generator
 _MOMENT_BLOCK = 16384  # paths per block in stopped_increment_moment
 _MAGIC = b"SDEPATH1"
 _VERSION = 1
@@ -148,40 +151,39 @@ class PathEnsemble:
         return self.band(k, k)[:, 0]
 
 
-def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
-             record=None, band_pass=None) -> PathEnsemble:
-    """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}.
-
-    The step is compiled once per call (``CoefficientModel.euler_step``).
-    ``record`` is the grid steps to store (any order, duplicates ignored);
-    None stores every step 0..n_steps.  The paths themselves do not depend
-    on it.  ``band_pass``, if given, has a ``steps`` range of grid steps and
-    a ``start(rows)`` that opens one block's reduction: on the block's worker
-    thread, its ``push`` gets the block's states at each of those steps, in
-    step order, as they are simulated, and its ``result()`` lands in
-    ``band_parts`` in block order.  No band of states is kept, not even per
-    block.  Bitwise deterministic for fixed (seed, cfg) at any thread count.
-    A non-finite state stays non-finite under the step, so finiteness is
-    checked once per block, after its loop; floating-point warnings are off
-    inside it, so the reduction sees non-finite states silently, and its
-    result is not taken.  A block that fails is re-run, checking each step,
-    to name the first non-finite step.
-    """
+def _plan(cfg: SimConfig, record, band_pass) -> tuple:
+    """The grid steps to record, ascending (a range for None: every step, so a
+    grid numpy cannot hold is refused before a list of it is made; else a
+    tuple), and the band's steps."""
     n_steps = cfg.n_steps
-    # a range until states is allocated: a grid numpy cannot hold is a ConfigError
     recorded = range(n_steps + 1) if record is None else tuple(sorted({int(k) for k in record}))
     band = range(0) if band_pass is None else band_pass.steps
     if not recorded or any(s[0] < 0 or s[-1] > n_steps for s in (recorded, band) if s):
         raise ConfigError(f"record must name grid steps in 0..{n_steps}")
+    if cfg.n_paths * len(recorded) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
+                          f"{len(recorded)} recorded grid steps as float64 (more bytes "
+                          f"than numpy can index)")
+    return recorded, band
+
+
+def simulate_blocks(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
+                    record=None, band_pass=None, pool=None):
+    """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}, a block at a time.
+
+    Yields, in block order, each ``BLOCK_PATHS`` block's (first path, states,
+    band_pass result or None): ``states[j]`` holds the block's paths at the
+    j-th of the recorded grid steps, ascending.  The blocks run on ``threads``
+    workers (``pool``'s, if given; ``util.iter_ordered``), at most 2 x threads
+    of them at a time, so nothing held grows with n_paths, and sizes numpy
+    could not index are refused before any step.  ``record`` and
+    ``band_pass`` are as for ``simulate``.
+    """
+    recorded, band = _plan(cfg, record, band_pass)
+    n_steps = cfg.n_steps
     sqrth = math.sqrt(cfg.h)
     step = model.euler_step(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
-    try:
-        states = np.empty((cfg.n_paths, len(recorded)))
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
-                          f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
-    recorded = tuple(recorded)
     rows_of = {k: j for j, k in enumerate(recorded)}  # recorded grid step -> row
 
     def euler_block(block, rows, slot, reduction=None, strict=False):
@@ -216,16 +218,46 @@ def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
         local, finite = euler_block(block, stop - start, rows_of, reduction)
         if not finite:
             euler_block(block, stop - start, {}, strict=True)  # raises
-        states[start:stop] = local.T
-        return None if reduction is None else reduction.result()
+        return start, local, None if reduction is None else reduction.result()
 
-    tasks = list(enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS)))
-    parts = map_ordered(run_block, tasks, threads=threads)
+    tasks = enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS))
+    yield from iter_ordered(run_block, tasks, threads, pool)
+
+
+def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
+             record=None, band_pass=None) -> PathEnsemble:
+    """The blocks of ``simulate_blocks`` collected into one ensemble.
+
+    The step is compiled once per call (``CoefficientModel.euler_step``).
+    ``record`` is the grid steps to store (any order, duplicates ignored);
+    None stores every step 0..n_steps.  The paths themselves do not depend
+    on it.  ``band_pass``, if given, has a ``steps`` range of grid steps and
+    a ``start(rows)`` that opens one block's reduction: on the block's worker
+    thread, its ``push`` gets the block's states at each of those steps, in
+    step order, as they are simulated, and its ``result()`` lands in
+    ``band_parts`` in block order.  No band of states is kept, not even per
+    block.  Bitwise deterministic for fixed (seed, cfg) at any thread count.
+    A non-finite state stays non-finite under the step, so finiteness is
+    checked once per block, after its loop; floating-point warnings are off
+    inside it, so the reduction sees non-finite states silently, and its
+    result is not taken.  A block that fails is re-run, checking each step,
+    to name the first non-finite step.
+    """
+    recorded, _ = _plan(cfg, record, band_pass)
+    try:
+        states = np.empty((cfg.n_paths, len(recorded)))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
+                          f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
+    parts = []
+    for start, local, part in simulate_blocks(model, cfg, threads, record, band_pass):
+        states[start:start + local.shape[1]] = local.T
+        parts.append(part)
     return PathEnsemble(
         states=states,
         config=cfg,
-        rng_streams=streams,
-        recorded=recorded,
+        rng_streams=RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS),
+        recorded=tuple(recorded),
         band_parts=None if band_pass is None else parts,
     )
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,26 +51,47 @@ def row_moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return rows.shape[1], mean, np.square(dev, out=dev).sum(axis=1)
 
 
-def merge_moments(parts: Sequence[tuple]) -> list[MCEstimate]:
+def fold_moments(a: tuple, b: tuple) -> tuple:
+    """Two (count, mean, M2) triples merged into one, by the updating formulae
+    of Chan, Golub & LeVeque (1979)."""
+    n, mean, m2 = a
+    nb, mb, m2b = b
+    total = n + nb
+    delta = mb - mean
+    return total, mean + delta * (nb / total), m2 + m2b + delta * delta * (n * nb / total)
+
+
+def merge_moments(parts: Iterable[tuple]) -> list[MCEstimate]:
     """One mean and standard error per row from per-block ``row_moments``.
 
-    The blocks are folded in one after another, in the given order, by the
-    updating formulae of Chan, Golub & LeVeque (1979), so the result is
-    bitwise reproducible for a fixed partition; the standard error is that of
-    ``mean_se`` on the concatenated rows, up to rounding.
+    The blocks are folded in one after another, in the given order, by
+    ``fold_moments``, so the result is bitwise reproducible for a fixed
+    partition, and a running fold merged last gives the same bits; the
+    standard error is that of ``mean_se`` on the concatenated rows, up to
+    rounding.
     """
-    n, mean, m2 = parts[0]
-    for nb, mb, m2b in parts[1:]:
-        total = n + nb
-        delta = mb - mean
-        mean = mean + delta * (nb / total)
-        m2 = m2 + m2b + delta * delta * (n * nb / total)
-        n = total
+    n, mean, m2 = reduce(fold_moments, parts)
     se = np.sqrt(m2 / (n - 1)) / np.sqrt(n) if n > 1 else np.full_like(mean, np.inf)
     return [MCEstimate(float(m), float(s), n) for m, s in zip(mean, se)]
 
 
-def map_ordered(fn: Callable, args: Sequence, threads: int = 1) -> list:
+class _Inline:
+    """An executor that runs each task as it is submitted, on the calling thread."""
+
+    @staticmethod
+    def submit(fn: Callable, *args) -> Future:
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def task_pool(threads: int):
+    """A context giving an executor: ``threads`` worker threads, or at 1 one
+    that runs each task on the spot."""
+    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext(_Inline())
+
+
+def map_ordered(fn: Callable, args: Iterable, threads: int = 1) -> list:
     """Apply `fn` over `args`, returning results in argument order.
 
     With threads > 1 the work is farmed to a thread pool, but results are
@@ -76,40 +101,51 @@ def map_ordered(fn: Callable, args: Sequence, threads: int = 1) -> list:
     return list(iter_ordered(fn, args, threads))
 
 
-def iter_ordered(fn: Callable, args: Sequence, threads: int = 1) -> Iterator:
+def iter_ordered(fn: Callable, args: Iterable, threads: int = 1, pool=None) -> Iterator:
     """``map_ordered`` as an iterator: each result is yielded, in argument order,
-    as soon as it and those before it are done, so a consumer that reduces them
-    as they come holds about one result per worker instead of all of them."""
-    if threads <= 1 or len(args) <= 1:
+    as soon as it and those before it are done.  ``args`` is read lazily, and at
+    most 2 x threads calls are running, waiting or done but not yet taken, so a
+    consumer that reduces the results as they come holds a bounded number of
+    them whatever the length of ``args``.  The calls run on ``pool`` (an
+    executor of ``threads`` workers) if given, else on a pool of their own."""
+    if threads <= 1:
         yield from map(fn, args)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, args)
+    if pool is None:
+        with task_pool(threads) as pool:
+            yield from iter_ordered(fn, args, threads, pool)
+        return
+    args = iter(args)
+    pending = deque(pool.submit(fn, a) for a in islice(args, 2 * threads))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(pool.submit(fn, a) for a in islice(args, 1))
 
 
-def kahan_merge(partials: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum an ordered sequence of equally-shaped arrays with compensated addition.
+class KahanSum:
+    """A compensated running sum of equally-shaped arrays, added in order.
 
-    The merge order is the iteration order, so the result is bitwise
+    The result depends only on the parts and their order, so it is bitwise
     reproducible for a fixed partition of the work.
     """
-    total = None
-    comp = None
-    for part in partials:
+
+    def __init__(self):
+        self.total = None
+        self.comp = None
+
+    def add(self, part: np.ndarray) -> None:
         part = np.asarray(part)
-        if total is None:
-            total = part.astype(part.dtype, copy=True)
-            comp = np.zeros_like(total)
-            continue
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if total is None:
-        raise ValueError("no partials to merge")
-    return total
+        if self.total is None:
+            self.total = part.astype(part.dtype, copy=True)
+            self.comp = np.zeros_like(self.total)
+            return
+        y = part - self.comp
+        t = self.total + y
+        self.comp = (t - self.total) - y
+        self.total = t
 
 
-def path_chunks(n: int, size: int) -> list[tuple[int, int]]:
-    """Fixed [start, stop) chunk boundaries; independent of worker count."""
-    return [(s, min(s + size, n)) for s in range(0, n, size)]
+def path_chunks(n: int, size: int) -> Iterator[tuple[int, int]]:
+    """Fixed [start, stop) chunk boundaries, made as they are read; independent
+    of worker count."""
+    return ((s, min(s + size, n)) for s in range(0, n, size))

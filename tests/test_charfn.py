@@ -8,6 +8,7 @@ import pytest
 
 import sdedensity as sd
 from sdedensity import charfn
+from sdedensity.util import task_pool
 
 from helpers import cf_from_function
 
@@ -157,6 +158,25 @@ class TestEstimate:
             b = sd.cf_from_samples(x, phi, grid, threads=threads, transform=lam)
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.std_errors, b.std_errors)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pieces_of_any_size_give_the_bits_of_the_whole(self, sin_sigma, sin_window, grid,
+                                                          threads):
+        # pieces that straddle the chunk boundaries, an empty one among them
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(3 * CHUNK + 5)
+        phi = sd.make_plateau_sequence(1)
+        lam = sd.build_lamperti_map(sin_sigma, sin_window)
+        whole = sd.cf_from_samples(x, phi, grid, t=0.5, transform=lam)
+        cuts = np.sort(np.concatenate([rng.integers(0, x.size, 9), [CHUNK, CHUNK]]))
+        with task_pool(threads) as pool:
+            acc = charfn.CfAccumulator(phi, grid, lam, pool, threads)
+            for piece in np.split(x, cuts):
+                acc.add(piece)
+            got = acc.estimate(0.5)
+        assert got.n_paths == whole.n_paths and got.t == whole.t
+        assert np.array_equal(got.values, whole.values)
+        assert np.array_equal(got.std_errors, whole.std_errors)
 
     @pytest.mark.parametrize("case", ["sin", *PRESET_CASES, "wide_phase"])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])

@@ -17,6 +17,21 @@ from sdedensity.errors import ConfigError
 from sdedensity.util import unique
 
 
+def _record_passes(monkeypatch) -> list:
+    """Make ``Pipeline``'s path pass record, per call, its recorded grid steps and
+    whether it ran the remainder kernel."""
+    from sdedensity import config
+
+    passes, original = [], config.simulate_blocks
+
+    def recording(*args, **kwargs):
+        passes.append((tuple(kwargs["record"]), kwargs["band_pass"] is not None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(config, "simulate_blocks", recording)
+    return passes
+
+
 def _pieces(*pieces, breakpoints=()):
     return {"breakpoints": list(breakpoints), "pieces": list(pieces)}
 
@@ -160,7 +175,7 @@ class TestConfigLoading:
             RunConfig.from_dict(bad)
         assert str(info.value) == message
         calls = []
-        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(config, "simulate_blocks", lambda *a, **k: calls.append(a))
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         for command in cli._COMMANDS:
@@ -429,7 +444,7 @@ class TestCommands:
         from sdedensity import config
 
         calls = []
-        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(config, "simulate_blocks", lambda *a, **k: calls.append(a))
         bad = tiny_config()
         edit(bad)
         p = tmp_path / "bad.json"
@@ -444,7 +459,7 @@ class TestCommands:
         from sdedensity import config
 
         calls = []
-        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(config, "simulate_blocks", lambda *a, **k: calls.append(a))
         raw = json.loads(json.dumps(PRESETS["gaussian"]))
         raw["simulation"]["h"] = 2.0**-21
         raw["density"]["t_list"] = [0.5, 0.5 + 2.0**-21]
@@ -514,7 +529,7 @@ class TestCommands:
             "from sdedensity import cli, config\n"
             "def simulate(*args, **kwargs):\n"
             "    raise AssertionError('simulated')\n"
-            "config.simulate = simulate\n"
+            "config.simulate_blocks = simulate\n"
             "sys.exit(cli.main(['density', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
         )
         raw = json.loads(json.dumps(PRESETS["gaussian"]))
@@ -568,7 +583,7 @@ class TestCommands:
         from sdedensity import config
 
         calls = []
-        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(config, "simulate_blocks", lambda *a, **k: calls.append(a))
         bad = tiny_config(certify={"checks": ["cf_sanity", "nope"]})
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
@@ -576,7 +591,7 @@ class TestCommands:
         assert calls == []
 
     @pytest.mark.parametrize("name", list(CHECKS))
-    def test_each_check_needs_what_its_row_declares(self, tmp_path, name):
+    def test_each_check_needs_what_its_row_declares(self, tmp_path, monkeypatch, name):
         # with no reference unless the row needs one, and then a reference that
         # records whether the check read it; the bound report is read iff declared
         row = CHECKS[name]
@@ -584,6 +599,7 @@ class TestCommands:
             certify={"checks": [name]}, **({} if row.needs_reference else {"reference": None})))
         if row.needs_reference:
             cfg = dataclasses.replace(cfg, reference_model=_Recording(cfg.reference_model))
+        passes = _record_passes(monkeypatch)
         pipe = Pipeline(cfg)
         bound_reads, bound_report = [], pipe.bound_report
         pipe.bound_report = lambda: bound_reads.append(name) or bound_report()
@@ -592,14 +608,16 @@ class TestCommands:
         if row.needs_reference:
             assert cfg.reference_model.read
         assert bool(bound_reads) == row.reads_bound
-        assert (pipe.ensemble.band_parts is not None) == row.reads_bound
+        # at most one pass over the paths (none for analytic_roundtrip, which
+        # reads no path), and it runs the remainder kernel iff the row reads the bound
+        assert [bound for _, bound in passes] in ([], [row.reads_bound])
 
     @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
     def test_out_on_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, under):
         from sdedensity import config
 
         calls = []
-        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(config, "simulate_blocks", lambda *a, **k: calls.append(a))
         (tmp_path / "f").write_text("")
         out = tmp_path / "f" / "sub" if under else tmp_path / "f"
         assert main(["cf", "--preset", "gaussian", "--out", str(out)]) == 2
@@ -622,7 +640,7 @@ class TestCommands:
         from sdedensity import config
 
         calls = []
-        monkeypatch.setattr(config, "simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(config, "simulate_blocks", lambda *a, **k: calls.append(a))
         pipe = Pipeline(RunConfig.from_dict(tiny_config()))  # h = 1/32
         with pytest.raises(ConfigError, match=r"t=0\.2 is not on the simulation grid"):
             pipe.reads([0.2])
@@ -671,13 +689,13 @@ class TestCertify:
         from sdedensity.config import Pipeline
 
         seen = []
-        original = charfn.estimate_localized
+        original = charfn.CfAccumulator.estimate
 
-        def counting(ens, phi, transform, grid, t, **kwargs):
+        def counting(self, t=0.0):
             seen.append(t)
-            return original(ens, phi, transform, grid, t, **kwargs)
+            return original(self, t)
 
-        monkeypatch.setattr(charfn, "estimate_localized", counting)
+        monkeypatch.setattr(charfn.CfAccumulator, "estimate", counting)
         cfg = RunConfig.from_dict(tiny_config(certify={
             "checks": ["cf_sanity", "mass_consistency", "density_vs_oracle", "bound_check"]}))
         report = cmd_certify(Pipeline(cfg), tmp_path)
@@ -733,40 +751,78 @@ class TestBoundPlan:
 
 
 class TestRecordingPlan:
-    def test_gbm_ensemble_stores_only_the_plan(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gbm_cf_at_each_read_time_is_that_of_the_full_ensemble(self, tmp_path, monkeypatch,
+                                                                    threads):
         from sdedensity import cli
+        from sdedensity.charfn import cf_from_samples
 
+        # 4 full path blocks and a partial one: one full CF chunk and a partial one
         raw = json.loads(json.dumps(PRESETS["gbm"]))
-        raw["simulation"]["n_paths"] = 3000
+        raw["simulation"]["n_paths"] = 4 * 4096 + 100
         cfg = RunConfig.from_dict(raw)
-        full = simulate(cfg.model, cfg.simulation, threads=2)
-        # each command stores one column per time it reads: t_final (step 256),
-        # and for hoelder also t = 0.5; only bound runs the remainder pass
-        for command, plan, bound in [("cf", (256,), False), ("bound", (256,), True),
-                                     ("density", (256,), False),
-                                     ("hoelder", (128, 256), False),
-                                     ("certify", (256,), False)]:
-            pipe = Pipeline(cfg, threads=2)
+        full = simulate(cfg.model, cfg.simulation, threads=threads)
+        passes = _record_passes(monkeypatch)
+        # each command reads the CF at t_final (step 256), and hoelder also at
+        # t = 0.5; only bound runs the remainder pass
+        for command, times, bound in [("cf", (1.0,), False), ("bound", (1.0,), True),
+                                      ("density", (1.0,), False),
+                                      ("hoelder", (0.5, 1.0), False),
+                                      ("certify", (1.0,), False)]:
+            passes.clear()
+            pipe = Pipeline(cfg, threads=threads)
             cli._COMMANDS[command](pipe, tmp_path)
-            assert pipe.ensemble.recorded == plan, command
-            assert pipe.ensemble.states.shape == (3000, len(plan))
-            assert np.array_equal(pipe.ensemble.states, full.states[:, list(plan)])
-            assert (pipe.ensemble.band_parts is not None) == bound, command
+            steps = tuple(cfg.simulation.step(t) for t in times)
+            assert passes == [(steps, bound)], command
+            for t in times:
+                got = pipe.cf_at(t)
+                want = cf_from_samples(full.states_at(t), pipe.phi, pipe.freq_grid, t=t,
+                                       transform=pipe.transform)
+                assert got.n_paths == want.n_paths == 4 * 4096 + 100
+                assert np.array_equal(got.values, want.values), (command, t)
+                assert np.array_equal(got.std_errors, want.std_errors), (command, t)
 
-    def test_certify_runs_the_remainder_pass_only_for_bound_check(self, tmp_path):
+    def test_certify_runs_the_remainder_pass_only_for_bound_check(self, tmp_path, monkeypatch):
         from sdedensity.cli import cmd_certify
 
+        passes = _record_passes(monkeypatch)
         for checks, bound in [(["cf_sanity"], False), (["cf_sanity", "bound_check"], True)]:
+            passes.clear()
             pipe = Pipeline(RunConfig.from_dict(tiny_config(certify={"checks": checks})))
             cmd_certify(pipe, tmp_path)
-            assert pipe.ensemble.recorded == (8,)
-            assert (pipe.ensemble.band_parts is not None) == bound
+            assert passes == [((8,), bound)]
 
     def test_reads_after_simulating_is_refused(self):
         pipe = Pipeline(RunConfig.from_dict(tiny_config()))
-        pipe.ensemble
-        with pytest.raises(RuntimeError, match="before the ensemble"):
+        pipe.cf_at(0.25)
+        with pytest.raises(RuntimeError, match="before the paths are simulated"):
             pipe.reads([0.25])
+
+    def test_undeclared_time_is_refused_after_the_pass(self):
+        pipe = Pipeline(RunConfig.from_dict(tiny_config()))
+        pipe.reads([0.25])
+        with pytest.raises(ConfigError, match=r"grid step 4 \(t=0.125\) was not recorded"):
+            pipe.cf_at(0.125)
+
+    def test_cf_memory_is_flat_in_n_paths(self):
+        # no array grows with n_paths: the peak traced allocation (numpy's
+        # included) of the whole pass at 2^18 paths is that at 2^16, to 1 MiB,
+        # where storing the states read would add 3 MiB
+        import tracemalloc
+
+        def peak(n_paths):
+            raw = json.loads(json.dumps(PRESETS["gaussian"]))
+            raw["simulation"]["n_paths"] = n_paths
+            pipe = Pipeline(RunConfig.from_dict(raw))
+            pipe.model, pipe.phi, pipe.transform, pipe.freq_grid, pipe.cfg.bound_plan
+            tracemalloc.start()
+            try:
+                pipe.cf_at(1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(2**18) - peak(2**16)) < 2**20
 
 
 def _sigma(*pieces, breakpoints=()):

@@ -269,7 +269,8 @@ class TestJointScan:
 
     def test_row_equals_pipeline(self, gaussian_scan):
         pipe, t_refined, x_state, q = gaussian_scan
-        cf = sd.estimate_localized(pipe.ensemble, pipe.phi, pipe.transform, pipe.freq_grid, 0.5)
+        ens = sd.simulate(pipe.model, pipe.cfg.simulation)
+        cf = sd.estimate_localized(ens, pipe.phi, pipe.transform, pipe.freq_grid, 0.5)
         chain = sd.pushforward(sd.invert(cf, pipe.cfg.x_grid), pipe.transform)
         np.testing.assert_array_equal(chain.x_grid, x_state)
         np.testing.assert_array_equal(q[t_refined.index(0.5)], chain.values)
