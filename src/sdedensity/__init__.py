@@ -8,7 +8,7 @@ bounds, invert to a density, and certify smoothness in space and time.
 """
 
 from .bounds import (BoundReport, bound_plan, bound_report, matched_lookback_bound,
-                     epsilon_rule, fit_decay, remainder, fixed_lookback_bound)
+                     epsilon_rule, fit_decay, fixed_lookback_bound)
 from .charfn import CharFnEstimate, FrequencyGrid, cf_from_samples, estimate_localized
 from .config import PRESETS, Pipeline, RunConfig, piecewise_from_dict, preset
 from .cutoff import CutoffFunction, make_bump, make_plateau_sequence
@@ -20,8 +20,8 @@ from .model import (Affine, CoefficientModel, Constant, DriftFunctional, HolderP
                     WeakDerivative, build_sigma_star)
 from .oracle import (ReferenceModel, as_coefficient_model, exact_cf, exact_density,
                      localized_cf, sign_drift_model)
-from .simulate import (PathEnsemble, SimConfig, load_ensemble, save_ensemble, simulate,
-                       stopped_increment_moment)
+from .simulate import (PathEnsemble, SimConfig, load_ensemble, simulate,
+                       stopped_increment_moment, write_ensemble)
 from .util import MCEstimate
 
 __version__ = "0.1.0"

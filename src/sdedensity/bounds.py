@@ -29,8 +29,8 @@ import numpy as np
 from .charfn import CharFnEstimate
 from .errors import ConfigError, DomainError
 from .model import DriftFunctional, LocalWindow
-from .simulate import BLOCK_PATHS, PathEnsemble, SimConfig, in_window
-from .util import MCEstimate, map_ordered, merge_moments, path_chunks, row_moments, unique
+from .simulate import SimConfig, in_window
+from .util import merge_moments, row_moments, unique
 
 _SLAB_ROWS = 8  # lookbacks per slab of BlockRemainder.result
 
@@ -70,10 +70,10 @@ class RemainderPass:
     eps = lookbacks[u] * h and the trapezoid sum taken from prefix sums of g.
     A block's result is the (count, mean, M2) of its samples per lookback;
     ``merge_moments`` merges the blocks in block order.  ``start`` opens one
-    block's ``BlockRemainder``, which takes the block's states one step at a
-    time: ``simulate`` feeds it inside the Euler loop, and ``block_results``
-    feeds it an ensemble's recorded band.  Blocks are ``BLOCK_PATHS`` paths
-    either way, so the estimates are the same bits for any thread count.
+    block's ``BlockRemainder``, which ``simulate_blocks`` feeds the block's
+    states one step at a time inside the Euler loop.  Blocks are
+    ``BLOCK_PATHS`` paths, so the estimates are the same bits for any thread
+    count.
     """
 
     g: DriftFunctional
@@ -88,20 +88,6 @@ class RemainderPass:
 
     def start(self, rows: int) -> "BlockRemainder":
         return BlockRemainder(self, rows)
-
-    def block_results(self, ens: PathEnsemble, threads: int = 1) -> list:
-        """The kernel's results per ``BLOCK_PATHS`` block of ``ens``, in block order,
-        from a pass over its recorded band on ``threads`` workers: the same
-        bits as ``simulate`` makes running the kernel in its Euler loop."""
-        band = ens.band(self.steps[0], self.steps[-1])
-
-        def run(span):
-            block = self.start(span[1] - span[0])
-            for x in band[span[0]:span[1]].T:
-                block.push(x)
-            return block.result()
-
-        return map_ordered(run, path_chunks(ens.n_paths, BLOCK_PATHS), threads=threads)
 
 
 class BlockRemainder:
@@ -166,19 +152,6 @@ class BlockRemainder:
             parts.append(row_moments(integral))
         counts, means, m2s = zip(*parts)
         return counts[0], np.concatenate(means), np.concatenate(m2s)
-
-
-def remainder(ens: PathEnsemble, g: DriftFunctional, w: LocalWindow,
-              eps: float, t: float) -> MCEstimate:
-    """MC estimate of the localized running-increment of the drift functional g.
-
-    Per path:  1_{stay in window} * | trapz g(X_s) ds - eps * g(X_{t-eps}) |.
-    The single-lookback case of the estimator ``bound_report`` uses; kept for
-    the remainder's scaling exponent (``test_acceptance.py::TestCriterion4RemainderScaling``).
-    """
-    k0, k_end = ens.config.lookback(eps, t)
-    kernel = RemainderPass(g, w, ens.config.h, k_end, (k_end - k0,))
-    return merge_moments(kernel.block_results(ens))[0]
 
 
 def least_constant(empirical, se, bound) -> float:
@@ -278,11 +251,10 @@ def bound_report(cf: CharFnEstimate, plan: BoundPlan, parts: list,
     """Evaluate the bound at each of the plan's frequencies against the empirical CF.
 
     ``parts`` are the results of ``plan.kernel`` per path block, in block
-    order, or a running ``fold_moments`` of them: ``simulate`` makes them in
-    its Euler loop (``band_parts``), the pipeline folds them as the blocks
-    finish, and ``RemainderPass.block_results`` replays them over a recorded
-    band.  The remainder is estimated once per distinct grid lookback, by
-    merging them.
+    order, or a running ``fold_moments`` of them: ``simulate_blocks`` makes
+    them in its Euler loop, and the pipeline folds them as the blocks finish.
+    The remainder is estimated once per distinct grid lookback, by merging
+    them.
     """
     y, kernel = plan.y, plan.kernel
     eps_used = plan.k_steps * kernel.h

@@ -16,7 +16,7 @@ from .certify import CHECKS
 from .config import Pipeline, RunConfig, preset, t_tag
 from .errors import SdeDensityError
 from .invert import holder_norm
-from .simulate import save_ensemble, simulate
+from .simulate import write_ensemble
 
 
 def _json_dump(path: Path, obj) -> None:
@@ -39,10 +39,9 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 def cmd_simulate(pipe: Pipeline, out: Path) -> dict:
     # the file holds every grid step, not just the times the other commands read
-    ens = simulate(pipe.model, pipe.cfg.simulation, threads=pipe.threads)
     path = out / "ensemble.bin"
-    save_ensemble(path, ens)
-    return {"ensemble": path.name, "n_paths": ens.n_paths}
+    write_ensemble(path, pipe.model, pipe.cfg.simulation, pipe.threads)
+    return {"ensemble": path.name, "n_paths": pipe.cfg.simulation.n_paths}
 
 
 def cmd_cf(pipe: Pipeline, out: Path) -> dict:

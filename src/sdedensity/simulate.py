@@ -9,12 +9,12 @@ how many other paths are simulated.  Runs with identical (seed, config) are
 bitwise reproducible at any thread count.  NumPy does not freeze this stream
 across releases; ``tests/test_simulate.py`` pins its first values.
 
-Because any block can be re-run bit for bit, an ensemble may store only the
-grid steps its consumers read (a recording plan): a block whose states turn
+``simulate_blocks`` is the one path driver.  It yields each block's states at
+the grid steps its consumer reads as the block finishes, so a consumer that
+reduces them as they come (the pipeline's CF, ``write_ensemble``) holds none
+beyond a few blocks; ``simulate`` collects every step into one ensemble.
+Because any block can be re-run bit for bit, a block whose states turn
 non-finite is re-run, checking every step, to name the first bad step.
-``simulate_blocks`` yields each block's recorded states as it finishes, so a
-consumer that reduces them as they come (the pipeline's CF) stores none;
-``simulate`` collects them into one ensemble.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,43 +111,23 @@ def _noise(streams: RngStreams, block: int, n_steps: int):
 
 @dataclass(eq=False)
 class PathEnsemble:
-    """Simulated paths on the uniform grid, plus RNG provenance.
-
-    ``recorded`` lists, ascending, the grid steps that were stored:
-    ``states[i, j]`` is path i at time ``recorded[j] * h``.  Read states
-    through ``band``/``states_at``, which index by grid step.  ``band_parts``
-    holds, in block order, the results of the ``band_pass`` reduction
-    ``simulate`` ran on each block's states at the band's steps, or None if
-    it ran none.
-    """
+    """Simulated paths on the uniform grid, plus RNG provenance:
+    ``states[i, k]`` is path i at time k h, for every grid step k."""
 
     states: np.ndarray
     config: SimConfig
     rng_streams: RngStreams
-    recorded: tuple[int, ...]
-    band_parts: list | None = None
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def _column(self, k: int) -> int:
-        j = bisect_left(self.recorded, k)
-        if j == len(self.recorded) or self.recorded[j] != k:
-            raise ConfigError(f"grid step {k} (t={k * self.config.h}) was not recorded")
-        return j
-
     def band(self, k0: int, k1: int) -> np.ndarray:
         """States at grid steps k0..k1 inclusive, shape (n_paths, k1 - k0 + 1) (a view)."""
-        j0 = self._column(k0)
-        steps = range(k0, k1 + 1)
-        if self.recorded[j0:j0 + len(steps)] != tuple(steps):
-            self._column(min(set(steps) - set(self.recorded)))  # raises, naming the step
-        return self.states[:, j0:j0 + len(steps)]
+        return self.states[:, k0:k1 + 1]
 
     def states_at(self, t: float) -> np.ndarray:
-        k = self.config.step(t)
-        return self.band(k, k)[:, 0]
+        return self.states[:, self.config.step(t)]
 
 
 def _plan(cfg: SimConfig, record, band_pass) -> tuple:
@@ -172,30 +151,52 @@ def simulate_blocks(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     """Euler scheme X_{k+1} = X_k + mu(X_k) h + sigma(X_k) sqrt(h) G_{i,k}, a block at a time.
 
     Yields, in block order, each ``BLOCK_PATHS`` block's (first path, states,
-    band_pass result or None): ``states[j]`` holds the block's paths at the
-    j-th of the recorded grid steps, ascending.  The blocks run on ``threads``
-    workers (``pool``'s, if given; ``util.iter_ordered``), at most 2 x threads
-    of them at a time, so nothing held grows with n_paths, and sizes numpy
-    could not index are refused before any step.  ``record`` and
-    ``band_pass`` are as for ``simulate``.
+    band_pass result or None).  ``record`` is the grid steps to store (any
+    order, duplicates ignored); None stores every step 0..n_steps.
+    ``states[j]`` holds the block's paths at the j-th of them, ascending; the
+    paths themselves do not depend on ``record``.  ``band_pass``, if given,
+    has a ``steps`` range of grid steps and a ``start(rows)`` that opens one
+    block's reduction: on the block's worker thread, its ``push`` gets the
+    block's states at each of those steps, in step order, as they are
+    simulated, and its ``result()`` is yielded with the block.  No band of
+    states is kept, not even per block.
+
+    The step is compiled once per call (``CoefficientModel.euler_step``).
+    The blocks run on ``threads`` workers (``pool``'s, if given;
+    ``util.iter_ordered``), at most 2 x threads of them at a time, so nothing
+    held grows with n_paths.  A size numpy could not index, or a block's
+    states numpy cannot allocate, is refused before the block's first step.
+    Bitwise deterministic for fixed (seed, cfg) at any thread count.  A
+    non-finite state stays non-finite under the step, so finiteness is
+    checked once per block, after its loop; floating-point warnings are off
+    inside it, so the reduction sees non-finite states silently, and its
+    result is not taken.  A block that fails is re-run, checking each step,
+    to name the first non-finite step.
     """
     recorded, band = _plan(cfg, record, band_pass)
     n_steps = cfg.n_steps
     sqrth = math.sqrt(cfg.h)
     step = model.euler_step(cfg.h)
     streams = RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS)
-    rows_of = {k: j for j, k in enumerate(recorded)}  # recorded grid step -> row
 
-    def euler_block(block, rows, slot, reduction=None, strict=False):
-        """A block's states at the steps of ``slot`` (a step -> row map), and
-        whether it ended finite; ``reduction`` gets the band's.  ``strict``
-        raises at the first step with a non-finite state, naming its lowest path."""
-        local = np.empty((len(slot), rows))
+    def euler_block(block, rows, steps, reduction=None, strict=False):
+        """A block's states at ``steps`` (ascending grid steps), and whether it
+        ended finite; ``reduction`` gets the band's.  ``strict`` raises at the
+        first step with a non-finite state, naming its lowest path."""
+        try:
+            local = np.empty((len(steps), rows))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"simulation.n_paths: cannot hold {rows} paths x {len(steps)} "
+                              f"recorded grid steps as float64 ({exc})") from None
         x = np.full(rows, float(cfg.x0))
+        ahead = zip(steps, local)  # the steps still to record, with their rows
+        due = next(ahead, (-1, None))
 
         def reached(k):
-            if k in slot:
-                local[slot[k]] = x
+            nonlocal due
+            if k == due[0]:
+                due[1][...] = x
+                due = next(ahead, (-1, None))
             if reduction is not None and k in band:
                 reduction.push(x)
             if strict and not np.all(np.isfinite(x)):
@@ -215,51 +216,27 @@ def simulate_blocks(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
     def run_block(args):
         block, (start, stop) = args
         reduction = None if band_pass is None else band_pass.start(stop - start)
-        local, finite = euler_block(block, stop - start, rows_of, reduction)
+        local, finite = euler_block(block, stop - start, recorded, reduction)
         if not finite:
-            euler_block(block, stop - start, {}, strict=True)  # raises
+            euler_block(block, stop - start, (), strict=True)  # raises
         return start, local, None if reduction is None else reduction.result()
 
     tasks = enumerate(path_chunks(cfg.n_paths, BLOCK_PATHS))
     yield from iter_ordered(run_block, tasks, threads, pool)
 
 
-def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1,
-             record=None, band_pass=None) -> PathEnsemble:
-    """The blocks of ``simulate_blocks`` collected into one ensemble.
-
-    The step is compiled once per call (``CoefficientModel.euler_step``).
-    ``record`` is the grid steps to store (any order, duplicates ignored);
-    None stores every step 0..n_steps.  The paths themselves do not depend
-    on it.  ``band_pass``, if given, has a ``steps`` range of grid steps and
-    a ``start(rows)`` that opens one block's reduction: on the block's worker
-    thread, its ``push`` gets the block's states at each of those steps, in
-    step order, as they are simulated, and its ``result()`` lands in
-    ``band_parts`` in block order.  No band of states is kept, not even per
-    block.  Bitwise deterministic for fixed (seed, cfg) at any thread count.
-    A non-finite state stays non-finite under the step, so finiteness is
-    checked once per block, after its loop; floating-point warnings are off
-    inside it, so the reduction sees non-finite states silently, and its
-    result is not taken.  A block that fails is re-run, checking each step,
-    to name the first non-finite step.
-    """
-    recorded, _ = _plan(cfg, record, band_pass)
+def simulate(model: CoefficientModel, cfg: SimConfig, threads: int = 1) -> PathEnsemble:
+    """Every grid step of every path: the blocks of ``simulate_blocks`` collected
+    into one ensemble."""
+    n_cols = cfg.n_steps + 1
     try:
-        states = np.empty((cfg.n_paths, len(recorded)))
+        states = np.empty((cfg.n_paths, n_cols))
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"simulation.n_paths: cannot hold {cfg.n_paths} paths x "
-                          f"{len(recorded)} recorded grid steps as float64 ({exc})") from None
-    parts = []
-    for start, local, part in simulate_blocks(model, cfg, threads, record, band_pass):
+                          f"{n_cols} recorded grid steps as float64 ({exc})") from None
+    for start, local, _ in simulate_blocks(model, cfg, threads):
         states[start:start + local.shape[1]] = local.T
-        parts.append(part)
-    return PathEnsemble(
-        states=states,
-        config=cfg,
-        rng_streams=RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS),
-        recorded=tuple(recorded),
-        band_parts=None if band_pass is None else parts,
-    )
+    return PathEnsemble(states, cfg, RngStreams(seed=cfg.seed, block_paths=BLOCK_PATHS))
 
 
 def in_window(seg: np.ndarray, w: LocalWindow, closed: bool = True) -> np.ndarray:
@@ -310,27 +287,26 @@ def stopped_increment_moment(ens: PathEnsemble, w: LocalWindow, eps: float, t: f
 _HEADER = struct.Struct("<8sIQQdddQI")
 
 
-def save_ensemble(path, ens: PathEnsemble) -> None:
-    """Versioned little-endian dump: header then row-major float64 states.
-
-    The format holds every grid step, so only a fully recorded ensemble
-    can be saved.
-    """
-    cfg = ens.config
-    if len(ens.recorded) != cfg.n_steps + 1:
-        raise ConfigError(f"{path}: an ensemble file holds every grid step, but this "
-                          f"ensemble recorded {len(ens.recorded)} of {cfg.n_steps + 1}")
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, ens.n_paths, cfg.n_steps,
-        cfg.h, cfg.t_final, cfg.x0, cfg.seed, ens.rng_streams.block_paths,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ens.states, dtype="<f8"))  # its buffer, not a copy
+def write_ensemble(path, model: CoefficientModel, cfg: SimConfig, threads: int = 1) -> None:
+    """Simulate every grid step into a versioned little-endian file: the header,
+    then the row-major float64 states, each path block's rows written as the
+    block finishes (``simulate_blocks`` yields them in path order), so no more
+    than a few blocks' states are held.  A failed run leaves no file."""
+    header = _HEADER.pack(_MAGIC, _VERSION, cfg.n_paths, cfg.n_steps,
+                          cfg.h, cfg.t_final, cfg.x0, cfg.seed, BLOCK_PATHS)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            for _, local, _ in simulate_blocks(model, cfg, threads):
+                fh.write(np.ascontiguousarray(local.T, dtype="<f8"))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read a file written by ``save_ensemble``; no command reads one back."""
+    """Read a file written by ``write_ensemble``; no command reads one back."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -348,9 +324,5 @@ def load_ensemble(path) -> PathEnsemble:
                               f"{n_paths} paths x {n_steps + 1} grid points, got {size}")
         data = np.fromfile(fh, dtype="<f8").reshape(n_paths, n_steps + 1)
     cfg = SimConfig(x0=x0, t_final=t_final, h=h, n_paths=n_paths, seed=seed)
-    return PathEnsemble(
-        states=data.astype(float, copy=False),
-        config=cfg,
-        rng_streams=RngStreams(seed=seed, block_paths=block_paths),
-        recorded=tuple(range(n_steps + 1)),
-    )
+    return PathEnsemble(data.astype(float, copy=False), cfg,
+                        RngStreams(seed=seed, block_paths=block_paths))

@@ -91,6 +91,7 @@ def task_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext(_Inline())
 
 
+# kept for perfbench/child.py's noise probe
 def map_ordered(fn: Callable, args: Iterable, threads: int = 1) -> list:
     """Apply `fn` over `args`, returning results in argument order.
 

@@ -5,6 +5,9 @@ import math
 import numpy as np
 
 import sdedensity as sd
+from sdedensity.bounds import RemainderPass
+from sdedensity.simulate import simulate_blocks
+from sdedensity.util import merge_moments
 
 
 def cf_from_function(f, grid, t=0.0):
@@ -19,11 +22,28 @@ def drift_g(model, w):
     return sd.DriftFunctional(model.mu, sd.build_sigma_star(model.sigma, w))
 
 
-def report_of(cf, ens, g, w, t, y, eps_rule="matched", c=None, threads=1):
-    """The bound report of a recorded ensemble: the plan, then its kernel replayed
-    over the ensemble's band on ``threads`` workers."""
-    plan = sd.bound_plan(g, w, ens.config, t, y, eps_rule)
-    return sd.bound_report(cf, plan, plan.kernel.block_results(ens, threads), c)
+def kernel_parts(model, sim, kernel, threads=1):
+    """A remainder kernel's results per path block, in block order, made in the
+    Euler loop of the paths of (model, sim) on ``threads`` workers."""
+    return [part for _, _, part in simulate_blocks(model, sim, threads, record=[kernel.k_end],
+                                                   band_pass=kernel)]
+
+
+def report_of(cf, model, sim, w, t, y, eps_rule="matched", c=None, threads=1):
+    """The bound report of the paths of (model, sim) against ``cf``: the plan, then
+    its kernel run in their Euler loop."""
+    plan = sd.bound_plan(drift_g(model, w), w, sim, t, y, eps_rule)
+    return sd.bound_report(cf, plan, kernel_parts(model, sim, plan.kernel, threads), c)
+
+
+def remainders(model, sim, w, eps_list, t, threads=1):
+    """The remainder estimate of each lookback in ``eps_list`` ending at t, from one
+    kernel over their grid lookbacks run in the Euler loop."""
+    lookbacks = [k_end - k0 for k0, k_end in (sim.lookback(eps, t) for eps in eps_list)]
+    kernel = RemainderPass(drift_g(model, w), w, sim.h, sim.step(t),
+                           tuple(sorted(set(lookbacks))))
+    ests = dict(zip(kernel.lookbacks, merge_moments(kernel_parts(model, sim, kernel, threads))))
+    return [ests[k] for k in lookbacks]
 
 
 def decay_constant_refinement_oracle(gamma: float, z_cut: float = 2 * math.pi * 2048) -> float:

@@ -10,10 +10,10 @@ import sdedensity as sd
 from sdedensity.bounds import _SLAB_ROWS, RemainderPass
 from sdedensity.config import PRESETS, Pipeline, RunConfig
 from sdedensity.errors import ConfigError, DomainError
-from sdedensity.simulate import BLOCK_PATHS, simulate
+from sdedensity.simulate import BLOCK_PATHS, simulate_blocks
 from sdedensity.util import mean_se
 
-from helpers import cf_from_function, drift_g, report_of
+from helpers import cf_from_function, drift_g, kernel_parts, remainders, report_of
 
 
 class TestClosedFormBounds:
@@ -79,26 +79,24 @@ def sign_run():
 class TestRemainder:
     def test_constant_drift_functional_is_exactly_zero(self, bm_model, bm_ensemble):
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
-        est = sd.remainder(bm_ensemble, drift_g(bm_model, w), w, eps=0.125, t=0.25)
+        est, = remainders(bm_model, bm_ensemble.config, w, [0.125], t=0.25)
         assert est.value == 0.0
         const = sd.CoefficientModel(
             mu=sd.PiecewiseFunction((), (sd.Constant(3.0),)),
             sigma=sd.PiecewiseFunction((), (sd.Constant(1.0),)),
         )
-        ens = sd.simulate(const, sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-6,
-                                              n_paths=500, seed=4))
-        assert sd.remainder(ens, drift_g(const, w), w, eps=0.125, t=0.25).value == 0.0
+        sim = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-6, n_paths=500, seed=4)
+        assert remainders(const, sim, w, [0.125], t=0.25)[0].value == 0.0
 
     def test_positive_for_sign_drift(self, sign_run):
         model, w, ens = sign_run
-        est = sd.remainder(ens, drift_g(model, w), w, eps=2.0**-4, t=0.5)
+        est, = remainders(model, ens.config, w, [2.0**-4], t=0.5)
         assert est.value > 3 * est.std_error > 0.0
 
     def test_sub_resolution_eps_rejected(self, bm_model, bm_ensemble):
         w = sd.LocalWindow(xi=0.0, delta=6.0, delta0=1.0, l_sigma=1.0)
         with pytest.raises(ConfigError, match=r"^t=0\.2490234375 is not on the simulation grid"):
-            sd.remainder(bm_ensemble, drift_g(bm_model, w), w,
-                         eps=bm_ensemble.config.h / 4, t=0.25)
+            remainders(bm_model, bm_ensemble.config, w, [bm_ensemble.config.h / 4], t=0.25)
 
 
 class TestFitDecay:
@@ -151,7 +149,7 @@ class TestGaussianModelBound:
         # the running increment scale between eps and eps^{3/2}
         model, w, ens = sign_run
         eps_list = [2.0**-k for k in range(3, 8)]
-        vals = [sd.remainder(ens, drift_g(model, w), w, eps, 0.5).value for eps in eps_list]
+        vals = [e.value for e in remainders(model, ens.config, w, eps_list, t=0.5)]
         slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
         assert 1.0 - 0.1 <= slope <= 1.5 + 0.1
 
@@ -181,10 +179,10 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(model.sigma, w), grid, t)
-        report = report_of(cf, ens, drift_g(model, w), w, t, band_above(cf))
+        report = report_of(cf, model, ens.config, w, t, band_above(cf))
         for j in (0, len(report.y) // 2, len(report.y) - 1):
             eps = float(report.eps_used[j])
-            standalone = sd.remainder(ens, drift_g(model, w), w, eps=eps, t=t)
+            standalone, = remainders(model, ens.config, w, [eps], t=t)
             y = float(report.y[j])
             assert report.remainder_term[j] == y * standalone.value
             assert report.gauss_term[j] == pytest.approx(y ** (-0.5 * math.log(y)))
@@ -196,9 +194,9 @@ class TestBoundReport:
         cf = sd.estimate_localized(
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(model.sigma, w), grid, 0.5)
-        report = report_of(cf, ens, drift_g(model, w), w, 0.5, band_above(cf))
+        report = report_of(cf, model, ens.config, w, 0.5, band_above(cf))
         assert report.pass_fraction == 1.0
-        tight = report_of(cf, ens, drift_g(model, w), w, 0.5, band_above(cf),
+        tight = report_of(cf, model, ens.config, w, 0.5, band_above(cf),
                           c=report.c_fit / 20.0)
         assert tight.pass_fraction < 1.0
 
@@ -211,7 +209,7 @@ class TestBoundReport:
             ens, sd.make_bump(w, 0.2),
             sd.build_lamperti_map(model.sigma, w), grid, 0.0625)
         with pytest.raises(ConfigError, match="log"):
-            report_of(cf, ens, drift_g(model, w), w, 0.0625, band_above(cf))
+            report_of(cf, model, cfg, w, 0.0625, band_above(cf))
 
     def test_empirical_is_the_modulus_fit_decay_takes(self):
         # |cf| and its SE gathered at the checked frequencies' grid positions,
@@ -309,13 +307,12 @@ class TestStreamedRemainder:
     @pytest.mark.parametrize("eps_rule", ["matched", 0.0625])
     def test_bitwise_equal_to_whole_slab(self, kinked_run, threads, eps_rule):
         model, w, ens, cf, t = kinked_run
-        g = drift_g(model, w)
         y_check = band_above(cf, math.e if eps_rule == "matched" else 0.0)
-        one = report_of(cf, ens, g, w, t, y_check, eps_rule=eps_rule, threads=1)
+        one = report_of(cf, model, ens.config, w, t, y_check, eps_rule=eps_rule, threads=1)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the block workers as much as possible
         try:
-            report = report_of(cf, ens, g, w, t, y_check, eps_rule=eps_rule,
+            report = report_of(cf, model, ens.config, w, t, y_check, eps_rule=eps_rule,
                                threads=threads)
         finally:
             sys.setswitchinterval(switch)
@@ -339,11 +336,15 @@ class TestStreamedRemainder:
         model, w, ens, cf, t = kinked_run
         kernel = RemainderPass(drift_g(model, w), w, ens.config.h, ens.config.step(t),
                                (1, 7, 40))
-        inside = sd.simulate(model, ens.config, threads=threads,
-                             record=[ens.config.step(t)], band_pass=kernel)
-        assert inside.recorded == (ens.config.step(t),)
-        recorded = kernel.block_results(ens, threads=threads)  # ens recorded every step
-        for a, b in zip(inside.band_parts, recorded, strict=True):
+        inside = kernel_parts(model, ens.config, kernel, threads=threads)
+        band = ens.band(kernel.steps[0], kernel.steps[-1])  # ens recorded every step
+        recorded = []
+        for start in range(0, ens.n_paths, BLOCK_PATHS):
+            block = kernel.start(min(BLOCK_PATHS, ens.n_paths - start))
+            for x in band[start:start + BLOCK_PATHS].T:
+                block.push(x)
+            recorded.append(block.result())
+        for a, b in zip(inside, recorded, strict=True):
             assert a[0] == b[0]
             assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
 
@@ -380,7 +381,9 @@ class TestStreamedRemainder:
         sim, kernel = cfg.simulation, cfg.bound_plan.kernel
         tracemalloc.start()
         try:
-            simulate(cfg.model, sim, threads=1, record=[sim.n_steps], band_pass=kernel)
+            for _ in simulate_blocks(cfg.model, sim, threads=1, record=[sim.n_steps],
+                                     band_pass=kernel):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

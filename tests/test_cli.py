@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from sdedensity.certify import CHECKS
-from sdedensity.cli import _write_csv, cmd_certify, main
+from sdedensity.cli import _write_csv, cmd_certify, cmd_simulate, main
 from sdedensity.config import PRESETS, Pipeline, RunConfig, preset, t_tag
-from sdedensity.simulate import simulate
+from sdedensity.simulate import load_ensemble, simulate
 from sdedensity.errors import ConfigError
 from sdedensity.util import unique
 
@@ -222,6 +223,19 @@ class TestCommands:
         info = json.loads((out / "run_info.json").read_text())
         assert info["command"] == "simulate"
         assert len(info["config_hash"]) == 64
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_simulate_file_reads_back_as_simulate_states(self, tmp_path, threads):
+        # two full path blocks and a partial one, written block by block
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(tiny_config(simulation={"n_paths": 2 * 4096 + 100})))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(p), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        cfg = RunConfig.from_file(p)
+        back = load_ensemble(out / "ensemble.bin")
+        assert back.config == cfg.simulation
+        assert back.states.tobytes() == simulate(cfg.model, cfg.simulation).states.tobytes()
 
     def test_cf_and_density_and_hoelder(self, config_file, tmp_path):
         out = tmp_path / "o"
@@ -569,6 +583,37 @@ class TestCommands:
                                      f"{2**40 + 1} recorded grid steps as float64")
         assert out.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("failure", ["non-finite", "h=2**-40"])
+    def test_failed_simulate_exits_2_and_leaves_no_file(self, tmp_path, failure):
+        # both fail after ensemble.bin is opened: the cubic drift of
+        # test_simulate.cubic_blowup as a config, and the run of
+        # test_unallocatable_step_count_exits_2_before_any_step; in a 3 GB child, as there
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS,\n"
+            "                   (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from sdedensity import cli\n"
+            "sys.exit(cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        if failure == "non-finite":
+            raw = tiny_config(
+                model={"mu": _pieces({"kind": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1.0]}),
+                       "sigma": _pieces({"kind": "constant", "value": 1.5})},
+                simulation={"t": 1.0, "h": 2.0**-4, "n_paths": 6000, "seed": 2})
+            message = r"path \d+ became non-finite at step \d+ \(t=\S+\)"
+        else:
+            raw = json.loads(json.dumps(PRESETS["gaussian"]))
+            raw["simulation"].update(h=2.0**-40, n_paths=2000)
+            message = r"simulation\.n_paths: cannot hold 2000 paths x .*"
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(raw))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, str(p), str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert re.fullmatch(f"error: {message}\n", out.stderr)
+        assert (tmp_path / "o").is_dir() and not (tmp_path / "o" / "ensemble.bin").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2_naming_the_flag(self, tmp_path, capsys, threads):
         with pytest.raises(SystemExit) as info:
@@ -717,32 +762,6 @@ class TestBoundPlan:
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
-    def test_report_reads_the_moments_made_while_simulating(self, tmp_path, monkeypatch):
-        # the recorded-band replay is the tests' reference only: with it broken,
-        # bound and certify write the same bytes
-        from sdedensity.bounds import RemainderPass
-
-        raw = json.loads(json.dumps(PRESETS["sign_drift"]))
-        raw["simulation"]["n_paths"] = 2000
-        p = tmp_path / "run.json"
-        p.write_text(json.dumps(raw))
-
-        def outputs(tag):
-            files = {}
-            for command in ("bound", "certify"):
-                out = tmp_path / tag / command
-                assert main([command, "--config", str(p), "--out", str(out)]) == 0
-                files.update({f"{command}/{f.name}": f.read_bytes() for f in out.iterdir()})
-            return files
-
-        expected = outputs("unpatched")
-
-        def replay(*args, **kwargs):
-            raise AssertionError("the bound report replayed the band")
-
-        monkeypatch.setattr(RemainderPass, "block_results", replay)
-        assert outputs("patched") == expected
-
     def test_report_without_declaring_it_is_refused(self):
         pipe = Pipeline(RunConfig.from_dict(tiny_config()))
         pipe.reads([0.25])
@@ -823,6 +842,24 @@ class TestRecordingPlan:
                 tracemalloc.stop()
 
         assert abs(peak(2**18) - peak(2**16)) < 2**20
+
+    def test_simulate_memory_is_flat_in_n_paths(self, tmp_path):
+        # ensemble.bin is written a block at a time: the peak traced allocation of
+        # the simulate command at 4 x 2^15 paths is that at 2^15, to 1 MiB, where
+        # holding the states would add 3 x 2^15 x 9 x 8 bytes (6.75 MiB)
+        import tracemalloc
+
+        def peak(n_paths):
+            pipe = Pipeline(RunConfig.from_dict(tiny_config(simulation={"n_paths": n_paths})))
+            pipe.model
+            tracemalloc.start()
+            try:
+                cmd_simulate(pipe, tmp_path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(4 * 2**15) - peak(2**15)) < 2**20
 
 
 def _sigma(*pieces, breakpoints=()):

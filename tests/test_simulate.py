@@ -9,7 +9,8 @@ from scipy import stats
 import sdedensity as sd
 from sdedensity.bounds import RemainderPass
 from sdedensity.errors import ConfigError, NumericsError
-from sdedensity.simulate import BLOCK_PATHS, RngStreams, _first_exit, _noise, in_window
+from sdedensity.simulate import (BLOCK_PATHS, RngStreams, _first_exit, _noise, in_window,
+                                 simulate_blocks)
 from sdedensity.util import mean_se
 
 
@@ -39,7 +40,7 @@ class TestEulerStatistics:
     def test_initial_column_and_grid(self, bm_ensemble):
         assert np.all(bm_ensemble.states[:, 0] == bm_ensemble.config.x0)
         n_steps = bm_ensemble.config.n_steps
-        assert bm_ensemble.recorded == tuple(range(n_steps + 1))
+        assert bm_ensemble.states.shape == (bm_ensemble.n_paths, n_steps + 1)
         assert bm_ensemble.config.step(n_steps * bm_ensemble.config.h) == n_steps
 
     def test_variance_matches_time(self, bm_ensemble):
@@ -91,41 +92,37 @@ class TestEulerStatistics:
         assert str(info.value) == report
 
 
+def recorded_states(model, cfg, threads=1, **kwargs):
+    """The states ``simulate_blocks`` yields, stacked: a row per path, a column per
+    recorded grid step."""
+    return np.concatenate([local.T for _, local, _ in
+                           simulate_blocks(model, cfg, threads, **kwargs)])
+
+
 class TestRecordingPlan:
     CFG = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-5, n_paths=5_000, seed=12)
 
     def test_partial_record_stores_the_full_run_columns(self, bm_model):
         full = sd.simulate(bm_model, self.CFG, threads=2)
-        part = sd.simulate(bm_model, self.CFG, threads=2, record=[8, 3, 4, 5, 8])
-        assert part.recorded == (3, 4, 5, 8)
-        assert np.array_equal(part.states, full.states[:, [3, 4, 5, 8]])
-        assert np.array_equal(part.band(3, 5), full.band(3, 5))
-        assert np.array_equal(part.states_at(0.25), full.states_at(0.25))
-
-    def test_unrecorded_step_is_an_alignment_error(self, bm_model):
-        part = sd.simulate(bm_model, self.CFG, record=[3, 4, 6, 8])
-        with pytest.raises(ConfigError, match=r"grid step 7 \(t=0.21875\) was not recorded"):
-            part.states_at(0.21875)
-        with pytest.raises(ConfigError, match="grid step 5 "):
-            part.band(3, 8)
-        with pytest.raises(ConfigError, match="grid step 2 "):
-            part.band(2, 4)
+        part = recorded_states(bm_model, self.CFG, threads=2, record=[8, 3, 4, 5, 8])
+        assert np.array_equal(part, full.states[:, [3, 4, 5, 8]])
+        assert np.array_equal(recorded_states(bm_model, self.CFG), full.states)
 
     def test_record_outside_the_grid_rejected(self, bm_model):
         with pytest.raises(ConfigError, match="0..8"):
-            sd.simulate(bm_model, self.CFG, record=[0, 9])
+            next(simulate_blocks(bm_model, self.CFG, record=[0, 9]))
 
     def test_memory_of_a_partial_record_does_not_grow_with_the_steps(self, bm_model):
-        # one path recorded at its last step: what simulate holds per block grows
+        # one path recorded at its last step: what simulate_blocks holds per block grows
         # with the recorded steps, not with the grid (a slot per grid step would
         # be 16,385 pointers at h = 2^-14, about 131 KB)
         peaks = []
         for h in (2.0**-8, 2.0**-14):
             cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=h, n_paths=1, seed=3)
-            sd.simulate(bm_model, cfg, record=[cfg.n_steps])  # first-call caches, untraced
+            recorded_states(bm_model, cfg, record=[cfg.n_steps])  # first-call caches, untraced
             tracemalloc.start()
             try:
-                sd.simulate(bm_model, cfg, record=[cfg.n_steps])
+                recorded_states(bm_model, cfg, record=[cfg.n_steps])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -141,17 +138,11 @@ class TestRecordingPlan:
         tracemalloc.start()
         try:
             with pytest.raises(NumericsError, match=r"^path \d+ became non-finite at step \d+"):
-                sd.simulate(model, cfg, record=[cfg.n_steps])
+                recorded_states(model, cfg, record=[cfg.n_steps])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < matrix / 16
-
-    def test_partial_ensemble_cannot_be_saved(self, bm_model, tmp_path):
-        part = sd.simulate(bm_model, self.CFG, record=[8])
-        with pytest.raises(ConfigError, match="recorded 1 of 9"):
-            sd.save_ensemble(tmp_path / "paths.bin", part)
-        assert not (tmp_path / "paths.bin").exists()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nonfinite_report_is_the_same_under_a_partial_record(self, threads):
@@ -159,7 +150,7 @@ class TestRecordingPlan:
         # recording only t_final: the failing block is re-run in full to name the step
         model, cfg, report = cubic_blowup()
         with pytest.raises(NumericsError) as info:
-            sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps])
+            recorded_states(model, cfg, threads, record=[cfg.n_steps])
         assert str(info.value) == report
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -174,8 +165,7 @@ class TestRecordingPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError) as info:
-                sd.simulate(model, cfg, threads=threads, record=[cfg.n_steps],
-                            band_pass=kernel)
+                recorded_states(model, cfg, threads, record=[cfg.n_steps], band_pass=kernel)
         assert str(info.value) == report
 
 
@@ -448,22 +438,21 @@ class TestExitProbability:
 class TestEnsembleArtifact:
     def test_round_trip(self, bm_model, tmp_path):
         cfg = sd.SimConfig(x0=0.5, t_final=0.25, h=2.0**-5, n_paths=300, seed=9)
-        ens = sd.simulate(bm_model, cfg)
         path = tmp_path / "paths.bin"
-        sd.save_ensemble(path, ens)
+        sd.write_ensemble(path, bm_model, cfg)
         back = sd.load_ensemble(path)
-        assert np.array_equal(back.states, ens.states)
+        assert np.array_equal(back.states, sd.simulate(bm_model, cfg).states)
         assert back.config == cfg
 
     def test_save_and_load_hold_one_copy_of_the_states(self, bm_model, tmp_path):
-        # save writes the array's own buffer; load reads the body into the one
-        # array it returns
+        # the writer holds a block's states, not the ensemble's; load reads the
+        # body into the one array it returns
         cfg = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-5, n_paths=20_000, seed=9)
         ens = sd.simulate(bm_model, cfg)
         path = tmp_path / "paths.bin"
         tracemalloc.start()
         try:
-            sd.save_ensemble(path, ens)
+            sd.write_ensemble(path, bm_model, cfg)
             saved = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             back = sd.load_ensemble(path)
@@ -471,7 +460,9 @@ class TestEnsembleArtifact:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.states, ens.states)
-        assert saved < ens.states.nbytes / 2
+        # a block's states, their row-major copy, the noise buffer and the path
+        # vector: less than 4 of the ensemble's 5 blocks
+        assert saved < 4 * BLOCK_PATHS * (cfg.n_steps + 1) * 8
         assert loaded < 1.5 * ens.states.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -483,7 +474,7 @@ class TestEnsembleArtifact:
     def test_truncated_body_rejected(self, bm_model, tmp_path):
         cfg = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-5, n_paths=10, seed=9)
         path = tmp_path / "paths.bin"
-        sd.save_ensemble(path, sd.simulate(bm_model, cfg))
+        sd.write_ensemble(path, bm_model, cfg)
         full = path.read_bytes()
         path.write_bytes(full[:-8])
         with pytest.raises(ConfigError) as info:
