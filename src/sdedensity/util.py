@@ -123,29 +123,6 @@ def iter_ordered(fn: Callable, args: Iterable, threads: int = 1, pool=None) -> I
         pending.extend(pool.submit(fn, a) for a in islice(args, 1))
 
 
-class KahanSum:
-    """A compensated running sum of equally-shaped arrays, added in order.
-
-    The result depends only on the parts and their order, so it is bitwise
-    reproducible for a fixed partition of the work.
-    """
-
-    def __init__(self):
-        self.total = None
-        self.comp = None
-
-    def add(self, part: np.ndarray) -> None:
-        part = np.asarray(part)
-        if self.total is None:
-            self.total = part.astype(part.dtype, copy=True)
-            self.comp = np.zeros_like(self.total)
-            return
-        y = part - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 def path_chunks(n: int, size: int) -> Iterator[tuple[int, int]]:
     """Fixed [start, stop) chunk boundaries, made as they are read; independent
     of worker count."""

@@ -6,8 +6,9 @@ import numpy as np
 
 import sdedensity as sd
 from sdedensity.bounds import RemainderPass
+from sdedensity.charfn import CfAccumulator
 from sdedensity.simulate import simulate_blocks
-from sdedensity.util import merge_moments
+from sdedensity.util import merge_moments, task_pool
 
 
 def cf_from_function(f, grid, t=0.0):
@@ -15,6 +16,19 @@ def cf_from_function(f, grid, t=0.0):
     standard errors, mirrored for symmetry."""
     return sd.CharFnEstimate.from_values([complex(f(y)) for y in grid.values[grid.half_count:]],
                                          grid, t)
+
+
+def localized_cfs(model, sim, phi, transform, grid, times, threads=1):
+    """The localized CF of the paths of (model, sim) at each of ``times``, each
+    path block's states fed to the sums as the block finishes: the bits of
+    ``estimate_localized`` on ``simulate``'s ensemble, with no ensemble held."""
+    steps = [sim.step(t) for t in times]
+    with task_pool(threads) as pool:
+        sums = {k: CfAccumulator(phi, grid, transform, pool, threads) for k in sorted(set(steps))}
+        for _, states, _ in simulate_blocks(model, sim, threads, record=list(sums), pool=pool):
+            for acc, x in zip(sums.values(), states):
+                acc.add(x)
+        return [sums[k].estimate(t) for k, t in zip(steps, times)]
 
 
 def drift_g(model, w):

@@ -18,8 +18,8 @@ from sdedensity.bounds import within_bound
 from sdedensity.cli import main as cli_main
 from sdedensity.config import PRESETS, RunConfig
 
-from helpers import (cf_from_function, decay_constant_refinement_oracle, loglog_slope,
-                     remainders, report_of)
+from helpers import (cf_from_function, decay_constant_refinement_oracle, localized_cfs,
+                     loglog_slope, remainders, report_of)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -44,10 +44,8 @@ class TestCriterion1GaussianEndToEnd:
         lam = sd.build_lamperti_map(model.sigma, w)
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-6, n_paths=1_000_000,
                            seed=20240801)
-        ens = sd.simulate(model, cfg, threads=2)
-
         grid = sd.FrequencyGrid.uniform(16.0, 1.0 / 16.0)
-        cf = sd.estimate_localized(ens, phi, lam, grid, 1.0, threads=2)
+        [cf] = localized_cfs(model, cfg, phi, lam, grid, [1.0], threads=2)
         xg = np.linspace(lam.forward_many(phi.a), lam.forward_many(phi.b), 501)
         q = sd.pushforward(sd.invert(cf, xg), lam)
         mc_err = float(np.max(np.abs(q.values - gaussian_target(phi, q.x_grid))))
@@ -77,9 +75,8 @@ class TestCriterion2GbmLamperti:
         lam = sd.build_lamperti_map(model.sigma, w)
         cfg = sd.SimConfig(x0=2.0, t_final=1.0, h=2.0**-8, n_paths=1_000_000,
                            seed=20240803)
-        ens = sd.simulate(model, cfg, threads=2)
         grid = sd.FrequencyGrid.uniform(32.0, 1.0 / 8.0)
-        cf = sd.estimate_localized(ens, phi, lam, grid, 1.0, threads=2)
+        [cf] = localized_cfs(model, cfg, phi, lam, grid, [1.0], threads=2)
         xg = np.linspace(lam.forward_many(phi.a), lam.forward_many(phi.b), 501)
         q = sd.pushforward(sd.invert(cf, xg), lam)
         target = phi(q.x_grid) * sd.exact_density(rm, 1.0, q.x_grid)
@@ -149,8 +146,7 @@ class TestCriterion5BoundSatisfaction:
         for n_paths in (200_000, 400_000):
             cfg = sd.SimConfig(x0=0.0, t_final=t, h=2.0**-10, n_paths=n_paths,
                                seed=20240807)
-            cf = sd.estimate_localized(sd.simulate(model, cfg, threads=2), phi, lam, grid, t,
-                                       threads=2)
+            [cf] = localized_cfs(model, cfg, phi, lam, grid, [t], threads=2)
             reports[n_paths] = report_of(cf, model, cfg, w, t, y_check, threads=2)
 
         rep1, rep2 = reports[200_000], reports[400_000]
@@ -175,12 +171,11 @@ class TestCriterion6HoelderCertification:
         lam = sd.build_lamperti_map(model.sigma, w)
         cfg = sd.SimConfig(x0=0.0, t_final=1.0, h=2.0**-10, n_paths=200_000,
                            seed=20240808)
-        ens = sd.simulate(model, cfg, threads=2)
         grid = sd.FrequencyGrid.uniform(32.0, 1.0 / 8.0)
         lo, hi = lam.forward_many(phi.a), lam.forward_many(phi.b)
         norms = {}
-        for t in (0.25, 0.5, 0.75, 1.0):
-            cf = sd.estimate_localized(ens, phi, lam, grid, t, threads=2)
+        times = (0.25, 0.5, 0.75, 1.0)
+        for t, cf in zip(times, localized_cfs(model, cfg, phi, lam, grid, times, threads=2)):
             row = {}
             for n_x in (257, 513):
                 xg = np.linspace(lo, hi, n_x)

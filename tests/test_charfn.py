@@ -10,7 +10,7 @@ import sdedensity as sd
 from sdedensity import charfn
 from sdedensity.util import task_pool
 
-from helpers import cf_from_function
+from helpers import cf_from_function, localized_cfs
 
 CHUNK = 1 << 14  # samples per chunk of cf_from_samples
 PRESET_CASES = ["gaussian", "ou", "gbm", "sign_drift"]  # (M, spacing) 256, 1/16; 256, 1/8; 512, 1/4
@@ -178,6 +178,21 @@ class TestEstimate:
         assert np.array_equal(got.values, whole.values)
         assert np.array_equal(got.std_errors, whole.std_errors)
 
+    def test_streamed_cfs_are_the_bits_of_the_ensembles(self, sin_sigma, sin_window, grid):
+        # the acceptance criteria's CFs: three times, 2 chunks and a partial one
+        model = sd.CoefficientModel(mu=sd.PiecewiseFunction((), (sd.Constant(0.5),)),
+                                    sigma=sin_sigma)
+        sim = sd.SimConfig(x0=0.0, t_final=0.25, h=2.0**-6, n_paths=2 * CHUNK + 100, seed=7)
+        phi = sd.make_bump(sin_window, 0.2)
+        lam = sd.build_lamperti_map(sin_sigma, sin_window)
+        ens = sd.simulate(model, sim, threads=2)
+        times = (0.25, 0.0625, 0.25)
+        for t, got in zip(times, localized_cfs(model, sim, phi, lam, grid, times, threads=2)):
+            want = sd.estimate_localized(ens, phi, lam, grid, t, threads=2)
+            assert got.t == t and got.n_paths == want.n_paths
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.std_errors, want.std_errors)
+
     @pytest.mark.parametrize("case", ["sin", *PRESET_CASES, "wide_phase"])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     def test_matches_dense_reference_across_chunk_boundaries(self, sin_sigma, sin_window, grid,
@@ -212,6 +227,21 @@ class TestEstimate:
             truncation = math.sqrt(math.pi / tau) * math.exp(j * j * tau) * tail / size
             worst = max(worst, alias + truncation)
         assert worst <= 1e-15
+
+    def test_running_sum_of_chunk_grids_is_within_k_u_of_fsum(self, grid):
+        # 64 full chunks and a partial one, added in chunk order in plain double
+        x = np.random.default_rng(5).standard_normal(64 * CHUNK + 100)
+        phi = sd.make_plateau_sequence(1)
+        with task_pool(2) as pool:
+            acc = charfn.CfAccumulator(phi, grid, None, pool, 2)
+            acc.add(x)
+            acc.flush()
+        parts = np.stack([acc._chunk_grid(x[s:s + CHUNK]) for s in range(0, x.size, CHUNK)])
+        k = parts.shape[0]
+        exact = np.array([[math.fsum(cell) for cell in row] for row in parts.transpose(1, 2, 0)])
+        bound = k * 2.0**-53 * np.abs(parts).sum(axis=0)
+        assert k == 65
+        assert np.all(np.abs(acc.padded - exact) <= bound)
 
     def test_non_finite_samples_rejected(self, grid):
         with pytest.raises(sd.ConfigError, match="^samples must be finite$"):
@@ -301,3 +331,19 @@ class TestExport:
         assert cf.values.tolist() == [0.5j, 0.5 - 0.25j, 1.0, 0.5 + 0.25j, -0.5j]
         assert cf.std_errors.tolist() == [0.3, 0.2, 0.1, 0.2, 0.3]
         assert (cf.n_paths, cf.t) == (7, 0.5)
+
+    @pytest.mark.parametrize("j, values, errors", [
+        (0, [0.5j, 0.5 - 0.25j, 1.0, 0.5 + 0.25j, 0.5j], [0.3, 0.2, 0.1, 0.2, 0.3]),
+        (1, [0.5j, 0.5 - 0.25j, 1.0, 0.5 + 0.25j, -0.5j], [0.3, 0.1, 0.1, 0.2, 0.3]),
+    ])
+    def test_constructor_rejects_an_unmirrored_value_or_error(self, j, values, errors):
+        grid = sd.FrequencyGrid(2, 0.5)
+        y = grid.values[j]
+        with pytest.raises(sd.ConfigError, match=f"^the CF at frequency {y:g} is not the "
+                                                 f"mirror of the one at {-y:g}"):
+            sd.CharFnEstimate(grid, np.array(values), np.array(errors), 7, 0.5)
+
+    def test_constructor_rejects_a_value_count_off_the_grid(self):
+        with pytest.raises(sd.ConfigError, match="^need one value and one standard error "
+                                                 "per grid frequency$"):
+            sd.CharFnEstimate(sd.FrequencyGrid(2, 0.5), np.ones(4, complex), np.zeros(5), 7, 0.5)

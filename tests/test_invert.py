@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 import sdedensity as sd
-from sdedensity.errors import ConfigError, DomainError, NumericsError
+from sdedensity.errors import ConfigError, DomainError
 
 from helpers import cf_from_function
 
@@ -63,10 +63,33 @@ class TestInversion:
         grid = sd.FrequencyGrid.uniform(4.0, 0.25)
         vals = np.exp(-grid.values**2 / 2).astype(complex)
         vals += 1j * np.exp(-((grid.values - 1) ** 2))  # breaks Hermitian symmetry
-        bad = sd.CharFnEstimate(grid=grid, values=vals,
-                                std_errors=np.zeros(grid.values.size), n_paths=0, t=0.0)
-        with pytest.raises(NumericsError):
-            sd.invert(bad, np.linspace(-2, 2, 11))
+        with pytest.raises(ConfigError, match="^the CF at frequency -4 is not the mirror of "
+                                              "the one at 4: a CF of a real law is Hermitian$"):
+            sd.CharFnEstimate(grid=grid, values=vals,
+                              std_errors=np.zeros(grid.values.size), n_paths=0, t=0.0)
+
+    def test_reads_only_the_non_negative_half(self):
+        cf = analytic_cf(lambda y: np.exp(0.3j * y - y * y / 2), 16.0, 1 / 16)
+        xs = np.linspace(-4, 4, 101)
+        ref = sd.invert(cf, xs)
+        cf.values[:cf.grid.half_count] = 7.0 - 3.0j  # past the constructor's check
+        assert sd.invert(cf, xs).values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("preset", sorted(sd.PRESETS))
+    def test_half_sum_is_the_real_part_of_the_full_sum(self, preset):
+        raw = copy.deepcopy(sd.PRESETS[preset])
+        raw["simulation"]["n_paths"] = 20_000
+        pipe = sd.Pipeline(sd.RunConfig.from_dict(raw))
+        pipe.reads([pipe.cfg.simulation.t_final])
+        cf = pipe.cf_at(pipe.cfg.simulation.t_final)
+        xs = pipe.cfg.x_grid
+        got = sd.invert(cf, xs).values
+        # the trapezoid rule over all 2M + 1 frequencies, as complex numbers
+        wts = np.ones(cf.grid.values.size)
+        wts[0] = wts[-1] = 0.5
+        full = (np.exp(-1j * np.outer(xs, cf.grid.values)) * (wts * cf.values)).sum(axis=1)
+        want = full.real * cf.grid.spacing / (2.0 * math.pi)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("block", [1, 7, 64, 256])
     def test_bytes_do_not_depend_on_the_row_block(self, monkeypatch, block):
@@ -76,7 +99,6 @@ class TestInversion:
         monkeypatch.setattr(invert_module, "_INVERT_BLOCK", block)
         got = sd.invert(cf, xs)
         assert got.values.tobytes() == ref.values.tobytes()
-        assert got.imag_residual == ref.imag_residual
 
     def test_mass_matches_zero_frequency(self, bm_ensemble, window6):
         lam = sd.build_lamperti_map(sd.PiecewiseFunction((), (sd.Constant(1.0),)), window6)

@@ -2,10 +2,9 @@ import itertools
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from sdedensity.util import KahanSum, iter_ordered, path_chunks
+from sdedensity.util import iter_ordered, path_chunks
 
 
 @pytest.mark.parametrize("threads", [2, 3])
@@ -41,11 +40,3 @@ def test_path_chunks_are_made_as_they_are_read():
     chunks = path_chunks(2**62, 4096)
     assert next(chunks) == (0, 4096) and next(chunks) == (4096, 8192)
     assert list(path_chunks(10, 4)) == [(0, 4), (4, 8), (8, 10)]
-
-
-def test_kahan_sum_compensates_in_order():
-    parts = [np.array([1.0]), np.array([1e-16]), np.array([1e-16])]
-    acc = KahanSum()
-    for part in parts:
-        acc.add(part)
-    assert acc.total[0] == 1.0 + 2e-16 != (1.0 + 1e-16) + 1e-16
